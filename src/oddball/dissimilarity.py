@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import fdtrc
 
 from .numerics import DomainError
-from .solver import OddConfig, d_star
+from .solver import OddConfig, d_star, d_star_rows
 
 __all__ = [
     "DEFAULT_RATE_FLOOR",
@@ -160,13 +160,15 @@ class DissimilarityMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _pair_job(args) -> float:
-    (k, r1, r2) = args
-    return d_star(OddConfig(k, 1, r1, r2))
-
-
 def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> DissimilarityMatrix:
-    """Dissimilarity of every ordered image pair in a K-item display."""
+    """Dissimilarity of every ordered image pair in a K-item display.
+
+    All non-degenerate pairs are solved together in one lockstep batch
+    (`solver.d_star_rows`); with parallelism > 1 the batch is split into
+    that many contiguous chunks, one per worker process. A pair's value is
+    bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends
+    neither on the other pairs in the batch nor on `parallelism`.
+    """
     if not isinstance(k, int) or k < 3:
         raise DomainError(f"display size k must be an integer >= 3, got {k!r}")
     if not isinstance(parallelism, int) or parallelism < 1:
@@ -177,8 +179,8 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     floored = np.zeros((m, m), dtype=int)
     np.fill_diagonal(degenerate, True)
     flagged = table.floored.sum(axis=1)
-    jobs = []
-    slots = []
+    odd = []
+    distractor = []
     for a in range(m):
         for b in range(m):
             floored[a, b] = int(flagged[a] + flagged[b]) if a != b else int(flagged[a])
@@ -187,15 +189,21 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
             if np.array_equal(table.rates[a], table.rates[b]):
                 degenerate[a, b] = True
                 continue
-            jobs.append((k, tuple(table.rates[a]), tuple(table.rates[b])))
-            slots.append((a, b))
-    if parallelism == 1 or len(jobs) < 2:
-        results = [_pair_job(job) for job in jobs]
-    else:
-        with multiprocessing.Pool(processes=parallelism) as pool:
-            results = pool.map(_pair_job, jobs)
-    for (a, b), v in zip(slots, results):
-        values[a, b] = v
+            odd.append(a)
+            distractor.append(b)
+    if odd:
+        r1 = table.rates[odd]
+        r2 = table.rates[distractor]
+        if parallelism == 1 or len(odd) < 2:
+            values[odd, distractor] = d_star_rows(k, r1, r2)
+        else:
+            jobs = [
+                (k, c1, c2)
+                for c1, c2 in zip(np.array_split(r1, parallelism), np.array_split(r2, parallelism))
+                if len(c1)
+            ]
+            with multiprocessing.Pool(processes=parallelism) as pool:
+                values[odd, distractor] = np.concatenate(pool.starmap(d_star_rows, jobs))
     values.setflags(write=False)
     degenerate.setflags(write=False)
     floored.setflags(write=False)
@@ -233,9 +241,16 @@ def anova_f(groups) -> tuple[float, float]:
             raise DomainError("anova_f requires finite samples")
     n_total = sum(len(g) for g in data)
     grand = math.fsum(math.fsum(g) for g in data) / n_total
-    means = [math.fsum(g) / len(g) for g in data]
+    # Centre each group on its first sample: a constant group then has
+    # deviations of exactly zero, where fsum(g) / len(g) need not return
+    # the sample exactly and would leave a spurious within-group variance.
+    shifted = [[x - g[0] for x in g] for g in data]
+    offsets = [math.fsum(d) / len(d) for d in shifted]
+    means = [g[0] + off for g, off in zip(data, offsets)]
     ss_between = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(data, means))
-    ss_within = math.fsum(math.fsum((x - m) ** 2 for x in g) for g, m in zip(data, means))
+    ss_within = math.fsum(
+        math.fsum((x - off) ** 2 for x in d) for d, off in zip(shifted, offsets)
+    )
     df_between = len(data) - 1
     df_within = n_total - len(data)
     if ss_within == 0.0:

@@ -32,12 +32,24 @@ is concave with f(0) = f(1) = 0, and its maximizer is the unique root of
 
     g(lam_hat) = D(r1 || r_tilde) - rho * D(r2 || r_tilde) = 0,
 
-which `solve_lambda_star` finds by bisection (g is positive at lam_hat = 0
-and negative at lam_hat = 1). At the root, f = D(r1 || r_tilde).
+which `solve_lambda_star` finds by a safeguarded Newton iteration. g is
+positive at lam_hat = 0, negative at lam_hat = 1 and strictly decreasing,
+with the closed-form slope
+
+    g'(lam_hat) = sum_d (r1 - r2) * [(1 - r1 / m) - rho * (1 - r2 / m)],
+    m = lam_hat * r1 + (1 - lam_hat) * r2,
+
+so each step keeps a bracket [lo, hi] around the root and bisects it
+whenever the Newton step would leave it or fails to halve the previous
+step. At the root, f = D(r1 || r_tilde).
 
 Vector rates (each process emits D independent Poisson coordinates) use
 the same machinery with D(. || .) replaced by the coordinate sum and a
-shared lam_hat; everything reduces to the scalar case when D = 1.
+shared lam_hat; everything reduces to the scalar case when D = 1. The
+coordinate count alone picks the kernel: D = 1 runs a pure-Python loop on
+`poisson_kl` (the policy solves one such problem per weight-cache miss,
+where array overhead would dominate), D > 1 runs every row of a (B, D)
+batch in lockstep on numpy arrays (`d_star_rows`).
 
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
@@ -55,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DomainError, binary_relative_entropy, poisson_kl
+from .numerics import DomainError, binary_relative_entropy, poisson_kl, poisson_kl_array
 
 __all__ = [
     "DegenerateRatesError",
@@ -66,6 +78,7 @@ __all__ = [
     "solve_lambda_star",
     "lambda_star_continuous_extension",
     "d_star",
+    "d_star_rows",
     "brute_force_d_star",
     "lower_bound_expected_tau",
     "curve_rows",
@@ -74,9 +87,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# Below this distance of nu from 1/2 bisection residuals drown in rounding
-# noise, so the solver switches to the continuous-extension weight.
+# Below this distance of nu from 1/2 the residual drowns in rounding noise,
+# so the solver switches to the continuous-extension weight.
 NEAR_DEGENERATE_NU = 1e-9
+
+# A bracket narrower than this cannot be split further in double precision.
+_MIN_BRACKET = 1e-15
 
 
 class DegenerateRatesError(DomainError):
@@ -207,15 +223,27 @@ def objective(config: OddConfig, lambda_odd: float) -> float:
     """
     if not 0.0 <= lambda_odd <= 1.0:
         raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
-    rho = config.rho
+    return _objective_sum(config.r1, config.r2, config.rho, lambda_odd)
+
+
+def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
     weight = lambda_odd + (1.0 - lambda_odd) * rho
     d1 = 0.0
     d2 = 0.0
-    for a, b in zip(config.r1, config.r2):
+    for a, b in zip(r1, r2):
         m = (lambda_odd * a + (1.0 - lambda_odd) * rho * b) / weight
         d1 += poisson_kl(a, m)
         d2 += poisson_kl(b, m)
     return lambda_odd * d1 + (1.0 - lambda_odd) * rho * d2
+
+
+def _objective_rows(r1: np.ndarray, r2: np.ndarray, rho: float, lam_odd: np.ndarray) -> np.ndarray:
+    """`objective` of every row of (B, D) rate arrays at its own weight."""
+    lam = lam_odd[:, None]
+    m = (lam * r1 + (1.0 - lam) * rho * r2) / (lam + (1.0 - lam) * rho)
+    d1 = poisson_kl_array(r1, m).sum(axis=1)
+    d2 = poisson_kl_array(r2, m).sum(axis=1)
+    return lam_odd * d1 + (1.0 - lam_odd) * rho * d2
 
 
 def _extension_lam_hat(k: int) -> float:
@@ -224,12 +252,12 @@ def _extension_lam_hat(k: int) -> float:
     return 1.0 / (1.0 + math.sqrt(rho))
 
 
-def _lam_odd_from_hat(lam_hat: float, rho: float) -> float:
-    """Invert lam_hat = lam / (lam + (1 - lam) * rho)."""
+def _lam_odd_from_hat(lam_hat, rho: float):
+    """Invert lam_hat = lam / (lam + (1 - lam) * rho); floats or arrays."""
     return lam_hat * rho / (1.0 - lam_hat + lam_hat * rho)
 
 
-def _assemble(config: OddConfig, lam_hat: float) -> LambdaSolution:
+def _assemble(config: OddConfig, lam_hat: float, value: float) -> LambdaSolution:
     rho = config.rho
     lam_odd = _lam_odd_from_hat(lam_hat, rho)
     off = (1.0 - lam_odd) / (config.k - 1)
@@ -245,35 +273,139 @@ def _assemble(config: OddConfig, lam_hat: float) -> LambdaSolution:
         lam_hat=lam_hat,
         r_tilde=r_tilde,
         nu=nu,
-        d_star=objective(config, lam_odd),
+        d_star=value,
     )
 
 
-def _stationarity(config: OddConfig, lam_hat: float) -> tuple[float, float]:
-    """Residual g(lam_hat) and its natural scale max(term1, term2)."""
-    rho = config.rho
-    d1 = 0.0
-    d2 = 0.0
-    for a, b in zip(config.r1, config.r2):
-        m = lam_hat * a + (1.0 - lam_hat) * b
-        d1 += poisson_kl(a, m)
-        d2 += poisson_kl(b, m)
-    t2 = rho * d2
-    return d1 - t2, (d1 if d1 > t2 else t2)
+def _no_sign_change() -> DegenerateRatesError:
+    # Rates differ but by so little the residual is pure rounding noise.
+    return DegenerateRatesError(
+        "stationarity residual has no sign change; rates are numerically degenerate"
+    )
+
+
+def _residual(a: float, b: float, rho: float, lam_hat: float) -> tuple[float, float, float]:
+    """Scalar g(lam_hat), its scale max(d1, rho * d2) and its slope g'(lam_hat)."""
+    m = lam_hat * a + (1.0 - lam_hat) * b
+    d1 = poisson_kl(a, m)
+    t2 = rho * poisson_kl(b, m)
+    slope = (a - b) * ((1.0 - a / m) - rho * (1.0 - b / m))
+    return d1 - t2, (d1 if d1 > t2 else t2), slope
+
+
+def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
+    """Root lam_hat of g for one coordinate (D = 1), on Python floats.
+
+    Newton starts from the equal-rates root 1 / (1 + sqrt(rho)); the
+    halving test falls back to bisection where rounding noise in g would
+    otherwise make Newton creep (nu just outside NEAR_DEGENERATE_NU).
+    """
+    start = 1.0 / (1.0 + math.sqrt(rho))
+    if abs(a / (a + b) - 0.5) < NEAR_DEGENERATE_NU:
+        return start
+    # g(0) = D(r1 || r2) and g(1) = -rho * D(r2 || r1).
+    if not (poisson_kl(a, b) > 0.0 and rho * poisson_kl(b, a) > 0.0):
+        raise _no_sign_change()
+    lo, hi, step = 0.0, 1.0, 1.0
+    x = start
+    while True:
+        g, scale, slope = _residual(a, b, rho, x)
+        if abs(g) <= tol * scale:
+            return x
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo < _MIN_BRACKET:
+            return x
+        nxt = x - g / slope if slope < 0.0 else x
+        if not (lo < nxt < hi and abs(nxt - x) <= 0.5 * step):
+            nxt = 0.5 * (lo + hi)
+        step = abs(nxt - x)
+        x = nxt
+
+
+def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float, tol: float) -> np.ndarray:
+    """Roots lam_hat of g for every row of (B, D) rate arrays.
+
+    The scalar iteration run on all rows in lockstep; a row leaves the
+    batch as soon as it meets the stopping rule. Every operation is
+    elementwise or a sum along one row, so a row's root does not depend
+    on the other rows in the batch.
+    """
+    if not (
+        np.all(poisson_kl_array(r1, r2).sum(axis=1) > 0.0)
+        and np.all(rho * poisson_kl_array(r2, r1).sum(axis=1) > 0.0)
+    ):
+        raise _no_sign_change()
+    lam_hat = np.empty(r1.shape[0])
+    rows = np.arange(r1.shape[0])
+    x = np.full(rows.size, 1.0 / (1.0 + math.sqrt(rho)))
+    lo = np.zeros(rows.size)
+    hi = np.ones(rows.size)
+    step = np.ones(rows.size)
+    a, b = r1, r2
+    while rows.size:
+        xc = x[:, None]
+        m = xc * a + (1.0 - xc) * b
+        d1 = poisson_kl_array(a, m).sum(axis=1)
+        t2 = rho * poisson_kl_array(b, m).sum(axis=1)
+        g = d1 - t2
+        slope = ((a - b) * ((1.0 - a / m) - rho * (1.0 - b / m))).sum(axis=1)
+        pos = g > 0.0
+        lo = np.where(pos, x, lo)
+        hi = np.where(pos, hi, x)
+        done = (np.abs(g) <= tol * np.maximum(d1, t2)) | (hi - lo < _MIN_BRACKET)
+        lam_hat[rows[done]] = x[done]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - g / slope
+        newton = (slope < 0.0) & (lo < nxt) & (nxt < hi) & (np.abs(nxt - x) <= 0.5 * step)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        step = np.abs(nxt - x)
+        keep = ~done
+        rows, a, b = rows[keep], a[keep], b[keep]
+        x, lo, hi, step = nxt[keep], lo[keep], hi[keep], step[keep]
+    return lam_hat
+
+
+def _solve_rows(r1, r2, rho: float, tol: float):
+    """lam_hat and D* of every row pair of two (B, D) rate tables.
+
+    The one place that picks the kernel, from the coordinate count D
+    alone: D = 1 runs `_root_scalar` row by row, D > 1 runs
+    `_roots_array` on the whole batch. Rows must not be degenerate.
+    """
+    if len(r1[0]) == 1:
+        lam_hat = []
+        values = []
+        for a, b in zip(r1, r2):
+            a, b = float(a[0]), float(b[0])
+            h = _root_scalar(a, b, rho, tol)
+            lam_hat.append(h)
+            values.append(_objective_sum((a,), (b,), rho, _lam_odd_from_hat(h, rho)))
+        return lam_hat, values
+    a = np.asarray(r1, dtype=float)
+    b = np.asarray(r2, dtype=float)
+    lam_hat = _roots_array(a, b, rho, tol)
+    return lam_hat, _objective_rows(a, b, rho, _lam_odd_from_hat(lam_hat, rho))
 
 
 def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolution:
-    """Find the optimal sampling weights by bisection in lam_hat.
+    """Find the optimal sampling weights by safeguarded Newton in lam_hat.
 
-    Terminates when the bracket width is <= tol AND the stationarity
-    residual |D(r1 || r_tilde) - rho * D(r2 || r_tilde)| is <= tol times
-    the larger of the two terms. Scalar configs with nu within 1e-9 of 1/2
+    Terminates when the stationarity residual
+    |D(r1 || r_tilde) - rho * D(r2 || r_tilde)| is <= tol times the larger
+    of the two terms, or when the bracket around the root is narrower than
+    1e-15. Each step is a Newton step on the residual unless that step
+    leaves the bracket or fails to halve the previous step, in which case
+    the bracket is bisected. Scalar configs with nu within 1e-9 of 1/2
     take the continuous-extension weight instead (the residual scale
-    collapses quadratically there and bisection digits are meaningless).
+    collapses quadratically there and its digits are rounding noise).
 
     Raises:
-        DegenerateRatesError: r1 == r2 exactly; use
-            `lambda_star_continuous_extension`.
+        DegenerateRatesError: r1 == r2 exactly (use
+            `lambda_star_continuous_extension`), or the residual shows no
+            sign change between lam_hat = 0 and 1.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
@@ -281,31 +413,8 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
         raise DegenerateRatesError(
             "r1 == r2: no interior optimum; use lambda_star_continuous_extension"
         )
-    if config.dim == 1 and abs(config.nu - 0.5) < NEAR_DEGENERATE_NU:
-        return _assemble(config, _extension_lam_hat(config.k))
-
-    g_lo, _ = _stationarity(config, 0.0)
-    g_hi, _ = _stationarity(config, 1.0)
-    if not (g_lo > 0.0 and g_hi < 0.0):
-        # Rates differ but by so little the residual is pure rounding noise.
-        raise DegenerateRatesError(
-            "stationarity residual has no sign change; rates are numerically degenerate"
-        )
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        g_mid, scale = _stationarity(config, mid)
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        width = hi - lo
-        if width <= tol and abs(g_mid) <= tol * scale:
-            break
-        if width < 1e-15:  # float resolution; the residual will not improve
-            break
-    return _assemble(config, mid)
+    lam_hat, value = _solve_rows((config.r1,), (config.r2,), config.rho, tol)
+    return _assemble(config, float(lam_hat[0]), float(value[0]))
 
 
 def lambda_star_continuous_extension(config: OddConfig) -> LambdaSolution:
@@ -338,6 +447,17 @@ def d_star(config: OddConfig, tol: float = DEFAULT_TOL) -> float:
     if config.is_degenerate:
         return 0.0
     return solve_lambda_star(config, tol=tol).d_star
+
+
+def d_star_rows(k: int, r1, r2, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """D* of K-item configurations with odd rates r1[i] and common rates
+    r2[i], for every row i of two (B, D) rate tables, in one solve.
+
+    Row i equals `d_star(OddConfig(k, 1, r1[i], r2[i]))` bitwise, whatever
+    the other rows are. Rows must differ (r1[i] != r2[i]); rates must be
+    positive and finite.
+    """
+    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1), tol)[1], dtype=float)
 
 
 def _kl_grid(x: float, y: np.ndarray) -> np.ndarray:

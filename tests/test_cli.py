@@ -8,6 +8,7 @@ delegate to; JSON float round-trips are exact, so == is used freely.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,9 @@ SPEC = {
     "trials": 30,
     "seed": 0,
 }
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -426,3 +430,27 @@ class TestExitDiscipline:
         )
         assert code == 1
         assert err.startswith("runtime failure: ")
+
+
+class TestGoldenReports:
+    """Report bytes pinned by the files in tests/golden.
+
+    A change that alters these bytes must be deliberate: regenerate the
+    files and say why. Full-precision JSON outputs (`lambda`, `dstar`,
+    the `drift` summary) are not pinned; they move in the last digits
+    whenever the root finder's iterates do.
+    """
+
+    def test_simulate_report(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(GOLDEN / "simulate_spec.json"))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "simulate_report.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_index_matrix(self, capsys, jobs):
+        # A floored cell (imgA n2, imgD n3) and a duplicate image (imgE = imgA).
+        code, out, err = run_cli(
+            capsys, "index", "--rates", str(GOLDEN / "index_rates.csv"), "--k", "4", "--jobs", jobs
+        )
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "index_matrix.csv").read_text(encoding="utf-8")

@@ -31,6 +31,11 @@ imgB,4.0,0.5
 imgC,1.5,2.0
 """
 
+# 7 images x 6 neurons with a floored cell and a duplicate image.
+MULTI_NEURON_RATES = np.random.default_rng(5).uniform(0.5, 8.0, (7, 6))
+MULTI_NEURON_RATES[2, 4] = 0.0
+MULTI_NEURON_RATES[6] = MULTI_NEURON_RATES[0]
+
 
 class TestFiringRateTable:
     def test_from_arrays(self):
@@ -95,12 +100,22 @@ class TestFiringRateTable:
 
 class TestPairwiseDstar:
     def test_matrix_against_scalar_solver(self):
-        table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
-        matrix = pairwise_dstar(table, k=3)
-        assert matrix.value("a", "b") == d_star(OddConfig(3, 1, 1.0, 2.0))
-        assert matrix.value("b", "a") == d_star(OddConfig(3, 1, 2.0, 1.0))
-        # Ordered pairs differ: the index is not symmetric.
-        assert matrix.value("a", "b") != matrix.value("b", "a")
+        # Multi-neuron rows take the lockstep batch, which must give each
+        # pair exactly its own single-configuration value.
+        for rates in (
+            [[1.0], [2.0]],
+            [[1.0, 0.3, 4.0], [2.0, 0.3, 1.5], [0.0, 6.0, 2.5], [1.0, 0.31, 4.0]],
+        ):
+            ids = [f"i{n}" for n in range(len(rates))]
+            table = FiringRateTable.from_arrays(ids, rates)
+            matrix = pairwise_dstar(table, k=4)
+            for a in range(len(ids)):
+                for b in range(len(ids)):
+                    if a != b:
+                        config = OddConfig(4, 1, tuple(table.rates[a]), tuple(table.rates[b]))
+                        assert matrix.values[a, b] == d_star(config)
+            # Ordered pairs differ: the index is not symmetric.
+            assert matrix.value("i0", "i1") != matrix.value("i1", "i0")
 
     def test_grid_search_cross_check(self):
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
@@ -134,12 +149,14 @@ class TestPairwiseDstar:
         np.testing.assert_allclose(scaled.values, 2.5 * base.values, rtol=1e-10)
 
     def test_parallelism_invariance(self):
-        table = FiringRateTable.from_arrays(
-            ["a", "b", "c"], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]
-        )
-        serial = pairwise_dstar(table, k=3, parallelism=1)
-        pooled = pairwise_dstar(table, k=3, parallelism=2)
-        assert np.array_equal(serial.values, pooled.values)
+        # The second table has 40 solved pairs, split into uneven chunks.
+        for rates in ([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], MULTI_NEURON_RATES):
+            ids = [f"i{n}" for n in range(len(rates))]
+            table = FiringRateTable.from_arrays(ids, rates)
+            serial = pairwise_dstar(table, k=3, parallelism=1)
+            for jobs in (2, 3):
+                pooled = pairwise_dstar(table, k=3, parallelism=jobs)
+                assert np.array_equal(serial.values, pooled.values)
 
     def test_to_csv(self):
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
@@ -197,9 +214,14 @@ class TestAnovaF:
         assert anova_f([[1.0, 1.0], [1.0, 1.0]]) == (0.0, 1.0)
 
     def test_separated_constant_groups(self):
-        f_stat, p = anova_f([[1.0, 1.0], [2.0, 2.0]])
-        assert f_stat == math.inf
-        assert p == 0.0
+        # fsum(g) / len(g) does not return 87.86332500139687 exactly.
+        for groups in (
+            [[1.0, 1.0], [2.0, 2.0]],
+            [[87.86332500139687] * 3, [82.3052568540083] * 3],
+        ):
+            f_stat, p = anova_f(groups)
+            assert f_stat == math.inf
+            assert p == 0.0
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(9)

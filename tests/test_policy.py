@@ -109,10 +109,12 @@ class TestLeaderLambdaOdd:
         assert fwd == rev
 
     def test_extreme_estimates_clamp(self):
+        # nu clamps to the grid points 1/1e6 and 999999/1e6; the reference
+        # is solved at exactly those points, as in the quantized-point test.
         lo = leader_lambda_odd(3, 1e-9, 1.0, cache={})
-        assert lo == solve_lambda_star(OddConfig(3, 1, 1e-6, 1.0 - 1e-6)).lam_odd
+        assert lo == solve_lambda_star(OddConfig(3, 1, 0.000001, 1.0 - 0.000001)).lam_odd
         hi = leader_lambda_odd(3, 1.0, 1e-9, cache={})
-        assert hi == solve_lambda_star(OddConfig(3, 1, 1.0 - 1e-6, 1e-6)).lam_odd
+        assert hi == solve_lambda_star(OddConfig(3, 1, 0.999999, 1.0 - 0.999999)).lam_odd
 
     def test_midpoint_cell_uses_extension(self):
         # Estimates whose nu rounds to exactly 1/2 take the equal-rates

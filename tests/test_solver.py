@@ -172,11 +172,33 @@ class TestSolveLambdaStar:
         assert abs(back - sol.lam_hat) < 1e-13
 
     def test_residual_contract(self):
-        for k, a, b in [(3, 1.0, 2.0), (3, 10.0, 1.0), (7, 0.3, 0.9), (50, 4.0, 5.0)]:
+        cases = [(3, 1.0, 2.0), (3, 10.0, 1.0), (7, 0.3, 0.9), (50, 4.0, 5.0)]
+        # The policy's clamped nu grid points, and a large display.
+        cases += [(5, 0.000001, 1.0 - 0.000001), (5, 0.999999, 1.0 - 0.999999)]
+        cases += [(1000, 0.1, 0.9), (1000, 3.0, 1.0)]
+        for k, a, b in cases:
             cfg = OddConfig(k, 1, a, b)
             sol = solve_lambda_star(cfg)
             g, scale = residual(cfg, sol.lam_hat)
             assert abs(g) <= 1e-10 * scale
+
+    def test_root_matches_high_precision(self):
+        # lam_hat against the root of g found with 50-digit mpmath at the
+        # same binary-double inputs.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for k, a, b in [(3, 1.0, 2.0), (5, 10.0, 1.0), (50, 4.0, 1.0),
+                            (3, 0.333333, 0.666667), (1000, 0.1, 0.9)]:
+                rho = mpmath.mpf(k - 2) / (k - 1)
+                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+
+                def g(lam):
+                    m = lam * ma + (1 - lam) * mb
+                    return (ma * mpmath.log(ma / m) - ma + m) - rho * (mb * mpmath.log(mb / m) - mb + m)
+
+                root = mpmath.findroot(g, mpmath.mpf(0.5))
+                sol = solve_lambda_star(OddConfig(k, 1, a, b))
+                assert abs(mpmath.mpf(sol.lam_hat) - root) <= 1.1e-11
 
     def test_stationarity_maximizes_objective(self):
         cfg = OddConfig(5, 2, 6.0, 1.5)
@@ -204,7 +226,7 @@ class TestSolveLambdaStar:
             solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
 
     def test_near_half_nu_takes_extension_weight(self):
-        # nu within 1e-9 of 1/2: bisection digits would be rounding noise,
+        # nu within 1e-9 of 1/2: the residual's digits are rounding noise,
         # so the continuous-extension weight is returned instead.
         sol = solve_lambda_star(OddConfig(3, 1, 1.0, 1.0 + 1e-10))
         ext = lambda_star_continuous_extension(OddConfig(3, 1, 1.0, 1.0))
