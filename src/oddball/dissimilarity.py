@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import fdtrc
 
 from .numerics import DomainError
-from .solver import OddConfig, d_star, d_star_rows
+from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
     "DEFAULT_RATE_FLOOR",
@@ -254,7 +254,9 @@ def anova_f(groups) -> tuple[float, float]:
     df_between = len(data) - 1
     df_within = n_total - len(data)
     if ss_within == 0.0:
-        if ss_between == 0.0:
+        # Every group is constant, so its mean is its first sample exactly;
+        # grand need not equal a shared mean, so ss_between cannot decide.
+        if all(m == means[0] for m in means):
             return 0.0, 1.0
         return math.inf, 0.0
     f_stat = (ss_between / df_between) / (ss_within / df_within)
@@ -320,12 +322,15 @@ def synthesize_search_dataset(
     table = FiringRateTable.from_arrays(ids, rates)
 
     chosen = rng.choice(max_pairs, size=n_pairs, replace=False)
-    delays = []
+    pairs = []
     for code in sorted(int(c) for c in chosen):
         a, residue = divmod(code, n_images - 1)
-        b = residue if residue < a else residue + 1
-        diff = d_star(OddConfig(k, 1, tuple(table.rates[a]), tuple(table.rates[b])))
-        mean_delay = base_delay / diff
+        pairs.append((a, residue if residue < a else residue + 1))
+    odd, distractor = zip(*pairs)
+    diffs = d_star_rows(k, table.rates[list(odd)], table.rates[list(distractor)])
+    delays = []
+    for (a, b), diff in zip(pairs, diffs):
+        mean_delay = base_delay / float(diff)
         for _ in range(samples_per_pair):
             value = mean_delay * (1.0 + noise_scale * float(rng.standard_normal()))
             delays.append((ids[a], ids[b], max(value, 1e-9)))
@@ -391,20 +396,22 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     if len(order) < 3:
         raise DomainError("analysis needs delays for at least 3 distinct pairs")
 
-    diffs = []
+    odd = []
+    distractor = []
     mean_delays = []
     for odd_id, distractor_id in order:
         a = table.index_of(odd_id)
         b = table.index_of(distractor_id)
-        diff = d_star(OddConfig(k, 1, tuple(table.rates[a]), tuple(table.rates[b])))
-        if diff <= 0.0:
+        if np.array_equal(table.rates[a], table.rates[b]):
             raise DomainError(
                 f"pair ({odd_id!r}, {distractor_id!r}) has identical rate vectors; "
                 "delay analysis needs a positive index"
             )
-        diffs.append(diff)
+        odd.append(a)
+        distractor.append(b)
         samples = groups[(odd_id, distractor_id)]
         mean_delays.append(math.fsum(samples) / len(samples))
+    diffs = [float(d) for d in d_star_rows(k, table.rates[odd], table.rates[distractor])]
 
     pearson = correlation([1.0 / d for d in diffs], mean_delays)
     if all(len(groups[key]) >= 2 for key in order):

@@ -17,8 +17,7 @@ and u - log1p(u) is computed by its power series for small u. The naive
 three-term formula loses almost all significant digits when x is close to
 y (absolute error ~ eps * x against a true value ~ (y - x)^2 / (2x)),
 which would poison stationarity residuals downstream; the series form is
-accurate to a few ulp everywhere. `poisson_kl_array` evaluates the same
-forms elementwise over arrays.
+accurate to a few ulp everywhere.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "poisson_kl",
-    "poisson_kl_array",
     "poisson_kl_series",
     "binary_relative_entropy",
     "log_gamma",
@@ -95,38 +91,6 @@ def poisson_kl(x: float, y: float) -> float:
         # y/x overflowed or underflowed; split the logarithms instead.
         return x * (math.log(x) - math.log(y)) - x + y
     return x * _u_minus_log1p(u)
-
-
-def poisson_kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise D(x || y) for float arrays of equal shape with x > 0, y > 0.
-
-    The array form of `poisson_kl` for positive means: the same series for
-    |u| <= 0.09, the same direct form outside it and the same log split
-    where y / x overflows or underflows. Inside the series radius the two
-    agree to a few ulp; outside it numpy's log1p may differ from
-    math.log1p in the last bit, which the direct form's cancellation
-    amplifies up to its ~5e-15 relative bound.
-
-    Arguments are not validated; callers pass rates that passed
-    `OddConfig` or `FiringRateTable` checks.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (y - x) / x
-        out = u - np.log1p(u)
-        small = np.abs(u) <= _SERIES_RADIUS
-        if small.any():
-            us = u[small]
-            p = np.zeros_like(us)
-            for c in _LOG1P_TAIL_COEFFS:
-                p = p * us + c
-            out[small] = us * us * p
-        out *= x
-        split = np.isinf(u) | (u <= -1.0)
-        if split.any():
-            xs = x[split]
-            ys = y[split]
-            out[split] = xs * (np.log(xs) - np.log(ys)) - xs + ys
-    return out
 
 
 def poisson_kl_series(v: float, a: float, b: float, terms: int) -> float:

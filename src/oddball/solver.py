@@ -67,7 +67,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DomainError, binary_relative_entropy, poisson_kl, poisson_kl_array
+from .numerics import (
+    _LOG1P_TAIL_COEFFS,
+    _SERIES_RADIUS,
+    DomainError,
+    binary_relative_entropy,
+    poisson_kl,
+)
 
 __all__ = [
     "DegenerateRatesError",
@@ -79,6 +85,7 @@ __all__ = [
     "lambda_star_continuous_extension",
     "d_star",
     "d_star_rows",
+    "poisson_kl_array",
     "brute_force_d_star",
     "lower_bound_expected_tau",
     "curve_rows",
@@ -224,6 +231,38 @@ def objective(config: OddConfig, lambda_odd: float) -> float:
     if not 0.0 <= lambda_odd <= 1.0:
         raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
     return _objective_sum(config.r1, config.r2, config.rho, lambda_odd)
+
+
+def poisson_kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise D(x || y) for float arrays of equal shape with x > 0, y > 0.
+
+    The array form of `poisson_kl` for positive means: the same series for
+    |u| <= 0.09, the same direct form outside it and the same log split
+    where y / x overflows or underflows. Inside the series radius the two
+    agree to a few ulp; outside it numpy's log1p may differ from
+    math.log1p in the last bit, which the direct form's cancellation
+    amplifies up to its ~5e-15 relative bound.
+
+    Arguments are not validated; callers pass rates that passed
+    `OddConfig` or `FiringRateTable` checks.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (y - x) / x
+        out = u - np.log1p(u)
+        small = np.abs(u) <= _SERIES_RADIUS
+        if small.any():
+            us = u[small]
+            p = np.zeros_like(us)
+            for c in _LOG1P_TAIL_COEFFS:
+                p = p * us + c
+            out[small] = us * us * p
+        out *= x
+        split = np.isinf(u) | (u <= -1.0)
+        if split.any():
+            xs = x[split]
+            ys = y[split]
+            out[split] = xs * (np.log(xs) - np.log(ys)) - xs + ys
+    return out
 
 
 def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
@@ -449,7 +488,7 @@ def d_star(config: OddConfig, tol: float = DEFAULT_TOL) -> float:
     return solve_lambda_star(config, tol=tol).d_star
 
 
-def d_star_rows(k: int, r1, r2, tol: float = DEFAULT_TOL) -> np.ndarray:
+def d_star_rows(k: int, r1, r2) -> np.ndarray:
     """D* of K-item configurations with odd rates r1[i] and common rates
     r2[i], for every row i of two (B, D) rate tables, in one solve.
 
@@ -457,7 +496,7 @@ def d_star_rows(k: int, r1, r2, tol: float = DEFAULT_TOL) -> np.ndarray:
     the other rows are. Rows must differ (r1[i] != r2[i]); rates must be
     positive and finite.
     """
-    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1), tol)[1], dtype=float)
+    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1), DEFAULT_TOL)[1], dtype=float)
 
 
 def _kl_grid(x: float, y: np.ndarray) -> np.ndarray:

@@ -211,7 +211,9 @@ class TestLogAmGm:
 
 class TestAnovaF:
     def test_identical_groups(self):
-        assert anova_f([[1.0, 1.0], [1.0, 1.0]]) == (0.0, 1.0)
+        # fsum of 87.86332500139687 * 6 / 6 is not the sample itself.
+        for groups in ([[1.0, 1.0], [1.0, 1.0]], [[87.86332500139687] * 3] * 2):
+            assert anova_f(groups) == (0.0, 1.0)
 
     def test_separated_constant_groups(self):
         # fsum(g) / len(g) does not return 87.86332500139687 exactly.

@@ -24,6 +24,7 @@ from oddball.solver import (
     lower_bound_expected_tau,
     mixed_rate,
     objective,
+    poisson_kl_array,
     solve_lambda_star,
 )
 
@@ -406,3 +407,43 @@ class TestCurveRows:
             curve_rows([3], 1)
         with pytest.raises(DomainError):
             curve_rows([3.0], 10)
+
+
+class TestPoissonKlArray:
+    @staticmethod
+    def check(x, y):
+        # Inside the series radius both forms run the same float operations.
+        # Outside it numpy's log1p may differ from math.log1p in the last
+        # bit, which u - log1p(u) amplifies up to the direct form's
+        # documented cancellation bound, ~2 eps / 0.09 ~ 5e-15 relative.
+        want = np.array([poisson_kl(float(a), float(b)) for a, b in zip(x.ravel(), y.ravel())])
+        got = poisson_kl_array(x, y).ravel()
+        with np.errstate(over="ignore"):
+            series = np.abs((y - x) / x).ravel() <= 0.09
+        np.testing.assert_array_max_ulp(got[series], want[series], maxulp=4)
+        np.testing.assert_allclose(got, want, rtol=5e-15, atol=0.0)
+
+    def test_matches_scalar_elementwise(self):
+        # Random rates, |u| on both sides of the series radius 0.09, x at
+        # the 1e-3 rate floor, and ratios whose (y - x) / x overflows or
+        # reaches -1 (the log-split fallback).
+        rng = np.random.default_rng(21)
+        x = list(rng.uniform(1e-3, 50.0, 400))
+        y = list(rng.uniform(1e-3, 50.0, 400))
+        for base in (0.7, 3.0, 1e-3):
+            for u in (0.0899, 0.09, 0.0901, -0.0899, -0.09, -0.0901, 1e-7, -1e-7, 0.5, -0.5):
+                x.append(base)
+                y.append(base * (1.0 + u))
+        x += [1e-3, 1e-3, 1e-3, 1e-300, 1e10, 1e-3]
+        y += [8.0, 1e-3 * (1.0 + 1e-9), 2e-3, 1e10, 1e-300, 1e-320]
+        x = np.array(x)
+        y = np.array(y)
+        with np.errstate(over="ignore"):
+            u = (y - x) / x
+        assert np.any(np.isinf(u)) and np.any(u <= -1.0)
+        assert np.any(np.abs(u) <= 0.09) and np.any(np.abs(u) > 0.09)
+        self.check(x, y)
+
+    def test_two_dimensional_rows(self):
+        rng = np.random.default_rng(22)
+        self.check(rng.uniform(0.5, 8.0, (4, 7)), rng.uniform(0.5, 8.0, (4, 7)))
