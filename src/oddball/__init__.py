@@ -5,10 +5,8 @@ firing-rate dissimilarity index for visual-search data."""
 from .numerics import (
     DomainError,
     binary_relative_entropy,
-    log_gamma,
     poisson_kl,
     poisson_kl_series,
-    poisson_log_pmf,
 )
 from .solver import (
     DegenerateRatesError,
@@ -44,7 +42,6 @@ from .experiments import (
     ExperimentSpec,
     drift_experiment,
     run_experiment,
-    sample_poisson,
 )
 from .dissimilarity import (
     DissimilarityMatrix,
@@ -65,8 +62,6 @@ __all__ = [
     "poisson_kl",
     "poisson_kl_series",
     "binary_relative_entropy",
-    "log_gamma",
-    "poisson_log_pmf",
     "OddConfig",
     "LambdaSolution",
     "DegenerateRatesError",
@@ -94,7 +89,6 @@ __all__ = [
     "DriftResult",
     "run_experiment",
     "drift_experiment",
-    "sample_poisson",
     "FiringRateTable",
     "DissimilarityMatrix",
     "pairwise_dstar",

@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .glr import SufficientStats
 from .numerics import DomainError
@@ -42,7 +42,6 @@ __all__ = [
     "DriftRow",
     "DriftResult",
     "default_checkpoints",
-    "sample_poisson",
     "run_experiment",
     "drift_experiment",
     "error_upper_confidence",
@@ -52,13 +51,6 @@ REPORT_HEADER = (
     "L,threshold,trials,errors,error_rate,error_ci_hi,"
     "mean_tau,se_tau,tau_over_lnL,lower_bound,inv_dstar,capped"
 )
-
-
-def sample_poisson(rate: float, rng) -> int:
-    """One Poisson draw with a validated rate."""
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise DomainError(f"rate must be positive and finite, got {rate!r}")
-    return int(rng.poisson(rate))
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,7 @@ def error_upper_confidence(errors: int, trials: int, level: float = 0.95) -> flo
         raise DomainError(f"level must lie in (0, 1), got {level!r}")
     if errors == trials:
         return 1.0
-    return float(_beta.ppf(level, errors + 1, trials - errors))
+    return float(betaincinv(errors + 1, trials - errors, level))
 
 
 def _trial_rng(seed: int, l_index: int, trial_index: int):

@@ -99,11 +99,15 @@ class SufficientStats:
             raise DomainError(f"count must be an integer, got {count!r}") from None
         if count < 0:
             raise DomainError(f"count must be nonnegative, got {count!r}")
+        self._record(action, count)
+        return self
+
+    def _record(self, action: int, count: int) -> None:
+        """`update` without validation, for counts drawn from a generator."""
         self.n += 1
         self.visits[action - 1] += 1
         self.events[action - 1] += count
         self.total += count
-        return self
 
     def copy(self) -> "SufficientStats":
         return SufficientStats(

@@ -30,8 +30,6 @@ __all__ = [
     "poisson_kl",
     "poisson_kl_series",
     "binary_relative_entropy",
-    "log_gamma",
-    "poisson_log_pmf",
 ]
 
 
@@ -156,33 +154,3 @@ def binary_relative_entropy(x: float) -> float:
         raise DomainError(f"binary_relative_entropy requires 0 < x < 1, got {x!r}")
     m = x if x <= 1.0 - x else 1.0 - x
     return (2.0 * m - 1.0) * (math.log(m) - math.log(1.0 - m))
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0.
-
-    Delegates to the platform lgamma, which is accurate to a few ulp over
-    the supported range; the contract (relative error <= 1e-12 on
-    [1, 1e9]) is pinned by tests against a 45-digit reference.
-    """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def poisson_log_pmf(count: int, rate: float) -> float:
-    """log P[X = count] for X ~ Poisson(rate), in a single slot.
-
-        log pmf = count * log(rate) - rate - log(count!)
-    """
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise DomainError(f"poisson_log_pmf requires an integer count, got {count!r}") from None
-    if count < 0:
-        raise DomainError(f"poisson_log_pmf requires count >= 0, got {count!r}")
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise DomainError(f"poisson_log_pmf requires a positive finite rate, got {rate!r}")
-    if count == 0:
-        return -rate
-    return count * math.log(rate) - rate - math.lgamma(count + 1)

@@ -38,12 +38,7 @@ from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import DomainError
-from .solver import (
-    OddConfig,
-    _extension_lam_hat,
-    _lam_odd_from_hat,
-    solve_lambda_star,
-)
+from .solver import OddConfig, _extension_weights, solve_lambda_star
 
 __all__ = [
     "VARIANTS",
@@ -77,6 +72,9 @@ class PolicyConfig:
         means k).
     max_slots: hard cap; a trial that reaches it is marked capped and its
         declaration carries no error guarantee.
+
+    Construction also sets `warmup` (warmup_slots, or k when None) and
+    `log_threshold`, which the policy step reads on every slot.
     """
 
     k: int
@@ -104,18 +102,13 @@ class PolicyConfig:
             raise DomainError(f"warmup_slots must be a nonnegative integer, got {self.warmup_slots!r}")
         if not isinstance(self.max_slots, int) or self.max_slots < 1:
             raise DomainError(f"max_slots must be a positive integer, got {self.max_slots!r}")
+        warmup = self.k if self.warmup_slots is None else self.warmup_slots
+        object.__setattr__(self, "warmup", warmup)
+        object.__setattr__(self, "log_threshold", math.log((self.k - 1) * self.threshold_l))
         if self.max_slots < self.warmup:
             raise DomainError(
                 f"max_slots ({self.max_slots}) must cover the warm-up ({self.warmup} slots)"
             )
-
-    @property
-    def warmup(self) -> int:
-        return self.k if self.warmup_slots is None else self.warmup_slots
-
-    @property
-    def log_threshold(self) -> float:
-        return math.log((self.k - 1) * self.threshold_l)
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,7 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     if lam_odd is None:
         nu_q = q / _QUANT
         if abs(nu_q - 0.5) < DEGENERATE_ESTIMATE_GAP:
-            lam_hat = _extension_lam_hat(k)
-            lam_odd = _lam_odd_from_hat(lam_hat, (k - 2) / (k - 1))
+            lam_odd = _extension_weights(k)[1]
         else:
             lam_odd = solve_lambda_star(OddConfig(k, 1, nu_q, 1.0 - nu_q)).lam_odd
         store[key] = lam_odd
@@ -210,9 +202,46 @@ def _uniform_action(k: int, u: float) -> int:
     return idx + 1
 
 
-def _weighted_distribution(leader: int, lam_odd: float, k: int) -> tuple[float, ...]:
-    off = (1.0 - lam_odd) / (k - 1)
-    return tuple(lam_odd if j == leader else off for j in range(1, k + 1))
+def _weighted_distribution(focus: int, mass: float, k: int) -> tuple[float, ...]:
+    off = (1.0 - mass) / (k - 1)
+    return tuple(mass if j == focus else off for j in range(1, k + 1))
+
+
+def _stops(config: PolicyConfig, leader: int, z_leader: float) -> bool:
+    """Stop rule of every variant at the end of a slot: the leader's score
+    reached the threshold and the variant lets this leader stop. Only
+    "stop_only_on" has a stop_index, so "non_stopping" never stops."""
+    return (config.variant == "standard" or leader == config.stop_index) and (
+        z_leader >= config.log_threshold
+    )
+
+
+def _next_action(
+    config: PolicyConfig,
+    n: int,
+    leader: int,
+    theta: tuple[float, float],
+    rng,
+    cache: dict | None,
+) -> tuple[int, int, float | None]:
+    """Action for slot n + 1 given the state after slot n and the leader's
+    (odd rate, common rate) estimates `theta`: round-robin during warm-up,
+    uniform when the estimates are unusable or degenerate, otherwise mass
+    lambda*(k, nu) on the leader. Draws: none in warm-up, one uniform
+    otherwise.
+
+    Returns (action, focus, mass): the action's distribution has `mass` on
+    process `focus` and the rest spread evenly; mass None means uniform.
+    """
+    k = config.k
+    if n < config.warmup:
+        action = (n % k) + 1
+        return action, action, 1.0
+    t1, t2 = theta
+    if t1 <= 0.0 or t2 <= 0.0 or abs(t1 - t2) < DEGENERATE_ESTIMATE_GAP:
+        return _uniform_action(k, float(rng.random())), leader, None
+    lam_odd = leader_lambda_odd(k, t1, t2, cache)
+    return _weighted_action(leader, lam_odd, k, float(rng.random())), leader, lam_odd
 
 
 def next_decision(
@@ -225,45 +254,23 @@ def next_decision(
     been observed yet). Checks the stop rule, then selects the next
     action: round-robin during warm-up, weight-driven at the leader's
     estimates otherwise, uniform when those estimates are unusable.
+    `run_trial` applies the same step on every slot.
 
     Draw discipline (coupling contract): no draw for a stop or a warm-up
     action; exactly one uniform for a weighted or fallback action. Leader
     tie-breaks inside `modified_glr` consume their own draws.
     """
-    n = 0
-    if glr is not None:
-        n = glr.n
-        if config.variant != "non_stopping":
-            leader = glr.leader
-            if (config.variant == "standard" or leader == config.stop_index) and glr.z_min[
-                leader - 1
-            ] >= config.log_threshold:
-                return PolicyDecision(stop=True, declared=leader)
-    k = config.k
-    if n < config.warmup:
-        action = (n % k) + 1
-        dist = tuple(1.0 if j == action else 0.0 for j in range(1, k + 1))
-        return PolicyDecision(stop=False, action=action, distribution=dist)
     if glr is None:
-        # warmup_slots == 0 and nothing observed: no estimates exist yet
-        u = float(rng.random())
-        return PolicyDecision(
-            stop=False, action=_uniform_action(k, u), distribution=tuple([1.0 / k] * k)
-        )
-    leader = glr.leader
-    t1, t2 = glr.theta[leader - 1]
-    if t1 <= 0.0 or t2 <= 0.0 or abs(t1 - t2) < DEGENERATE_ESTIMATE_GAP:
-        u = float(rng.random())
-        return PolicyDecision(
-            stop=False, action=_uniform_action(k, u), distribution=tuple([1.0 / k] * k)
-        )
-    lam_odd = leader_lambda_odd(k, float(t1), float(t2), cache)
-    u = float(rng.random())
-    return PolicyDecision(
-        stop=False,
-        action=_weighted_action(leader, lam_odd, k, u),
-        distribution=_weighted_distribution(leader, lam_odd, k),
-    )
+        n, leader, theta = 0, 1, (0.0, 0.0)  # nothing observed: no estimates
+    else:
+        n, leader = glr.n, glr.leader
+        if _stops(config, leader, glr.z_min[leader - 1]):
+            return PolicyDecision(stop=True, declared=leader)
+        theta = tuple(map(float, glr.theta[leader - 1]))
+    action, focus, mass = _next_action(config, n, leader, theta, rng, cache)
+    k = config.k
+    dist = tuple([1.0 / k] * k) if mass is None else _weighted_distribution(focus, mass, k)
+    return PolicyDecision(stop=False, action=action, distribution=dist)
 
 
 def run_trial(
@@ -277,9 +284,9 @@ def run_trial(
     """Simulate one trial of the policy against a scalar-rate truth.
 
     Per slot: observe a Poisson count from the chosen process, update the
-    tallies, recompute the scores, then apply `next_decision` semantics
-    (inlined for speed; the replay test pins the equivalence). The trace,
-    when collected, has one record per slot
+    tallies, recompute the scores and the leader, then take the policy
+    step that `next_decision` takes (the stop rule, else the next action).
+    The trace, when collected, has one record per slot
     {"n", "action", "count", "leader", "z_leader"} plus a terminal
     {"tau", "delta", "correct", "capped"} record.
     """
@@ -291,10 +298,6 @@ def run_trial(
     odd = truth.odd_index
     rates = [truth.r2[0]] * k
     rates[odd - 1] = truth.r1[0]
-    warmup = config.warmup
-    threshold = config.log_threshold
-    may_stop = config.variant != "non_stopping"
-    stop_ix = config.stop_index
     cp = frozenset(int(c) for c in checkpoints) if checkpoints else frozenset()
 
     stats = SufficientStats(k=k)
@@ -303,23 +306,14 @@ def run_trial(
     trace: list[dict] | None = [] if collect_trace else None
     snaps: list[Snapshot] = []
 
-    # Action for slot 1.
-    if warmup >= 1:
-        action = 1
-    else:
-        action = _uniform_action(k, float(rng.random()))
-
     stopped = False
     leader = 1
     z_min = [0.0] * k
     m = 0
+    action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]
     for m in range(1, config.max_slots + 1):
         x = int(rng.poisson(rates[action - 1]))
-        # Counts come from the generator; skip per-call revalidation.
-        stats.n = m
-        visits[action - 1] += 1
-        events[action - 1] += x
-        stats.total += x
+        stats._record(action, x)
         avg, ml = _scores(stats)
         z_min = _z_min_from_scores(avg, ml)
         leader = _pick_leader(z_min, rng)
@@ -344,23 +338,10 @@ def run_trial(
                     total=stats.total,
                 )
             )
-        if may_stop and (stop_ix is None or leader == stop_ix) and z_min[leader - 1] >= threshold:
+        if _stops(config, leader, z_min[leader - 1]):
             stopped = True
             break
-        # Select the action for slot m + 1.
-        if m < warmup:
-            action = (m % k) + 1
-            continue
-        lv = visits[leader - 1]
-        le = events[leader - 1]
-        t1 = le / lv if lv > 0 else 0.0
-        rest = m - lv
-        t2 = (stats.total - le) / rest if rest > 0 else 0.0
-        if t1 <= 0.0 or t2 <= 0.0 or abs(t1 - t2) < DEGENERATE_ESTIMATE_GAP:
-            action = _uniform_action(k, float(rng.random()))
-        else:
-            lam_odd = leader_lambda_odd(k, t1, t2, cache)
-            action = _weighted_action(leader, lam_odd, k, float(rng.random()))
+        action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]
 
     capped = not stopped
     outcome_trace: tuple[dict, ...] | None = None

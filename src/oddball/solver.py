@@ -62,7 +62,7 @@ and pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -285,10 +285,12 @@ def _objective_rows(r1: np.ndarray, r2: np.ndarray, rho: float, lam_odd: np.ndar
     return lam_odd * d1 + (1.0 - lam_odd) * rho * d2
 
 
-def _extension_lam_hat(k: int) -> float:
-    """Equal-rates limit of the optimal lam_hat: 1 / (1 + sqrt(rho))."""
+def _extension_weights(k: int) -> tuple[float, float]:
+    """Equal-rates limit of the optimal (lam_hat, lam_odd), with
+    lam_hat = 1 / (1 + sqrt(rho))."""
     rho = (k - 2) / (k - 1)
-    return 1.0 / (1.0 + math.sqrt(rho))
+    lam_hat = 1.0 / (1.0 + math.sqrt(rho))
+    return lam_hat, _lam_odd_from_hat(lam_hat, rho)
 
 
 def _lam_odd_from_hat(lam_hat, rho: float):
@@ -464,21 +466,10 @@ def lambda_star_continuous_extension(config: OddConfig) -> LambdaSolution:
     """
     if not config.is_degenerate:
         raise DomainError("continuous extension applies to configs with r1 == r2 exactly")
-    lam_hat = _extension_lam_hat(config.k)
-    rho = config.rho
-    lam_odd = _lam_odd_from_hat(lam_hat, rho)
-    off = (1.0 - lam_odd) / (config.k - 1)
-    lam = tuple(lam_odd if j == config.odd_index else off for j in range(1, config.k + 1))
-    nu = 0.5 if config.dim == 1 else None
-    return LambdaSolution(
-        config=config,
-        lam=lam,
-        lam_odd=lam_odd,
-        lam_hat=lam_hat,
-        r_tilde=config.r1,
-        nu=nu,
-        d_star=0.0,
-    )
+    sol = _assemble(config, _extension_weights(config.k)[0], 0.0)
+    # Exactly the common rate and 1/2, which the general formulas can miss
+    # by rounding (and r1 / (r1 + r2) by overflow).
+    return replace(sol, r_tilde=config.r1, nu=0.5 if config.dim == 1 else None)
 
 
 def d_star(config: OddConfig, tol: float = DEFAULT_TOL) -> float:
@@ -606,13 +597,11 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     nus = np.linspace(0.01, 0.99, nu_steps)
     rows = []
     for k in ks:
-        rho = (k - 2) / (k - 1)
         for nu in nus:
             nu = float(nu)
             config = OddConfig(k, 1, nu, 1.0 - nu)
             if abs(nu - 0.5) < CURVE_EXTENSION_BAND:
-                lam_hat = _extension_lam_hat(k)
-                lam_odd = _lam_odd_from_hat(lam_hat, rho)
+                lam_hat, lam_odd = _extension_weights(k)
                 scaled = objective(config, lam_odd) if not config.is_degenerate else 0.0
             else:
                 sol = solve_lambda_star(config)

@@ -8,10 +8,14 @@ delegate to; JSON float round-trips are exact, so == is used freely.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oddball
 from oddball.cli import main
 from oddball.dissimilarity import MATRIX_HEADER, FiringRateTable, pairwise_dstar
 from oddball.experiments import REPORT_HEADER, ExperimentSpec, drift_experiment, run_experiment
@@ -454,3 +458,16 @@ class TestGoldenReports:
         )
         assert code == 0 and err == ""
         assert out == (GOLDEN / "index_matrix.csv").read_text(encoding="utf-8")
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        """`scipy.stats` takes most of a second to import; no command needs it."""
+        src = str(Path(oddball.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, oddball.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from oddball.experiments import (
     REPORT_HEADER,
@@ -16,7 +17,6 @@ from oddball.experiments import (
     drift_experiment,
     error_upper_confidence,
     run_experiment,
-    sample_poisson,
 )
 from oddball.glr import SufficientStats, modified_glr
 from oddball.numerics import DomainError, binary_relative_entropy
@@ -25,27 +25,6 @@ from oddball.solver import OddConfig, d_star, solve_lambda_star
 SPEC_KWARGS = dict(
     k=3, odd_index=1, r1=8.0, r2=1.0, l_grid=(5.0, 20.0), trials=30, seed=0
 )
-
-
-class TestSamplePoisson:
-    def test_moments(self):
-        rng = np.random.default_rng(100)
-        rate = 2.5
-        draws = [sample_poisson(rate, rng) for _ in range(200_000)]
-        mean = sum(draws) / len(draws)
-        var = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
-        assert abs(mean - rate) < 0.015
-        assert abs(var - rate) < 0.05
-
-    def test_tiny_rate_is_almost_surely_zero(self):
-        rng = np.random.default_rng(101)
-        assert sum(sample_poisson(1e-9, rng) for _ in range(10_000)) == 0
-
-    def test_validation(self):
-        rng = np.random.default_rng(102)
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                sample_poisson(bad, rng)
 
 
 class TestExperimentSpec:
@@ -132,9 +111,16 @@ class TestErrorUpperConfidence:
         assert abs(got - (1.0 - 0.05 ** (1 / 100))) < 1e-12
 
     def test_monotone_in_errors(self):
-        vals = [error_upper_confidence(x, 50) for x in range(0, 51)]
-        for a, b in zip(vals, vals[1:]):
-            assert b > a
+        # The bound rises with the error count, and below trials it is the
+        # Beta(errors + 1, trials - errors) quantile at the level, bit for
+        # bit what scipy.stats.beta.ppf returns.
+        for level in (0.5, 0.9, 0.95, 0.999):
+            for trials in (1, 2, 7, 50, 333):
+                vals = [error_upper_confidence(x, trials, level) for x in range(trials + 1)]
+                for a, b in zip(vals, vals[1:]):
+                    assert b > a
+                for x, v in enumerate(vals[:-1]):
+                    assert v == float(beta.ppf(level, x + 1, trials - x))
 
     def test_dominates_point_estimate(self):
         for x, n in [(0, 10), (3, 40), (17, 20)]:

@@ -1,8 +1,8 @@
 """Tests for the sequential sampling-and-stopping policy.
 
-The trial runner inlines its slot loop for speed; the replay test here is
-what pins that loop to the public single-step semantics (`modified_glr` +
-`next_decision`) draw for draw.
+The trial runner and the public single step (`modified_glr` +
+`next_decision`) share one stop-and-select kernel; the replay test here
+checks that the two paths agree draw for draw.
 """
 
 import math
@@ -316,39 +316,69 @@ class TestReplayEquivalence:
     def test_trial_matches_public_single_step_semantics(self):
         # Drive the same seeded generator through modified_glr +
         # next_decision; every action, count, leader, and the stopping
-        # slot must match the inlined loop bit for bit.
-        cfg = PolicyConfig(k=4, threshold_l=200.0)
-        truth = OddConfig(4, 3, 5.0, 1.5)
-        for seed in (0, 1, 2, 3, 17):
-            out = run_trial(cfg, truth, np.random.default_rng(seed), collect_trace=True)
+        # slot must match run_trial bit for bit. Cases: the default
+        # warm-up; no warm-up (slot 1 drawn uniformly); the non_stopping
+        # variant up to its cap; K=50, where most selections fall back to
+        # uniform sampling (the last field is the least uniform share).
+        cases = [
+            (
+                PolicyConfig(k=4, threshold_l=200.0),
+                OddConfig(4, 3, 5.0, 1.5),
+                (0, 1, 2, 3, 17),
+                0.0,
+            ),
+            (
+                PolicyConfig(k=4, threshold_l=200.0, warmup_slots=0),
+                OddConfig(4, 3, 5.0, 1.5),
+                (0, 1, 2),
+                0.0,
+            ),
+            (
+                PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=2000),
+                OddConfig(3, 1, 1.0, 2.0),
+                (77,),
+                0.0,
+            ),
+            (PolicyConfig(k=50, threshold_l=100.0), OddConfig(50, 2, 4.0, 1.0), (0,), 0.5),
+        ]
+        for cfg, truth, seeds, min_uniform in cases:
+            k = cfg.k
+            rates = [truth.r2[0]] * k
+            rates[truth.odd_index - 1] = truth.r1[0]
+            uniform = tuple([1.0 / k] * k)
+            selections = uniform_selections = 0
+            for seed in seeds:
+                out = run_trial(cfg, truth, np.random.default_rng(seed), collect_trace=True)
 
-            rng = np.random.default_rng(seed)
-            rates = [1.5, 1.5, 5.0, 1.5]
-            stats = SufficientStats(k=4)
-            cache = {}
-            dec = next_decision(cfg, None, rng, cache)
-            replay = []
-            final = None
-            for m in range(1, 10**6):
-                action = dec.action
-                x = int(rng.poisson(rates[action - 1]))
-                stats.update(action, x)
-                state = modified_glr(stats, rng)
-                replay.append(
-                    {
-                        "n": m,
-                        "action": action,
-                        "count": x,
-                        "leader": state.leader,
-                        "z_leader": float(state.z_min[state.leader - 1]),
-                    }
-                )
-                dec = next_decision(cfg, state, rng, cache)
-                if dec.stop:
-                    final = {"tau": m, "delta": dec.declared}
-                    break
-            assert replay == list(out.trace[:-1])
-            assert final == {"tau": out.tau, "delta": out.delta}
+                rng = np.random.default_rng(seed)
+                stats = SufficientStats(k=k)
+                cache = {}
+                dec = next_decision(cfg, None, rng, cache)
+                replay = []
+                final = None
+                for m in range(1, cfg.max_slots + 1):
+                    action = dec.action
+                    x = int(rng.poisson(rates[action - 1]))
+                    stats.update(action, x)
+                    state = modified_glr(stats, rng)
+                    replay.append(
+                        {
+                            "n": m,
+                            "action": action,
+                            "count": x,
+                            "leader": state.leader,
+                            "z_leader": float(state.z_min[state.leader - 1]),
+                        }
+                    )
+                    dec = next_decision(cfg, state, rng, cache)
+                    if dec.stop:
+                        final = {"tau": m, "delta": dec.declared}
+                        break
+                    selections += 1
+                    uniform_selections += dec.distribution == uniform
+                assert replay == list(out.trace[:-1])
+                assert final == (None if out.capped else {"tau": out.tau, "delta": out.delta})
+            assert uniform_selections >= min_uniform * selections
 
     def test_variant_replay_with_stop_only_on(self):
         cfg = PolicyConfig(k=3, threshold_l=50.0, variant="stop_only_on", stop_index=1)
