@@ -15,7 +15,6 @@ from .solver import (
     brute_force_d_star,
     curve_rows,
     d_star,
-    lambda_star_continuous_extension,
     lower_bound_expected_tau,
     mixed_rate,
     objective,
@@ -66,7 +65,6 @@ __all__ = [
     "LambdaSolution",
     "DegenerateRatesError",
     "solve_lambda_star",
-    "lambda_star_continuous_extension",
     "d_star",
     "mixed_rate",
     "objective",

@@ -42,7 +42,6 @@ from .solver import (
     CURVE_HEADER,
     OddConfig,
     curve_rows,
-    lambda_star_continuous_extension,
     lower_bound_expected_tau,
     solve_lambda_star,
 )
@@ -106,12 +105,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _solve_payload(args) -> dict:
     config = OddConfig(args.k, 1, _parse_rates(args.r1, "--r1"), _parse_rates(args.r2, "--r2"))
-    if config.is_degenerate:
-        sol = lambda_star_continuous_extension(config)
-        warning = "r1 == r2: the configuration is undetectable; weights are the nu -> 1/2 extension"
-    else:
-        sol = solve_lambda_star(config)
-        warning = None
+    sol = solve_lambda_star(config)
     payload = {
         "k": config.k,
         "d_star": sol.d_star,
@@ -119,10 +113,12 @@ def _solve_payload(args) -> dict:
         "lambda_hat": sol.lam_hat,
         "lambda_vector": list(sol.lam),
         "r_tilde": list(sol.r_tilde),
-        "nu": config.nu if config.dim == 1 else None,
+        "nu": sol.nu,
     }
-    if warning is not None:
-        payload["warning"] = warning
+    if config.is_degenerate:
+        payload["warning"] = (
+            "r1 == r2: the configuration is undetectable; weights are the nu -> 1/2 extension"
+        )
     return payload
 
 
@@ -181,20 +177,16 @@ def _cmd_drift(args) -> None:
 
 def _cmd_bound(args) -> None:
     config = OddConfig(args.k, 1, _parse_rates(args.r1, "--r1"), _parse_rates(args.r2, "--r2"))
-    payload = {"k": config.k, "alpha": args.alpha}
-    if config.is_degenerate:
-        # The bound diverges: identical rates cannot be told apart.
-        bound = lower_bound_expected_tau(config, args.alpha)
-        assert math.isinf(bound)
-        payload.update({"d_star": 0.0, "lower_bound": None, "degenerate": True})
-    else:
-        payload.update(
-            {
-                "d_star": solve_lambda_star(config).d_star,
-                "lower_bound": lower_bound_expected_tau(config, args.alpha),
-                "degenerate": False,
-            }
-        )
+    sol = solve_lambda_star(config)
+    bound = lower_bound_expected_tau(config, args.alpha, dstar=sol.d_star)
+    payload = {
+        "k": config.k,
+        "alpha": args.alpha,
+        "d_star": sol.d_star,
+        # Identical rates cannot be told apart: the bound diverges.
+        "lower_bound": None if config.is_degenerate else bound,
+        "degenerate": config.is_degenerate,
+    }
     _write(_dump_json(payload), args.out)
 
 

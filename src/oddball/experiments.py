@@ -17,6 +17,11 @@ Reproducibility contract: trial (l_index, trial_index) always draws from
 `numpy.random.default_rng([seed, l_index, trial_index])`, and rows are
 aggregated in grid-then-trial order, so the emitted CSV is byte-identical
 for any worker count.
+
+Both studies run their trials in blocks, each with one policy weight memo
+that lives as long as the block: a serial run is one block, a run over N
+workers has N interleaved blocks, one per worker. A memo only saves
+solves; its values do not depend on which trials filled it.
 """
 
 from __future__ import annotations
@@ -192,18 +197,34 @@ def error_upper_confidence(errors: int, trials: int, level: float = 0.95) -> flo
     return float(betaincinv(errors + 1, trials - errors, level))
 
 
-def _trial_rng(seed: int, l_index: int, trial_index: int):
-    # Spawn-key derivation: disjoint child streams for every
-    # (seed, level, trial) triple.
-    return np.random.default_rng([seed, l_index, trial_index])
+def _run_block(jobs) -> list[TrialOutcome]:
+    """Run trials in order with one weight memo. A job is (policy config,
+    truth, rng seed, collect_trace, checkpoints)."""
+    cache: dict = {}
+    return [
+        run_trial(
+            config,
+            truth,
+            np.random.default_rng(seed),
+            collect_trace=collect,
+            checkpoints=checkpoints,
+            cache=cache,
+        )
+        for config, truth, seed, collect, checkpoints in jobs
+    ]
 
 
-def _run_trial_job(args) -> TrialOutcome:
-    (k, odd_index, r1, r2, l_value, max_slots, seed, l_index, trial_index, collect) = args
-    config = PolicyConfig(k=k, threshold_l=l_value, max_slots=max_slots)
-    truth = OddConfig(k, odd_index, r1, r2)
-    rng = _trial_rng(seed, l_index, trial_index)
-    return run_trial(config, truth, rng, collect_trace=collect)
+def _run_jobs(jobs: list, parallelism: int) -> list[TrialOutcome]:
+    """Outcomes of all jobs in job order: one block when serial, else
+    block w = jobs[w::parallelism] on worker w of a process pool."""
+    if parallelism == 1:
+        return _run_block(jobs)
+    with multiprocessing.Pool(processes=parallelism) as pool:
+        blocks = pool.map(_run_block, [jobs[w::parallelism] for w in range(parallelism)], chunksize=1)
+    outcomes: list = [None] * len(jobs)
+    for w, block in enumerate(blocks):
+        outcomes[w::parallelism] = block
+    return outcomes
 
 
 def _trace_lines(outcome: TrialOutcome) -> str:
@@ -256,11 +277,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full grid of the spec and aggregate one row per level.
 
-    parallelism > 1 distributes trials over a process pool; results are
-    consumed in submission order so the report does not depend on worker
-    scheduling. Sampled traces (the first ceil(trace_sampling * trials)
-    trials of each level) are written to trace_dir as
-    trace_L<level>_i<trial>.jsonl.
+    parallelism > 1 deals the trials out over a process pool, one
+    interleaved block per worker; outcomes are put back in grid-then-trial
+    order, so the report does not depend on the worker count. Sampled
+    traces (the first ceil(trace_sampling * trials) trials of each level)
+    are written to trace_dir as trace_L<level>_i<trial>.jsonl.
     """
     if not isinstance(parallelism, int) or parallelism < 1:
         raise DomainError(f"parallelism must be a positive integer, got {parallelism!r}")
@@ -274,27 +295,10 @@ def run_experiment(
 
     jobs = []
     for li, l_value in enumerate(spec.l_grid):
+        config = PolicyConfig(k=spec.k, threshold_l=l_value, max_slots=spec.max_slots)
         for ti in range(spec.trials):
-            jobs.append(
-                (
-                    spec.k,
-                    spec.odd_index,
-                    spec.r1,
-                    spec.r2,
-                    l_value,
-                    spec.max_slots,
-                    spec.seed,
-                    li,
-                    ti,
-                    ti < n_traced,
-                )
-            )
-    if parallelism == 1:
-        outcomes = [_run_trial_job(job) for job in jobs]
-    else:
-        chunk = max(1, len(jobs) // (parallelism * 8))
-        with multiprocessing.Pool(processes=parallelism) as pool:
-            outcomes = pool.map(_run_trial_job, jobs, chunksize=chunk)
+            jobs.append((config, truth, [spec.seed, li, ti], ti < n_traced, None))
+    outcomes = _run_jobs(jobs, parallelism)
 
     rows = []
     for li, l_value in enumerate(spec.l_grid):
@@ -305,7 +309,7 @@ def run_experiment(
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(_trace_lines(batch[ti]))
         alpha = 1.0 / l_value
-        bound = lower_bound_expected_tau(truth, alpha) if 0.0 < alpha < 1.0 else math.nan
+        bound = lower_bound_expected_tau(truth, alpha, dstar=dstar) if 0.0 < alpha < 1.0 else math.nan
         rows.append(_aggregate(spec, l_value, batch, bound, inv_dstar))
     return ExperimentReport(spec=spec, rows=tuple(rows))
 
@@ -427,15 +431,6 @@ def _snapshot_row(snap, seed: int, odd_index: int, k: int) -> DriftRow:
     )
 
 
-def _drift_job(args) -> list[DriftRow]:
-    (k, odd_index, r1, r2, n_slots, seed, checkpoints) = args
-    config = PolicyConfig(k=k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
-    truth = OddConfig(k, odd_index, r1, r2)
-    rng = np.random.default_rng(seed)
-    out = run_trial(config, truth, rng, checkpoints=checkpoints)
-    return [_snapshot_row(snap, seed, odd_index, k) for snap in out.snapshots]
-
-
 def drift_experiment(
     truth: OddConfig,
     n_slots: int,
@@ -469,16 +464,13 @@ def drift_experiment(
             cps = cps + (n_slots,)
 
     sol = solve_lambda_star(truth)
-    jobs = [
-        (truth.k, truth.odd_index, truth.r1[0], truth.r2[0], n_slots, seed, cps)
-        for seed in seeds
+    config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
+    outcomes = _run_jobs([(config, truth, seed, False, cps) for seed in seeds], parallelism)
+    rows = [
+        _snapshot_row(snap, seed, truth.odd_index, truth.k)
+        for seed, out in zip(seeds, outcomes)
+        for snap in out.snapshots
     ]
-    if parallelism == 1:
-        batches = [_drift_job(job) for job in jobs]
-    else:
-        with multiprocessing.Pool(processes=parallelism) as pool:
-            batches = pool.map(_drift_job, jobs)
-    rows = [row for batch in batches for row in batch]
     return DriftResult(
         truth=truth,
         n_slots=n_slots,

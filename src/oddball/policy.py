@@ -23,11 +23,13 @@ consume randomness identically until they diverge by stopping, so trials
 run with equal seeds are coupled: stopping times are monotone in L and
 the stop-restricted variant never stops before the standard one.
 
-Weight lookups are memoized on (K, nu rounded to 1e-6), and the cached
-value is always computed at the rounded nu, never the first-seen one, so
-cache contents are a pure function of the key. That keeps multi-process
-experiment sweeps byte-reproducible regardless of how trials are
-scheduled.
+Weight lookups are memoized on (K, nu rounded to 1e-6), and the value is
+always computed at the rounded nu, never the first-seen one, so a memo's
+contents are a pure function of its keys: sharing one between trials
+changes how often the solver runs, never a result. The caller owns the
+memo and passes it as `cache`; without one, each `run_trial` keeps its
+own for the trial and each `next_decision` or `leader_lambda_odd` call
+for that call alone. Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import DomainError
-from .solver import OddConfig, _extension_weights, solve_lambda_star
+from .solver import OddConfig, solve_lambda_star
 
 __all__ = [
     "VARIANTS",
@@ -157,28 +159,23 @@ class TrialOutcome:
     snapshots: tuple[Snapshot, ...] | None = None
 
 
-_shared_lambda_cache: dict[tuple[int, int], float] = {}
-
-
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
     """Odd-process weight lambda*(k, nu) at the quantized nu of the
-    estimate pair. Values are memoized per (k, quantized nu) and computed
-    at the quantized point, so the cache is insertion-order independent."""
+    estimate pair. Values are memoized in `cache` per (k, quantized nu)
+    and computed at the quantized point, so the memo is insertion-order
+    independent; cache=None solves without keeping the value."""
     nu = theta_1 / (theta_1 + theta_2)
     q = round(nu * _QUANT)
     if q < 1:
         q = 1
     elif q > _QUANT - 1:
         q = _QUANT - 1
-    store = _shared_lambda_cache if cache is None else cache
+    store = {} if cache is None else cache
     key = (k, q)
     lam_odd = store.get(key)
     if lam_odd is None:
         nu_q = q / _QUANT
-        if abs(nu_q - 0.5) < DEGENERATE_ESTIMATE_GAP:
-            lam_odd = _extension_weights(k)[1]
-        else:
-            lam_odd = solve_lambda_star(OddConfig(k, 1, nu_q, 1.0 - nu_q)).lam_odd
+        lam_odd = solve_lambda_star(OddConfig(k, 1, nu_q, 1.0 - nu_q)).lam_odd
         store[key] = lam_odd
     return lam_odd
 
@@ -258,7 +255,8 @@ def next_decision(
 
     Draw discipline (coupling contract): no draw for a stop or a warm-up
     action; exactly one uniform for a weighted or fallback action. Leader
-    tie-breaks inside `modified_glr` consume their own draws.
+    tie-breaks inside `modified_glr` consume their own draws. `cache` is
+    the weight memo to read and fill; None means one for this call only.
     """
     if glr is None:
         n, leader, theta = 0, 1, (0.0, 0.0)  # nothing observed: no estimates
@@ -288,7 +286,8 @@ def run_trial(
     step that `next_decision` takes (the stop rule, else the next action).
     The trace, when collected, has one record per slot
     {"n", "action", "count", "leader", "z_leader"} plus a terminal
-    {"tau", "delta", "correct", "capped"} record.
+    {"tau", "delta", "correct", "capped"} record. `cache` is the weight
+    memo to read and fill; None means one for this trial only.
     """
     if truth.dim != 1:
         raise DomainError("simulation supports scalar-rate configurations only")
@@ -299,6 +298,8 @@ def run_trial(
     rates = [truth.r2[0]] * k
     rates[odd - 1] = truth.r1[0]
     cp = frozenset(int(c) for c in checkpoints) if checkpoints else frozenset()
+    if cache is None:
+        cache = {}
 
     stats = SufficientStats(k=k)
     visits = stats.visits

@@ -53,7 +53,8 @@ batch in lockstep on numpy arrays (`d_star_rows`).
 
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
-(1 - lam_hat)^2 = rho * lam_hat^2, i.e. lam_hat = 1 / (1 + sqrt(rho)).
+(1 - lam_hat)^2 = rho * lam_hat^2, i.e. lam_hat = 1 / (1 + sqrt(rho)),
+which `solve_lambda_star` returns for configs with r1 == r2.
 The scalar solution depends on (r1, r2) only through nu = r1 / (r1 + r2),
 and D* scales linearly in (r1 + r2); both facts are exploited by callers
 and pinned by tests.
@@ -62,7 +63,7 @@ and pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +83,6 @@ __all__ = [
     "mixed_rate",
     "objective",
     "solve_lambda_star",
-    "lambda_star_continuous_extension",
     "d_star",
     "d_star_rows",
     "poisson_kl_array",
@@ -95,7 +95,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 # Below this distance of nu from 1/2 the residual drowns in rounding noise,
-# so the solver switches to the continuous-extension weight.
+# so the solver switches to the equal-rates weight.
 NEAR_DEGENERATE_NU = 1e-9
 
 # A bracket narrower than this cannot be split further in double precision.
@@ -103,7 +103,8 @@ _MIN_BRACKET = 1e-15
 
 
 class DegenerateRatesError(DomainError):
-    """r1 == r2: the game value is 0 and no interior stationary point exists."""
+    """The rates differ, but so little that the stationarity residual shows
+    no sign change: no interior stationary point can be located."""
 
 
 def _as_rate_tuple(value, name: str) -> tuple[float, ...]:
@@ -127,9 +128,8 @@ class OddConfig:
 
     `r1` and `r2` accept a single rate or a sequence (one value per
     coordinate of a vector-valued process); they are stored as tuples of
-    equal length. Degenerate configs (r1 == r2 exactly) are representable
-    so that callers can route them to the continuous extension; the solver
-    itself rejects them.
+    equal length. Degenerate configs (r1 == r2 exactly) are valid: the
+    solver gives them the equal-rates limit of the optimal weights.
     """
 
     k: int
@@ -169,7 +169,18 @@ class OddConfig:
         """r1 / (r1 + r2); defined for scalar configs only."""
         if self.dim != 1:
             raise DomainError("nu is defined for scalar-rate configs only")
-        return self.r1[0] / (self.r1[0] + self.r2[0])
+        return _nu(self.r1[0], self.r2[0])
+
+
+def _nu(a: float, b: float) -> float:
+    """a / (a + b) for positive rates. Both are halved when their sum
+    overflows, so the bits are those of the plain quotient whenever the
+    sum is finite."""
+    total = a + b
+    if math.isinf(total):
+        a, b = 0.5 * a, 0.5 * b
+        total = a + b
+    return a / total
 
 
 @dataclass(frozen=True)
@@ -298,26 +309,6 @@ def _lam_odd_from_hat(lam_hat, rho: float):
     return lam_hat * rho / (1.0 - lam_hat + lam_hat * rho)
 
 
-def _assemble(config: OddConfig, lam_hat: float, value: float) -> LambdaSolution:
-    rho = config.rho
-    lam_odd = _lam_odd_from_hat(lam_hat, rho)
-    off = (1.0 - lam_odd) / (config.k - 1)
-    lam = tuple(lam_odd if j == config.odd_index else off for j in range(1, config.k + 1))
-    r_tilde = tuple(
-        lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2)
-    )
-    nu = config.nu if config.dim == 1 else None
-    return LambdaSolution(
-        config=config,
-        lam=lam,
-        lam_odd=lam_odd,
-        lam_hat=lam_hat,
-        r_tilde=r_tilde,
-        nu=nu,
-        d_star=value,
-    )
-
-
 def _no_sign_change() -> DegenerateRatesError:
     # Rates differ but by so little the residual is pure rounding noise.
     return DegenerateRatesError(
@@ -342,7 +333,7 @@ def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
     otherwise make Newton creep (nu just outside NEAR_DEGENERATE_NU).
     """
     start = 1.0 / (1.0 + math.sqrt(rho))
-    if abs(a / (a + b) - 0.5) < NEAR_DEGENERATE_NU:
+    if abs(_nu(a, b) - 0.5) < NEAR_DEGENERATE_NU:
         return start
     # g(0) = D(r1 || r2) and g(1) = -rho * D(r2 || r1).
     if not (poisson_kl(a, b) > 0.0 and rho * poisson_kl(b, a) > 0.0):
@@ -440,42 +431,44 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
     1e-15. Each step is a Newton step on the residual unless that step
     leaves the bracket or fails to halve the previous step, in which case
     the bracket is bisected. Scalar configs with nu within 1e-9 of 1/2
-    take the continuous-extension weight instead (the residual scale
-    collapses quadratically there and its digits are rounding noise).
+    take the equal-rates weight instead (the residual scale collapses
+    quadratically there and its digits are rounding noise).
+
+    Equal rates (r1 == r2 exactly) have no interior optimum and are not
+    solved: they get the limit of the optimal weights as the rates merge,
+    lam_hat = 1 / (1 + sqrt(rho)), with d_star exactly 0, r_tilde exactly
+    r1 and nu exactly 1/2 (None for vector configs).
 
     Raises:
-        DegenerateRatesError: r1 == r2 exactly (use
-            `lambda_star_continuous_extension`), or the residual shows no
+        DomainError: tol is not positive and finite.
+        DegenerateRatesError: the rates differ, but the residual shows no
             sign change between lam_hat = 0 and 1.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    rho = config.rho
     if config.is_degenerate:
-        raise DegenerateRatesError(
-            "r1 == r2: no interior optimum; use lambda_star_continuous_extension"
-        )
-    lam_hat, value = _solve_rows((config.r1,), (config.r2,), config.rho, tol)
-    return _assemble(config, float(lam_hat[0]), float(value[0]))
-
-
-def lambda_star_continuous_extension(config: OddConfig) -> LambdaSolution:
-    """Equal-rates limit of the optimal weights: lam_hat = 1 / (1 + sqrt(rho)).
-
-    Requires a structurally degenerate config (r1 == r2 exactly). The
-    reference rate collapses to the common rate and d_star is exactly 0.
-    """
-    if not config.is_degenerate:
-        raise DomainError("continuous extension applies to configs with r1 == r2 exactly")
-    sol = _assemble(config, _extension_weights(config.k)[0], 0.0)
-    # Exactly the common rate and 1/2, which the general formulas can miss
-    # by rounding (and r1 / (r1 + r2) by overflow).
-    return replace(sol, r_tilde=config.r1, nu=0.5 if config.dim == 1 else None)
+        lam_hat, value = _extension_weights(config.k)[0], 0.0
+        r_tilde = config.r1
+    else:
+        roots, values = _solve_rows((config.r1,), (config.r2,), rho, tol)
+        lam_hat, value = float(roots[0]), float(values[0])
+        r_tilde = tuple(lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2))
+    lam_odd = _lam_odd_from_hat(lam_hat, rho)
+    off = (1.0 - lam_odd) / (config.k - 1)
+    return LambdaSolution(
+        config=config,
+        lam=tuple(lam_odd if j == config.odd_index else off for j in range(1, config.k + 1)),
+        lam_odd=lam_odd,
+        lam_hat=lam_hat,
+        r_tilde=r_tilde,
+        nu=config.nu if config.dim == 1 else None,
+        d_star=value,
+    )
 
 
 def d_star(config: OddConfig, tol: float = DEFAULT_TOL) -> float:
     """Detectability index of the configuration; 0 exactly when r1 == r2."""
-    if config.is_degenerate:
-        return 0.0
     return solve_lambda_star(config, tol=tol).d_star
 
 
@@ -558,19 +551,22 @@ def brute_force_d_star(config: OddConfig, grid_resolution: int = 400) -> float:
     return best
 
 
-def lower_bound_expected_tau(config: OddConfig, alpha_max: float) -> float:
+def lower_bound_expected_tau(
+    config: OddConfig, alpha_max: float, *, dstar: float | None = None
+) -> float:
     """Information bound on the expected sample count of any policy whose
     worst-case error probability is at most alpha_max:
 
         E[tau] >= d(alpha_max || 1 - alpha_max) / D*.
 
+    `dstar` is D* of the config when the caller has already solved it.
     Returns +inf for degenerate configs (no policy can decide at all).
     """
     if not 0.0 < alpha_max < 1.0:
         raise DomainError(f"alpha_max must lie in (0, 1), got {alpha_max!r}")
     if config.is_degenerate:
         return math.inf
-    return binary_relative_entropy(alpha_max) / d_star(config)
+    return binary_relative_entropy(alpha_max) / (d_star(config) if dstar is None else dstar)
 
 
 CURVE_HEADER = "K,nu,lambda_odd,lambda_hat,d_star_scaled"

@@ -24,7 +24,6 @@ from oddball.solver import (
     OddConfig,
     curve_rows,
     d_star,
-    lambda_star_continuous_extension,
     lower_bound_expected_tau,
     solve_lambda_star,
 )
@@ -96,7 +95,7 @@ class TestDstarCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["warning"] == DEGENERATE_WARNING
-        ext = lambda_star_continuous_extension(OddConfig(3, 1, 2.0, 2.0))
+        ext = solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
         assert payload["d_star"] == 0.0
         assert payload["lambda_odd"] == ext.lam_odd
         assert payload["lambda_vector"] == list(ext.lam)
@@ -129,6 +128,13 @@ class TestLambdaCommand:
         lam_payload = json.loads(lam_out)
         lam_payload.pop("lambda_hat")
         assert lam_payload == json.loads(dstar_out)
+
+    @pytest.mark.parametrize("r1, r2, nu", [("1.5e308", "1e308", 0.6), ("1e308", "1e308", 0.5)])
+    def test_nu_survives_an_overflowing_rate_sum(self, capsys, r1, r2, nu):
+        """r1 + r2 overflows here; nu is still r1 / (r1 + r2)."""
+        code, out, _ = run_cli(capsys, "lambda", "--k", "3", "--r1", r1, "--r2", r2)
+        assert code == 0
+        assert json.loads(out)["nu"] == nu
 
 
 class TestCurveCommand:

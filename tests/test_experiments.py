@@ -179,6 +179,9 @@ class TestRunExperiment:
         pooled = run_experiment(spec, parallelism=3).to_csv()
         assert serial == again
         assert serial == pooled
+        # Two (level, trial) items over three workers: one block is empty.
+        small = ExperimentSpec(**{**SPEC_KWARGS, "l_grid": (5.0,), "trials": 2})
+        assert run_experiment(small, parallelism=3).to_csv() == run_experiment(small).to_csv()
 
     def test_seed_changes_output(self):
         a = run_experiment(ExperimentSpec(**SPEC_KWARGS)).to_csv()
@@ -187,9 +190,14 @@ class TestRunExperiment:
 
     def test_trace_emission(self, tmp_path):
         spec = ExperimentSpec(**{**SPEC_KWARGS, "trials": 10, "trace_sampling": 0.25})
-        run_experiment(spec, trace_dir=str(tmp_path))
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        serial.mkdir()
+        pooled.mkdir()
+        run_experiment(spec, trace_dir=str(serial))
+        run_experiment(spec, parallelism=2, trace_dir=str(pooled))
         # ceil(0.25 * 10) = 3 traces per level.
-        names = sorted(os.listdir(tmp_path))
+        names = sorted(os.listdir(serial))
+        assert sorted(os.listdir(pooled)) == names
         assert names == [
             "trace_L20_i0.jsonl",
             "trace_L20_i1.jsonl",
@@ -199,7 +207,8 @@ class TestRunExperiment:
             "trace_L5_i2.jsonl",
         ]
         for name in names:
-            lines = (tmp_path / name).read_text().strip().split("\n")
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+            lines = (serial / name).read_text().strip().split("\n")
             records = [json.loads(line) for line in lines]
             assert len(records) == records[-1]["tau"] + 1
             for m, rec in enumerate(records[:-1], start=1):
@@ -289,6 +298,10 @@ class TestDriftExperiment:
         b = drift_experiment(self.TRUTH, 200, [0, 1], checkpoints=[50]).to_csv()
         c = drift_experiment(self.TRUTH, 200, [0, 1], checkpoints=[50], parallelism=2).to_csv()
         assert a == b == c
+        # One seed over two workers: one block is empty.
+        d = drift_experiment(self.TRUTH, 200, [1], checkpoints=[50]).to_csv()
+        e = drift_experiment(self.TRUTH, 200, [1], checkpoints=[50], parallelism=2).to_csv()
+        assert d == e
 
     def test_csv_header(self):
         result = drift_experiment(self.TRUTH, 100, [0])

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oddball.policy as policy
 from oddball.glr import GlrState, SufficientStats, modified_glr
 from oddball.numerics import DomainError
 from oddball.policy import (
@@ -22,7 +23,7 @@ from oddball.policy import (
     next_decision,
     run_trial,
 )
-from oddball.solver import OddConfig, lambda_star_continuous_extension, solve_lambda_star
+from oddball.solver import OddConfig, solve_lambda_star
 
 
 def make_state(z_min, theta=None, n=10, rng=None):
@@ -116,11 +117,40 @@ class TestLeaderLambdaOdd:
         hi = leader_lambda_odd(3, 1.0, 1e-9, cache={})
         assert hi == solve_lambda_star(OddConfig(3, 1, 0.999999, 1.0 - 0.999999)).lam_odd
 
+    def test_no_memo_outlives_its_call(self, monkeypatch):
+        # Without a cache, a trial keeps one memo for itself: it solves
+        # fewer times than it looks weights up, and a rerun of the same
+        # trial finds nothing left over from the first.
+        lookups = solves = 0
+        lookup, solve = policy.leader_lambda_odd, policy.solve_lambda_star
+
+        def counted_lookup(*args):
+            nonlocal lookups
+            lookups += 1
+            return lookup(*args)
+
+        def counted_solve(config):
+            nonlocal solves
+            solves += 1
+            return solve(config)
+
+        monkeypatch.setattr(policy, "leader_lambda_odd", counted_lookup)
+        monkeypatch.setattr(policy, "solve_lambda_star", counted_solve)
+        cfg = PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=3000)
+        truth = OddConfig(3, 1, 1.0, 2.0)
+        counts = []
+        for _ in range(2):
+            lookups = solves = 0
+            run_trial(cfg, truth, np.random.default_rng(77), cache=None)
+            counts.append((lookups, solves))
+        assert counts[0] == counts[1]
+        assert 0 < counts[0][1] < counts[0][0]
+
     def test_midpoint_cell_uses_extension(self):
         # Estimates whose nu rounds to exactly 1/2 take the equal-rates
         # extension weight.
         got = leader_lambda_odd(5, 1.0000004, 0.9999996, cache={})
-        ext = lambda_star_continuous_extension(OddConfig(5, 1, 1.0, 1.0)).lam_odd
+        ext = solve_lambda_star(OddConfig(5, 1, 1.0, 1.0)).lam_odd
         assert got == ext
 
 

@@ -20,7 +20,6 @@ from oddball.solver import (
     brute_force_d_star,
     curve_rows,
     d_star,
-    lambda_star_continuous_extension,
     lower_bound_expected_tau,
     mixed_rate,
     objective,
@@ -222,22 +221,36 @@ class TestSolveLambdaStar:
         assert abs(loose.lam_hat - tight.lam_hat) < 2e-8
         assert abs(loose.d_star - tight.d_star) <= 1e-12 * tight.d_star
 
-    def test_degenerate_rejected(self):
+    def test_degenerate_takes_extension_weights(self):
+        # Equal rates are not solved: they get the equal-rates limit.
+        sol = solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
+        assert sol.lam_hat == pytest.approx(EXT_LAM_HAT_K3, rel=1e-15)
+        assert sol.lam_odd == pytest.approx(EXT_LAM_ODD_K3, rel=1e-15)
+        assert sol.d_star == 0.0
+        vec = solve_lambda_star(OddConfig(3, 1, (1.0, 5.0), (1.0, 5.0)))
+        assert vec.lam_hat == sol.lam_hat
+        assert vec.lam_odd == sol.lam_odd
+        assert vec.d_star == 0.0
+        assert vec.r_tilde == (1.0, 5.0)
+        assert vec.nu is None
+
+    def test_numerically_degenerate_rejected(self):
+        # The rates differ, but D(r1 || r2) underflows to 0: no sign change.
         with pytest.raises(DegenerateRatesError):
-            solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
+            solve_lambda_star(OddConfig(3, 1, (1e-300, 1.0), (1e-300 * (1.0 + 1e-15), 1.0)))
 
     def test_near_half_nu_takes_extension_weight(self):
         # nu within 1e-9 of 1/2: the residual's digits are rounding noise,
-        # so the continuous-extension weight is returned instead.
+        # so the equal-rates weight is returned instead.
         sol = solve_lambda_star(OddConfig(3, 1, 1.0, 1.0 + 1e-10))
-        ext = lambda_star_continuous_extension(OddConfig(3, 1, 1.0, 1.0))
+        ext = solve_lambda_star(OddConfig(3, 1, 1.0, 1.0))
         assert sol.lam_hat == ext.lam_hat
         assert sol.lam_odd == ext.lam_odd
 
     def test_continuity_across_the_guard(self):
         # Just outside the guard the solved weight lands within ~2e-7 of
         # the extension value (the optimum moves linearly in nu - 1/2).
-        ext = lambda_star_continuous_extension(OddConfig(3, 1, 1.0, 1.0))
+        ext = solve_lambda_star(OddConfig(3, 1, 1.0, 1.0))
         for nu in (0.5 + 1e-6, 0.5 - 1e-6):
             sol = solve_lambda_star(OddConfig(3, 1, nu, 1.0 - nu))
             assert abs(sol.lam_hat - ext.lam_hat) < 1e-6
@@ -266,16 +279,18 @@ class TestSolveLambdaStar:
 
 
 class TestContinuousExtension:
+    """Equal rates through `solve_lambda_star`."""
+
     def test_k3_and_k4_values(self):
-        e3 = lambda_star_continuous_extension(OddConfig(3, 1, 2.0, 2.0))
+        e3 = solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
         assert e3.lam_hat == pytest.approx(EXT_LAM_HAT_K3, rel=1e-15)
         assert e3.lam_odd == pytest.approx(EXT_LAM_ODD_K3, rel=1e-15)
-        e4 = lambda_star_continuous_extension(OddConfig(4, 1, 1.0, 1.0))
+        e4 = solve_lambda_star(OddConfig(4, 1, 1.0, 1.0))
         assert e4.lam_hat == pytest.approx(EXT_LAM_HAT_K4, rel=1e-15)
         assert e4.lam_odd == pytest.approx(EXT_LAM_ODD_K4, rel=1e-15)
 
     def test_structure(self):
-        sol = lambda_star_continuous_extension(OddConfig(5, 2, 3.0, 3.0))
+        sol = solve_lambda_star(OddConfig(5, 2, 3.0, 3.0))
         assert sol.d_star == 0.0
         assert sol.r_tilde == (3.0,)
         assert sol.nu == 0.5
@@ -283,15 +298,11 @@ class TestContinuousExtension:
 
     def test_large_k_limit(self):
         # rho -> 1, so the equal-rates weight tends to 1/2 from above.
-        prev = lambda_star_continuous_extension(OddConfig(3, 1, 1.0, 1.0)).lam_hat
+        prev = solve_lambda_star(OddConfig(3, 1, 1.0, 1.0)).lam_hat
         for k in (10, 100, 1000):
-            cur = lambda_star_continuous_extension(OddConfig(k, 1, 1.0, 1.0)).lam_hat
+            cur = solve_lambda_star(OddConfig(k, 1, 1.0, 1.0)).lam_hat
             assert 0.5 < cur < prev
             prev = cur
-
-    def test_non_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            lambda_star_continuous_extension(OddConfig(3, 1, 1.0, 2.0))
 
 
 class TestDStar:
