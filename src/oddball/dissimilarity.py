@@ -165,7 +165,7 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
 
     All non-degenerate pairs are solved together in one lockstep batch
     (`solver.d_star_rows`); with parallelism > 1 the batch is split into
-    that many contiguous chunks, one per worker process. A pair's value is
+    min(parallelism, pairs) contiguous chunks, one per worker process. A pair's value is
     bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends
     neither on the other pairs in the batch nor on `parallelism`.
     """
@@ -194,15 +194,15 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     if odd:
         r1 = table.rates[odd]
         r2 = table.rates[distractor]
-        if parallelism == 1 or len(odd) < 2:
+        workers = min(parallelism, len(odd))
+        if workers == 1:
             values[odd, distractor] = d_star_rows(k, r1, r2)
         else:
             jobs = [
                 (k, c1, c2)
-                for c1, c2 in zip(np.array_split(r1, parallelism), np.array_split(r2, parallelism))
-                if len(c1)
+                for c1, c2 in zip(np.array_split(r1, workers), np.array_split(r2, workers))
             ]
-            with multiprocessing.Pool(processes=parallelism) as pool:
+            with multiprocessing.Pool(processes=workers) as pool:
                 values[odd, distractor] = np.concatenate(pool.starmap(d_star_rows, jobs))
     values.setflags(write=False)
     degenerate.setflags(write=False)

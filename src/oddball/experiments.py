@@ -79,13 +79,17 @@ class ExperimentSpec:
     trace_sampling: float = 0.0
 
     def __post_init__(self):
+        for name in ("k", "odd_index", "trials", "seed", "max_slots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         # Delegate k / odd_index / rate validation to the config type.
         OddConfig(self.k, self.odd_index, self.r1, self.r2)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.max_slots, int) or self.max_slots < 1:
+        if self.max_slots < 1:
             raise DomainError(f"max_slots must be a positive integer, got {self.max_slots!r}")
         grid = tuple(float(l) for l in self.l_grid)
         if not grid:
@@ -128,11 +132,6 @@ class ExperimentSpec:
             if isinstance(l, bool) or not isinstance(l, (int, float)):
                 raise DomainError("l_grid must be a list of numbers")
         kwargs["l_grid"] = tuple(float(l) for l in grid)
-        for key in ("k", "odd_index", "trials", "seed", "max_slots"):
-            if key in kwargs:
-                v = kwargs[key]
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise DomainError(f"{key} must be an integer")
         if "trace_sampling" in kwargs:
             v = kwargs["trace_sampling"]
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -215,15 +214,17 @@ def _run_block(jobs) -> list[TrialOutcome]:
 
 
 def _run_jobs(jobs: list, parallelism: int) -> list[TrialOutcome]:
-    """Outcomes of all jobs in job order: one block when serial, else
-    block w = jobs[w::parallelism] on worker w of a process pool."""
-    if parallelism == 1:
+    """Outcomes of all jobs in job order over min(parallelism, len(jobs))
+    workers: one block when that is 1, else block w = jobs[w::workers] on
+    worker w of a process pool."""
+    workers = min(parallelism, len(jobs))
+    if workers == 1:
         return _run_block(jobs)
-    with multiprocessing.Pool(processes=parallelism) as pool:
-        blocks = pool.map(_run_block, [jobs[w::parallelism] for w in range(parallelism)], chunksize=1)
+    with multiprocessing.Pool(processes=workers) as pool:
+        blocks = pool.map(_run_block, [jobs[w::workers] for w in range(workers)], chunksize=1)
     outcomes: list = [None] * len(jobs)
     for w, block in enumerate(blocks):
-        outcomes[w::parallelism] = block
+        outcomes[w::workers] = block
     return outcomes
 
 
@@ -232,12 +233,12 @@ def _trace_lines(outcome: TrialOutcome) -> str:
 
 
 def _aggregate(
-    spec: ExperimentSpec,
-    l_value: float,
+    config: PolicyConfig,
     outcomes: list[TrialOutcome],
     bound: float,
     inv_dstar: float,
 ) -> ReportRow:
+    l_value = config.threshold_l
     trials = len(outcomes)
     errors = sum(1 for o in outcomes if not o.correct)
     capped = sum(1 for o in outcomes if o.capped)
@@ -256,7 +257,7 @@ def _aggregate(
     ratio = mean_tau / log_l if log_l > 0.0 else math.nan
     return ReportRow(
         l_value=l_value,
-        threshold=math.log((spec.k - 1) * l_value),
+        threshold=config.log_threshold,
         trials=trials,
         errors=errors,
         error_rate=errors / trials,
@@ -293,15 +294,19 @@ def run_experiment(
     dstar = d_star(truth)
     inv_dstar = 1.0 / dstar if dstar > 0.0 else math.inf
 
-    jobs = []
-    for li, l_value in enumerate(spec.l_grid):
-        config = PolicyConfig(k=spec.k, threshold_l=l_value, max_slots=spec.max_slots)
-        for ti in range(spec.trials):
-            jobs.append((config, truth, [spec.seed, li, ti], ti < n_traced, None))
+    configs = [
+        PolicyConfig(k=spec.k, threshold_l=l, max_slots=spec.max_slots) for l in spec.l_grid
+    ]
+    jobs = [
+        (config, truth, [spec.seed, li, ti], ti < n_traced, None)
+        for li, config in enumerate(configs)
+        for ti in range(spec.trials)
+    ]
     outcomes = _run_jobs(jobs, parallelism)
 
     rows = []
-    for li, l_value in enumerate(spec.l_grid):
+    for li, config in enumerate(configs):
+        l_value = config.threshold_l
         batch = outcomes[li * spec.trials : (li + 1) * spec.trials]
         if trace_dir is not None:
             for ti in range(n_traced):
@@ -310,7 +315,7 @@ def run_experiment(
                     fh.write(_trace_lines(batch[ti]))
         alpha = 1.0 / l_value
         bound = lower_bound_expected_tau(truth, alpha, dstar=dstar) if 0.0 < alpha < 1.0 else math.nan
-        rows.append(_aggregate(spec, l_value, batch, bound, inv_dstar))
+        rows.append(_aggregate(config, batch, bound, inv_dstar))
     return ExperimentReport(spec=spec, rows=tuple(rows))
 
 
@@ -413,7 +418,7 @@ def default_checkpoints(n_slots: int) -> tuple[int, ...]:
 
 def _snapshot_row(snap, seed: int, odd_index: int, k: int) -> DriftRow:
     stats = SufficientStats.from_counts(list(snap.visits), list(snap.events))
-    holdout = tuple(stats.theta_hat(j)[1] for j in range(1, k + 1))
+    empirical, holdout = zip(*(stats.theta_hat(j) for j in range(1, k + 1)))
     return DriftRow(
         seed=seed,
         n=snap.n,
@@ -421,9 +426,7 @@ def _snapshot_row(snap, seed: int, odd_index: int, k: int) -> DriftRow:
         z_leader_over_n=snap.z_min[snap.leader - 1] / snap.n,
         z_true_over_n=snap.z_min[odd_index - 1] / snap.n,
         frequencies=tuple(v / snap.n for v in snap.visits),
-        empirical_rates=tuple(
-            e / v if v > 0 else 0.0 for e, v in zip(snap.events, snap.visits)
-        ),
+        empirical_rates=empirical,
         holdout_rates=holdout,
         visits=snap.visits,
         events=snap.events,

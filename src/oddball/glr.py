@@ -23,7 +23,8 @@ cancels in all pairwise comparisons):
 
   with zero-count terms equal to 0 (the supremum over a vanishing rate).
 
-The modified GLR statistic of hypothesis i against j is
+`_scores` is the one definition of both scores; every caller reads them
+from it. The modified GLR statistic of hypothesis i against j is
 
     Z_ij = averaged_log_likelihood(i) - ml_log_likelihood(j),
 
@@ -148,22 +149,17 @@ class GlrState:
     leader: int
 
 
-def averaged_log_likelihood(stats: SufficientStats, i: int) -> float:
-    """Prior-averaged log-likelihood that process i is the odd one."""
+def _check_hypothesis(stats: SufficientStats, i: int, caller: str) -> None:
     if stats.n < 1:
-        raise DomainError("averaged_log_likelihood requires at least one observed slot")
+        raise DomainError(f"{caller} requires at least one observed slot")
     if not 1 <= i <= stats.k:
         raise DomainError(f"hypothesis index must lie in 1..{stats.k}, got {i!r}")
-    yi = stats.events[i - 1]
-    ni = stats.visits[i - 1]
-    yo = stats.total - yi
-    no = stats.n - ni
-    return (
-        math.lgamma(yi + 1)
-        - (yi + 1) * math.log(ni + 1)
-        + math.lgamma(yo + 1)
-        - (yo + 1) * math.log(no + 1)
-    )
+
+
+def averaged_log_likelihood(stats: SufficientStats, i: int) -> float:
+    """Prior-averaged log-likelihood that process i is the odd one."""
+    _check_hypothesis(stats, i, "averaged_log_likelihood")
+    return _scores(stats)[0][i - 1]
 
 
 def ml_log_likelihood(stats: SufficientStats, j: int) -> float:
@@ -172,25 +168,14 @@ def ml_log_likelihood(stats: SufficientStats, j: int) -> float:
     Zero event totals contribute 0 (the supremum is attained as the
     corresponding rate vanishes), including the never-visited case.
     """
-    if stats.n < 1:
-        raise DomainError("ml_log_likelihood requires at least one observed slot")
-    if not 1 <= j <= stats.k:
-        raise DomainError(f"hypothesis index must lie in 1..{stats.k}, got {j!r}")
-    yj = stats.events[j - 1]
-    nj = stats.visits[j - 1]
-    yo = stats.total - yj
-    no = stats.n - nj
-    out = 0.0
-    if yj > 0:
-        out += yj * (math.log(yj / nj) - 1.0)
-    if yo > 0:
-        out += yo * (math.log(yo / no) - 1.0)
-    return out
+    _check_hypothesis(stats, j, "ml_log_likelihood")
+    return _scores(stats)[1][j - 1]
 
 
 def _scores(stats: SufficientStats) -> tuple[list[float], list[float]]:
-    """Both per-hypothesis scores, O(K). Shared by the full-state builder
-    and the policy's slot loop."""
+    """Both per-hypothesis scores, O(K): the one definition of each, read by
+    the public score functions, the full-state builder and the policy's
+    slot loop."""
     lgamma = math.lgamma
     log = math.log
     n = stats.n

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import DomainError
-from .solver import OddConfig, solve_lambda_star
+from .solver import OddConfig, _weight_vector, solve_lambda_star
 
 __all__ = [
     "VARIANTS",
@@ -199,11 +199,6 @@ def _uniform_action(k: int, u: float) -> int:
     return idx + 1
 
 
-def _weighted_distribution(focus: int, mass: float, k: int) -> tuple[float, ...]:
-    off = (1.0 - mass) / (k - 1)
-    return tuple(mass if j == focus else off for j in range(1, k + 1))
-
-
 def _stops(config: PolicyConfig, leader: int, z_leader: float) -> bool:
     """Stop rule of every variant at the end of a slot: the leader's score
     reached the threshold and the variant lets this leader stop. Only
@@ -267,7 +262,7 @@ def next_decision(
         theta = tuple(map(float, glr.theta[leader - 1]))
     action, focus, mass = _next_action(config, n, leader, theta, rng, cache)
     k = config.k
-    dist = tuple([1.0 / k] * k) if mass is None else _weighted_distribution(focus, mass, k)
+    dist = tuple([1.0 / k] * k) if mass is None else _weight_vector(focus, mass, k)
     return PolicyDecision(stop=False, action=action, distribution=dist)
 
 

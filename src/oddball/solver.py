@@ -54,7 +54,9 @@ batch in lockstep on numpy arrays (`d_star_rows`).
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
 (1 - lam_hat)^2 = rho * lam_hat^2, i.e. lam_hat = 1 / (1 + sqrt(rho)),
-which `solve_lambda_star` returns for configs with r1 == r2.
+which `solve_lambda_star` returns for configs with r1 == r2. Every caller
+that needs optimal weights, `curve_rows` included, gets them from
+`solve_lambda_star`; nothing else substitutes the equal-rates weight.
 The scalar solution depends on (r1, r2) only through nu = r1 / (r1 + r2),
 and D* scales linearly in (r1 + r2); both facts are exploited by callers
 and pinned by tests.
@@ -220,17 +222,19 @@ def mixed_rate(lambda_odd: float, r1, r2, k: int):
     if not 0.0 <= lambda_odd <= 1.0:
         raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
     rho = (k - 2) / (k - 1)
-    weight = lambda_odd + (1.0 - lambda_odd) * rho
     scalar = isinstance(r1, (int, float)) and isinstance(r2, (int, float))
     r1t = _as_rate_tuple(r1, "r1")
     r2t = _as_rate_tuple(r2, "r2")
     if len(r1t) != len(r2t):
         raise DomainError("r1 and r2 must have equal dimension")
-    mixed = tuple(
-        (lambda_odd * a + (1.0 - lambda_odd) * rho * b) / weight
-        for a, b in zip(r1t, r2t)
-    )
+    mixed = tuple(_mix(lambda_odd, a, b, rho) for a, b in zip(r1t, r2t))
     return mixed[0] if scalar else mixed
+
+
+def _mix(lam, a, b, rho: float):
+    """The mixed rate (lam * a + (1 - lam) * rho * b) / (lam + (1 - lam) * rho);
+    floats or broadcast arrays."""
+    return (lam * a + (1.0 - lam) * rho * b) / (lam + (1.0 - lam) * rho)
 
 
 def objective(config: OddConfig, lambda_odd: float) -> float:
@@ -277,11 +281,10 @@ def poisson_kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
-    weight = lambda_odd + (1.0 - lambda_odd) * rho
     d1 = 0.0
     d2 = 0.0
     for a, b in zip(r1, r2):
-        m = (lambda_odd * a + (1.0 - lambda_odd) * rho * b) / weight
+        m = _mix(lambda_odd, a, b, rho)
         d1 += poisson_kl(a, m)
         d2 += poisson_kl(b, m)
     return lambda_odd * d1 + (1.0 - lambda_odd) * rho * d2
@@ -289,24 +292,27 @@ def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
 
 def _objective_rows(r1: np.ndarray, r2: np.ndarray, rho: float, lam_odd: np.ndarray) -> np.ndarray:
     """`objective` of every row of (B, D) rate arrays at its own weight."""
-    lam = lam_odd[:, None]
-    m = (lam * r1 + (1.0 - lam) * rho * r2) / (lam + (1.0 - lam) * rho)
+    m = _mix(lam_odd[:, None], r1, r2, rho)
     d1 = poisson_kl_array(r1, m).sum(axis=1)
     d2 = poisson_kl_array(r2, m).sum(axis=1)
     return lam_odd * d1 + (1.0 - lam_odd) * rho * d2
 
 
-def _extension_weights(k: int) -> tuple[float, float]:
-    """Equal-rates limit of the optimal (lam_hat, lam_odd), with
-    lam_hat = 1 / (1 + sqrt(rho))."""
-    rho = (k - 2) / (k - 1)
-    lam_hat = 1.0 / (1.0 + math.sqrt(rho))
-    return lam_hat, _lam_odd_from_hat(lam_hat, rho)
+def _equal_rates_hat(rho: float) -> float:
+    """Equal-rates limit of the optimal lam_hat, 1 / (1 + sqrt(rho))."""
+    return 1.0 / (1.0 + math.sqrt(rho))
 
 
 def _lam_odd_from_hat(lam_hat, rho: float):
     """Invert lam_hat = lam / (lam + (1 - lam) * rho); floats or arrays."""
     return lam_hat * rho / (1.0 - lam_hat + lam_hat * rho)
+
+
+def _weight_vector(focus: int, mass: float, k: int) -> tuple[float, ...]:
+    """Probabilities over processes 1..k: `mass` on `focus`, the rest
+    shared evenly by the other k - 1."""
+    off = (1.0 - mass) / (k - 1)
+    return tuple(mass if j == focus else off for j in range(1, k + 1))
 
 
 def _no_sign_change() -> DegenerateRatesError:
@@ -332,7 +338,7 @@ def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
     halving test falls back to bisection where rounding noise in g would
     otherwise make Newton creep (nu just outside NEAR_DEGENERATE_NU).
     """
-    start = 1.0 / (1.0 + math.sqrt(rho))
+    start = _equal_rates_hat(rho)
     if abs(_nu(a, b) - 0.5) < NEAR_DEGENERATE_NU:
         return start
     # g(0) = D(r1 || r2) and g(1) = -rho * D(r2 || r1).
@@ -372,7 +378,7 @@ def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float, tol: float) -> np.n
         raise _no_sign_change()
     lam_hat = np.empty(r1.shape[0])
     rows = np.arange(r1.shape[0])
-    x = np.full(rows.size, 1.0 / (1.0 + math.sqrt(rho)))
+    x = np.full(rows.size, _equal_rates_hat(rho))
     lo = np.zeros(rows.size)
     hi = np.ones(rows.size)
     step = np.ones(rows.size)
@@ -448,17 +454,16 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     rho = config.rho
     if config.is_degenerate:
-        lam_hat, value = _extension_weights(config.k)[0], 0.0
+        lam_hat, value = _equal_rates_hat(rho), 0.0
         r_tilde = config.r1
     else:
         roots, values = _solve_rows((config.r1,), (config.r2,), rho, tol)
         lam_hat, value = float(roots[0]), float(values[0])
         r_tilde = tuple(lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2))
     lam_odd = _lam_odd_from_hat(lam_hat, rho)
-    off = (1.0 - lam_odd) / (config.k - 1)
     return LambdaSolution(
         config=config,
-        lam=tuple(lam_odd if j == config.odd_index else off for j in range(1, config.k + 1)),
+        lam=_weight_vector(config.odd_index, lam_odd, config.k),
         lam_odd=lam_odd,
         lam_hat=lam_hat,
         r_tilde=r_tilde,
@@ -571,16 +576,13 @@ def lower_bound_expected_tau(
 
 CURVE_HEADER = "K,nu,lambda_odd,lambda_hat,d_star_scaled"
 
-# Rows whose nu falls inside this band around 1/2 use the continuous
-# extension weight; the reported d_star stays the true objective value at
-# that weight (relative error O(band^2) against the max, exactly 0 at 1/2).
-CURVE_EXTENSION_BAND = 1e-3
-
 
 def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float, float, float, float]]:
     """Sweep of the optimal weight against nu for each K, normalized so
     r1 + r2 = 1 (d_star scales linearly in r1 + r2, so this fixes the
-    scale column). Grid: nu_steps points linear on [0.01, 0.99].
+    scale column). Grid: nu_steps points linear on [0.01, 0.99]. Every
+    row is `solve_lambda_star` at its nu, so nu = 1/2 gets the
+    equal-rates weight and a d_star of exactly 0.
     """
     ks = list(k_values)
     if not ks:
@@ -595,12 +597,6 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     for k in ks:
         for nu in nus:
             nu = float(nu)
-            config = OddConfig(k, 1, nu, 1.0 - nu)
-            if abs(nu - 0.5) < CURVE_EXTENSION_BAND:
-                lam_hat, lam_odd = _extension_weights(k)
-                scaled = objective(config, lam_odd) if not config.is_degenerate else 0.0
-            else:
-                sol = solve_lambda_star(config)
-                lam_hat, lam_odd, scaled = sol.lam_hat, sol.lam_odd, sol.d_star
-            rows.append((k, nu, lam_odd, lam_hat, scaled))
+            sol = solve_lambda_star(OddConfig(k, 1, nu, 1.0 - nu))
+            rows.append((k, nu, sol.lam_odd, sol.lam_hat, sol.d_star))
     return rows

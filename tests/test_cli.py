@@ -6,6 +6,7 @@ Numerical values are compared against the library calls the commands
 delegate to; JSON float round-trips are exact, so == is used freely.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -477,3 +478,16 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestBenchmarkTargets:
+    def test_traced_names_exist(self):
+        """The benchmark tracer wraps library names by (module, attribute);
+        a renamed or deleted one would drop its metrics without an error."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, attr, _ in tracer.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

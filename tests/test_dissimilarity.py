@@ -1,6 +1,7 @@
 """Tests for the visual-search dissimilarity index and its statistics."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ class TestPairwiseDstar:
             for jobs in (2, 3):
                 pooled = pairwise_dstar(table, k=3, parallelism=jobs)
                 assert np.array_equal(serial.values, pooled.values)
+
+    def test_pool_sized_by_chunks(self, monkeypatch):
+        # Two solved pairs over four workers: the pool starts two processes.
+        started = []
+        real_pool = multiprocessing.Pool
+
+        def spy(processes=None, *args, **kwargs):
+            started.append(processes)
+            return real_pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
+        pooled = pairwise_dstar(table, k=3, parallelism=4)
+        assert started == [2]
+        assert np.array_equal(pooled.values, pairwise_dstar(table, k=3).values)
 
     def test_to_csv(self):
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])

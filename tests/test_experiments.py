@@ -3,6 +3,7 @@ parallel determinism, trace emission, and the drift audit."""
 
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -49,6 +50,11 @@ class TestExperimentSpec:
             dict(trace_sampling=1.5),
             dict(trace_sampling=-0.1),
             dict(max_slots=0),
+            # Booleans are not integers here, as in `from_dict`.
+            dict(trials=True),
+            dict(odd_index=True),
+            dict(seed=False),
+            dict(max_slots=True),
         ):
             with pytest.raises(DomainError):
                 ExperimentSpec(**{**SPEC_KWARGS, **patch})
@@ -336,3 +342,21 @@ class TestDriftExperiment:
         assert summary["median_freq_err_inf"] < 0.08
         assert summary["median_holdout_rel_err"] < 0.15
         assert summary["median_z_rel_err"] < 0.5
+
+
+class TestWorkerCount:
+    def test_pool_never_exceeds_items(self, monkeypatch):
+        # A spy that records each pool's size and delegates to the real pool.
+        started = []
+        real_pool = multiprocessing.Pool
+
+        def spy(processes=None, *args, **kwargs):
+            started.append(processes)
+            return real_pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        drift_experiment(OddConfig(3, 1, 1.0, 2.0), 200, [1], checkpoints=[50], parallelism=8)
+        assert started == []
+        small = ExperimentSpec(**{**SPEC_KWARGS, "l_grid": (5.0,), "trials": 2})
+        run_experiment(small, parallelism=3)
+        assert started == [2]

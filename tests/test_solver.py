@@ -409,6 +409,13 @@ class TestCurveRows:
         assert lam_odd == pytest.approx(EXT_LAM_ODD_K3, rel=1e-15)
         assert scaled == 0.0
 
+    def test_rows_are_solver_optimum(self):
+        # 500 steps put grid points within 1e-3 of 1/2 but not on it; those
+        # rows carry the optimum too, not the equal-rates weight.
+        for k, nu, lam_odd, lam_hat, scaled in curve_rows([3, 50], 500):
+            sol = solve_lambda_star(OddConfig(k, 1, nu, 1.0 - nu))
+            assert (lam_odd, lam_hat, scaled) == (sol.lam_odd, sol.lam_hat, sol.d_star)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             curve_rows([], 10)
