@@ -49,24 +49,13 @@ from .solver import (
 __all__ = ["main"]
 
 
-def _parse_rates(text: str, name: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if any(p == "" for p in parts):
-        raise DomainError(f"{name} must be a comma-separated list of numbers, got {text!r}")
+def _parse_list(text: str, name: str, cast=float) -> list:
+    """Comma-separated values of `text`, each converted by `cast` (float or int)."""
     try:
-        return tuple(float(p) for p in parts)
+        return [cast(p) for p in text.split(",")]
     except ValueError:
-        raise DomainError(f"{name} must be a comma-separated list of numbers, got {text!r}") from None
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    if any(p == "" for p in parts):
-        raise DomainError(f"{name} must be a comma-separated list of integers, got {text!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise DomainError(f"{name} must be a comma-separated list of integers, got {text!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise DomainError(f"{name} must be a comma-separated list of {kind}, got {text!r}") from None
 
 
 def _read_text(path: str, what: str) -> str:
@@ -104,7 +93,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _solve_payload(args) -> dict:
-    config = OddConfig(args.k, 1, _parse_rates(args.r1, "--r1"), _parse_rates(args.r2, "--r2"))
+    config = OddConfig(args.k, 1, _parse_list(args.r1, "--r1"), _parse_list(args.r2, "--r2"))
     sol = solve_lambda_star(config)
     payload = {
         "k": config.k,
@@ -133,7 +122,7 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_curve(args) -> None:
-    ks = _parse_int_list(args.k_list, "--k-list")
+    ks = _parse_list(args.k_list, "--k-list", int)
     rows = curve_rows(ks, args.nu_steps)
     lines = [CURVE_HEADER]
     for k, nu, lam_odd, lam_hat, scaled in rows:
@@ -160,7 +149,7 @@ def _cmd_drift(args) -> None:
     truth = OddConfig(args.k, args.odd, args.r1, args.r2)
     seeds = [args.seed + i for i in range(args.num_seeds)]
     checkpoints = (
-        _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints else None
+        _parse_list(args.checkpoints, "--checkpoints", int) if args.checkpoints else None
     )
     result = drift_experiment(
         truth, args.slots, seeds, checkpoints=checkpoints, parallelism=args.jobs
@@ -176,7 +165,7 @@ def _cmd_drift(args) -> None:
 
 
 def _cmd_bound(args) -> None:
-    config = OddConfig(args.k, 1, _parse_rates(args.r1, "--r1"), _parse_rates(args.r2, "--r2"))
+    config = OddConfig(args.k, 1, _parse_list(args.r1, "--r1"), _parse_list(args.r2, "--r2"))
     sol = solve_lambda_star(config)
     bound = lower_bound_expected_tau(config, args.alpha, dstar=sol.d_star)
     payload = {

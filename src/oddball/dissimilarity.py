@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtrc
 
-from .numerics import DomainError
+from .numerics import DomainError, _require_int
 from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
@@ -169,29 +169,16 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends
     neither on the other pairs in the batch nor on `parallelism`.
     """
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"display size k must be an integer >= 3, got {k!r}")
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise DomainError(f"parallelism must be a positive integer, got {parallelism!r}")
+    _require_int(k, "display size k", 3)
+    _require_int(parallelism, "parallelism", 1)
     m = table.n_images
     values = np.zeros((m, m))
-    degenerate = np.zeros((m, m), dtype=bool)
-    floored = np.zeros((m, m), dtype=int)
-    np.fill_diagonal(degenerate, True)
+    degenerate = (table.rates[:, None] == table.rates[None]).all(2)
     flagged = table.floored.sum(axis=1)
-    odd = []
-    distractor = []
-    for a in range(m):
-        for b in range(m):
-            floored[a, b] = int(flagged[a] + flagged[b]) if a != b else int(flagged[a])
-            if a == b:
-                continue
-            if np.array_equal(table.rates[a], table.rates[b]):
-                degenerate[a, b] = True
-                continue
-            odd.append(a)
-            distractor.append(b)
-    if odd:
+    floored = flagged[:, None] + flagged[None]
+    np.fill_diagonal(floored, flagged)
+    odd, distractor = np.nonzero(~degenerate)
+    if odd.size:
         r1 = table.rates[odd]
         r2 = table.rates[distractor]
         workers = min(parallelism, len(odd))
@@ -301,17 +288,12 @@ def synthesize_search_dataset(
     Gaussian noise. Returns (table, delays) with delays a list of
     (odd_id, distractor_id, delay) rows.
     """
-    if not isinstance(n_images, int) or n_images < 2:
-        raise DomainError("n_images must be an integer >= 2")
-    if not isinstance(n_neurons, int) or n_neurons < 1:
-        raise DomainError("n_neurons must be a positive integer")
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"display size k must be an integer >= 3, got {k!r}")
+    _require_int(n_images, "n_images", 2)
+    _require_int(n_neurons, "n_neurons", 1)
+    _require_int(k, "display size k", 3)
     max_pairs = n_images * (n_images - 1)
-    if not isinstance(n_pairs, int) or not 1 <= n_pairs <= max_pairs:
-        raise DomainError(f"n_pairs must lie in 1..{max_pairs}")
-    if not isinstance(samples_per_pair, int) or samples_per_pair < 1:
-        raise DomainError("samples_per_pair must be a positive integer")
+    _require_int(n_pairs, "n_pairs", 1, max_pairs)
+    _require_int(samples_per_pair, "samples_per_pair", 1)
     if not (noise_scale >= 0.0 and math.isfinite(noise_scale)):
         raise DomainError("noise_scale must be nonnegative and finite")
     if not (base_delay > 0.0 and math.isfinite(base_delay)):
@@ -379,8 +361,7 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     single measurement), and `log_am_gm` of the mean-delay * D* products
     (0 for a perfect reciprocal law).
     """
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"display size k must be an integer >= 3, got {k!r}")
+    _require_int(k, "display size k", 3)
     groups: dict[tuple[str, str], list[float]] = {}
     order = []
     for odd_id, distractor_id, delay in delays:

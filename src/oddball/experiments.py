@@ -30,13 +30,14 @@ import json
 import math
 import multiprocessing
 import os
+import statistics
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
-from .numerics import DomainError
+from .numerics import DomainError, _require_int
 from .policy import PolicyConfig, TrialOutcome, run_trial
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
@@ -58,6 +59,10 @@ REPORT_HEADER = (
 )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one policy experiment.
@@ -66,6 +71,8 @@ class ExperimentSpec:
     are scalar rates (the harness simulates scalar configurations).
     trace_sampling in [0, 1] is the fraction of trials per level whose
     full traces are written out (requires a trace directory at run time).
+    Construction checks every field and stores rates, grid entries and
+    trace_sampling as floats.
     """
 
     k: int
@@ -79,19 +86,23 @@ class ExperimentSpec:
     trace_sampling: float = 0.0
 
     def __post_init__(self):
-        for name in ("k", "odd_index", "trials", "seed", "max_slots"):
+        for name in ("r1", "r2", "trace_sampling"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if not _is_number(value):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         # Delegate k / odd_index / rate validation to the config type.
         OddConfig(self.k, self.odd_index, self.r1, self.r2)
-        if self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.max_slots < 1:
-            raise DomainError(f"max_slots must be a positive integer, got {self.max_slots!r}")
-        grid = tuple(float(l) for l in self.l_grid)
+        _require_int(self.trials, "trials", 1)
+        _require_int(self.seed, "seed", 0)
+        _require_int(self.max_slots, "max_slots", 1)
+        try:
+            grid = tuple(self.l_grid)
+        except TypeError:
+            grid = None
+        if grid is None or not all(_is_number(l) for l in grid):
+            raise DomainError("l_grid must be a list of numbers")
+        grid = tuple(float(l) for l in grid)
         if not grid:
             raise DomainError("l_grid must be non-empty")
         if any(not (l >= 1.0 and math.isfinite(l)) for l in grid):
@@ -121,22 +132,7 @@ class ExperimentSpec:
             if isinstance(v, list):
                 if len(v) != 1:
                     raise DomainError(f"{key} must be a scalar or a length-1 list")
-                v = v[0]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DomainError(f"{key} must be a number")
-            kwargs[key] = float(v)
-        grid = kwargs["l_grid"]
-        if not isinstance(grid, list):
-            raise DomainError("l_grid must be a list of numbers")
-        for l in grid:
-            if isinstance(l, bool) or not isinstance(l, (int, float)):
-                raise DomainError("l_grid must be a list of numbers")
-        kwargs["l_grid"] = tuple(float(l) for l in grid)
-        if "trace_sampling" in kwargs:
-            v = kwargs["trace_sampling"]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DomainError("trace_sampling must be a number")
-            kwargs["trace_sampling"] = float(v)
+                kwargs[key] = v[0]
         return cls(**kwargs)
 
     @classmethod
@@ -185,10 +181,8 @@ class ExperimentReport:
 def error_upper_confidence(errors: int, trials: int, level: float = 0.95) -> float:
     """One-sided upper confidence bound for a binomial proportion
     (Clopper-Pearson): the largest p not rejected at the given level."""
-    if not isinstance(errors, int) or not isinstance(trials, int):
-        raise DomainError("errors and trials must be integers")
-    if trials < 1 or not 0 <= errors <= trials:
-        raise DomainError(f"need 0 <= errors <= trials, got {errors}/{trials}")
+    _require_int(trials, "trials", 1)
+    _require_int(errors, "errors", 0, trials)
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {level!r}")
     if errors == trials:
@@ -284,8 +278,7 @@ def run_experiment(
     traces (the first ceil(trace_sampling * trials) trials of each level)
     are written to trace_dir as trace_L<level>_i<trial>.jsonl.
     """
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise DomainError(f"parallelism must be a positive integer, got {parallelism!r}")
+    _require_int(parallelism, "parallelism", 1)
     n_traced = math.ceil(spec.trace_sampling * spec.trials)
     if n_traced > 0 and trace_dir is None:
         raise DomainError("trace_sampling > 0 requires a trace directory")
@@ -355,35 +348,29 @@ class DriftResult:
         """Median/extreme deviations across seeds at the final slot."""
         odd = self.truth.odd_index
         rows = self.final_rows()
-        z_errs = sorted(abs(r.z_true_over_n - self.d_star) / self.d_star for r in rows)
-        freq_errs = sorted(
+        z_errs = [abs(r.z_true_over_n - self.d_star) / self.d_star for r in rows]
+        freq_errs = [
             max(abs(f - l) for f, l in zip(r.frequencies, self.lambda_star)) for r in rows
-        )
-        holdout_errs = sorted(
+        ]
+        holdout_errs = [
             max(
                 abs(h - self.mixed_rate) / self.mixed_rate
                 for j, h in enumerate(r.holdout_rates, start=1)
                 if j != odd
             )
             for r in rows
-        )
-        n = len(rows)
-        mid = n // 2
-
-        def med(xs):
-            return xs[mid] if n % 2 == 1 else 0.5 * (xs[mid - 1] + xs[mid])
-
+        ]
         return {
-            "seeds": n,
+            "seeds": len(rows),
             "n_slots": self.n_slots,
             "d_star": self.d_star,
-            "leader_correct_fraction": sum(1 for r in rows if r.leader == odd) / n,
-            "median_z_rel_err": med(z_errs),
-            "max_z_rel_err": z_errs[-1],
-            "median_freq_err_inf": med(freq_errs),
-            "max_freq_err_inf": freq_errs[-1],
-            "median_holdout_rel_err": med(holdout_errs),
-            "max_holdout_rel_err": holdout_errs[-1],
+            "leader_correct_fraction": sum(1 for r in rows if r.leader == odd) / len(rows),
+            "median_z_rel_err": statistics.median(z_errs),
+            "max_z_rel_err": max(z_errs),
+            "median_freq_err_inf": statistics.median(freq_errs),
+            "max_freq_err_inf": max(freq_errs),
+            "median_holdout_rel_err": statistics.median(holdout_errs),
+            "max_holdout_rel_err": max(holdout_errs),
         }
 
     def to_csv(self) -> str:
@@ -448,20 +435,18 @@ def drift_experiment(
         raise DomainError("drift studies support scalar-rate configurations only")
     if truth.is_degenerate:
         raise DomainError("drift studies need distinct rates")
-    if not isinstance(n_slots, int) or n_slots < 1:
-        raise DomainError(f"n_slots must be a positive integer, got {n_slots!r}")
-    seeds = [int(s) for s in seeds]
+    _require_int(n_slots, "n_slots", 1)
+    seeds = [_require_int(s, "seed", 0) for s in seeds]
     if not seeds:
         raise DomainError("at least one seed is required")
     if len(set(seeds)) != len(seeds):
         raise DomainError("seeds must be distinct")
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise DomainError(f"parallelism must be a positive integer, got {parallelism!r}")
+    _require_int(parallelism, "parallelism", 1)
     if checkpoints is None:
         cps = default_checkpoints(n_slots)
     else:
-        cps = tuple(sorted({int(c) for c in checkpoints}))
-        if not cps or cps[0] < 1 or cps[-1] > n_slots:
+        cps = tuple(sorted({_require_int(c, "checkpoint", 1, n_slots) for c in checkpoints}))
+        if not cps:
             raise DomainError("checkpoints must be nonempty and lie in 1..n_slots")
         if n_slots not in cps:
             cps = cps + (n_slots,)

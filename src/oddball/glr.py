@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, _require_int
 
 __all__ = [
     "SufficientStats",
@@ -67,8 +67,7 @@ class SufficientStats:
     total: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 3:
-            raise DomainError(f"k must be an integer >= 3, got {self.k!r}")
+        _require_int(self.k, "k", 3)
         if not self.visits and not self.events and self.n == 0 and self.total == 0:
             self.visits = [0] * self.k
             self.events = [0] * self.k

@@ -37,6 +37,20 @@ class DomainError(ValueError):
     """An argument lies outside a function's mathematical domain."""
 
 
+def _require_int(value, name: str, low: int, high: int | None = None) -> int:
+    """Return `value` if it is a Python int, not a bool, in [low, high]
+    (no upper limit when high is None); raise DomainError otherwise."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return value
+
+
 # Coefficients of sum_{k >= 2} (-1)^k u^k / k = u^2 * P(u) with
 # P(u) = 1/2 - u/3 + u^2/4 - ... ; degree chosen so the truncation error
 # at |u| = 0.09 is below one ulp of the leading u^2/2 term.

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
-from .numerics import DomainError
+from .numerics import DomainError, _require_int
 from .solver import OddConfig, _weight_vector, solve_lambda_star
 
 __all__ = [
@@ -87,23 +87,18 @@ class PolicyConfig:
     max_slots: int = 10_000_000
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 3:
-            raise DomainError(f"k must be an integer >= 3, got {self.k!r}")
+        _require_int(self.k, "k", 3)
         if not (self.threshold_l >= 1.0 and math.isfinite(self.threshold_l)):
             raise DomainError(f"threshold_l must be finite and >= 1, got {self.threshold_l!r}")
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "stop_only_on":
-            if not (isinstance(self.stop_index, int) and 1 <= self.stop_index <= self.k):
-                raise DomainError("stop_only_on requires stop_index in 1..k")
+            _require_int(self.stop_index, "stop_index", 1, self.k)
         elif self.stop_index is not None:
             raise DomainError("stop_index is only meaningful for the stop_only_on variant")
-        if self.warmup_slots is not None and (
-            not isinstance(self.warmup_slots, int) or self.warmup_slots < 0
-        ):
-            raise DomainError(f"warmup_slots must be a nonnegative integer, got {self.warmup_slots!r}")
-        if not isinstance(self.max_slots, int) or self.max_slots < 1:
-            raise DomainError(f"max_slots must be a positive integer, got {self.max_slots!r}")
+        if self.warmup_slots is not None:
+            _require_int(self.warmup_slots, "warmup_slots", 0)
+        _require_int(self.max_slots, "max_slots", 1)
         warmup = self.k if self.warmup_slots is None else self.warmup_slots
         object.__setattr__(self, "warmup", warmup)
         object.__setattr__(self, "log_threshold", math.log((self.k - 1) * self.threshold_l))

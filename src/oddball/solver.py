@@ -74,6 +74,7 @@ from .numerics import (
     _LOG1P_TAIL_COEFFS,
     _SERIES_RADIUS,
     DomainError,
+    _require_int,
     binary_relative_entropy,
     poisson_kl,
 )
@@ -140,10 +141,8 @@ class OddConfig:
     r2: tuple[float, ...]
 
     def __init__(self, k: int, odd_index: int, r1, r2):
-        if not isinstance(k, int) or k < 3:
-            raise DomainError(f"k must be an integer >= 3, got {k!r}")
-        if not isinstance(odd_index, int) or not 1 <= odd_index <= k:
-            raise DomainError(f"odd_index must lie in 1..{k}, got {odd_index!r}")
+        _require_int(k, "k", 3)
+        _require_int(odd_index, "odd_index", 1, k)
         r1t = _as_rate_tuple(r1, "r1")
         r2t = _as_rate_tuple(r2, "r2")
         if len(r1t) != len(r2t):
@@ -217,17 +216,11 @@ def mixed_rate(lambda_odd: float, r1, r2, k: int):
     Scalar arguments give a float; sequences are mapped coordinatewise and
     give a tuple. mixed_rate(0.5, 3.0, 2.0, 3) == 8/3.
     """
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"k must be an integer >= 3, got {k!r}")
+    config = OddConfig(k, 1, r1, r2)
     if not 0.0 <= lambda_odd <= 1.0:
         raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
-    rho = (k - 2) / (k - 1)
     scalar = isinstance(r1, (int, float)) and isinstance(r2, (int, float))
-    r1t = _as_rate_tuple(r1, "r1")
-    r2t = _as_rate_tuple(r2, "r2")
-    if len(r1t) != len(r2t):
-        raise DomainError("r1 and r2 must have equal dimension")
-    mixed = tuple(_mix(lambda_odd, a, b, rho) for a, b in zip(r1t, r2t))
+    mixed = tuple(_mix(lambda_odd, a, b, config.rho) for a, b in zip(config.r1, config.r2))
     return mixed[0] if scalar else mixed
 
 
@@ -515,8 +508,7 @@ def brute_force_d_star(config: OddConfig, grid_resolution: int = 400) -> float:
         raise DomainError("brute force supports scalar-rate configs only")
     if config.k > 4:
         raise DomainError(f"brute force refuses k > 4 (got k={config.k}); grid is combinatorial")
-    if not isinstance(grid_resolution, int) or grid_resolution < 10:
-        raise DomainError(f"grid_resolution must be an integer >= 10, got {grid_resolution!r}")
+    _require_int(grid_resolution, "grid_resolution", 10)
     r1 = config.r1[0]
     r2 = config.r2[0]
     res = grid_resolution
@@ -587,11 +579,7 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     ks = list(k_values)
     if not ks:
         raise DomainError("k_values must be non-empty")
-    for k in ks:
-        if not isinstance(k, int) or k < 3:
-            raise DomainError(f"curve k values must be integers >= 3, got {k!r}")
-    if not isinstance(nu_steps, int) or nu_steps < 2:
-        raise DomainError(f"nu_steps must be an integer >= 2, got {nu_steps!r}")
+    _require_int(nu_steps, "nu_steps", 2)
     nus = np.linspace(0.01, 0.99, nu_steps)
     rows = []
     for k in ks:

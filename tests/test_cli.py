@@ -263,6 +263,13 @@ class TestDriftCommand:
         assert code == 2
         assert "--checkpoints" in err
 
+    def test_rejects_negative_seed(self, capsys):
+        """A negative seed is invalid input (exit 2), not a runtime failure."""
+        code, out, err = run_cli(capsys, *self.ARGV, "--seed", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "seed" in err
+
 
 class TestBoundCommand:
     def test_payload(self, capsys):

@@ -55,6 +55,13 @@ class TestExperimentSpec:
             dict(odd_index=True),
             dict(seed=False),
             dict(max_slots=True),
+            # Rates, trace_sampling and grid entries are checked on direct
+            # construction too, not only by `from_dict`.
+            dict(r1="5"),
+            dict(r1=[5.0, 6.0], r2=[1.0, 2.0]),
+            dict(trace_sampling=True),
+            dict(trace_sampling="0.5"),
+            dict(l_grid=(True,)),
         ):
             with pytest.raises(DomainError):
                 ExperimentSpec(**{**SPEC_KWARGS, **patch})

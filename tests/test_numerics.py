@@ -11,12 +11,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oddball.dissimilarity import (
+    FiringRateTable,
+    analyze_search_delays,
+    pairwise_dstar,
+    synthesize_search_dataset,
+)
+from oddball.experiments import (
+    ExperimentSpec,
+    drift_experiment,
+    error_upper_confidence,
+    run_experiment,
+)
+from oddball.glr import SufficientStats
 from oddball.numerics import (
     DomainError,
     binary_relative_entropy,
     poisson_kl,
     poisson_kl_series,
 )
+from oddball.policy import PolicyConfig
+from oddball.solver import OddConfig, brute_force_d_star, curve_rows, mixed_rate
 
 # 45-digit reference values (mpmath, float-exact inputs).
 KL_1_2 = 0.306852819440054690583
@@ -187,3 +202,65 @@ class TestBinaryRelativeEntropy:
         for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(DomainError):
                 binary_relative_entropy(bad)
+
+
+_SPEC = dict(k=3, odd_index=1, r1=8.0, r2=1.0, l_grid=(5.0,), trials=2, seed=0)
+_TRUTH = OddConfig(3, 1, 1.0, 2.0)
+_TABLE = FiringRateTable.from_arrays(["a", "b", "c"], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+
+# Every count, index and seed parameter of the library, each called with
+# otherwise valid (and small) arguments.
+INTEGER_PARAMETERS = {
+    "OddConfig.k": lambda v: OddConfig(v, 1, 1.0, 2.0),
+    "OddConfig.odd_index": lambda v: OddConfig(3, v, 1.0, 2.0),
+    "mixed_rate.k": lambda v: mixed_rate(0.5, 3.0, 2.0, v),
+    "brute_force_d_star.grid_resolution": lambda v: brute_force_d_star(_TRUTH, v),
+    "curve_rows.k_values": lambda v: curve_rows([v], 2),
+    "curve_rows.nu_steps": lambda v: curve_rows([3], v),
+    "PolicyConfig.k": lambda v: PolicyConfig(v, 10.0),
+    "PolicyConfig.stop_index": lambda v: PolicyConfig(
+        3, 10.0, variant="stop_only_on", stop_index=v
+    ),
+    "PolicyConfig.warmup_slots": lambda v: PolicyConfig(3, 10.0, warmup_slots=v),
+    "PolicyConfig.max_slots": lambda v: PolicyConfig(3, 10.0, max_slots=v, warmup_slots=0),
+    "SufficientStats.k": lambda v: SufficientStats(v),
+    "ExperimentSpec.k": lambda v: ExperimentSpec(**{**_SPEC, "k": v}),
+    "ExperimentSpec.odd_index": lambda v: ExperimentSpec(**{**_SPEC, "odd_index": v}),
+    "ExperimentSpec.trials": lambda v: ExperimentSpec(**{**_SPEC, "trials": v}),
+    "ExperimentSpec.seed": lambda v: ExperimentSpec(**{**_SPEC, "seed": v}),
+    "ExperimentSpec.max_slots": lambda v: ExperimentSpec(**{**_SPEC, "max_slots": v}),
+    "error_upper_confidence.errors": lambda v: error_upper_confidence(v, 2),
+    "error_upper_confidence.trials": lambda v: error_upper_confidence(0, v),
+    "run_experiment.parallelism": lambda v: run_experiment(ExperimentSpec(**_SPEC), parallelism=v),
+    "drift_experiment.n_slots": lambda v: drift_experiment(_TRUTH, v, [0]),
+    "drift_experiment.seeds": lambda v: drift_experiment(_TRUTH, 10, [v]),
+    "drift_experiment.checkpoints": lambda v: drift_experiment(_TRUTH, 10, [0], checkpoints=[v]),
+    "drift_experiment.parallelism": lambda v: drift_experiment(_TRUTH, 10, [0], parallelism=v),
+    "pairwise_dstar.k": lambda v: pairwise_dstar(_TABLE, v),
+    "pairwise_dstar.parallelism": lambda v: pairwise_dstar(_TABLE, 3, parallelism=v),
+    "synthesize_search_dataset.n_images": lambda v: synthesize_search_dataset(
+        v, 2, 3, 2, 1, np.random.default_rng(0)
+    ),
+    "synthesize_search_dataset.n_neurons": lambda v: synthesize_search_dataset(
+        3, v, 3, 2, 1, np.random.default_rng(0)
+    ),
+    "synthesize_search_dataset.k": lambda v: synthesize_search_dataset(
+        3, 2, v, 2, 1, np.random.default_rng(0)
+    ),
+    "synthesize_search_dataset.n_pairs": lambda v: synthesize_search_dataset(
+        3, 2, 3, v, 1, np.random.default_rng(0)
+    ),
+    "synthesize_search_dataset.samples_per_pair": lambda v: synthesize_search_dataset(
+        3, 2, 3, 2, v, np.random.default_rng(0)
+    ),
+    "analyze_search_delays.k": lambda v: analyze_search_delays(_TABLE, [], v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+@pytest.mark.parametrize("name", list(INTEGER_PARAMETERS))
+def test_integer_parameters_reject_bool_and_float(name, bad):
+    """Counts, indices and seeds are Python ints: a bool or a float is a
+    DomainError everywhere, even where its value would lie in range."""
+    with pytest.raises(DomainError):
+        INTEGER_PARAMETERS[name](bad)
