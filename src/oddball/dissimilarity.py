@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtrc
 
-from .numerics import DomainError, _require_int
+from .numerics import DomainError, _require_int, _require_real
 from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
@@ -73,8 +73,7 @@ class FiringRateTable:
             raise DomainError("table needs at least one image")
         if len(set(ids)) != len(ids):
             raise DomainError("image identifiers must be distinct")
-        if not (floor > 0.0 and math.isfinite(floor)):
-            raise DomainError(f"floor must be positive and finite, got {floor!r}")
+        floor = _require_real(floor, "floor", 0.0, open=True)
         arr = np.asarray(rates, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != len(ids) or arr.shape[1] < 1:
             raise DomainError("rates must be a 2-D array, one row per image, >= 1 neuron")
@@ -122,10 +121,15 @@ class FiringRateTable:
         return int(self.rates.shape[1])
 
     def index_of(self, image_id: str) -> int:
-        try:
-            return self.images.index(image_id)
-        except ValueError:
-            raise DomainError(f"unknown image id {image_id!r}") from None
+        return _index_of(self.images, image_id)
+
+
+def _index_of(images: tuple[str, ...], image_id: str) -> int:
+    """Position of image_id in images; DomainError when it is absent."""
+    try:
+        return images.index(image_id)
+    except ValueError:
+        raise DomainError(f"unknown image id {image_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ class DissimilarityMatrix:
     floored_cells: np.ndarray
 
     def value(self, odd_id: str, distractor_id: str) -> float:
-        a = self.images.index(odd_id)
-        b = self.images.index(distractor_id)
+        a = _index_of(self.images, odd_id)
+        b = _index_of(self.images, distractor_id)
         return float(self.values[a, b])
 
     def to_csv(self) -> str:
@@ -294,10 +298,8 @@ def synthesize_search_dataset(
     max_pairs = n_images * (n_images - 1)
     _require_int(n_pairs, "n_pairs", 1, max_pairs)
     _require_int(samples_per_pair, "samples_per_pair", 1)
-    if not (noise_scale >= 0.0 and math.isfinite(noise_scale)):
-        raise DomainError("noise_scale must be nonnegative and finite")
-    if not (base_delay > 0.0 and math.isfinite(base_delay)):
-        raise DomainError("base_delay must be positive and finite")
+    noise_scale = _require_real(noise_scale, "noise_scale", 0.0)
+    base_delay = _require_real(base_delay, "base_delay", 0.0, open=True)
 
     ids = [f"img{i:03d}" for i in range(n_images)]
     rates = rng.uniform(0.5, 8.0, size=(n_images, n_neurons))
@@ -365,15 +367,14 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     groups: dict[tuple[str, str], list[float]] = {}
     order = []
     for odd_id, distractor_id, delay in delays:
-        if not (delay > 0.0 and math.isfinite(float(delay))):
-            raise DomainError(f"delays must be positive and finite, got {delay!r}")
+        delay = _require_real(delay, "delay", 0.0, open=True)
         key = (str(odd_id), str(distractor_id))
         if key[0] == key[1]:
             raise DomainError(f"pair {key[0]!r} vs itself has no odd item")
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append(float(delay))
+        groups[key].append(delay)
     if len(order) < 3:
         raise DomainError("analysis needs delays for at least 3 distinct pairs")
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
-from .numerics import DomainError, _require_int
+from .numerics import DomainError, _require_int, _require_real
 from .policy import PolicyConfig, TrialOutcome, run_trial
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
@@ -57,10 +57,6 @@ REPORT_HEADER = (
     "L,threshold,trials,errors,error_rate,error_ci_hi,"
     "mean_tau,se_tau,tau_over_lnL,lower_bound,inv_dstar,capped"
 )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -86,32 +82,24 @@ class ExperimentSpec:
     trace_sampling: float = 0.0
 
     def __post_init__(self):
-        for name in ("r1", "r2", "trace_sampling"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        # Delegate k / odd_index / rate validation to the config type.
+        object.__setattr__(self, "r1", _require_real(self.r1, "r1", 0.0, open=True))
+        object.__setattr__(self, "r2", _require_real(self.r2, "r2", 0.0, open=True))
+        sampling = _require_real(self.trace_sampling, "trace_sampling", 0.0, 1.0)
+        object.__setattr__(self, "trace_sampling", sampling)
+        # Delegate k / odd_index validation to the config type.
         OddConfig(self.k, self.odd_index, self.r1, self.r2)
         _require_int(self.trials, "trials", 1)
         _require_int(self.seed, "seed", 0)
         _require_int(self.max_slots, "max_slots", 1)
         try:
-            grid = tuple(self.l_grid)
+            grid = tuple(_require_real(l, "l_grid entry", 1.0) for l in self.l_grid)
         except TypeError:
-            grid = None
-        if grid is None or not all(_is_number(l) for l in grid):
-            raise DomainError("l_grid must be a list of numbers")
-        grid = tuple(float(l) for l in grid)
+            raise DomainError("l_grid must be a list of numbers") from None
         if not grid:
             raise DomainError("l_grid must be non-empty")
-        if any(not (l >= 1.0 and math.isfinite(l)) for l in grid):
-            raise DomainError("every l_grid entry must be finite and >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("l_grid must be strictly increasing")
         object.__setattr__(self, "l_grid", grid)
-        if not (0.0 <= self.trace_sampling <= 1.0):
-            raise DomainError(f"trace_sampling must lie in [0, 1], got {self.trace_sampling!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -183,8 +171,7 @@ def error_upper_confidence(errors: int, trials: int, level: float = 0.95) -> flo
     (Clopper-Pearson): the largest p not rejected at the given level."""
     _require_int(trials, "trials", 1)
     _require_int(errors, "errors", 0, trials)
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level!r}")
+    level = _require_real(level, "level", 0.0, 1.0, open=True)
     if errors == trials:
         return 1.0
     return float(betaincinv(errors + 1, trials - errors, level))

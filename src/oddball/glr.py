@@ -37,7 +37,6 @@ process can hold a positive score, which is what makes thresholding sound.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +67,17 @@ class SufficientStats:
 
     def __post_init__(self):
         _require_int(self.k, "k", 3)
-        if not self.visits and not self.events and self.n == 0 and self.total == 0:
+        if not self.visits and not self.events:
             self.visits = [0] * self.k
             self.events = [0] * self.k
-            return
         if len(self.visits) != self.k or len(self.events) != self.k:
             raise DomainError("visits and events must each have one entry per process")
-        if any(v < 0 for v in self.visits) or any(e < 0 for e in self.events):
-            raise DomainError("counts must be nonnegative")
+        for v in self.visits:
+            _require_int(v, "visits entry", 0)
+        for e in self.events:
+            _require_int(e, "events entry", 0)
+        _require_int(self.n, "n", 0)
+        _require_int(self.total, "total", 0)
         if any(v == 0 and e > 0 for v, e in zip(self.visits, self.events)):
             raise DomainError("a process with zero visits cannot have events")
         if sum(self.visits) != self.n:
@@ -85,20 +87,14 @@ class SufficientStats:
 
     @classmethod
     def from_counts(cls, visits, events) -> "SufficientStats":
-        visits = [int(v) for v in visits]
-        events = [int(e) for e in events]
+        visits = list(visits)
+        events = list(events)
         return cls(k=len(visits), n=sum(visits), visits=visits, events=events, total=sum(events))
 
     def update(self, action: int, count: int) -> "SufficientStats":
         """Record one slot: process `action` observed with `count` events."""
-        if not 1 <= action <= self.k:
-            raise DomainError(f"action must lie in 1..{self.k}, got {action!r}")
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise DomainError(f"count must be an integer, got {count!r}") from None
-        if count < 0:
-            raise DomainError(f"count must be nonnegative, got {count!r}")
+        _require_int(action, "action", 1, self.k)
+        _require_int(count, "count", 0)
         self._record(action, count)
         return self
 
@@ -151,8 +147,7 @@ class GlrState:
 def _check_hypothesis(stats: SufficientStats, i: int, caller: str) -> None:
     if stats.n < 1:
         raise DomainError(f"{caller} requires at least one observed slot")
-    if not 1 <= i <= stats.k:
-        raise DomainError(f"hypothesis index must lie in 1..{stats.k}, got {i!r}")
+    _require_int(i, "hypothesis index", 1, stats.k)
 
 
 def averaged_log_likelihood(stats: SufficientStats, i: int) -> float:

@@ -23,7 +23,7 @@ accurate to a few ulp everywhere.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 
 __all__ = [
     "DomainError",
@@ -49,6 +49,25 @@ def _require_int(value, name: str, low: int, high: int | None = None) -> int:
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise DomainError(f"{name} must be an integer {span}, got {value!r}")
     return value
+
+
+def _require_real(
+    value, name: str, low: float, high: float = math.inf, *, open: bool = False
+) -> float:
+    """Return `value` as a float if it is a Python int or float (numpy
+    float64 included), not a bool, finite and in [low, high], or in
+    (low, high) when `open` is set; raise DomainError otherwise."""
+    # abs(value) <= max rejects NaN, +-inf and ints beyond float range.
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        x = float(value)
+        if (low < x < high) if open else (low <= x <= high):
+            return x
+    span = f"{'(' if open else '['}{low:g}, {high:g}{')' if open or high == math.inf else ']'}"
+    raise DomainError(f"{name} must be a finite number in {span}, got {value!r}")
 
 
 # Coefficients of sum_{k >= 2} (-1)^k u^k / k = u^2 * P(u) with
@@ -131,12 +150,7 @@ def poisson_kl_series(v: float, a: float, b: float, terms: int) -> float:
         raise DomainError(f"series requires 0 <= a <= 1, got {a!r}")
     if not 0.0 <= b <= 1.0:
         raise DomainError(f"series requires 0 <= b <= 1, got {b!r}")
-    try:
-        terms = operator.index(terms)
-    except TypeError:
-        raise DomainError(f"series requires an integer term count, got {terms!r}") from None
-    if terms < 1:
-        raise DomainError(f"series requires a positive term count, got {terms!r}")
+    _require_int(terms, "terms", 1)
     if v == 1.0 and b == 1.0 and a < 1.0:
         raise DomainError("series diverges for v == 1, b == 1, a < 1 (value is +inf)")
     total = 0.0
@@ -164,7 +178,6 @@ def binary_relative_entropy(x: float) -> float:
     canonicalized to min(x, 1 - x) before evaluation so the symmetry
     holds to the last ulp in floating point as well.
     """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"binary_relative_entropy requires 0 < x < 1, got {x!r}")
+    x = _require_real(x, "x", 0.0, 1.0, open=True)
     m = x if x <= 1.0 - x else 1.0 - x
     return (2.0 * m - 1.0) * (math.log(m) - math.log(1.0 - m))

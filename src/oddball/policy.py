@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
-from .numerics import DomainError, _require_int
+from .numerics import DomainError, _require_int, _require_real
 from .solver import OddConfig, _weight_vector, solve_lambda_star
 
 __all__ = [
@@ -67,8 +67,8 @@ _QUANT = 10 ** 6
 class PolicyConfig:
     """Parameters of the sequential test.
 
-    threshold_l: reliability parameter L >= 1; the stop threshold is
-        log((k - 1) * L).
+    threshold_l: reliability parameter L >= 1, stored as a float; the
+        stop threshold is log((k - 1) * L).
     variant: one of VARIANTS; "stop_only_on" needs stop_index.
     warmup_slots: round-robin slots before weight-driven sampling (None
         means k).
@@ -88,8 +88,7 @@ class PolicyConfig:
 
     def __post_init__(self):
         _require_int(self.k, "k", 3)
-        if not (self.threshold_l >= 1.0 and math.isfinite(self.threshold_l)):
-            raise DomainError(f"threshold_l must be finite and >= 1, got {self.threshold_l!r}")
+        object.__setattr__(self, "threshold_l", _require_real(self.threshold_l, "threshold_l", 1.0))
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "stop_only_on":

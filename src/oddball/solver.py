@@ -75,6 +75,7 @@ from .numerics import (
     _SERIES_RADIUS,
     DomainError,
     _require_int,
+    _require_real,
     binary_relative_entropy,
     poisson_kl,
 )
@@ -111,18 +112,17 @@ class DegenerateRatesError(DomainError):
 
 
 def _as_rate_tuple(value, name: str) -> tuple[float, ...]:
+    """A number is one coordinate; anything else is iterated and every
+    coordinate checked, so a string is rejected rather than split."""
     if isinstance(value, (int, float)):
-        value = (value,)
+        return (_require_real(value, name, 0.0, open=True),)
     try:
-        rates = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
+        coords = tuple(value)
+    except TypeError:
         raise DomainError(f"{name} must be a positive rate or sequence of rates, got {value!r}") from None
-    if not rates:
+    if not coords:
         raise DomainError(f"{name} must contain at least one rate")
-    for v in rates:
-        if not (v > 0.0 and math.isfinite(v)):
-            raise DomainError(f"{name} rates must be positive and finite, got {v!r}")
-    return rates
+    return tuple(_require_real(v, f"{name} rate", 0.0, open=True) for v in coords)
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,7 @@ def mixed_rate(lambda_odd: float, r1, r2, k: int):
     give a tuple. mixed_rate(0.5, 3.0, 2.0, 3) == 8/3.
     """
     config = OddConfig(k, 1, r1, r2)
-    if not 0.0 <= lambda_odd <= 1.0:
-        raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
+    lambda_odd = _require_real(lambda_odd, "lambda_odd", 0.0, 1.0)
     scalar = isinstance(r1, (int, float)) and isinstance(r2, (int, float))
     mixed = tuple(_mix(lambda_odd, a, b, config.rho) for a, b in zip(config.r1, config.r2))
     return mixed[0] if scalar else mixed
@@ -236,8 +235,7 @@ def objective(config: OddConfig, lambda_odd: float) -> float:
     f = lambda_odd * D(r1 || r_tilde) + (1 - lambda_odd) * rho * D(r2 || r_tilde)
     with coordinate-summed divergences for vector configs.
     """
-    if not 0.0 <= lambda_odd <= 1.0:
-        raise DomainError(f"lambda_odd must lie in [0, 1], got {lambda_odd!r}")
+    lambda_odd = _require_real(lambda_odd, "lambda_odd", 0.0, 1.0)
     return _objective_sum(config.r1, config.r2, config.rho, lambda_odd)
 
 
@@ -443,8 +441,7 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
         DegenerateRatesError: the rates differ, but the residual shows no
             sign change between lam_hat = 0 and 1.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    tol = _require_real(tol, "tol", 0.0, open=True)
     rho = config.rho
     if config.is_degenerate:
         lam_hat, value = _equal_rates_hat(rho), 0.0
@@ -559,8 +556,7 @@ def lower_bound_expected_tau(
     `dstar` is D* of the config when the caller has already solved it.
     Returns +inf for degenerate configs (no policy can decide at all).
     """
-    if not 0.0 < alpha_max < 1.0:
-        raise DomainError(f"alpha_max must lie in (0, 1), got {alpha_max!r}")
+    alpha_max = _require_real(alpha_max, "alpha_max", 0.0, 1.0, open=True)
     if config.is_degenerate:
         return math.inf
     return binary_relative_entropy(alpha_max) / (d_star(config) if dstar is None else dstar)

@@ -23,7 +23,7 @@ from oddball.experiments import (
     error_upper_confidence,
     run_experiment,
 )
-from oddball.glr import SufficientStats
+from oddball.glr import SufficientStats, averaged_log_likelihood, ml_log_likelihood
 from oddball.numerics import (
     DomainError,
     binary_relative_entropy,
@@ -31,7 +31,15 @@ from oddball.numerics import (
     poisson_kl_series,
 )
 from oddball.policy import PolicyConfig
-from oddball.solver import OddConfig, brute_force_d_star, curve_rows, mixed_rate
+from oddball.solver import (
+    OddConfig,
+    brute_force_d_star,
+    curve_rows,
+    lower_bound_expected_tau,
+    mixed_rate,
+    objective,
+    solve_lambda_star,
+)
 
 # 45-digit reference values (mpmath, float-exact inputs).
 KL_1_2 = 0.306852819440054690583
@@ -207,6 +215,7 @@ class TestBinaryRelativeEntropy:
 _SPEC = dict(k=3, odd_index=1, r1=8.0, r2=1.0, l_grid=(5.0,), trials=2, seed=0)
 _TRUTH = OddConfig(3, 1, 1.0, 2.0)
 _TABLE = FiringRateTable.from_arrays(["a", "b", "c"], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+_STATS = SufficientStats.from_counts([1, 1, 0], [2, 0, 0])
 
 # Every count, index and seed parameter of the library, each called with
 # otherwise valid (and small) arguments.
@@ -254,6 +263,16 @@ INTEGER_PARAMETERS = {
         3, 2, 3, 2, v, np.random.default_rng(0)
     ),
     "analyze_search_delays.k": lambda v: analyze_search_delays(_TABLE, [], v),
+    "SufficientStats.update.action": lambda v: SufficientStats(3).update(v, 2),
+    "SufficientStats.update.count": lambda v: SufficientStats(3).update(1, v),
+    "SufficientStats.visits": lambda v: SufficientStats(3, 1, [v, 0, 0], [0, 0, 0], 0),
+    "SufficientStats.events": lambda v: SufficientStats(3, 1, [1, 0, 0], [v, 0, 0], 1),
+    "SufficientStats.n": lambda v: SufficientStats(3, v, [1, 0, 0], [0, 0, 0], 0),
+    "SufficientStats.total": lambda v: SufficientStats(3, 1, [1, 0, 0], [1, 0, 0], v),
+    "SufficientStats.from_counts": lambda v: SufficientStats.from_counts([v, 0, 0], [0, 0, 0]),
+    "averaged_log_likelihood.i": lambda v: averaged_log_likelihood(_STATS, v),
+    "ml_log_likelihood.j": lambda v: ml_log_likelihood(_STATS, v),
+    "poisson_kl_series.terms": lambda v: poisson_kl_series(2.0, 0.5, 0.5, v),
 }
 
 
@@ -264,3 +283,63 @@ def test_integer_parameters_reject_bool_and_float(name, bad):
     DomainError everywhere, even where its value would lie in range."""
     with pytest.raises(DomainError):
         INTEGER_PARAMETERS[name](bad)
+
+
+# Every real-valued parameter of the library, each called with otherwise
+# valid (and small) arguments.
+REAL_PARAMETERS = {
+    "OddConfig.r1": lambda v: OddConfig(3, 1, v, 2.0),
+    "OddConfig.r2": lambda v: OddConfig(3, 1, 1.0, v),
+    "OddConfig.r1 coordinate": lambda v: OddConfig(3, 1, [1.0, v], [2.0, 2.0]),
+    "mixed_rate.lambda_odd": lambda v: mixed_rate(v, 3.0, 2.0, 3),
+    "objective.lambda_odd": lambda v: objective(_TRUTH, v),
+    "solve_lambda_star.tol": lambda v: solve_lambda_star(_TRUTH, tol=v),
+    "lower_bound_expected_tau.alpha_max": lambda v: lower_bound_expected_tau(_TRUTH, v),
+    "binary_relative_entropy.x": lambda v: binary_relative_entropy(v),
+    "PolicyConfig.threshold_l": lambda v: PolicyConfig(3, v),
+    "ExperimentSpec.r1": lambda v: ExperimentSpec(**{**_SPEC, "r1": v}),
+    "ExperimentSpec.r2": lambda v: ExperimentSpec(**{**_SPEC, "r2": v}),
+    "ExperimentSpec.trace_sampling": lambda v: ExperimentSpec(**{**_SPEC, "trace_sampling": v}),
+    "ExperimentSpec.l_grid": lambda v: ExperimentSpec(**{**_SPEC, "l_grid": (v,)}),
+    "error_upper_confidence.level": lambda v: error_upper_confidence(0, 2, v),
+    "FiringRateTable.from_arrays.floor": lambda v: FiringRateTable.from_arrays(
+        ["a"], [[1.0]], floor=v
+    ),
+    "synthesize_search_dataset.noise_scale": lambda v: synthesize_search_dataset(
+        3, 2, 3, 2, 1, np.random.default_rng(0), noise_scale=v
+    ),
+    "synthesize_search_dataset.base_delay": lambda v: synthesize_search_dataset(
+        3, 2, 3, 2, 1, np.random.default_rng(0), base_delay=v
+    ),
+    "analyze_search_delays.delay": lambda v: analyze_search_delays(
+        _TABLE, [("a", "b", v), ("b", "a", 2.0), ("a", "c", 3.0)], 3
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1", None])
+@pytest.mark.parametrize("name", list(REAL_PARAMETERS))
+def test_real_parameters_reject_bool_and_non_numbers(name, bad):
+    """Rates, L, tolerances and other real parameters are Python ints or
+    floats: a bool, a string or None is a DomainError everywhere, never a
+    TypeError and never read as 1.0."""
+    with pytest.raises(DomainError):
+        REAL_PARAMETERS[name](bad)
+
+
+def test_rate_string_is_not_split_into_coordinates():
+    with pytest.raises(DomainError):
+        OddConfig(3, 1, "25", "13")
+
+
+def test_from_counts_rejects_float_entries():
+    with pytest.raises(DomainError):
+        SufficientStats.from_counts([1.7, 2, 0], [0.9, 3, 0])
+
+
+def test_matrix_value_rejects_unknown_id():
+    matrix = pairwise_dstar(_TABLE, 3)
+    with pytest.raises(DomainError):
+        matrix.value("z", "a")
+    with pytest.raises(DomainError):
+        matrix.value("a", "z")
