@@ -131,14 +131,7 @@ def _cmd_curve(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    text = _read_text(args.spec, "spec file")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"spec JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    spec = ExperimentSpec.from_dict(data)
+    spec = ExperimentSpec.from_json(_read_text(args.spec, "spec file"))
     if args.trace_dir is not None:
         os.makedirs(args.trace_dir, exist_ok=True)
     report = run_experiment(spec, parallelism=args.jobs, trace_dir=args.trace_dir)

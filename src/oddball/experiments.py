@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
-from .numerics import DomainError, _require_int, _require_real
+from .numerics import DomainError, _require_int, _require_list, _require_real
 from .policy import PolicyConfig, TrialOutcome, run_trial
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
@@ -125,7 +125,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(
+                f"spec JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+        return cls.from_dict(data)
 
     def truth(self) -> OddConfig:
         return OddConfig(self.k, self.odd_index, self.r1, self.r2)
@@ -166,15 +172,14 @@ class ExperimentReport:
         return "\n".join([REPORT_HEADER, *(row.to_csv_line() for row in self.rows)]) + "\n"
 
 
-def error_upper_confidence(errors: int, trials: int, level: float = 0.95) -> float:
-    """One-sided upper confidence bound for a binomial proportion
-    (Clopper-Pearson): the largest p not rejected at the given level."""
+def error_upper_confidence(errors: int, trials: int) -> float:
+    """One-sided 95% upper confidence bound for a binomial proportion
+    (Clopper-Pearson): the largest p not rejected at the 95% level."""
     _require_int(trials, "trials", 1)
     _require_int(errors, "errors", 0, trials)
-    level = _require_real(level, "level", 0.0, 1.0, open=True)
     if errors == trials:
         return 1.0
-    return float(betaincinv(errors + 1, trials - errors, level))
+    return float(betaincinv(errors + 1, trials - errors, 0.95))
 
 
 def _run_block(jobs) -> list[TrialOutcome]:
@@ -423,7 +428,7 @@ def drift_experiment(
     if truth.is_degenerate:
         raise DomainError("drift studies need distinct rates")
     _require_int(n_slots, "n_slots", 1)
-    seeds = [_require_int(s, "seed", 0) for s in seeds]
+    seeds = [_require_int(s, "seed", 0) for s in _require_list(seeds, "seeds")]
     if not seeds:
         raise DomainError("at least one seed is required")
     if len(set(seeds)) != len(seeds):
@@ -432,7 +437,8 @@ def drift_experiment(
     if checkpoints is None:
         cps = default_checkpoints(n_slots)
     else:
-        cps = tuple(sorted({_require_int(c, "checkpoint", 1, n_slots) for c in checkpoints}))
+        cps = _require_list(checkpoints, "checkpoints")
+        cps = tuple(sorted({_require_int(c, "checkpoint", 1, n_slots) for c in cps}))
         if not cps:
             raise DomainError("checkpoints must be nonempty and lie in 1..n_slots")
         if n_slots not in cps:

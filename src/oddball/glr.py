@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError, _require_int
+from .numerics import DomainError, _require_int, _require_list
 
 __all__ = [
     "SufficientStats",
@@ -87,8 +87,8 @@ class SufficientStats:
 
     @classmethod
     def from_counts(cls, visits, events) -> "SufficientStats":
-        visits = list(visits)
-        events = list(events)
+        visits = [_require_int(v, "visits entry", 0) for v in _require_list(visits, "visits")]
+        events = [_require_int(e, "events entry", 0) for e in _require_list(events, "events")]
         return cls(k=len(visits), n=sum(visits), visits=visits, events=events, total=sum(events))
 
     def update(self, action: int, count: int) -> "SufficientStats":
@@ -228,11 +228,8 @@ def modified_glr(stats: SufficientStats, rng) -> GlrState:
         raise DomainError("modified_glr requires at least one observed slot")
     k = stats.k
     avg, ml = _scores(stats)
-    z = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                z[i, j] = avg[i] - ml[j]
+    z = np.subtract.outer(avg, ml)
+    np.fill_diagonal(z, 0.0)
     z_min = _z_min_from_scores(avg, ml)
     theta = np.array([stats.theta_hat(i) for i in range(1, k + 1)])
     leader = _pick_leader(z_min, rng)

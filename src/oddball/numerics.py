@@ -51,6 +51,15 @@ def _require_int(value, name: str, low: int, high: int | None = None) -> int:
     return value
 
 
+def _require_list(value, name: str) -> list:
+    """Return `value` as a list if it is iterable; raise DomainError
+    otherwise."""
+    try:
+        return list(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def _require_real(
     value, name: str, low: float, high: float = math.inf, *, open: bool = False
 ) -> float:

@@ -9,19 +9,18 @@ Z_i (see `oddball.glr`), names the current leader i* = argmax Z_i, and
 * otherwise samples the next slot from the optimal weights
   lambda*(i*, theta_hat) computed at the leader's current rate estimates.
 
-The first `warmup_slots` slots (default K) visit processes 1..K in
-round-robin order so every estimate has a chance to exist; the stop rule
-is live during warm-up too (the scores are well defined from slot 1 via
-the zero-count conventions). Whenever the leader's estimate pair is
-unusable (a zero from unvisited or eventless cells) or degenerate (the
-two estimates within 1e-9), the next slot is sampled uniformly.
+The first K slots visit processes 1..K in round-robin order so every
+estimate has a chance to exist; the stop rule is live during warm-up too
+(the scores are well defined from slot 1 via the zero-count conventions).
+Whenever the leader's estimate pair is unusable (a zero from unvisited or
+eventless cells) or degenerate (the two estimates within 1e-9), the next
+slot is sampled uniformly.
 
 Variants: "standard" as above; "non_stopping" never stops (used to study
-the drift of Z); "stop_only_on" stops only when the leader equals a fixed
-index (used for per-hypothesis stopping-time comparisons). All variants
-consume randomness identically until they diverge by stopping, so trials
-run with equal seeds are coupled: stopping times are monotone in L and
-the stop-restricted variant never stops before the standard one.
+the drift of Z). Both consume randomness identically until the standard
+one stops, so trials run with equal seeds are coupled: stopping times are
+monotone in L, and a non-stopping trial replays the standard one slot for
+slot up to its stop.
 
 Weight lookups are memoized on (K, nu rounded to 1e-6), and the value is
 always computed at the rounded nu, never the first-seen one, so a memo's
@@ -54,7 +53,7 @@ __all__ = [
     "empirical_action_frequencies",
 ]
 
-VARIANTS = ("standard", "non_stopping", "stop_only_on")
+VARIANTS = ("standard", "non_stopping")
 
 # Leader estimates closer than this are treated as equal-rate (no usable
 # direction for the weight solver) and the next slot is sampled uniformly.
@@ -69,21 +68,17 @@ class PolicyConfig:
 
     threshold_l: reliability parameter L >= 1, stored as a float; the
         stop threshold is log((k - 1) * L).
-    variant: one of VARIANTS; "stop_only_on" needs stop_index.
-    warmup_slots: round-robin slots before weight-driven sampling (None
-        means k).
+    variant: one of VARIANTS.
     max_slots: hard cap; a trial that reaches it is marked capped and its
         declaration carries no error guarantee.
 
-    Construction also sets `warmup` (warmup_slots, or k when None) and
+    Construction also sets `warmup` (the k round-robin slots) and
     `log_threshold`, which the policy step reads on every slot.
     """
 
     k: int
     threshold_l: float
     variant: str = "standard"
-    stop_index: int | None = None
-    warmup_slots: int | None = None
     max_slots: int = 10_000_000
 
     def __post_init__(self):
@@ -91,15 +86,8 @@ class PolicyConfig:
         object.__setattr__(self, "threshold_l", _require_real(self.threshold_l, "threshold_l", 1.0))
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "stop_only_on":
-            _require_int(self.stop_index, "stop_index", 1, self.k)
-        elif self.stop_index is not None:
-            raise DomainError("stop_index is only meaningful for the stop_only_on variant")
-        if self.warmup_slots is not None:
-            _require_int(self.warmup_slots, "warmup_slots", 0)
         _require_int(self.max_slots, "max_slots", 1)
-        warmup = self.k if self.warmup_slots is None else self.warmup_slots
-        object.__setattr__(self, "warmup", warmup)
+        object.__setattr__(self, "warmup", self.k)
         object.__setattr__(self, "log_threshold", math.log((self.k - 1) * self.threshold_l))
         if self.max_slots < self.warmup:
             raise DomainError(
@@ -193,13 +181,10 @@ def _uniform_action(k: int, u: float) -> int:
     return idx + 1
 
 
-def _stops(config: PolicyConfig, leader: int, z_leader: float) -> bool:
-    """Stop rule of every variant at the end of a slot: the leader's score
-    reached the threshold and the variant lets this leader stop. Only
-    "stop_only_on" has a stop_index, so "non_stopping" never stops."""
-    return (config.variant == "standard" or leader == config.stop_index) and (
-        z_leader >= config.log_threshold
-    )
+def _stops(config: PolicyConfig, z_leader: float) -> bool:
+    """Stop rule at the end of a slot: the leader's score reached the
+    threshold ("non_stopping" never stops)."""
+    return config.variant == "standard" and z_leader >= config.log_threshold
 
 
 def _next_action(
@@ -220,7 +205,7 @@ def _next_action(
     process `focus` and the rest spread evenly; mass None means uniform.
     """
     k = config.k
-    if n < config.warmup:
+    if n < k:
         action = (n % k) + 1
         return action, action, 1.0
     t1, t2 = theta
@@ -251,7 +236,7 @@ def next_decision(
         n, leader, theta = 0, 1, (0.0, 0.0)  # nothing observed: no estimates
     else:
         n, leader = glr.n, glr.leader
-        if _stops(config, leader, glr.z_min[leader - 1]):
+        if _stops(config, glr.z_min[leader - 1]):
             return PolicyDecision(stop=True, declared=leader)
         theta = tuple(map(float, glr.theta[leader - 1]))
     action, focus, mass = _next_action(config, n, leader, theta, rng, cache)
@@ -328,7 +313,7 @@ def run_trial(
                     total=stats.total,
                 )
             )
-        if _stops(config, leader, z_min[leader - 1]):
+        if _stops(config, z_min[leader - 1]):
             stopped = True
             break
         action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]

@@ -75,6 +75,7 @@ from .numerics import (
     _SERIES_RADIUS,
     DomainError,
     _require_int,
+    _require_list,
     _require_real,
     binary_relative_entropy,
     poisson_kl,
@@ -322,7 +323,7 @@ def _residual(a: float, b: float, rho: float, lam_hat: float) -> tuple[float, fl
     return d1 - t2, (d1 if d1 > t2 else t2), slope
 
 
-def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
+def _root_scalar(a: float, b: float, rho: float) -> float:
     """Root lam_hat of g for one coordinate (D = 1), on Python floats.
 
     Newton starts from the equal-rates root 1 / (1 + sqrt(rho)); the
@@ -339,7 +340,7 @@ def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
     x = start
     while True:
         g, scale, slope = _residual(a, b, rho, x)
-        if abs(g) <= tol * scale:
+        if abs(g) <= DEFAULT_TOL * scale:
             return x
         if g > 0.0:
             lo = x
@@ -354,7 +355,7 @@ def _root_scalar(a: float, b: float, rho: float, tol: float) -> float:
         x = nxt
 
 
-def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float, tol: float) -> np.ndarray:
+def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float) -> np.ndarray:
     """Roots lam_hat of g for every row of (B, D) rate arrays.
 
     The scalar iteration run on all rows in lockstep; a row leaves the
@@ -384,7 +385,7 @@ def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float, tol: float) -> np.n
         pos = g > 0.0
         lo = np.where(pos, x, lo)
         hi = np.where(pos, hi, x)
-        done = (np.abs(g) <= tol * np.maximum(d1, t2)) | (hi - lo < _MIN_BRACKET)
+        done = (np.abs(g) <= DEFAULT_TOL * np.maximum(d1, t2)) | (hi - lo < _MIN_BRACKET)
         lam_hat[rows[done]] = x[done]
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - g / slope
@@ -397,7 +398,7 @@ def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float, tol: float) -> np.n
     return lam_hat
 
 
-def _solve_rows(r1, r2, rho: float, tol: float):
+def _solve_rows(r1, r2, rho: float):
     """lam_hat and D* of every row pair of two (B, D) rate tables.
 
     The one place that picks the kernel, from the coordinate count D
@@ -409,27 +410,28 @@ def _solve_rows(r1, r2, rho: float, tol: float):
         values = []
         for a, b in zip(r1, r2):
             a, b = float(a[0]), float(b[0])
-            h = _root_scalar(a, b, rho, tol)
+            h = _root_scalar(a, b, rho)
             lam_hat.append(h)
             values.append(_objective_sum((a,), (b,), rho, _lam_odd_from_hat(h, rho)))
         return lam_hat, values
     a = np.asarray(r1, dtype=float)
     b = np.asarray(r2, dtype=float)
-    lam_hat = _roots_array(a, b, rho, tol)
+    lam_hat = _roots_array(a, b, rho)
     return lam_hat, _objective_rows(a, b, rho, _lam_odd_from_hat(lam_hat, rho))
 
 
-def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolution:
+def solve_lambda_star(config: OddConfig) -> LambdaSolution:
     """Find the optimal sampling weights by safeguarded Newton in lam_hat.
 
     Terminates when the stationarity residual
-    |D(r1 || r_tilde) - rho * D(r2 || r_tilde)| is <= tol times the larger
-    of the two terms, or when the bracket around the root is narrower than
-    1e-15. Each step is a Newton step on the residual unless that step
-    leaves the bracket or fails to halve the previous step, in which case
-    the bracket is bisected. Scalar configs with nu within 1e-9 of 1/2
-    take the equal-rates weight instead (the residual scale collapses
-    quadratically there and its digits are rounding noise).
+    |D(r1 || r_tilde) - rho * D(r2 || r_tilde)| is <= 1e-10 (DEFAULT_TOL)
+    times the larger of the two terms, or when the bracket around the root
+    is narrower than 1e-15. Each step is a Newton step on the residual
+    unless that step leaves the bracket or fails to halve the previous
+    step, in which case the bracket is bisected. Scalar configs with nu
+    within 1e-9 of 1/2 take the equal-rates weight instead (the residual
+    scale collapses quadratically there and its digits are rounding
+    noise).
 
     Equal rates (r1 == r2 exactly) have no interior optimum and are not
     solved: they get the limit of the optimal weights as the rates merge,
@@ -437,17 +439,15 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
     r1 and nu exactly 1/2 (None for vector configs).
 
     Raises:
-        DomainError: tol is not positive and finite.
         DegenerateRatesError: the rates differ, but the residual shows no
             sign change between lam_hat = 0 and 1.
     """
-    tol = _require_real(tol, "tol", 0.0, open=True)
     rho = config.rho
     if config.is_degenerate:
         lam_hat, value = _equal_rates_hat(rho), 0.0
         r_tilde = config.r1
     else:
-        roots, values = _solve_rows((config.r1,), (config.r2,), rho, tol)
+        roots, values = _solve_rows((config.r1,), (config.r2,), rho)
         lam_hat, value = float(roots[0]), float(values[0])
         r_tilde = tuple(lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2))
     lam_odd = _lam_odd_from_hat(lam_hat, rho)
@@ -462,9 +462,9 @@ def solve_lambda_star(config: OddConfig, tol: float = DEFAULT_TOL) -> LambdaSolu
     )
 
 
-def d_star(config: OddConfig, tol: float = DEFAULT_TOL) -> float:
+def d_star(config: OddConfig) -> float:
     """Detectability index of the configuration; 0 exactly when r1 == r2."""
-    return solve_lambda_star(config, tol=tol).d_star
+    return solve_lambda_star(config).d_star
 
 
 def d_star_rows(k: int, r1, r2) -> np.ndarray:
@@ -475,7 +475,7 @@ def d_star_rows(k: int, r1, r2) -> np.ndarray:
     the other rows are. Rows must differ (r1[i] != r2[i]); rates must be
     positive and finite.
     """
-    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1), DEFAULT_TOL)[1], dtype=float)
+    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1))[1], dtype=float)
 
 
 def _kl_grid(x: float, y: np.ndarray) -> np.ndarray:
@@ -572,7 +572,7 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     row is `solve_lambda_star` at its nu, so nu = 1/2 gets the
     equal-rates weight and a d_star of exactly 0.
     """
-    ks = list(k_values)
+    ks = _require_list(k_values, "k_values")
     if not ks:
         raise DomainError("k_values must be non-empty")
     _require_int(nu_steps, "nu_steps", 2)

@@ -14,12 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oddball
 from oddball.cli import main
 from oddball.dissimilarity import MATRIX_HEADER, FiringRateTable, pairwise_dstar
 from oddball.experiments import REPORT_HEADER, ExperimentSpec, drift_experiment, run_experiment
+from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import (
     CURVE_HEADER,
     OddConfig,
@@ -498,3 +500,13 @@ class TestBenchmarkTargets:
         assert tracer.TARGETS
         for module, attr, _ in tracer.TARGETS:
             assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+    def test_read_fields_exist(self):
+        """The tracer's slot count reads `PolicyConfig.warmup` and each
+        outcome's `tau` and `capped`, and the micro-benchmarks build this
+        non-stopping config; perfbench/micro.py drops a figure without an
+        error on AttributeError or TypeError."""
+        config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=10)
+        assert config.warmup == 3
+        outcome = run_trial(config, OddConfig(3, 1, 2.0, 1.0), np.random.default_rng(0))
+        assert (outcome.tau, outcome.capped) == (10, True)

@@ -38,7 +38,6 @@ from oddball.solver import (
     lower_bound_expected_tau,
     mixed_rate,
     objective,
-    solve_lambda_star,
 )
 
 # 45-digit reference values (mpmath, float-exact inputs).
@@ -227,11 +226,7 @@ INTEGER_PARAMETERS = {
     "curve_rows.k_values": lambda v: curve_rows([v], 2),
     "curve_rows.nu_steps": lambda v: curve_rows([3], v),
     "PolicyConfig.k": lambda v: PolicyConfig(v, 10.0),
-    "PolicyConfig.stop_index": lambda v: PolicyConfig(
-        3, 10.0, variant="stop_only_on", stop_index=v
-    ),
-    "PolicyConfig.warmup_slots": lambda v: PolicyConfig(3, 10.0, warmup_slots=v),
-    "PolicyConfig.max_slots": lambda v: PolicyConfig(3, 10.0, max_slots=v, warmup_slots=0),
+    "PolicyConfig.max_slots": lambda v: PolicyConfig(3, 10.0, max_slots=v),
     "SufficientStats.k": lambda v: SufficientStats(v),
     "ExperimentSpec.k": lambda v: ExperimentSpec(**{**_SPEC, "k": v}),
     "ExperimentSpec.odd_index": lambda v: ExperimentSpec(**{**_SPEC, "odd_index": v}),
@@ -293,7 +288,6 @@ REAL_PARAMETERS = {
     "OddConfig.r1 coordinate": lambda v: OddConfig(3, 1, [1.0, v], [2.0, 2.0]),
     "mixed_rate.lambda_odd": lambda v: mixed_rate(v, 3.0, 2.0, 3),
     "objective.lambda_odd": lambda v: objective(_TRUTH, v),
-    "solve_lambda_star.tol": lambda v: solve_lambda_star(_TRUTH, tol=v),
     "lower_bound_expected_tau.alpha_max": lambda v: lower_bound_expected_tau(_TRUTH, v),
     "binary_relative_entropy.x": lambda v: binary_relative_entropy(v),
     "PolicyConfig.threshold_l": lambda v: PolicyConfig(3, v),
@@ -301,7 +295,6 @@ REAL_PARAMETERS = {
     "ExperimentSpec.r2": lambda v: ExperimentSpec(**{**_SPEC, "r2": v}),
     "ExperimentSpec.trace_sampling": lambda v: ExperimentSpec(**{**_SPEC, "trace_sampling": v}),
     "ExperimentSpec.l_grid": lambda v: ExperimentSpec(**{**_SPEC, "l_grid": (v,)}),
-    "error_upper_confidence.level": lambda v: error_upper_confidence(0, 2, v),
     "FiringRateTable.from_arrays.floor": lambda v: FiringRateTable.from_arrays(
         ["a"], [[1.0]], floor=v
     ),
@@ -320,11 +313,32 @@ REAL_PARAMETERS = {
 @pytest.mark.parametrize("bad", [True, "1", None])
 @pytest.mark.parametrize("name", list(REAL_PARAMETERS))
 def test_real_parameters_reject_bool_and_non_numbers(name, bad):
-    """Rates, L, tolerances and other real parameters are Python ints or
+    """Rates, L, bounds and other real parameters are Python ints or
     floats: a bool, a string or None is a DomainError everywhere, never a
     TypeError and never read as 1.0."""
     with pytest.raises(DomainError):
         REAL_PARAMETERS[name](bad)
+
+
+# Container arguments that are not iterable, or hold entries that cannot
+# be summed, each called with otherwise valid (and small) arguments.
+BAD_CONTAINERS = {
+    "curve_rows(None)": lambda: curve_rows(None, 2),
+    "curve_rows(3)": lambda: curve_rows(3, 2),
+    "drift_experiment seeds None": lambda: drift_experiment(_TRUTH, 10, None),
+    "drift_experiment seeds 5": lambda: drift_experiment(_TRUTH, 10, 5),
+    "drift_experiment checkpoints 5": lambda: drift_experiment(_TRUTH, 10, [1], checkpoints=5),
+    "from_counts string entry": lambda: SufficientStats.from_counts(["1", 0, 0], [0, 0, 0]),
+    "from_counts None": lambda: SufficientStats.from_counts(None, [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONTAINERS))
+def test_container_arguments_raise_domain_error(name):
+    """A container argument that is not a sequence of numbers is a
+    DomainError, never a TypeError."""
+    with pytest.raises(DomainError):
+        BAD_CONTAINERS[name]()
 
 
 def test_rate_string_is_not_split_into_coordinates():

@@ -44,7 +44,7 @@ class TestPolicyConfig:
         assert cfg.log_threshold == pytest.approx(math.log(400.0), rel=1e-15)
 
     def test_variants_tuple(self):
-        assert VARIANTS == ("standard", "non_stopping", "stop_only_on")
+        assert VARIANTS == ("standard", "non_stopping")
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -60,21 +60,9 @@ class TestPolicyConfig:
         with pytest.raises(DomainError):
             PolicyConfig(k=3, threshold_l=10.0, variant="bogus")
         with pytest.raises(DomainError):
-            PolicyConfig(k=3, threshold_l=10.0, variant="stop_only_on")
-        with pytest.raises(DomainError):
-            PolicyConfig(k=3, threshold_l=10.0, variant="stop_only_on", stop_index=4)
-        with pytest.raises(DomainError):
-            PolicyConfig(k=3, threshold_l=10.0, stop_index=1)
-        with pytest.raises(DomainError):
-            PolicyConfig(k=3, threshold_l=10.0, warmup_slots=-1)
-        with pytest.raises(DomainError):
             PolicyConfig(k=3, threshold_l=10.0, max_slots=0)
         with pytest.raises(DomainError):
             PolicyConfig(k=3, threshold_l=10.0, max_slots=2)  # below warm-up
-
-    def test_explicit_warmup_respected(self):
-        cfg = PolicyConfig(k=4, threshold_l=10.0, warmup_slots=9, max_slots=20)
-        assert cfg.warmup == 9
 
 
 class TestLeaderLambdaOdd:
@@ -166,11 +154,14 @@ class TestNextDecision:
         assert dec.distribution == (1.0, 0.0, 0.0, 0.0)
 
     def test_warmup_cycles_all_processes(self):
-        cfg = PolicyConfig(k=3, threshold_l=1e9, warmup_slots=6, max_slots=100)
-        for n, expected in [(1, 2), (2, 3), (3, 1), (4, 2), (5, 3)]:
-            state = make_state([-1.0, -2.0, -3.0], n=n)
-            dec = next_decision(cfg, state, np.random.default_rng(0))
-            assert dec.action == expected
+        cfg = PolicyConfig(k=4, threshold_l=1e9)
+        for n in range(1, 4):
+            state = make_state([-1.0, -2.0, -3.0, -4.0], n=n)
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            dec = next_decision(cfg, state, rng)
+            assert dec.action == n + 1
+            assert rng.bit_generator.state == before
 
     def test_stop_at_threshold_inclusive(self):
         cfg = PolicyConfig(k=3, threshold_l=50.0)
@@ -190,14 +181,6 @@ class TestNextDecision:
         dec = next_decision(cfg, make_state([99.0, -1.0, -2.0]), np.random.default_rng(2))
         assert not dec.stop
         assert dec.action is not None
-
-    def test_stop_only_on_gates_by_leader(self):
-        cfg = PolicyConfig(k=3, threshold_l=2.0, variant="stop_only_on", stop_index=2)
-        high = 50.0
-        dec = next_decision(cfg, make_state([high, -1.0, -2.0]), np.random.default_rng(3))
-        assert not dec.stop  # leader 1 != stop_index
-        dec = next_decision(cfg, make_state([-1.0, high, -2.0]), np.random.default_rng(3))
-        assert dec.stop and dec.declared == 2
 
     def test_weighted_step_consumes_one_uniform(self):
         cfg = PolicyConfig(k=4, threshold_l=1e6)
@@ -336,31 +319,19 @@ class TestRunTrial:
         with pytest.raises(DomainError):
             empirical_action_frequencies(out)
 
-    def test_zero_warmup_starts_uniform(self):
-        cfg = PolicyConfig(k=4, threshold_l=100.0, warmup_slots=0)
-        out = run_trial(cfg, self.TRUTH, np.random.default_rng(12), collect_trace=True)
-        assert not out.capped
-
 
 class TestReplayEquivalence:
     def test_trial_matches_public_single_step_semantics(self):
         # Drive the same seeded generator through modified_glr +
         # next_decision; every action, count, leader, and the stopping
-        # slot must match run_trial bit for bit. Cases: the default
-        # warm-up; no warm-up (slot 1 drawn uniformly); the non_stopping
-        # variant up to its cap; K=50, where most selections fall back to
+        # slot must match run_trial bit for bit. Cases: the standard
+        # variant; the non_stopping variant up to its cap; K=50, where most selections fall back to
         # uniform sampling (the last field is the least uniform share).
         cases = [
             (
                 PolicyConfig(k=4, threshold_l=200.0),
                 OddConfig(4, 3, 5.0, 1.5),
                 (0, 1, 2, 3, 17),
-                0.0,
-            ),
-            (
-                PolicyConfig(k=4, threshold_l=200.0, warmup_slots=0),
-                OddConfig(4, 3, 5.0, 1.5),
-                (0, 1, 2),
                 0.0,
             ),
             (
@@ -410,22 +381,6 @@ class TestReplayEquivalence:
                 assert final == (None if out.capped else {"tau": out.tau, "delta": out.delta})
             assert uniform_selections >= min_uniform * selections
 
-    def test_variant_replay_with_stop_only_on(self):
-        cfg = PolicyConfig(k=3, threshold_l=50.0, variant="stop_only_on", stop_index=1)
-        truth = OddConfig(3, 1, 4.0, 1.0)
-        out = run_trial(cfg, truth, np.random.default_rng(5), collect_trace=True)
-
-        rng = np.random.default_rng(5)
-        stats = SufficientStats(k=3)
-        dec = next_decision(cfg, None, rng)
-        rates = [4.0, 1.0, 1.0]
-        for m in range(1, out.tau + 1):
-            x = int(rng.poisson(rates[dec.action - 1]))
-            stats.update(dec.action, x)
-            state = modified_glr(stats, rng)
-            dec = next_decision(cfg, state, rng)
-        assert dec.stop and dec.declared == 1 == out.delta
-
 
 class TestCoupling:
     def test_tau_monotone_in_threshold_under_shared_seed(self):
@@ -436,17 +391,6 @@ class TestCoupling:
                 for l_val in (10.0, 100.0, 1000.0)
             ]
             assert taus[0] <= taus[1] <= taus[2]
-
-    def test_gated_stop_never_beats_standard(self):
-        truth = OddConfig(3, 2, 8.0, 1.0)
-        for seed in range(10):
-            std = run_trial(PolicyConfig(k=3, threshold_l=100.0), truth, np.random.default_rng(seed))
-            gated = run_trial(
-                PolicyConfig(k=3, threshold_l=100.0, variant="stop_only_on", stop_index=2),
-                truth,
-                np.random.default_rng(seed),
-            )
-            assert gated.tau >= std.tau
 
 
 class TestStatisticalSanity:

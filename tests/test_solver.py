@@ -214,13 +214,6 @@ class TestSolveLambdaStar:
         assert abs(a.lam_hat - b.lam_hat) < 1e-9
         assert abs(a.lam_odd - b.lam_odd) < 1e-9
 
-    def test_tolerance_consistency(self):
-        cfg = OddConfig(4, 1, 0.8, 3.1)
-        loose = solve_lambda_star(cfg, tol=1e-8)
-        tight = solve_lambda_star(cfg, tol=1e-12)
-        assert abs(loose.lam_hat - tight.lam_hat) < 2e-8
-        assert abs(loose.d_star - tight.d_star) <= 1e-12 * tight.d_star
-
     def test_degenerate_takes_extension_weights(self):
         # Equal rates are not solved: they get the equal-rates limit.
         sol = solve_lambda_star(OddConfig(3, 1, 2.0, 2.0))
@@ -254,12 +247,6 @@ class TestSolveLambdaStar:
         for nu in (0.5 + 1e-6, 0.5 - 1e-6):
             sol = solve_lambda_star(OddConfig(3, 1, nu, 1.0 - nu))
             assert abs(sol.lam_hat - ext.lam_hat) < 1e-6
-
-    def test_tol_validation(self):
-        cfg = OddConfig(3, 1, 1.0, 2.0)
-        for bad in (0.0, -1e-10, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                solve_lambda_star(cfg, tol=bad)
 
     @settings(max_examples=40, deadline=None)
     @given(
