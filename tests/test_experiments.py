@@ -117,6 +117,17 @@ class TestExperimentSpec:
         with pytest.raises(DomainError, match="spec JSON parse error at line 1 column 2"):
             ExperimentSpec.from_json("{bad")
 
+    def test_from_json_error_position(self):
+        with pytest.raises(DomainError, match="line 1 column 1"):
+            ExperimentSpec.from_json("")
+        with pytest.raises(DomainError, match="line 2 column 1"):
+            ExperimentSpec.from_json('{"k": 3,\n')
+
+    def test_from_json_non_object(self):
+        for text in ("[1, 2]", "null", "3"):
+            with pytest.raises(DomainError, match="must be a JSON object"):
+                ExperimentSpec.from_json(text)
+
 
 class TestErrorUpperConfidence:
     def test_all_errors_gives_one(self):
@@ -173,6 +184,14 @@ class TestRunExperiment:
             )
             # Information bound must sit below the measured mean (3 SE slack).
             assert row.lower_bound <= row.mean_tau + 3.0 * row.se_tau
+
+    def test_error_ci_hi_is_95_percent_bound(self):
+        report = run_experiment(ExperimentSpec(**SPEC_KWARGS))
+        for row in report.rows:
+            assert row.error_ci_hi == error_upper_confidence(row.errors, row.trials)
+            if row.errors < row.trials:
+                quantile = beta.ppf(0.95, row.errors + 1, row.trials - row.errors)
+                assert row.error_ci_hi == float(quantile)
 
     def test_csv_shape(self):
         report = run_experiment(ExperimentSpec(**SPEC_KWARGS))

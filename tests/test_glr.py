@@ -260,6 +260,13 @@ class TestModifiedGlr:
                     expected = averaged_log_likelihood(stats, i) - ml_log_likelihood(stats, j)
                     assert state.z[i - 1, j - 1] == expected
 
+    def test_diagonal_is_zero(self):
+        rng = np.random.default_rng(35)
+        for k in (3, 8, 59):
+            stats = random_stats(rng, k=k, slots=3 * k)
+            z = modified_glr(stats, rng).z
+            assert np.all(np.diag(z) == 0.0)
+
     def test_leader_is_argmax(self):
         rng = np.random.default_rng(35)
         for _ in range(20):

@@ -330,6 +330,8 @@ BAD_CONTAINERS = {
     "drift_experiment checkpoints 5": lambda: drift_experiment(_TRUTH, 10, [1], checkpoints=5),
     "from_counts string entry": lambda: SufficientStats.from_counts(["1", 0, 0], [0, 0, 0]),
     "from_counts None": lambda: SufficientStats.from_counts(None, [0, 0, 0]),
+    "from_counts events string entry": lambda: SufficientStats.from_counts([1, 0, 0], [0, "1", 0]),
+    "from_counts events None": lambda: SufficientStats.from_counts([0, 0, 0], None),
 }
 
 

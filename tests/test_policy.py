@@ -5,6 +5,7 @@ The trial runner and the public single step (`modified_glr` +
 checks that the two paths agree draw for draw.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,18 @@ class TestPolicyConfig:
             PolicyConfig(k=3, threshold_l=10.0, max_slots=0)
         with pytest.raises(DomainError):
             PolicyConfig(k=3, threshold_l=10.0, max_slots=2)  # below warm-up
+
+    def test_fields(self):
+        # Warm-up length, stop index and variant gates are not settable.
+        names = [f.name for f in dataclasses.fields(PolicyConfig)]
+        assert names == ["k", "threshold_l", "variant", "max_slots"]
+
+    def test_warmup_is_k(self):
+        for k in (3, 4, 50):
+            assert PolicyConfig(k=k, threshold_l=10.0).warmup == k
+            assert PolicyConfig(k=k, threshold_l=10.0, max_slots=k).max_slots == k
+            with pytest.raises(DomainError):
+                PolicyConfig(k=k, threshold_l=10.0, max_slots=k - 1)
 
 
 class TestLeaderLambdaOdd:
@@ -175,6 +188,21 @@ class TestNextDecision:
         assert rng.bit_generator.state == before
         just_below = make_state([t - 1e-12, -1.0, -2.0])
         assert not next_decision(cfg, just_below, rng).stop
+
+    def test_standard_stops_on_any_leader(self):
+        cfg = PolicyConfig(k=3, threshold_l=2.0)
+        for leader in (1, 2, 3):
+            z_min = [-1.0, -2.0, -3.0]
+            z_min[leader - 1] = 50.0
+            dec = next_decision(cfg, make_state(z_min), np.random.default_rng(3))
+            assert dec.stop and dec.declared == leader
+
+    def test_stop_rule_live_during_warmup(self):
+        cfg = PolicyConfig(k=4, threshold_l=2.0)
+        for n in range(1, 4):
+            state = make_state([-1.0, 50.0, -2.0, -3.0], n=n)
+            dec = next_decision(cfg, state, np.random.default_rng(4))
+            assert dec.stop and dec.declared == 2
 
     def test_non_stopping_ignores_threshold(self):
         cfg = PolicyConfig(k=3, threshold_l=2.0, variant="non_stopping")
@@ -391,6 +419,20 @@ class TestCoupling:
                 for l_val in (10.0, 100.0, 1000.0)
             ]
             assert taus[0] <= taus[1] <= taus[2]
+
+    def test_non_stopping_replays_standard_until_stop(self):
+        truth = OddConfig(3, 2, 6.0, 1.0)
+        for seed in range(5):
+            std = run_trial(
+                PolicyConfig(k=3, threshold_l=100.0), truth, np.random.default_rng(seed),
+                collect_trace=True,
+            )
+            assert not std.capped
+            free_cfg = PolicyConfig(
+                k=3, threshold_l=100.0, variant="non_stopping", max_slots=std.tau + 20
+            )
+            free = run_trial(free_cfg, truth, np.random.default_rng(seed), collect_trace=True)
+            assert free.trace[:std.tau] == std.trace[:-1]
 
 
 class TestStatisticalSanity:

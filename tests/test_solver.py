@@ -20,6 +20,7 @@ from oddball.solver import (
     brute_force_d_star,
     curve_rows,
     d_star,
+    d_star_rows,
     lower_bound_expected_tau,
     mixed_rate,
     objective,
@@ -365,6 +366,21 @@ class TestLowerBound:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 lower_bound_expected_tau(cfg, bad)
+
+
+class TestDStarRows:
+    def test_rows_match_scalar_solver_bitwise(self):
+        # Scalar rates (D = 1) and 3-coordinate rates (D = 3); each row is
+        # d_star of its own config, alone or in a batch.
+        rng = np.random.default_rng(41)
+        for k, dim in [(3, 1), (7, 1), (4, 3), (50, 3)]:
+            r1 = rng.uniform(0.1, 20.0, size=(6, dim))
+            r2 = rng.uniform(0.1, 20.0, size=(6, dim))
+            batch = d_star_rows(k, r1, r2)
+            for i in range(6):
+                expected = d_star(OddConfig(k, 1, list(r1[i]), list(r2[i])))
+                assert batch[i] == expected
+                assert d_star_rows(k, r1[i:i + 1], r2[i:i + 1])[0] == expected
 
 
 class TestCurveRows:
