@@ -37,7 +37,7 @@ from .dissimilarity import (
     pairwise_dstar,
 )
 from .experiments import ExperimentSpec, drift_experiment, run_experiment
-from .numerics import DomainError
+from .numerics import DomainError, _csv_text
 from .solver import (
     CURVE_HEADER,
     OddConfig,
@@ -122,12 +122,9 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_curve(args) -> None:
-    ks = _parse_list(args.k_list, "--k-list", int)
-    rows = curve_rows(ks, args.nu_steps)
-    lines = [CURVE_HEADER]
-    for k, nu, lam_odd, lam_hat, scaled in rows:
-        lines.append(f"{k},{nu:.12g},{lam_odd:.12g},{lam_hat:.12g},{scaled:.12g}")
-    _write("\n".join(lines) + "\n", args.out)
+    rows = curve_rows(_parse_list(args.k_list, "--k-list", int), args.nu_steps)
+    cells = ((k, *(f"{v:.12g}" for v in reals)) for k, *reals in rows)
+    _write(_csv_text(CURVE_HEADER, cells), args.out)
 
 
 def _cmd_simulate(args) -> None:
@@ -192,6 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "and firing-rate dissimilarity analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes (never changes output)")
 
     p = sub.add_parser("dstar", help="detectability index of one configuration")
     p.add_argument("--k", type=int, required=True, help="number of processes (>= 3)")
@@ -213,14 +212,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_curve)
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo experiment spec (CSV report)")
+    p = sub.add_parser(
+        "simulate", parents=[jobs], help="run a Monte Carlo experiment spec (CSV report)"
+    )
     p.add_argument("--spec", required=True, help="experiment spec JSON path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (never changes output)")
     p.add_argument("--trace-dir", default=None, help="directory for sampled trial traces")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("drift", help="non-stopping drift audit (CSV rows + summary JSON)")
+    p = sub.add_parser(
+        "drift", parents=[jobs], help="non-stopping drift audit (CSV rows + summary JSON)"
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--odd", type=int, required=True, help="true odd index (1-based)")
     p.add_argument("--r1", type=float, required=True, help="odd rate (scalar)")
@@ -229,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="first seed; runs use seed..seed+N-1")
     p.add_argument("--num-seeds", type=int, default=1)
     p.add_argument("--checkpoints", default=None, help="audit slots, comma-separated")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="checkpoint CSV path")
     p.set_defaults(handler=_cmd_drift)
 
@@ -241,11 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("index", help="pairwise dissimilarity matrix from a firing-rate CSV")
+    p = sub.add_parser(
+        "index", parents=[jobs], help="pairwise dissimilarity matrix from a firing-rate CSV"
+    )
     p.add_argument("--rates", required=True, help="firing-rate CSV path")
     p.add_argument("--k", type=int, required=True, help="search display size (>= 3)")
     p.add_argument("--floor", type=float, default=DEFAULT_RATE_FLOOR)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_index)
 

@@ -22,15 +22,16 @@ flooring is recorded per cell.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import fdtrc
 
-from .numerics import DomainError, _require_int, _require_real
+from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_real
 from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
@@ -151,27 +152,27 @@ class DissimilarityMatrix:
         return float(self.values[a, b])
 
     def to_csv(self) -> str:
-        lines = [MATRIX_HEADER]
-        m = len(self.images)
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                lines.append(
-                    f"{self.images[a]},{self.images[b]},{self.values[a, b]:.12g},"
-                    f"{int(self.degenerate[a, b])},{int(self.floored_cells[a, b])}"
-                )
-        return "\n".join(lines) + "\n"
+        ids, rows = self.images, []
+        for a, b in itertools.permutations(range(len(ids)), 2):
+            flags = (int(self.degenerate[a, b]), int(self.floored_cells[a, b]))
+            rows.append((ids[a], ids[b], f"{self.values[a, b]:.12g}", *flags))
+        return _csv_text(MATRIX_HEADER, rows)
+
+
+def _solve_pairs(k: int, rates: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """D* of each row (odd, distractor) of `pairs`, row indices into
+    `rates`, in one lockstep batch."""
+    return d_star_rows(k, rates[pairs[:, 0]], rates[pairs[:, 1]])
 
 
 def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> DissimilarityMatrix:
     """Dissimilarity of every ordered image pair in a K-item display.
 
-    All non-degenerate pairs are solved together in one lockstep batch
-    (`solver.d_star_rows`); with parallelism > 1 the batch is split into
-    min(parallelism, pairs) contiguous chunks, one per worker process. A pair's value is
-    bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends
-    neither on the other pairs in the batch nor on `parallelism`.
+    The non-degenerate pairs are dealt out with `numerics._fan_out`, and
+    each block is solved in one lockstep batch (`solver.d_star_rows`). A
+    pair's value is bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`,
+    so it depends neither on the other pairs in its block nor on
+    `parallelism`.
     """
     _require_int(k, "display size k", 3)
     _require_int(parallelism, "parallelism", 1)
@@ -183,18 +184,8 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     np.fill_diagonal(floored, flagged)
     odd, distractor = np.nonzero(~degenerate)
     if odd.size:
-        r1 = table.rates[odd]
-        r2 = table.rates[distractor]
-        workers = min(parallelism, len(odd))
-        if workers == 1:
-            values[odd, distractor] = d_star_rows(k, r1, r2)
-        else:
-            jobs = [
-                (k, c1, c2)
-                for c1, c2 in zip(np.array_split(r1, workers), np.array_split(r2, workers))
-            ]
-            with multiprocessing.Pool(processes=workers) as pool:
-                values[odd, distractor] = np.concatenate(pool.starmap(d_star_rows, jobs))
+        solve = functools.partial(_solve_pairs, k, table.rates)
+        values[odd, distractor] = _fan_out(solve, np.column_stack((odd, distractor)), parallelism)
     values.setflags(write=False)
     degenerate.setflags(write=False)
     floored.setflags(write=False)
@@ -348,10 +339,7 @@ def parse_delays_csv(text: str) -> list[tuple[str, str, float]]:
 
 
 def delays_to_csv(delays) -> str:
-    lines = [DELAYS_HEADER]
-    for odd_id, distractor_id, delay in delays:
-        lines.append(f"{odd_id},{distractor_id},{delay:.12g}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(DELAYS_HEADER, ((a, b, f"{delay:.12g}") for a, b, delay in delays))
 
 
 def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
@@ -364,24 +352,20 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     (0 for a perfect reciprocal law).
     """
     _require_int(k, "display size k", 3)
-    groups: dict[tuple[str, str], list[float]] = {}
-    order = []
+    groups: dict[tuple[str, str], list[float]] = {}  # pairs in first-seen order
     for odd_id, distractor_id, delay in delays:
         delay = _require_real(delay, "delay", 0.0, open=True)
         key = (str(odd_id), str(distractor_id))
         if key[0] == key[1]:
             raise DomainError(f"pair {key[0]!r} vs itself has no odd item")
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(delay)
-    if len(order) < 3:
+        groups.setdefault(key, []).append(delay)
+    if len(groups) < 3:
         raise DomainError("analysis needs delays for at least 3 distinct pairs")
 
     odd = []
     distractor = []
     mean_delays = []
-    for odd_id, distractor_id in order:
+    for (odd_id, distractor_id), samples in groups.items():
         a = table.index_of(odd_id)
         b = table.index_of(distractor_id)
         if np.array_equal(table.rates[a], table.rates[b]):
@@ -391,18 +375,17 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
             )
         odd.append(a)
         distractor.append(b)
-        samples = groups[(odd_id, distractor_id)]
         mean_delays.append(math.fsum(samples) / len(samples))
     diffs = [float(d) for d in d_star_rows(k, table.rates[odd], table.rates[distractor])]
 
     pearson = correlation([1.0 / d for d in diffs], mean_delays)
-    if all(len(groups[key]) >= 2 for key in order):
-        f_stat, p_value = anova_f([groups[key] for key in order])
+    if all(len(samples) >= 2 for samples in groups.values()):
+        f_stat, p_value = anova_f(list(groups.values()))
     else:
         f_stat, p_value = math.nan, math.nan
     dispersion = log_am_gm([m * d for m, d in zip(mean_delays, diffs)])
     return {
-        "pairs": len(order),
+        "pairs": len(groups),
         "pearson_r": pearson,
         "anova_f": f_stat,
         "anova_p": p_value,

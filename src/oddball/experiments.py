@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import statistics
 from dataclasses import dataclass, fields
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
-from .numerics import DomainError, _require_int, _require_list, _require_real
+from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_list, _require_real
 from .policy import PolicyConfig, TrialOutcome, run_trial
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
@@ -199,21 +198,6 @@ def _run_block(jobs) -> list[TrialOutcome]:
     ]
 
 
-def _run_jobs(jobs: list, parallelism: int) -> list[TrialOutcome]:
-    """Outcomes of all jobs in job order over min(parallelism, len(jobs))
-    workers: one block when that is 1, else block w = jobs[w::workers] on
-    worker w of a process pool."""
-    workers = min(parallelism, len(jobs))
-    if workers == 1:
-        return _run_block(jobs)
-    with multiprocessing.Pool(processes=workers) as pool:
-        blocks = pool.map(_run_block, [jobs[w::workers] for w in range(workers)], chunksize=1)
-    outcomes: list = [None] * len(jobs)
-    for w, block in enumerate(blocks):
-        outcomes[w::workers] = block
-    return outcomes
-
-
 def _trace_lines(outcome: TrialOutcome) -> str:
     return "\n".join(json.dumps(rec, separators=(",", ":")) for rec in outcome.trace) + "\n"
 
@@ -264,16 +248,19 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full grid of the spec and aggregate one row per level.
 
-    parallelism > 1 deals the trials out over a process pool, one
-    interleaved block per worker; outcomes are put back in grid-then-trial
+    parallelism > 1 deals the trials out with `numerics._fan_out`, one
+    interleaved block per worker; outcomes come back in grid-then-trial
     order, so the report does not depend on the worker count. Sampled
     traces (the first ceil(trace_sampling * trials) trials of each level)
-    are written to trace_dir as trace_L<level>_i<trial>.jsonl.
+    are written to trace_dir as trace_L<level>_i<trial>.jsonl, <level>
+    being the report's L text; traced levels that share it are a DomainError.
     """
     _require_int(parallelism, "parallelism", 1)
     n_traced = math.ceil(spec.trace_sampling * spec.trials)
     if n_traced > 0 and trace_dir is None:
         raise DomainError("trace_sampling > 0 requires a trace directory")
+    if n_traced > 0 and len({f"{l:.12g}" for l in spec.l_grid}) < len(spec.l_grid):
+        raise DomainError("traced l_grid levels must differ within 12 significant digits")
 
     truth = spec.truth()
     dstar = d_star(truth)
@@ -287,7 +274,7 @@ def run_experiment(
         for li, config in enumerate(configs)
         for ti in range(spec.trials)
     ]
-    outcomes = _run_jobs(jobs, parallelism)
+    outcomes = _fan_out(_run_block, jobs, parallelism)
 
     rows = []
     for li, config in enumerate(configs):
@@ -295,7 +282,7 @@ def run_experiment(
         batch = outcomes[li * spec.trials : (li + 1) * spec.trials]
         if trace_dir is not None:
             for ti in range(n_traced):
-                path = os.path.join(trace_dir, f"trace_L{l_value:g}_i{ti}.jsonl")
+                path = os.path.join(trace_dir, f"trace_L{l_value:.12g}_i{ti}.jsonl")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(_trace_lines(batch[ti]))
         alpha = 1.0 / l_value
@@ -367,24 +354,14 @@ class DriftResult:
 
     def to_csv(self) -> str:
         k = self.truth.k
-        header = (
-            ["seed", "n", "leader", "z_true_over_n", "z_leader_over_n"]
-            + [f"freq_{j}" for j in range(1, k + 1)]
-            + [f"rate_{j}" for j in range(1, k + 1)]
-            + [f"holdout_{j}" for j in range(1, k + 1)]
-            + ["total"]
-        )
-        lines = [",".join(header)]
+        header = ["seed", "n", "leader", "z_true_over_n", "z_leader_over_n"]
+        header += [f"{c}_{j}" for c in ("freq", "rate", "holdout") for j in range(1, k + 1)]
+        rows = []
         for r in self.rows:
-            cells = [str(r.seed), str(r.n), str(r.leader)]
-            cells.append(f"{r.z_true_over_n:.12g}")
-            cells.append(f"{r.z_leader_over_n:.12g}")
-            cells.extend(f"{v:.12g}" for v in r.frequencies)
-            cells.extend(f"{v:.12g}" for v in r.empirical_rates)
-            cells.extend(f"{v:.12g}" for v in r.holdout_rates)
-            cells.append(str(r.total))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            reals = (r.z_true_over_n, r.z_leader_over_n, *r.frequencies, *r.empirical_rates)
+            cells = [f"{v:.12g}" for v in reals + r.holdout_rates]
+            rows.append((r.seed, r.n, r.leader, *cells, r.total))
+        return _csv_text(",".join(header + ["total"]), rows)
 
 
 def default_checkpoints(n_slots: int) -> tuple[int, ...]:
@@ -446,7 +423,8 @@ def drift_experiment(
 
     sol = solve_lambda_star(truth)
     config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
-    outcomes = _run_jobs([(config, truth, seed, False, cps) for seed in seeds], parallelism)
+    jobs = [(config, truth, seed, False, cps) for seed in seeds]
+    outcomes = _fan_out(_run_block, jobs, parallelism)
     rows = [
         _snapshot_row(snap, seed, truth.odd_index, truth.k)
         for seed, out in zip(seeds, outcomes)

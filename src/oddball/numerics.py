@@ -1,6 +1,7 @@
-"""Log-space numerical primitives for Poisson rate comparisons.
+"""Log-space numerical primitives for Poisson rate comparisons, plus the
+private helpers other modules share: input rules, `_fan_out`, `_csv_text`.
 
-Everything in this module is a pure function of its arguments. The central
+The public functions are pure functions of their arguments. The central
 quantity is the Kullback-Leibler divergence between unit-time Poisson
 distributions with means x and y,
 
@@ -22,7 +23,10 @@ accurate to a few ulp everywhere.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import multiprocessing
 import sys
 
 __all__ = [
@@ -77,6 +81,32 @@ def _require_real(
             return x
     span = f"{'(' if open else '['}{low:g}, {high:g}{')' if open or high == math.inf else ']'}"
     raise DomainError(f"{name} must be a finite number in {span}, got {value!r}")
+
+
+def _fan_out(run_block, items, parallelism: int) -> list:
+    """`run_block` applied over `items` by min(parallelism, len(items))
+    workers, the package's only way of starting worker processes: block
+    w = items[w::workers] goes to worker w of a process pool or, when there
+    is at most one worker, the one block runs in this process. `run_block`
+    (picklable) maps a block to one result per item; the results come
+    back in item order."""
+    workers = min(parallelism, len(items))
+    if workers <= 1:
+        return list(run_block(items))
+    with multiprocessing.Pool(processes=workers) as pool:
+        blocks = pool.map(run_block, [items[w::workers] for w in range(workers)], chunksize=1)
+    # Item i is entry i // workers of block i % workers.
+    return [blocks[i % workers][i // workers] for i in range(len(items))]
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one CSV line per row, each newline-terminated.
+    Only fields that need it (an id holding a comma or a quote) are quoted,
+    so a CSV reader gets every field back intact."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # Coefficients of sum_{k >= 2} (-1)^k u^k / k = u^2 * P(u) with

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
-from .numerics import DomainError, _require_int, _require_real
+from .numerics import DomainError, _require_int, _require_list, _require_real
 from .solver import OddConfig, _weight_vector, solve_lambda_star
 
 __all__ = [
@@ -142,10 +142,12 @@ class TrialOutcome:
 
 
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
-    """Odd-process weight lambda*(k, nu) at the quantized nu of the
+    """Odd-process weight lambda*(k, nu) at the quantized nu of the positive
     estimate pair. Values are memoized in `cache` per (k, quantized nu)
     and computed at the quantized point, so the memo is insertion-order
     independent; cache=None solves without keeping the value."""
+    if not (theta_1 > 0.0 and theta_2 > 0.0):
+        raise DomainError(f"leader estimates must be positive, got {theta_1!r}, {theta_2!r}")
     nu = theta_1 / (theta_1 + theta_2)
     q = round(nu * _QUANT)
     if q < 1:
@@ -225,7 +227,7 @@ def next_decision(
     been observed yet). Checks the stop rule, then selects the next
     action: round-robin during warm-up, weight-driven at the leader's
     estimates otherwise, uniform when those estimates are unusable.
-    `run_trial` applies the same step on every slot.
+    `run_trial` applies the same step on every slot; `glr` needs the config's K.
 
     Draw discipline (coupling contract): no draw for a stop or a warm-up
     action; exactly one uniform for a weighted or fallback action. Leader
@@ -234,6 +236,8 @@ def next_decision(
     """
     if glr is None:
         n, leader, theta = 0, 1, (0.0, 0.0)  # nothing observed: no estimates
+    elif len(glr.z_min) != config.k:
+        raise DomainError(f"state has k={len(glr.z_min)} but the policy has k={config.k}")
     else:
         n, leader = glr.n, glr.leader
         if _stops(config, glr.z_min[leader - 1]):
@@ -260,8 +264,9 @@ def run_trial(
     step that `next_decision` takes (the stop rule, else the next action).
     The trace, when collected, has one record per slot
     {"n", "action", "count", "leader", "z_leader"} plus a terminal
-    {"tau", "delta", "correct", "capped"} record. `cache` is the weight
-    memo to read and fill; None means one for this trial only.
+    {"tau", "delta", "correct", "capped"} record. `checkpoints` are the
+    slots (ints >= 1) to snapshot. `cache` is the weight memo to read and
+    fill; None means one for this trial only.
     """
     if truth.dim != 1:
         raise DomainError("simulation supports scalar-rate configurations only")
@@ -271,7 +276,8 @@ def run_trial(
     odd = truth.odd_index
     rates = [truth.r2[0]] * k
     rates[odd - 1] = truth.r1[0]
-    cp = frozenset(int(c) for c in checkpoints) if checkpoints else frozenset()
+    cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
+    cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
         cache = {}
 
@@ -334,7 +340,7 @@ def run_trial(
         total=stats.total,
         z_min=tuple(z_min),
         trace=outcome_trace,
-        snapshots=tuple(snaps) if checkpoints else None,
+        snapshots=tuple(snaps) if cp else None,
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the visual-search dissimilarity index and its statistics."""
 
+import csv
+import io
 import math
 import multiprocessing
 
@@ -185,6 +187,18 @@ class TestPairwiseDstar:
         assert float(cells[2]) == pytest.approx(matrix.value("a", "b"), rel=1e-11)
         assert cells[3] == "0" and cells[4] == "0"
 
+    def test_to_csv_quotes_ids_with_commas(self):
+        # The reader accepts a quoted id; the writer must quote it back, or
+        # its row would have six fields under a five-column header.
+        table = FiringRateTable.from_csv('image_id,n1\n"face,front",1.0\nb,2.0\n')
+        assert table.images == ("face,front", "b")
+        matrix = pairwise_dstar(table, k=3)
+        text = matrix.to_csv()
+        assert text.split("\n")[1] == f'"face,front",b,{matrix.values[0, 1]:.12g},0,0'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert [r[:2] for r in rows[1:]] == [["face,front", "b"], ["b", "face,front"]]
+
     def test_validation(self):
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
         with pytest.raises(DomainError):
@@ -304,6 +318,12 @@ class TestDelaysCsv:
         delays = [("a", "b", 1.5), ("b", "a", 0.25), ("a", "c", 3.0)]
         text = delays_to_csv(delays)
         assert text.startswith(DELAYS_HEADER + "\n")
+        assert parse_delays_csv(text) == delays
+
+    def test_round_trip_ids_with_commas_and_quotes(self):
+        delays = [("face,front", "b", 1.5), ('say "hi"', "face,front", 0.25), ("a", "b", 3.0)]
+        text = delays_to_csv(delays)
+        assert text.endswith("\na,b,3\n")  # plain ids stay unquoted
         assert parse_delays_csv(text) == delays
 
     def test_parse_errors(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+import oddball.experiments as experiments
 from oddball.experiments import (
     REPORT_HEADER,
     DriftResult,
@@ -247,6 +248,33 @@ class TestRunExperiment:
             for m, rec in enumerate(records[:-1], start=1):
                 assert rec["n"] == m
             assert set(records[-1]) == {"tau", "delta", "correct", "capped"}
+
+    def test_trace_names_keep_report_digits(self, tmp_path):
+        # Levels that agree to 6 significant digits get distinct files,
+        # named with the report's L text.
+        spec = ExperimentSpec(
+            **{**SPEC_KWARGS, "l_grid": (100.0, 100.0001), "trials": 4, "trace_sampling": 0.5}
+        )
+        report = run_experiment(spec, trace_dir=str(tmp_path))
+        levels = [line.split(",")[0] for line in report.to_csv().split("\n")[1:-1]]
+        assert levels == ["100", "100.0001"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"trace_L{level}_i{ti}.jsonl" for level in levels for ti in range(2)
+        )
+
+    def test_trace_name_collision_raises_before_trials(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *a, **kw: calls.append(a))
+        spec = ExperimentSpec(
+            **{**SPEC_KWARGS, "l_grid": (100.0, 100.00000000001), "trace_sampling": 0.1}
+        )
+        with pytest.raises(DomainError, match="12 significant digits"):
+            run_experiment(spec, trace_dir=str(tmp_path))
+        assert calls == [] and os.listdir(tmp_path) == []
+        # Untraced, the same grid runs: no file names are needed.
+        untraced = ExperimentSpec(**{**SPEC_KWARGS, "l_grid": (100.0, 100.00000000001)})
+        monkeypatch.undo()
+        assert len(run_experiment(untraced).rows) == 2
 
     def test_trace_sampling_requires_directory(self):
         spec = ExperimentSpec(**{**SPEC_KWARGS, "trace_sampling": 0.5})

@@ -5,12 +5,17 @@ exact binary-double inputs (so tolerances reflect only evaluation error,
 never decimal-representation error of the inputs).
 """
 
+import ast
 import math
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oddball
 from oddball.dissimilarity import (
     FiringRateTable,
     analyze_search_delays,
@@ -26,11 +31,12 @@ from oddball.experiments import (
 from oddball.glr import SufficientStats, averaged_log_likelihood, ml_log_likelihood
 from oddball.numerics import (
     DomainError,
+    _fan_out,
     binary_relative_entropy,
     poisson_kl,
     poisson_kl_series,
 )
-from oddball.policy import PolicyConfig
+from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import (
     OddConfig,
     brute_force_d_star,
@@ -211,6 +217,55 @@ class TestBinaryRelativeEntropy:
                 binary_relative_entropy(bad)
 
 
+def _tag_block(block):
+    """(item, block size, process id) for each item of a block."""
+    return [(item, len(block), os.getpid()) for item in block]
+
+
+def _row_sums(block):
+    return block.sum(axis=1)
+
+
+class TestFanOut:
+    def test_uneven_blocks_come_back_in_item_order(self):
+        # 7 items on 3 workers: blocks 0::3, 1::3 and 2::3 hold 3, 2 and 2.
+        results = _fan_out(_tag_block, list(range(7)), 3)
+        assert [r[0] for r in results] == list(range(7))
+        assert [r[1] for r in results] == [3, 2, 2, 3, 2, 2, 3]
+        assert all(r[2] != os.getpid() for r in results)
+
+    def test_one_worker_runs_in_this_process(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **kw: started.append(a))
+        for items, parallelism in ((list(range(5)), 1), (["only"], 4)):
+            results = _fan_out(_tag_block, items, parallelism)
+            assert results == [(item, len(items), os.getpid()) for item in items]
+        assert started == []
+
+    def test_numpy_array_items(self):
+        items = np.arange(14.0).reshape(7, 2)
+        for parallelism in (1, 3):
+            results = _fan_out(_row_sums, items, parallelism)
+            assert np.array_equal(results, items.sum(axis=1))
+
+
+def test_one_module_starts_worker_processes():
+    """`numerics._fan_out` is the only place that starts worker processes:
+    no other module of the package imports a process pool."""
+    importers = []
+    for path in sorted(Path(oddball.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
+                importers.append(path.name)
+    assert importers == ["numerics.py"]
+
+
 _SPEC = dict(k=3, odd_index=1, r1=8.0, r2=1.0, l_grid=(5.0,), trials=2, seed=0)
 _TRUTH = OddConfig(3, 1, 1.0, 2.0)
 _TABLE = FiringRateTable.from_arrays(["a", "b", "c"], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
@@ -240,6 +295,9 @@ INTEGER_PARAMETERS = {
     "drift_experiment.seeds": lambda v: drift_experiment(_TRUTH, 10, [v]),
     "drift_experiment.checkpoints": lambda v: drift_experiment(_TRUTH, 10, [0], checkpoints=[v]),
     "drift_experiment.parallelism": lambda v: drift_experiment(_TRUTH, 10, [0], parallelism=v),
+    "run_trial.checkpoints": lambda v: run_trial(
+        PolicyConfig(3, 10.0), _TRUTH, np.random.default_rng(0), checkpoints=[v]
+    ),
     "pairwise_dstar.k": lambda v: pairwise_dstar(_TABLE, v),
     "pairwise_dstar.parallelism": lambda v: pairwise_dstar(_TABLE, 3, parallelism=v),
     "synthesize_search_dataset.n_images": lambda v: synthesize_search_dataset(
@@ -328,6 +386,12 @@ BAD_CONTAINERS = {
     "drift_experiment seeds None": lambda: drift_experiment(_TRUTH, 10, None),
     "drift_experiment seeds 5": lambda: drift_experiment(_TRUTH, 10, 5),
     "drift_experiment checkpoints 5": lambda: drift_experiment(_TRUTH, 10, [1], checkpoints=5),
+    "run_trial checkpoints 5": lambda: run_trial(
+        PolicyConfig(3, 10.0), _TRUTH, np.random.default_rng(0), checkpoints=5
+    ),
+    "run_trial checkpoints string": lambda: run_trial(
+        PolicyConfig(3, 10.0), _TRUTH, np.random.default_rng(0), checkpoints="12"
+    ),
     "from_counts string entry": lambda: SufficientStats.from_counts(["1", 0, 0], [0, 0, 0]),
     "from_counts None": lambda: SufficientStats.from_counts(None, [0, 0, 0]),
     "from_counts events string entry": lambda: SufficientStats.from_counts([1, 0, 0], [0, "1", 0]),

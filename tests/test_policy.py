@@ -147,6 +147,13 @@ class TestLeaderLambdaOdd:
         assert counts[0] == counts[1]
         assert 0 < counts[0][1] < counts[0][0]
 
+    def test_unusable_estimates_raise_domain_error(self):
+        # A zero, negative or NaN estimate has no weight; it is never a
+        # ZeroDivisionError or a weight from a made-up nu.
+        for t1, t2 in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                leader_lambda_odd(3, t1, t2, cache={})
+
     def test_midpoint_cell_uses_extension(self):
         # Estimates whose nu rounds to exactly 1/2 take the equal-rates
         # extension weight.
@@ -235,6 +242,13 @@ class TestNextDecision:
             dec = next_decision(cfg, state, np.random.default_rng(9))
             assert dec.distribution == (1 / 3, 1 / 3, 1 / 3)
             assert 1 <= dec.action <= 3
+
+    def test_state_for_another_k_raises_domain_error(self):
+        # A K=5 state under a K=3 config would declare process 5.
+        state = make_state([0.0, 0.0, 0.0, 0.0, 50.0])
+        for k in (3, 6):
+            with pytest.raises(DomainError):
+                next_decision(PolicyConfig(k=k, threshold_l=10.0), state, np.random.default_rng(0))
 
 
 def outcome_as_tuple(out: TrialOutcome):
@@ -339,6 +353,13 @@ class TestRunTrial:
             rec = out.trace[snap.n - 1]
             assert rec["leader"] == snap.leader
             assert rec["z_leader"] == snap.z_min[snap.leader - 1]
+
+    def test_checkpoints_below_one_raise(self):
+        # Slot 0 and negative slots are DomainErrors, never dropped (bools,
+        # floats and strings are rows of the tables in test_numerics).
+        for bad in ([0], [-3, 5]):
+            with pytest.raises(DomainError):
+                run_trial(self.CFG, self.TRUTH, np.random.default_rng(0), checkpoints=bad)
 
     def test_no_checkpoints_no_snapshots(self):
         out = run_trial(self.CFG, self.TRUTH, np.random.default_rng(11))
