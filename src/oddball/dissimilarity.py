@@ -17,6 +17,10 @@ perfect reciprocal predictor).
 Rates must be positive for the exponent to exist, so zero (or tiny)
 entries in a loaded table are raised to a configurable floor and the
 flooring is recorded per cell.
+
+Image ids follow one rule wherever they enter (a table, a delay row, a
+lookup, a delays writer): surrounding whitespace is stripped. What the
+CSV writers emit therefore reads back as the same ids.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class FiringRateTable:
 
     @classmethod
     def from_arrays(cls, images, rates, floor: float = DEFAULT_RATE_FLOOR) -> "FiringRateTable":
-        ids = tuple(str(s) for s in images)
+        ids = tuple(_image_id(s) for s in images)
         if len(ids) < 1:
             raise DomainError("table needs at least one image")
         if len(set(ids)) != len(ids):
@@ -104,7 +108,7 @@ class FiringRateTable:
                 continue
             if len(row) != width:
                 raise DomainError(f"line {lineno}: expected {width} fields, got {len(row)}")
-            ids.append(row[0].strip())
+            ids.append(row[0])
             try:
                 rows.append([float(cell) for cell in row[1:]])
             except ValueError as exc:
@@ -125,10 +129,16 @@ class FiringRateTable:
         return _index_of(self.images, image_id)
 
 
+def _image_id(value) -> str:
+    """An image id as stored: the text of `value` without surrounding
+    whitespace."""
+    return str(value).strip()
+
+
 def _index_of(images: tuple[str, ...], image_id: str) -> int:
     """Position of image_id in images; DomainError when it is absent."""
     try:
-        return images.index(image_id)
+        return images.index(_image_id(image_id))
     except ValueError:
         raise DomainError(f"unknown image id {image_id!r}") from None
 
@@ -332,14 +342,15 @@ def parse_delays_csv(text: str) -> list[tuple[str, str, float]]:
             delay = float(row[2])
         except ValueError as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
-        out.append((row[0].strip(), row[1].strip(), delay))
+        out.append((_image_id(row[0]), _image_id(row[1]), delay))
     if not out:
         raise DomainError("delays CSV has no data rows")
     return out
 
 
 def delays_to_csv(delays) -> str:
-    return _csv_text(DELAYS_HEADER, ((a, b, f"{delay:.12g}") for a, b, delay in delays))
+    rows = ((_image_id(a), _image_id(b), f"{delay:.12g}") for a, b, delay in delays)
+    return _csv_text(DELAYS_HEADER, rows)
 
 
 def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
@@ -355,7 +366,7 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     groups: dict[tuple[str, str], list[float]] = {}  # pairs in first-seen order
     for odd_id, distractor_id, delay in delays:
         delay = _require_real(delay, "delay", 0.0, open=True)
-        key = (str(odd_id), str(distractor_id))
+        key = (_image_id(odd_id), _image_id(distractor_id))
         if key[0] == key[1]:
             raise DomainError(f"pair {key[0]!r} vs itself has no odd item")
         groups.setdefault(key, []).append(delay)

@@ -18,10 +18,14 @@ Reproducibility contract: trial (l_index, trial_index) always draws from
 aggregated in grid-then-trial order, so the emitted CSV is byte-identical
 for any worker count.
 
-Both studies run their trials in blocks, each with one policy weight memo
-that lives as long as the block: a serial run is one block, a run over N
-workers has N interleaved blocks, one per worker. A memo only saves
-solves; its values do not depend on which trials filled it.
+Both studies run their trials in blocks, each with one policy memo that
+lives as long as the block: a serial run is one block, a run over N
+workers has N interleaved blocks, one per worker. The memo holds a dense
+weight table per K and the lgamma table the compiled kernel reads (see
+`oddball.policy`); it only saves work, and its values do not depend on
+which trials filled it. Traced trials run the Python loop and all others
+the compiled kernel when it is available; the bytes are the same either
+way.
 """
 
 from __future__ import annotations
@@ -182,7 +186,7 @@ def error_upper_confidence(errors: int, trials: int) -> float:
 
 
 def _run_block(jobs) -> list[TrialOutcome]:
-    """Run trials in order with one weight memo. A job is (policy config,
+    """Run trials in order with one policy memo. A job is (policy config,
     truth, rng seed, collect_trace, checkpoints)."""
     cache: dict = {}
     return [

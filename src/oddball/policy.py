@@ -22,21 +22,36 @@ one stops, so trials run with equal seeds are coupled: stopping times are
 monotone in L, and a non-stopping trial replays the standard one slot for
 slot up to its stop.
 
-Weight lookups are memoized on (K, nu rounded to 1e-6), and the value is
-always computed at the rounded nu, never the first-seen one, so a memo's
-contents are a pure function of its keys: sharing one between trials
-changes how often the solver runs, never a result. The caller owns the
-memo and passes it as `cache`; without one, each `run_trial` keeps its
-own for the trial and each `next_decision` or `leader_lambda_odd` call
-for that call alone. Nothing is cached at module level.
+Weight lookups are memoized per K in a dense table over nu rounded to
+1e-6: entry q holds lambda*(K, q / 1e6), 0.0 until solved (a weight is
+never 0). The value is always computed at the rounded nu, never the
+first-seen one, so a memo's contents are a pure function of its keys:
+sharing one between trials changes how often the solver runs, never a
+result. The memo is a dict the caller owns and passes as `cache`: the
+weight table of each K under key K, and under "lgamma" the table of
+lgamma(y + 1) the compiled kernel reads. Without one, each `run_trial`
+keeps its own for the trial and each `next_decision` or
+`leader_lambda_odd` call for that call alone. No memo is kept at module
+level.
+
+`run_trial` runs an untraced trial on the compiled kernel (`_kernel.c`,
+see README, "Trial kernel"), which repeats the Python loop bitwise on the
+trial's own generator: same draws, same floating-point operations, same
+memo entries. A traced trial, a generator that is not a numpy
+`Generator`, and a machine where the kernel cannot be built run the
+Python loop below, which stays the reference.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from . import _native
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import DomainError, _require_int, _require_list, _require_real
 from .solver import OddConfig, _weight_vector, solve_lambda_star
@@ -143,7 +158,7 @@ class TrialOutcome:
 
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
     """Odd-process weight lambda*(k, nu) at the quantized nu of the positive
-    estimate pair. Values are memoized in `cache` per (k, quantized nu)
+    estimate pair. Values are memoized in the weight table of k in `cache`
     and computed at the quantized point, so the memo is insertion-order
     independent; cache=None solves without keeping the value."""
     if not (theta_1 > 0.0 and theta_2 > 0.0):
@@ -154,14 +169,42 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
         q = 1
     elif q > _QUANT - 1:
         q = _QUANT - 1
-    store = {} if cache is None else cache
-    key = (k, q)
-    lam_odd = store.get(key)
-    if lam_odd is None:
+    table = None if cache is None else _weight_table(cache, k)
+    lam_odd = 0.0 if table is None else float(table[q])
+    if lam_odd == 0.0:
         nu_q = q / _QUANT
         lam_odd = solve_lambda_star(OddConfig(k, 1, nu_q, 1.0 - nu_q)).lam_odd
-        store[key] = lam_odd
+        if table is not None:
+            table[q] = lam_odd
     return lam_odd
+
+
+def _weight_table(cache: dict, k: int) -> np.ndarray:
+    """The memo's weight table of k: entry q holds lambda*(k, q / _QUANT),
+    0.0 until solved. It is an anonymous mmap advised against huge pages,
+    not np.zeros, which advises them for its 8 MB: a memo written at a
+    few hundred scattered q would then hold whole 2 MiB pages."""
+    table = cache.get(k)
+    if table is None:
+        buf = mmap.mmap(-1, 8 * _QUANT)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        table = cache[k] = np.frombuffer(buf, dtype=np.float64)
+    return table
+
+
+def _lgamma_table(cache: dict, total: int) -> np.ndarray:
+    """The memo's table of math.lgamma(y + 1) for y = 0, 1, ..., doubled
+    in length until it covers y = total."""
+    old = cache.get("lgamma")
+    have = 0 if old is None else len(old)
+    size = max(have, 1024)
+    while size <= total:
+        size *= 2
+    if size > have:
+        new = np.fromiter(map(math.lgamma, range(have + 1, size + 1)), np.float64, size - have)
+        old = cache["lgamma"] = new if old is None else np.concatenate((old, new))
+    return old
 
 
 def _weighted_action(leader: int, lam_odd: float, k: int, u: float) -> int:
@@ -265,22 +308,46 @@ def run_trial(
     The trace, when collected, has one record per slot
     {"n", "action", "count", "leader", "z_leader"} plus a terminal
     {"tau", "delta", "correct", "capped"} record. `checkpoints` are the
-    slots (ints >= 1) to snapshot. `cache` is the weight memo to read and
-    fill; None means one for this trial only.
+    slots (ints >= 1) to snapshot. `cache` is the memo to read and fill;
+    None means one for this trial only. Untraced trials on a numpy
+    `Generator` run on the compiled kernel when it is available; the
+    outcome, the generator's state afterwards and the memo are the same
+    either way.
     """
     if truth.dim != 1:
         raise DomainError("simulation supports scalar-rate configurations only")
     if truth.k != config.k:
         raise DomainError(f"truth has k={truth.k} but the policy was configured for k={config.k}")
-    k = config.k
-    odd = truth.odd_index
-    rates = [truth.r2[0]] * k
-    rates[odd - 1] = truth.r1[0]
     cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
     cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
         cache = {}
+    if not collect_trace and isinstance(rng, np.random.Generator):
+        kernel = _native.kernel()
+        if kernel is not None:
+            return _compiled_trial(kernel, config, truth, rng, cp, cache)[0]
+    return _python_trial(config, truth, rng, collect_trace, cp, cache)
 
+
+def _rates(truth: OddConfig) -> list[float]:
+    rates = [truth.r2[0]] * truth.k
+    rates[truth.odd_index - 1] = truth.r1[0]
+    return rates
+
+
+def _python_trial(
+    config: PolicyConfig,
+    truth: OddConfig,
+    rng,
+    collect_trace: bool,
+    cp: frozenset,
+    cache: dict,
+) -> TrialOutcome:
+    """`run_trial` on the Python loop: the reference the compiled kernel
+    repeats, and the only path that records a trace."""
+    k = config.k
+    odd = truth.odd_index
+    rates = _rates(truth)
     stats = SufficientStats(k=k)
     visits = stats.visits
     events = stats.events
@@ -342,6 +409,74 @@ def run_trial(
         trace=outcome_trace,
         snapshots=tuple(snaps) if cp else None,
     )
+
+
+# The compiled kernel's int64 state array: these fields, then visits and
+# events (the enum in _kernel.c), and the code it returns for a longer
+# lgamma table.
+_M, _ACTION, _LEADER, _TOTAL, _PENDING, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(10)
+_NEED_LGAMMA = 1
+
+
+def _compiled_trial(
+    kernel,
+    config: PolicyConfig,
+    truth: OddConfig,
+    rng: np.random.Generator,
+    cp: frozenset,
+    cache: dict,
+) -> tuple[TrialOutcome, int, int]:
+    """An untraced `run_trial` on the compiled kernel, with the number of
+    weight lookups and of memo misses it made. The kernel runs with the
+    generator's lock held, as numpy's own draws do; when it needs a longer
+    lgamma table it returns, and the call resumes from the state it left."""
+    k = config.k
+    odd = truth.odd_index
+    ncp = len(cp)
+    # One int64 buffer (state, checkpoint slots, snapshot tallies) and one
+    # float64 buffer (rates, scores, snapshot scores).
+    ints = np.zeros(_HEAD + 2 * k + ncp * (3 + 2 * k), dtype=np.int64)
+    ints[_ACTION] = ints[_LEADER] = 1
+    cps_at = _HEAD + 2 * k
+    ints[cps_at : cps_at + ncp] = sorted(cp)
+    reals = np.zeros(k * (2 + ncp))
+    reals[:k] = _rates(truth)
+    ip, rp = ints.ctypes.data, reals.ctypes.data
+    bitgen = rng.bit_generator
+    args = (
+        _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
+        config.log_threshold, rp, ip, rp + 8 * k, _weight_table(cache, k).ctypes.data,
+    )
+    tail = (ip + 8 * cps_at, ncp, ip + 8 * (cps_at + ncp), rp + 16 * k)
+    lgamma = _lgamma_table(cache, 0)
+    with bitgen.lock:
+        while kernel.oddball_trial(*args, lgamma.ctypes.data, len(lgamma), *tail) == _NEED_LGAMMA:
+            lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
+    head = ints[:cps_at].tolist()
+    leader = head[_LEADER]
+    snaps = None
+    if cp:
+        slots = ints[cps_at : cps_at + head[_CP]].tolist()
+        tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
+        scores = reals[2 * k :].reshape(ncp, k).tolist()
+        snaps = tuple(
+            Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
+                     events=tuple(s[2 + k :]), total=s[1])
+            for n, s, zs in zip(slots, tallies, scores)
+        )
+    outcome = TrialOutcome(
+        k=k,
+        tau=head[_M],
+        delta=leader,
+        correct=leader == odd,
+        capped=not head[_STOPPED],
+        visits=tuple(head[_HEAD : _HEAD + k]),
+        events=tuple(head[_HEAD + k :]),
+        total=head[_TOTAL],
+        z_min=tuple(reals[k : 2 * k].tolist()),
+        snapshots=snaps,
+    )
+    return outcome, head[_LOOKUPS], head[_MISSES]
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

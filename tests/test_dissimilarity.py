@@ -86,6 +86,26 @@ class TestFiringRateTable:
         with pytest.raises(DomainError):
             table.index_of("imgZ")
 
+    def test_ids_round_trip(self):
+        # from_arrays strips ids as from_csv does, so a table written as a
+        # rates CSV reads back with the same ids, and the matrix CSV names
+        # exactly the table's ids.
+        raw = [" a", "b ", " face,front "]
+        rates = [[1.0, 2.0], [3.0, 4.0], [0.5, 6.0]]
+        table = FiringRateTable.from_arrays(raw, rates)
+        assert table.images == ("a", "b", "face,front")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["image_id", "n1", "n2"])
+        writer.writerows([image, *row] for image, row in zip(raw, rates))
+        assert FiringRateTable.from_csv(buf.getvalue()).images == table.images
+        matrix = pairwise_dstar(table, k=3)
+        rows = list(csv.reader(io.StringIO(matrix.to_csv())))[1:]
+        assert {r[0] for r in rows} == {r[1] for r in rows} == set(table.images)
+        assert table.index_of(" b") == 1 and matrix.value(" a ", "b") == matrix.values[0, 1]
+        with pytest.raises(DomainError):
+            FiringRateTable.from_arrays(["a", " a"], [[1.0], [2.0]])
+
     def test_from_csv_errors(self):
         with pytest.raises(DomainError):
             FiringRateTable.from_csv("")
@@ -325,6 +345,18 @@ class TestDelaysCsv:
         text = delays_to_csv(delays)
         assert text.endswith("\na,b,3\n")  # plain ids stay unquoted
         assert parse_delays_csv(text) == delays
+
+    def test_round_trip_strips_ids_once(self):
+        # Ids lose surrounding whitespace on the way in and on the way out,
+        # so writing parsed rows gives text that parses to the same rows.
+        delays = [(" a", "b ", 1.5), ("\tb", " face,front ", 0.25)]
+        text = delays_to_csv(delays)
+        assert text.startswith(DELAYS_HEADER + "\na,b,1.5\n")
+        parsed = parse_delays_csv(text)
+        assert parsed == [("a", "b", 1.5), ("b", "face,front", 0.25)]
+        assert parse_delays_csv(delays_to_csv(parsed)) == parsed
+        spaced = "odd_id,distractor_id,delay\n a , b ,1.5\n"
+        assert parse_delays_csv(spaced) == parse_delays_csv(delays_to_csv(parse_delays_csv(spaced)))
 
     def test_parse_errors(self):
         with pytest.raises(DomainError):

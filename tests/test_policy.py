@@ -92,14 +92,17 @@ class TestLeaderLambdaOdd:
         # A different estimate pair in the same 1e-6 cell of nu.
         b = leader_lambda_odd(4, 1.0000001, 2.0000001, cache)
         assert a == b
-        assert len(cache) == 1
+        assert list(cache) == [4]
+        assert np.flatnonzero(cache[4]).tolist() == [333333]
+        assert cache[4][333333] == a
 
     def test_cache_is_hit(self):
         cache = {}
         leader_lambda_odd(3, 3.0, 1.0, cache)
-        (key,) = cache.keys()
-        cache[key] = 0.123
+        (q,) = np.flatnonzero(cache[3])
+        cache[3][q] = 0.123
         assert leader_lambda_odd(3, 3.0, 1.0, cache) == 0.123
+        assert np.count_nonzero(cache[3]) == 1
 
     def test_insertion_order_irrelevant(self):
         pairs = [(1.0, 2.0), (5.0, 1.0), (2.0, 3.0), (1.0, 2.0)]
@@ -108,7 +111,9 @@ class TestLeaderLambdaOdd:
             leader_lambda_odd(3, t1, t2, fwd)
         for t1, t2 in reversed(pairs):
             leader_lambda_odd(3, t1, t2, rev)
-        assert fwd == rev
+        assert list(fwd) == list(rev) == [3]
+        assert np.count_nonzero(fwd[3]) == 3
+        assert np.array_equal(fwd[3], rev[3])
 
     def test_extreme_estimates_clamp(self):
         # nu clamps to the grid points 1/1e6 and 999999/1e6; the reference
@@ -121,9 +126,13 @@ class TestLeaderLambdaOdd:
     def test_no_memo_outlives_its_call(self, monkeypatch):
         # Without a cache, a trial keeps one memo for itself: it solves
         # fewer times than it looks weights up, and a rerun of the same
-        # trial finds nothing left over from the first.
+        # trial finds nothing left over from the first. A traced trial
+        # runs the Python loop, whose lookups and solves are counted here;
+        # an untraced one runs the compiled kernel, which counts its own,
+        # and the two must agree.
         lookups = solves = 0
         lookup, solve = policy.leader_lambda_odd, policy.solve_lambda_star
+        compiled, kernel_counts = policy._compiled_trial, []
 
         def counted_lookup(*args):
             nonlocal lookups
@@ -135,17 +144,27 @@ class TestLeaderLambdaOdd:
             solves += 1
             return solve(config)
 
+        def counted_compiled(*args):
+            outcome, n_lookups, n_misses = compiled(*args)
+            kernel_counts.append((n_lookups, n_misses))
+            return outcome, n_lookups, n_misses
+
         monkeypatch.setattr(policy, "leader_lambda_odd", counted_lookup)
         monkeypatch.setattr(policy, "solve_lambda_star", counted_solve)
+        monkeypatch.setattr(policy, "_compiled_trial", counted_compiled)
         cfg = PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=3000)
         truth = OddConfig(3, 1, 1.0, 2.0)
         counts = []
         for _ in range(2):
             lookups = solves = 0
-            run_trial(cfg, truth, np.random.default_rng(77), cache=None)
+            run_trial(cfg, truth, np.random.default_rng(77), collect_trace=True, cache=None)
             counts.append((lookups, solves))
         assert counts[0] == counts[1]
         assert 0 < counts[0][1] < counts[0][0]
+        if policy._native.kernel() is not None:
+            for _ in range(2):
+                run_trial(cfg, truth, np.random.default_rng(77), cache=None)
+            assert kernel_counts == counts
 
     def test_unusable_estimates_raise_domain_error(self):
         # A zero, negative or NaN estimate has no weight; it is never a
