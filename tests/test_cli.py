@@ -488,6 +488,18 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_builds_no_kernel(self):
+        """The compiled trial kernel is built and loaded by the first
+        untraced trial, never by an import."""
+        src = str(Path(oddball.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import oddball.cli, oddball._native as native; print(native._loaded)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestBenchmarkTargets:
     def test_traced_names_exist(self):
