@@ -13,55 +13,60 @@
    table filled by math.lgamma, which is CPython's own code.
 
    All state lives in caller arrays, so a call that stops early for a
-   bigger lgamma table resumes where it stopped. */
+   bigger lgamma table resumes where it stopped. The constants the two
+   loops share come from Python in `par`; the layouts of `par` and of the
+   state array are the P_ and S_ enums below, which policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
 
 #include "numpy/random/distributions.h"
 
-#define QUANT 1000000
-
 /* Slots of the int64 state array; visits[k] and events[k] follow. */
 enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_PENDING, S_STOPPED, S_CP, S_LOOKUPS, S_MISSES, S_HEAD };
+
+/* Slots of `par`: policy._QUANT and DEGENERATE_ESTIMATE_GAP, solver
+   NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
+   _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
+enum { P_QUANT, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
 
 /* Return codes of oddball_trial. */
 enum { DONE, NEED_LGAMMA };
 
-/* numerics._u_minus_log1p: u - log(1 + u), by series for |u| <= 0.09. */
-static double u_minus_log1p(double u) {
-    if (u > 0.09 || u < -0.09) return u - log1p(u);
+/* numerics._u_minus_log1p: u - log(1 + u), by series near 0. */
+static double u_minus_log1p(double u, const double *par) {
+    if (u > par[P_RADIUS] || u < -par[P_RADIUS]) return u - log1p(u);
     double p = 0.0;
-    for (int j = 15; j >= 0; j--) p = p * u + (j % 2 ? -1.0 : 1.0) / (j + 2);
+    for (int64_t j = 0; j < (int64_t)par[P_NCOEFFS]; j++) p = p * u + par[P_COEFFS + j];
     return u * u * p;
 }
 
 /* numerics.poisson_kl for x >= 0, y > 0. */
-static double poisson_kl(double x, double y) {
+static double poisson_kl(double x, double y, const double *par) {
     if (x == 0.0) return y;
     double u = (y - x) / x;
     if (isinf(u) || u <= -1.0) return x * (log(x) - log(y)) - x + y;
-    return x * u_minus_log1p(u);
+    return x * u_minus_log1p(u, par);
 }
 
-/* solve_lambda_star(OddConfig(k, 1, q / QUANT, 1 - q / QUANT)).lam_odd:
+/* solve_lambda_star(OddConfig(k, 1, q / quant, 1 - q / quant)).lam_odd:
    solver._root_scalar, then solver._lam_odd_from_hat. The sign-change
    check of _root_scalar always passes on this grid: the rates differ by
-   at least 2 / QUANT except at q = QUANT / 2, which takes the
+   at least 2 / quant except at q = quant / 2, which takes the
    equal-rates weight. */
-static double lam_odd_at(int64_t q, double rho) {
-    double a = (double)q / QUANT, b = 1.0 - a;
+static double lam_odd_at(int64_t q, double rho, const double *par) {
+    double a = (double)q / par[P_QUANT], b = 1.0 - a;
     double x = 1.0 / (1.0 + sqrt(rho));
-    if (fabs(a / (a + b) - 0.5) >= 1e-9) {
+    if (fabs(a / (a + b) - 0.5) >= par[P_NEAR_NU]) {
         double lo = 0.0, hi = 1.0, step = 1.0;
         for (;;) {
             double m = x * a + (1.0 - x) * b;
-            double d1 = poisson_kl(a, m), t2 = rho * poisson_kl(b, m);
+            double d1 = poisson_kl(a, m, par), t2 = rho * poisson_kl(b, m, par);
             double slope = (a - b) * ((1.0 - a / m) - rho * (1.0 - b / m));
             double g = d1 - t2;
-            if (fabs(g) <= 1e-10 * (d1 > t2 ? d1 : t2)) break;
+            if (fabs(g) <= par[P_TOL] * (d1 > t2 ? d1 : t2)) break;
             if (g > 0.0) lo = x; else hi = x;
-            if (hi - lo < 1e-15) break;
+            if (hi - lo < par[P_BRACKET]) break;
             double nxt = slope < 0.0 ? x - g / slope : x;
             if (!(lo < nxt && nxt < hi && fabs(nxt - x) <= 0.5 * step)) nxt = 0.5 * (lo + hi);
             step = fabs(nxt - x);
@@ -72,21 +77,21 @@ static double lam_odd_at(int64_t q, double rho) {
 }
 
 /* lam_odd_at for the weight table of k, exported for tests. */
-double oddball_lam_odd(int64_t k, int64_t q) {
-    return lam_odd_at(q, (double)(k - 2) / (double)(k - 1));
+double oddball_lam_odd(int64_t k, int64_t q, const double *par) {
+    return lam_odd_at(q, (double)(k - 2) / (double)(k - 1), par);
 }
 
 /* Run one trial from the state in `st` until it stops, reaches
    max_slots or needs lgamma(total + 1), which `lg` (lg[y] =
    lgamma(y + 1), nlg entries) does not hold. z receives the scores of
    the last slot. `weights` is the memo: entry q holds lambda*(k, q /
-   QUANT), 0.0 until solved. Checkpoint slots `cps` are sorted; snapshot
+   quant), 0.0 until solved. Checkpoint slots `cps` are sorted; snapshot
    c goes to snap_i[c * (2 + 2k)] (leader, total, visits, events) and
    snap_z[c * k]. */
 int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
                   double log_threshold, const double *rates, int64_t *st, double *z,
                   double *weights, const double *lg, int64_t nlg, const int64_t *cps,
-                  int64_t ncp, int64_t *snap_i, double *snap_z) {
+                  int64_t ncp, int64_t *snap_i, double *snap_z, const double *par) {
     int64_t *visits = st + S_HEAD, *events = visits + k;
     int64_t m = st[S_M], action = st[S_ACTION], leader = st[S_LEADER], total = st[S_TOTAL];
     int64_t pending = st[S_PENDING], ci = st[S_CP];
@@ -165,18 +170,18 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
         int64_t yi = events[leader - 1], ni = visits[leader - 1], no = m - ni;
         double t1 = ni > 0 ? (double)yi / (double)ni : 0.0;
         double t2 = no > 0 ? (double)(total - yi) / (double)no : 0.0;
-        if (t1 <= 0.0 || t2 <= 0.0 || fabs(t1 - t2) < 1e-9) {
+        if (t1 <= 0.0 || t2 <= 0.0 || fabs(t1 - t2) < par[P_GAP]) {
             int64_t idx = (int64_t)(next_double(bg) * (double)k);
             action = (idx > k - 1 ? k - 1 : idx) + 1;
             continue;
         }
         st[S_LOOKUPS]++;
-        double qd = rint(t1 / (t1 + t2) * QUANT);
-        int64_t q = qd < 1.0 ? 1 : qd > QUANT - 1 ? QUANT - 1 : (int64_t)qd;
+        double quant = par[P_QUANT], qd = rint(t1 / (t1 + t2) * quant);
+        int64_t q = qd < 1.0 ? 1 : qd > quant - 1.0 ? (int64_t)quant - 1 : (int64_t)qd;
         double lam = weights[q];
         if (lam == 0.0) {
             st[S_MISSES]++;
-            lam = weights[q] = lam_odd_at(q, rho);
+            lam = weights[q] = lam_odd_at(q, rho, par);
         }
         double u = next_double(bg);
         if (u < lam) {

@@ -76,10 +76,10 @@ def _open(path: str, key: str):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.oddball_trial.argtypes = [
-        ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr,
+        ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr,
     ]
     lib.oddball_trial.restype = ctypes.c_int
-    lib.oddball_lam_odd.argtypes = [i64, i64]
+    lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
     return lib
 

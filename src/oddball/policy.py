@@ -29,7 +29,8 @@ first-seen one, so a memo's contents are a pure function of its keys:
 sharing one between trials changes how often the solver runs, never a
 result. The memo is a dict the caller owns and passes as `cache`: the
 weight table of each K under key K, and under "lgamma" the table of
-lgamma(y + 1) the compiled kernel reads. Without one, each `run_trial`
+lgamma(y + 1) the compiled kernel reads, which stops growing at
+_LGAMMA_CAP entries (16 MiB). Without one, each `run_trial`
 keeps its own for the trial and each `next_decision` or
 `leader_lambda_odd` call for that call alone. No memo is kept at module
 level.
@@ -39,7 +40,9 @@ see README, "Trial kernel"), which repeats the Python loop bitwise on the
 trial's own generator: same draws, same floating-point operations, same
 memo entries. A traced trial, a generator that is not a numpy
 `Generator`, and a machine where the kernel cannot be built run the
-Python loop below, which stays the reference.
+Python loop below, which stays the reference. A trial whose event total
+outgrows the lgamma table's cap is handed from the kernel to the Python
+loop mid-trial, so memory stays bounded however long or busy the trial.
 """
 
 from __future__ import annotations
@@ -53,8 +56,22 @@ import numpy as np
 
 from . import _native
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
-from .numerics import DomainError, _require_int, _require_list, _require_real
-from .solver import OddConfig, _weight_vector, solve_lambda_star
+from .numerics import (
+    _LOG1P_TAIL_COEFFS,
+    _SERIES_RADIUS,
+    DomainError,
+    _require_int,
+    _require_list,
+    _require_real,
+)
+from .solver import (
+    _MIN_BRACKET,
+    DEFAULT_TOL,
+    NEAR_DEGENERATE_NU,
+    OddConfig,
+    _weight_vector,
+    solve_lambda_star,
+)
 
 __all__ = [
     "VARIANTS",
@@ -75,6 +92,15 @@ VARIANTS = ("standard", "non_stopping")
 DEGENERATE_ESTIMATE_GAP = 1e-9
 
 _QUANT = 10 ** 6
+
+# numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random): past it
+# Generator.poisson refuses, and a draw could overflow an int64.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+# Entries of the memo's lgamma table at most (16 MiB). A trial whose event
+# total reaches it leaves the compiled kernel for the Python loop, which
+# calls math.lgamma directly.
+_LGAMMA_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -179,32 +205,41 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     return lam_odd
 
 
+def _reserved(n: int) -> np.ndarray:
+    """n float64 zeros in an anonymous mmap advised against huge pages, so
+    only the pages written cost memory. Not np.zeros, which advises huge
+    pages from 4 MiB on: a table written at a few hundred scattered
+    entries would then hold whole 2 MiB pages."""
+    buf = mmap.mmap(-1, 8 * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64)
+
+
 def _weight_table(cache: dict, k: int) -> np.ndarray:
     """The memo's weight table of k: entry q holds lambda*(k, q / _QUANT),
-    0.0 until solved. It is an anonymous mmap advised against huge pages,
-    not np.zeros, which advises them for its 8 MB: a memo written at a
-    few hundred scattered q would then hold whole 2 MiB pages."""
+    0.0 until solved."""
     table = cache.get(k)
     if table is None:
-        buf = mmap.mmap(-1, 8 * _QUANT)
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        table = cache[k] = np.frombuffer(buf, dtype=np.float64)
+        table = cache[k] = _reserved(_QUANT)
     return table
 
 
 def _lgamma_table(cache: dict, total: int) -> np.ndarray:
-    """The memo's table of math.lgamma(y + 1) for y = 0, 1, ..., doubled
-    in length until it covers y = total."""
-    old = cache.get("lgamma")
-    have = 0 if old is None else len(old)
-    size = max(have, 1024)
-    while size <= total:
+    """The filled part of the memo's table of math.lgamma(y + 1): y = 0,
+    1, ... in a length doubled until it covers y = total or reaches
+    _LGAMMA_CAP. The table is reserved at the cap and filled in place, in
+    chunks, so it never needs a second copy. The memo holds (table,
+    filled length)."""
+    table, filled = cache.get("lgamma") or (_reserved(_LGAMMA_CAP), 0)
+    size = max(filled, 1024)
+    while size <= total and size < _LGAMMA_CAP:
         size *= 2
-    if size > have:
-        new = np.fromiter(map(math.lgamma, range(have + 1, size + 1)), np.float64, size - have)
-        old = cache["lgamma"] = new if old is None else np.concatenate((old, new))
-    return old
+    for lo in range(filled, size, 1 << 16):
+        hi = min(size, lo + (1 << 16))
+        table[lo:hi] = np.fromiter(map(math.lgamma, range(lo + 1, hi + 1)), np.float64, hi - lo)
+    cache["lgamma"] = (table, size)
+    return table[:size]
 
 
 def _weighted_action(leader: int, lam_odd: float, k: int, u: float) -> int:
@@ -318,6 +353,8 @@ def run_trial(
         raise DomainError("simulation supports scalar-rate configurations only")
     if truth.k != config.k:
         raise DomainError(f"truth has k={truth.k} but the policy was configured for k={config.k}")
+    if max(truth.r1[0], truth.r2[0]) > _POISSON_LAM_MAX:
+        raise DomainError(f"rates above {_POISSON_LAM_MAX:.10g} are past numpy's Poisson sampler")
     cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
     cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
@@ -342,26 +379,29 @@ def _python_trial(
     collect_trace: bool,
     cp: frozenset,
     cache: dict,
+    resume: tuple[SufficientStats, list[Snapshot]] | None = None,
 ) -> TrialOutcome:
     """`run_trial` on the Python loop: the reference the compiled kernel
-    repeats, and the only path that records a trace."""
+    repeats, and the only path that records a trace. `resume` is the
+    (tallies, snapshots) of an untraced trial the kernel hands over with
+    slot tallies.n drawn and recorded but not yet scored."""
     k = config.k
     odd = truth.odd_index
     rates = _rates(truth)
-    stats = SufficientStats(k=k)
+    stats, snaps = (SufficientStats(k=k), []) if resume is None else resume
     visits = stats.visits
     events = stats.events
     trace: list[dict] | None = [] if collect_trace else None
-    snaps: list[Snapshot] = []
 
     stopped = False
     leader = 1
     z_min = [0.0] * k
-    m = 0
-    action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]
-    for m in range(1, config.max_slots + 1):
-        x = int(rng.poisson(rates[action - 1]))
-        stats._record(action, x)
+    if resume is None:
+        action = _next_action(config, 0, leader, stats.theta_hat(leader), rng, cache)[0]
+    for m in range(stats.n + (resume is None), config.max_slots + 1):
+        if m > stats.n:  # slot m is not drawn yet
+            x = int(rng.poisson(rates[action - 1]))
+            stats._record(action, x)
         avg, ml = _scores(stats)
         z_min = _z_min_from_scores(avg, ml)
         leader = _pick_leader(z_min, rng)
@@ -412,10 +452,15 @@ def _python_trial(
 
 
 # The compiled kernel's int64 state array: these fields, then visits and
-# events (the enum in _kernel.c), and the code it returns for a longer
-# lgamma table.
+# events; the code it returns for a longer lgamma table; and its constants.
+# The layouts are the S_ and P_ enums of _kernel.c.
 _M, _ACTION, _LEADER, _TOTAL, _PENDING, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(10)
 _NEED_LGAMMA = 1
+_KERNEL_PARAMS = np.array(
+    [_QUANT, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET,
+     _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
+)
+_KERNEL_PARAMS.flags.writeable = False
 
 
 def _compiled_trial(
@@ -427,9 +472,10 @@ def _compiled_trial(
     cache: dict,
 ) -> tuple[TrialOutcome, int, int]:
     """An untraced `run_trial` on the compiled kernel, with the number of
-    weight lookups and of memo misses it made. The kernel runs with the
-    generator's lock held, as numpy's own draws do; when it needs a longer
-    lgamma table it returns, and the call resumes from the state it left."""
+    weight lookups and of memo misses the kernel made. The kernel runs
+    with the generator's lock held, as numpy's own draws do. When it needs
+    a longer lgamma table it returns, and the call resumes from the state
+    it left; past the table's cap the Python loop takes that state over."""
     k = config.k
     odd = truth.odd_index
     ncp = len(cp)
@@ -447,23 +493,28 @@ def _compiled_trial(
         _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
         config.log_threshold, rp, ip, rp + 8 * k, _weight_table(cache, k).ctypes.data,
     )
-    tail = (ip + 8 * cps_at, ncp, ip + 8 * (cps_at + ncp), rp + 16 * k)
+    tail = (ip + 8 * cps_at, ncp, ip + 8 * (cps_at + ncp), rp + 16 * k, _KERNEL_PARAMS.ctypes.data)
     lgamma = _lgamma_table(cache, 0)
     with bitgen.lock:
         while kernel.oddball_trial(*args, lgamma.ctypes.data, len(lgamma), *tail) == _NEED_LGAMMA:
+            if len(lgamma) == _LGAMMA_CAP:
+                break
             lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
     head = ints[:cps_at].tolist()
     leader = head[_LEADER]
-    snaps = None
-    if cp:
-        slots = ints[cps_at : cps_at + head[_CP]].tolist()
-        tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
-        scores = reals[2 * k :].reshape(ncp, k).tolist()
-        snaps = tuple(
-            Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
-                     events=tuple(s[2 + k :]), total=s[1])
-            for n, s, zs in zip(slots, tallies, scores)
-        )
+    slots = ints[cps_at : cps_at + head[_CP]].tolist()
+    tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
+    scores = reals[2 * k :].reshape(ncp, k).tolist()
+    snaps = [
+        Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
+                 events=tuple(s[2 + k :]), total=s[1])
+        for n, s, zs in zip(slots, tallies, scores)
+    ]
+    if head[_PENDING]:
+        visits, events = head[_HEAD : _HEAD + k], head[_HEAD + k :]
+        stats = SufficientStats(k=k, n=head[_M], visits=visits, events=events, total=head[_TOTAL])
+        outcome = _python_trial(config, truth, rng, False, cp, cache, (stats, snaps))
+        return outcome, head[_LOOKUPS], head[_MISSES]
     outcome = TrialOutcome(
         k=k,
         tau=head[_M],
@@ -474,7 +525,7 @@ def _compiled_trial(
         events=tuple(head[_HEAD + k :]),
         total=head[_TOTAL],
         z_min=tuple(reals[k : 2 * k].tolist()),
-        snapshots=snaps,
+        snapshots=tuple(snaps) if cp else None,
     )
     return outcome, head[_LOOKUPS], head[_MISSES]
 

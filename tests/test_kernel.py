@@ -9,6 +9,9 @@ against a temporary cache directory.
 
 import dataclasses
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ import pytest
 import oddball.policy as policy
 from oddball import _native
 from oddball.cli import main as cli_main
+from oddball.numerics import _LOG1P_TAIL_COEFFS, _SERIES_RADIUS, DomainError
 from oddball.policy import PolicyConfig
+from oddball.solver import _MIN_BRACKET, DEFAULT_TOL, NEAR_DEGENERATE_NU
 from oddball.solver import OddConfig, solve_lambda_star
 
 
@@ -57,6 +62,34 @@ CONFIGS = {
 }
 
 
+def _agree(configs, truth, seeds, checkpoints, kernel):
+    """Run both loops on every (config, seed), each loop with its own memo
+    across all trials as a block of trials keeps; assert equal outcomes
+    and generator states. Returns (Python memo, kernel memo, last Python
+    outcome, kernel lookups, kernel misses)."""
+    cp = frozenset(checkpoints)
+    memo_py, memo_c = {}, {}
+    lookups = misses = 0
+    for config in configs:
+        for seed in seeds:
+            rng_py, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref = policy._python_trial(config, truth, rng_py, False, cp, memo_py)
+            got, n_lookups, n_misses = policy._compiled_trial(
+                kernel, config, truth, rng_c, cp, memo_c
+            )
+            key = (config.threshold_l, seed)
+            assert (got.tau, got.delta, got.correct, got.capped) == (
+                ref.tau, ref.delta, ref.correct, ref.capped), key
+            assert (got.visits, got.events, got.total) == (ref.visits, ref.events, ref.total), key
+            assert got.z_min == ref.z_min, key
+            assert got.snapshots == ref.snapshots, key
+            assert got == ref, key
+            assert rng_c.bit_generator.state == rng_py.bit_generator.state, key
+            lookups += n_lookups
+            misses += n_misses
+    return memo_py, memo_c, ref, lookups, misses
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_kernels_agree_exactly(name, kernel, monkeypatch):
     configs, truth, seeds, checkpoints = CONFIGS[name]
@@ -69,27 +102,7 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
         return pick(z_min, rng)
 
     monkeypatch.setattr(policy, "_pick_leader", counted_pick)
-    cp = frozenset(checkpoints)
-    # One memo per kernel across all trials, as a block of trials keeps.
-    memo_py, memo_c = {}, {}
-    lookups = misses = 0
-    for config in configs:
-        for seed in seeds:
-            rng_py, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref = policy._python_trial(config, truth, rng_py, False, cp, memo_py)
-            got, n_lookups, n_misses = policy._compiled_trial(
-                kernel, config, truth, rng_c, cp, memo_c
-            )
-            key = (name, config.threshold_l, seed)
-            assert (got.tau, got.delta, got.correct, got.capped) == (
-                ref.tau, ref.delta, ref.correct, ref.capped), key
-            assert (got.visits, got.events, got.total) == (ref.visits, ref.events, ref.total), key
-            assert got.z_min == ref.z_min, key
-            assert got.snapshots == ref.snapshots, key
-            assert got == ref, key
-            assert rng_c.bit_generator.state == rng_py.bit_generator.state, key
-            lookups += n_lookups
-            misses += n_misses
+    memo_py, memo_c, ref, lookups, misses = _agree(configs, truth, seeds, checkpoints, kernel)
     k = truth.k
     assert np.array_equal(memo_c[k], memo_py[k])
     assert misses == np.count_nonzero(memo_c[k]) > 0
@@ -98,16 +111,83 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
         assert ties > 0
     if name == "drift":
         # The trial outgrew the first lgamma table and resumed.
-        assert len(memo_c["lgamma"]) > 1024
+        assert memo_c["lgamma"][1] > 1024
         assert len(ref.snapshots) == len(checkpoints)
 
 
+@pytest.mark.parametrize("name", ["drift", "high-rate"])
+def test_hand_over_past_lgamma_cap(name, kernel, monkeypatch):
+    # With the lgamma table capped at its first size, trials whose event
+    # total passes it leave the kernel for the Python loop mid-trial; the
+    # drift trial hands over between its checkpoints.
+    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+    hand_overs = []
+    python_trial = policy._python_trial
+
+    def spy(*args):
+        hand_overs.append(len(args) > 6)  # called with the kernel's state
+        return python_trial(*args)
+
+    monkeypatch.setattr(policy, "_python_trial", spy)
+    if name == "drift":
+        configs, truth, seeds, checkpoints = CONFIGS["drift"]
+    else:
+        configs = [PolicyConfig(k=3, threshold_l=l) for l in (10.0, 1e3)]
+        truth, seeds, checkpoints = OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
+    memo_py, memo_c, _, _, _ = _agree(configs, truth, seeds, checkpoints, kernel)
+    assert hand_overs.count(True) == len(configs) * len(seeds)
+    assert memo_c["lgamma"][1] == 1024
+    assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
+
+
+def test_rates_past_numpy_poisson_limit(kernel):
+    # Both loops refuse a rate numpy cannot draw from, before any draw; at
+    # the limit itself they agree (the kernel hands over at once).
+    config, limit = PolicyConfig(k=3, threshold_l=10.0), policy._POISSON_LAM_MAX
+    over = OddConfig(3, 1, float(np.nextafter(limit, np.inf)), 1.0)
+    for traced in (False, True):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="Poisson"):
+            policy.run_trial(config, over, rng, collect_trace=traced)
+        assert rng.bit_generator.state == state
+    _agree([config], OddConfig(3, 1, limit, 1.0), range(3), (1, 2), kernel)
+
+
+def test_lgamma_table_memory_is_bounded(kernel):
+    # A long non-stopping trial at rate 150 reaches an event total near
+    # 6e6; uncapped, its lgamma table alone would take 64 MiB. The first
+    # trial loads the kernel before the peak RSS is read.
+    probe = (
+        "import resource, numpy as np\n"
+        "from oddball.policy import PolicyConfig, run_trial\n"
+        "from oddball.solver import OddConfig\n"
+        "run_trial(PolicyConfig(k=3, threshold_l=1.0), OddConfig(3, 1, 2.0, 1.0),"
+        " np.random.default_rng(0))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "config = PolicyConfig(k=3, threshold_l=1.0, variant='non_stopping', max_slots=40_000)\n"
+        "out = run_trial(config, OddConfig(3, 1, 150.0, 150.0), np.random.default_rng(1))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(out.total, (after - before) / 1024)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(policy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    total, grown_mib = proc.stdout.split()
+    assert int(total) > 5_000_000
+    assert float(grown_mib) < 32.0, proc.stdout
+
+
 def test_weight_solve_is_bitwise(kernel):
+    params = policy._KERNEL_PARAMS.ctypes.data
     grid = set(range(1, 10**6, 4999)) | {1, 2, 333_333, 499_999, 500_000, 500_001, 999_998, 999_999}
     for k in (3, 4, 5, 50, 1000):
         for q in sorted(grid):
             ref = solve_lambda_star(OddConfig(k, 1, q / 1e6, 1.0 - q / 1e6)).lam_odd
-            assert kernel.oddball_lam_odd(k, q) == ref, (k, q)
+            assert kernel.oddball_lam_odd(k, q, params) == ref, (k, q)
 
 
 def test_run_trial_dispatch(kernel, monkeypatch):
@@ -216,6 +296,37 @@ def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     builds = _spy_builds(monkeypatch, tmp_path)
     lib = _native.kernel()
     assert len(builds) == 1 and lib is not None
-    assert lib.oddball_lam_odd(3, 250_000) == solve_lambda_star(OddConfig(3, 1, 0.25, 0.75)).lam_odd
+    lam_odd = lib.oddball_lam_odd(3, 250_000, policy._KERNEL_PARAMS.ctypes.data)
+    assert lam_odd == solve_lambda_star(OddConfig(3, 1, 0.25, 0.75)).lam_odd
     # The rebuilt file is sealed and loads again.
     assert _native._open(path, key) is not None
+
+
+def _c_enum(first: str) -> list[str]:
+    """Names of the enum in _kernel.c that starts with `first`."""
+    with open(_native._SOURCE, encoding="utf-8") as fh:
+        source = fh.read()
+    body = re.search(r"enum \{ (" + first + r"\b[^}]*)\}", source).group(1)
+    return [name.strip() for name in body.split(",")]
+
+
+def test_layouts_match_the_kernel():
+    # Each array layout the kernel shares is declared once per language;
+    # the Python side must list the C enums' slots in the same order.
+    state = _c_enum("S_M")
+    assert [getattr(policy, "_" + name[2:]) for name in state] == list(range(len(state)))
+    assert _c_enum("DONE").index("NEED_LGAMMA") == policy._NEED_LGAMMA
+    values = {
+        "P_QUANT": policy._QUANT,
+        "P_GAP": policy.DEGENERATE_ESTIMATE_GAP,
+        "P_NEAR_NU": NEAR_DEGENERATE_NU,
+        "P_TOL": DEFAULT_TOL,
+        "P_BRACKET": _MIN_BRACKET,
+        "P_RADIUS": _SERIES_RADIUS,
+        "P_NCOEFFS": len(_LOG1P_TAIL_COEFFS),
+    }
+    slots = _c_enum("P_QUANT")
+    assert slots == [*values, "P_COEFFS"]
+    params = policy._KERNEL_PARAMS
+    assert [params[slots.index(name)] for name in values] == list(values.values())
+    assert tuple(params[slots.index("P_COEFFS"):]) == _LOG1P_TAIL_COEFFS
