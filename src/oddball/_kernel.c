@@ -13,7 +13,8 @@
    table filled by math.lgamma, which is CPython's own code.
 
    All state lives in caller arrays, so a call that stops early for a
-   bigger lgamma table resumes where it stopped. The constants the two
+   bigger lgamma table resumes where it stopped: here, or past the
+   table's cap, on the Python loop. The constants the two
    loops share come from Python in `par`; the layouts of `par` and of the
    state array are the P_ and S_ enums below, which policy.py mirrors. */
 

@@ -502,14 +502,16 @@ def _compiled_trial(
             lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
     head = ints[:cps_at].tolist()
     leader = head[_LEADER]
-    slots = ints[cps_at : cps_at + head[_CP]].tolist()
-    tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
-    scores = reals[2 * k :].reshape(ncp, k).tolist()
-    snaps = [
-        Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
-                 events=tuple(s[2 + k :]), total=s[1])
-        for n, s, zs in zip(slots, tallies, scores)
-    ]
+    snaps = []
+    if cp:
+        slots = ints[cps_at : cps_at + head[_CP]].tolist()
+        tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
+        scores = reals[2 * k :].reshape(ncp, k).tolist()
+        snaps = [
+            Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
+                     events=tuple(s[2 + k :]), total=s[1])
+            for n, s, zs in zip(slots, tallies, scores)
+        ]
     if head[_PENDING]:
         visits, events = head[_HEAD : _HEAD + k], head[_HEAD + k :]
         stats = SufficientStats(k=k, n=head[_M], visits=visits, events=events, total=head[_TOTAL])
