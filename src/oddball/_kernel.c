@@ -7,19 +7,21 @@
    and the next action, and solver._root_scalar with numerics.poisson_kl
    for a weight the memo does not hold yet. Draws are the calls numpy's
    Generator makes for rng.poisson, rng.random and rng.integers, on the
-   trial's own bit generator. Build with -ffp-contract=off: a fused
-   multiply-add rounds differently. log, log1p and sqrt are the C
-   library's, as in Python's math module; lgamma(y + 1) is read from a
-   table filled by math.lgamma, which is CPython's own code.
+   trial's own bit generator (oddball_trial) or on a port of numpy's PCG64
+   seeded as default_rng([seed, level, trial]) seeds it (oddball_block).
+   Build with -ffp-contract=off: a fused multiply-add rounds differently.
+   log, log1p and sqrt are the C library's, as in Python's math module;
+   lgamma(y + 1) is read from a table filled by math.lgamma, which is
+   CPython's own code.
 
    All state lives in caller arrays, so a call that stops early for a
    bigger lgamma table resumes where it stopped: here, or past the
-   table's cap, on the Python loop. The constants the two
-   loops share come from Python in `par`; the layouts of `par` and of the
-   state array are the P_ and S_ enums below, which policy.py mirrors. */
+   table's cap, on the Python loop. Shared constants come from Python in
+   `par`; the P_, S_ and G_ enums below are layouts policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/distributions.h"
 
@@ -31,8 +33,99 @@ enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_PENDING, S_STOPPED, S_CP, S_LOOKUPS, 
    _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
 enum { P_QUANT, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
 
-/* Return codes of oddball_trial. */
+/* Return codes of oddball_trial and oddball_block. */
 enum { DONE, NEED_LGAMMA };
+
+/* Slots of a generator array: numpy's PCG64.state, each 128-bit value
+   as its high word, then its low word (the order get128 reads). */
+enum { G_STATE_HI, G_STATE_LO, G_INC_HI, G_INC_LO, G_HAS_UINT32, G_UINTEGER, G_SIZE };
+
+#define PCG_MULT ((__uint128_t)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+/* The 128-bit value of a[0] (high word) and a[1] (low word), and its store. */
+static __uint128_t get128(const uint64_t *a) { return (__uint128_t)a[0] << 64 | a[1]; }
+static void put128(uint64_t *a, __uint128_t v) { a[0] = (uint64_t)(v >> 64), a[1] = (uint64_t)v; }
+
+/* numpy's PCG64 on a generator array: the XSL-RR output of a 128-bit
+   LCG, and the spare half of a 64-bit draw kept for the next 32-bit one. */
+static uint64_t pcg_next64(void *p) {
+    uint64_t *g = p;
+    put128(g + G_STATE_HI, get128(g + G_STATE_HI) * PCG_MULT + get128(g + G_INC_HI));
+    uint64_t x = g[G_STATE_HI] ^ g[G_STATE_LO];
+    unsigned r = (unsigned)(g[G_STATE_HI] >> 58);
+    return (x >> r) | (x << ((-r) & 63));
+}
+
+static uint32_t pcg_next32(void *p) {
+    uint64_t *g = p;
+    if (g[G_HAS_UINT32]) {
+        g[G_HAS_UINT32] = 0;
+        return (uint32_t)g[G_UINTEGER];
+    }
+    uint64_t x = pcg_next64(g);
+    g[G_HAS_UINT32] = 1;
+    g[G_UINTEGER] = x >> 32;
+    return (uint32_t)x;
+}
+
+static double pcg_next_double(void *p) {
+    return (double)(pcg_next64(p) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hashmix and mix on 32-bit words. */
+static uint32_t hashmix(uint32_t v, uint32_t *h) {
+    v ^= *h;
+    *h *= 0x931e8875u;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* Seed g as PCG64(SeedSequence(v[0..n))) does, n <= 3, each v below
+   2^64: the entropy is each value's 32-bit words, low first (one word
+   below 2^32), mixed into a pool of four; generate_state(4, uint64) of
+   the pool gives s, whose words seed the state (s[0], s[1]) and the
+   increment (s[2], s[3]). */
+static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n) {
+    uint32_t w[6], pool[4], h = 0x43b0d7e5u;
+    uint64_t s[4] = {0};
+    int nw = 0;
+    for (int64_t j = 0; j < n; j++) {
+        w[nw++] = (uint32_t)v[j];
+        if (v[j] >> 32) w[nw++] = (uint32_t)(v[j] >> 32);
+    }
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(i < nw ? w[i] : 0, &h);
+    for (int s = 0; s < 4; s++)
+        for (int d = 0; d < 4; d++)
+            if (s != d) pool[d] = mix(pool[d], hashmix(pool[s], &h));
+    for (int s = 4; s < nw; s++)
+        for (int d = 0; d < 4; d++) pool[d] = mix(pool[d], hashmix(w[s], &h));
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t x = pool[i % 4] ^ h;
+        h *= 0x58f38dedu;
+        x *= h;
+        s[i / 2] |= (uint64_t)(x ^ (x >> 16)) << (32 * (i % 2));
+    }
+    memset(g, 0, sizeof(*g) * G_SIZE);
+    put128(g + G_INC_HI, get128(s + 2) << 1 | 1);
+    pcg_next64(g);
+    put128(g + G_STATE_HI, get128(g + G_STATE_HI) + get128(s));
+    pcg_next64(g);
+}
+
+/* For tests: seed `gen` from values[0..n) (n <= 3) when n > 0, then
+   make `count` draws into out, of next_uint32 if bits is 32, else of
+   next_uint64. */
+void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, int64_t bits, int64_t count,
+                  uint64_t *out) {
+    if (n > 0) pcg_seed(gen, values, n);
+    for (int64_t i = 0; i < count; i++) out[i] = bits == 32 ? pcg_next32(gen) : pcg_next64(gen);
+}
 
 /* numerics._u_minus_log1p: u - log(1 + u), by series near 0. */
 static double u_minus_log1p(double u, const double *par) {
@@ -200,4 +293,33 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
     st[S_PENDING] = pending;
     st[S_CP] = ci;
     return status;
+}
+
+/* Run trials *pos..n-1 without checkpoints, trial i on the generator of
+   default_rng([seed, level, trials[i]]), and write its stopping slot,
+   final leader and whether it was capped to out[i], out[n + i] and
+   out[2n + i]. Returns DONE, or NEED_LGAMMA with *pos at a trial that
+   needs a longer lgamma table, its state in st (S_PENDING set) and its
+   generator in gen; a call with that state resumes it. */
+int oddball_block(uint64_t seed, int64_t level, const int64_t *trials, int64_t n, int64_t *pos,
+                  uint64_t *gen, int64_t k, int64_t max_slots, int64_t stopping,
+                  double log_threshold, const double *rates, int64_t *st, double *z,
+                  double *weights, const double *lg, int64_t nlg, const double *par,
+                  int64_t *out) {
+    bitgen_t bg = {gen, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+    for (; *pos < n; ++*pos) {
+        if (!st[S_PENDING]) {
+            uint64_t key[3] = {seed, (uint64_t)level, (uint64_t)trials[*pos]};
+            pcg_seed(gen, key, 3);
+            memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
+            st[S_ACTION] = st[S_LEADER] = 1;
+        }
+        if (oddball_trial(&bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, lg,
+                          nlg, NULL, 0, NULL, NULL, par) == NEED_LGAMMA)
+            return NEED_LGAMMA;
+        out[*pos] = st[S_M];
+        out[n + *pos] = st[S_LEADER];
+        out[2 * n + *pos] = !st[S_STOPPED];
+    }
+    return DONE;
 }

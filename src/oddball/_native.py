@@ -10,7 +10,8 @@ its bytes and its key, and a cached file whose digest does not match
 (truncated, or built from other source) is rebuilt, never loaded. When
 the kernel cannot be built (no compiler, an unwritable cache, a failed
 link), `kernel()` returns None, one note goes to stderr, and callers run
-the Python loop.
+the Python loop. A new build removes the libraries of earlier sources
+from the cache directory.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _open(path: str, key: str):
     lib.oddball_trial.restype = ctypes.c_int
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
+    lib.oddball_block.argtypes = [
+        ctypes.c_uint64, i64, ptr, i64, ptr, ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr,
+        ptr, ptr, i64, ptr, ptr,
+    ]
+    lib.oddball_block.restype = ctypes.c_int
+    lib.oddball_draw.argtypes = [ptr, i64, ptr, i64, i64, ptr]
+    lib.oddball_draw.restype = None
     return lib
 
 
@@ -106,6 +114,13 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # Libraries built from earlier sources are never loaded again.
+    for name in os.listdir(_CACHE_DIR):
+        if name.startswith("_kernel.") and name.endswith(".so") and name != os.path.basename(path):
+            try:
+                os.remove(os.path.join(_CACHE_DIR, name))
+            except OSError:
+                pass
     return lib
 
 
@@ -122,9 +137,9 @@ def bitgen_address(bit_generator) -> int:
 
 
 def kernel():
-    """The compiled kernel library (entry points `oddball_trial` and
-    `oddball_lam_odd`), built on the first call in a process; None when
-    it cannot be built."""
+    """The compiled kernel library (entry points `oddball_trial`,
+    `oddball_block`, and `oddball_lam_odd` and `oddball_draw` for tests),
+    built on the first call in a process; None when it cannot be built."""
     if not _loaded:
         try:
             lib = _load()

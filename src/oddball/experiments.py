@@ -16,7 +16,9 @@ Two studies:
 Reproducibility contract: trial (l_index, trial_index) always draws from
 `numpy.random.default_rng([seed, l_index, trial_index])`, and rows are
 aggregated in grid-then-trial order, so the emitted CSV is byte-identical
-for any worker count.
+for any worker count. The compiled kernel keeps this contract: it runs
+the untraced trials of a level as one call that seeds each trial's PCG64
+in C exactly as that `default_rng` call does, so its draws are the same.
 
 Both studies run their trials in blocks, each with one policy memo that
 lives as long as the block: a serial run is one block, a run over N
@@ -35,13 +37,15 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
 from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_list, _require_real
-from .policy import PolicyConfig, TrialOutcome, run_trial
+from .policy import PolicyConfig, TrialOutcome, _seeded_trials, run_trial
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
 __all__ = [
@@ -185,38 +189,60 @@ def error_upper_confidence(errors: int, trials: int) -> float:
     return float(betaincinv(errors + 1, trials - errors, 0.95))
 
 
+def _run_levels(grid: tuple, items) -> list[tuple]:
+    """Run grid items in order with one policy memo; item i is trial
+    i % trials of level i // trials, drawing from default_rng([seed,
+    level, trial]). `grid` is (the policy config of each level, truth,
+    seed, trials per level, traced trials per level). Result i is (tau,
+    correct, capped, trace), trace None for an untraced trial. A level's
+    untraced trials in `items` run as one `_seeded_trials` call, before its
+    traced ones, so that the kernel rather than the Python loop fills the
+    memo."""
+    configs, truth, seed, trials, n_traced = grid
+    cache: dict = {}
+    levels, indices = np.divmod(np.asarray(items, dtype=np.int64), trials)
+    results = []
+    for li, config in enumerate(configs):
+        mine = indices[levels == li].tolist()
+        traced = [t for t in mine if t < n_traced]  # the first ones
+        tau, delta, capped = _seeded_trials(config, truth, seed, li, mine[len(traced) :], cache)
+        for t in traced:
+            rng = np.random.default_rng([seed, li, t])
+            out = run_trial(config, truth, rng, collect_trace=True, cache=cache)
+            results.append((out.tau, out.correct, out.capped, out.trace))
+        correct = [d == truth.odd_index for d in delta]
+        results += zip(tau, correct, capped, repeat(None))
+    return results
+
+
 def _run_block(jobs) -> list[TrialOutcome]:
     """Run trials in order with one policy memo. A job is (policy config,
-    truth, rng seed, collect_trace, checkpoints)."""
+    truth, rng seed, checkpoints)."""
     cache: dict = {}
     return [
-        run_trial(
-            config,
-            truth,
-            np.random.default_rng(seed),
-            collect_trace=collect,
-            checkpoints=checkpoints,
-            cache=cache,
-        )
-        for config, truth, seed, collect, checkpoints in jobs
+        run_trial(config, truth, np.random.default_rng(seed), checkpoints=checkpoints, cache=cache)
+        for config, truth, seed, checkpoints in jobs
     ]
 
 
-def _trace_lines(outcome: TrialOutcome) -> str:
-    return "\n".join(json.dumps(rec, separators=(",", ":")) for rec in outcome.trace) + "\n"
+def _trace_lines(trace: tuple[dict, ...]) -> str:
+    return "\n".join(json.dumps(rec, separators=(",", ":")) for rec in trace) + "\n"
 
 
 def _aggregate(
     config: PolicyConfig,
-    outcomes: list[TrialOutcome],
+    taus: tuple[int, ...],
+    correct: tuple[bool, ...],
+    capped_flags: tuple[bool, ...],
     bound: float,
     inv_dstar: float,
 ) -> ReportRow:
+    """One report row from the tau, correct and capped of each trial."""
     l_value = config.threshold_l
-    trials = len(outcomes)
-    errors = sum(1 for o in outcomes if not o.correct)
-    capped = sum(1 for o in outcomes if o.capped)
-    taus = [o.tau for o in outcomes if not o.capped]
+    trials = len(taus)
+    errors = sum(1 for c in correct if not c)
+    capped = sum(1 for c in capped_flags if c)
+    taus = [t for t, c in zip(taus, capped_flags) if not c]
     if taus:
         mean_tau = sum(taus) / len(taus)
         if len(taus) > 1:
@@ -273,25 +299,21 @@ def run_experiment(
     configs = [
         PolicyConfig(k=spec.k, threshold_l=l, max_slots=spec.max_slots) for l in spec.l_grid
     ]
-    jobs = [
-        (config, truth, [spec.seed, li, ti], ti < n_traced, None)
-        for li, config in enumerate(configs)
-        for ti in range(spec.trials)
-    ]
-    outcomes = _fan_out(_run_block, jobs, parallelism)
+    grid = (configs, truth, spec.seed, spec.trials, n_traced)
+    results = _fan_out(partial(_run_levels, grid), range(len(configs) * spec.trials), parallelism)
 
     rows = []
     for li, config in enumerate(configs):
         l_value = config.threshold_l
-        batch = outcomes[li * spec.trials : (li + 1) * spec.trials]
+        taus, correct, capped, traces = zip(*results[li * spec.trials : (li + 1) * spec.trials])
         if trace_dir is not None:
             for ti in range(n_traced):
                 path = os.path.join(trace_dir, f"trace_L{l_value:.12g}_i{ti}.jsonl")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(_trace_lines(batch[ti]))
+                    fh.write(_trace_lines(traces[ti]))
         alpha = 1.0 / l_value
         bound = lower_bound_expected_tau(truth, alpha, dstar=dstar) if 0.0 < alpha < 1.0 else math.nan
-        rows.append(_aggregate(config, batch, bound, inv_dstar))
+        rows.append(_aggregate(config, taus, correct, capped, bound, inv_dstar))
     return ExperimentReport(spec=spec, rows=tuple(rows))
 
 
@@ -427,7 +449,7 @@ def drift_experiment(
 
     sol = solve_lambda_star(truth)
     config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
-    jobs = [(config, truth, seed, False, cps) for seed in seeds]
+    jobs = [(config, truth, seed, cps) for seed in seeds]
     outcomes = _fan_out(_run_block, jobs, parallelism)
     rows = [
         _snapshot_row(snap, seed, truth.odd_index, truth.k)

@@ -38,9 +38,12 @@ level.
 `run_trial` runs an untraced trial on the compiled kernel (`_kernel.c`,
 see README, "Trial kernel"), which repeats the Python loop bitwise on the
 trial's own generator: same draws, same floating-point operations, same
-memo entries. A traced trial, a generator that is not a numpy
-`Generator`, and a machine where the kernel cannot be built run the
-Python loop below, which stays the reference. A trial whose event total
+memo entries. `_seeded_trials` runs a list of untraced trials in one
+kernel call, which seeds trial t's generator in C as
+`np.random.default_rng([seed, level, t])` would. A traced trial, a
+generator that is not a numpy `Generator`, and a machine where the
+kernel cannot be built run the Python loop below, which stays the
+reference. A trial whose event total
 outgrows the lgamma table's cap is handed from the kernel to the Python
 loop mid-trial, so memory stays bounded however long or busy the trial.
 """
@@ -69,8 +72,10 @@ from .solver import (
     DEFAULT_TOL,
     NEAR_DEGENERATE_NU,
     OddConfig,
+    _lam_odd_from_hat,
+    _root_scalar,
     _weight_vector,
-    solve_lambda_star,
+    solve_lambda_star,  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
 )
 
 __all__ = [
@@ -198,8 +203,11 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     table = None if cache is None else _weight_table(cache, k)
     lam_odd = 0.0 if table is None else float(table[q])
     if lam_odd == 0.0:
+        # solve_lambda_star(OddConfig(k, 1, nu_q, 1 - nu_q)).lam_odd, whose
+        # degenerate case at nu_q = 1/2 _root_scalar also covers.
+        rho = (_require_int(k, "k", 3) - 2) / (k - 1)
         nu_q = q / _QUANT
-        lam_odd = solve_lambda_star(OddConfig(k, 1, nu_q, 1.0 - nu_q)).lam_odd
+        lam_odd = _lam_odd_from_hat(_root_scalar(nu_q, 1.0 - nu_q, rho), rho)
         if table is not None:
             table[q] = lam_odd
     return lam_odd
@@ -349,12 +357,7 @@ def run_trial(
     outcome, the generator's state afterwards and the memo are the same
     either way.
     """
-    if truth.dim != 1:
-        raise DomainError("simulation supports scalar-rate configurations only")
-    if truth.k != config.k:
-        raise DomainError(f"truth has k={truth.k} but the policy was configured for k={config.k}")
-    if max(truth.r1[0], truth.r2[0]) > _POISSON_LAM_MAX:
-        raise DomainError(f"rates above {_POISSON_LAM_MAX:.10g} are past numpy's Poisson sampler")
+    _check_truth(config, truth)
     cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
     cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
@@ -364,6 +367,16 @@ def run_trial(
         if kernel is not None:
             return _compiled_trial(kernel, config, truth, rng, cp, cache)[0]
     return _python_trial(config, truth, rng, collect_trace, cp, cache)
+
+
+def _check_truth(config: PolicyConfig, truth: OddConfig) -> None:
+    """Refuse a truth the trial loops cannot simulate under `config`."""
+    if truth.dim != 1:
+        raise DomainError("simulation supports scalar-rate configurations only")
+    if truth.k != config.k:
+        raise DomainError(f"truth has k={truth.k} but the policy was configured for k={config.k}")
+    if max(truth.r1[0], truth.r2[0]) > _POISSON_LAM_MAX:
+        raise DomainError(f"rates above {_POISSON_LAM_MAX:.10g} are past numpy's Poisson sampler")
 
 
 def _rates(truth: OddConfig) -> list[float]:
@@ -456,6 +469,8 @@ def _python_trial(
 # The layouts are the S_ and P_ enums of _kernel.c.
 _M, _ACTION, _LEADER, _TOTAL, _PENDING, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(10)
 _NEED_LGAMMA = 1
+# The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
+_STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
     [_QUANT, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET,
      _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
@@ -513,9 +528,7 @@ def _compiled_trial(
             for n, s, zs in zip(slots, tallies, scores)
         ]
     if head[_PENDING]:
-        visits, events = head[_HEAD : _HEAD + k], head[_HEAD + k :]
-        stats = SufficientStats(k=k, n=head[_M], visits=visits, events=events, total=head[_TOTAL])
-        outcome = _python_trial(config, truth, rng, False, cp, cache, (stats, snaps))
+        outcome = _resume(config, truth, rng, head, cp, snaps, cache)
         return outcome, head[_LOOKUPS], head[_MISSES]
     outcome = TrialOutcome(
         k=k,
@@ -530,6 +543,108 @@ def _compiled_trial(
         snapshots=tuple(snaps) if cp else None,
     )
     return outcome, head[_LOOKUPS], head[_MISSES]
+
+
+def _resume(
+    config: PolicyConfig,
+    truth: OddConfig,
+    rng: np.random.Generator,
+    head: list,
+    cp: frozenset,
+    snaps: list,
+    cache: dict,
+) -> TrialOutcome:
+    """Finish on the Python loop a trial the kernel left with state `head`
+    (the state array as a list) and snapshots `snaps`, its last slot drawn
+    but not yet scored."""
+    k = config.k
+    visits, events = head[_HEAD : _HEAD + k], head[_HEAD + k : _HEAD + 2 * k]
+    stats = SufficientStats(k=k, n=head[_M], visits=visits, events=events, total=head[_TOTAL])
+    return _python_trial(config, truth, rng, False, cp, cache, (stats, snaps))
+
+
+def _pcg64_state(gen: np.ndarray) -> dict:
+    """numpy's PCG64.state of a kernel generator array."""
+    g = gen.tolist()
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": g[_STATE_HI] << 64 | g[_STATE_LO], "inc": g[_INC_HI] << 64 | g[_INC_LO]},
+        "has_uint32": g[_HAS_UINT32],
+        "uinteger": g[_UINTEGER],
+    }
+
+
+def _seeded_trials(
+    config: PolicyConfig,
+    truth: OddConfig,
+    seed: int,
+    level: int,
+    trials: list[int],
+    cache: dict,
+) -> tuple[list[int], list[int], list[bool]]:
+    """Untraced `run_trial`s without checkpoints, trial t on
+    `np.random.default_rng([seed, level, t])` for each t in `trials`
+    (ints >= 0), with `cache` as memo: the lists of their tau, delta and
+    capped. On the compiled kernel the whole list is one
+    `_compiled_block`; without it, or for a seed of 2^64 or more, each
+    trial runs `run_trial`. The results and the memo are the same."""
+    _check_truth(config, truth)
+    kernel = _native.kernel() if trials and seed < 1 << 64 else None
+    if kernel is not None:
+        return _compiled_block(kernel, config, truth, seed, level, trials, cache)[:3]
+    outs = [
+        run_trial(config, truth, np.random.default_rng([seed, level, t]), cache=cache)
+        for t in trials
+    ]
+    return [o.tau for o in outs], [o.delta for o in outs], [o.capped for o in outs]
+
+
+def _compiled_block(
+    kernel,
+    config: PolicyConfig,
+    truth: OddConfig,
+    seed: int,
+    level: int,
+    trials: list[int],
+    cache: dict,
+) -> tuple[list[int], list[int], list[bool], np.ndarray]:
+    """`_seeded_trials` on the compiled kernel, with the generator array of
+    the last trial the kernel ran. One kernel call seeds each trial's
+    PCG64 in C and runs them all, building no Python object per trial.
+    When it needs a longer lgamma table it returns, and the call resumes;
+    past the table's cap the trial it stopped in finishes on the Python
+    loop, on a `Generator` given the kernel's generator state, and the
+    call resumes after it."""
+    k, n = config.k, len(trials)
+    index = np.array(trials, dtype=np.int64)
+    # One int64 buffer (state, block position, results) and one float64
+    # buffer (rates, scores).
+    ints = np.zeros(_HEAD + 2 * k + 1 + 3 * n, dtype=np.int64)
+    pos, at = _HEAD + 2 * k, _HEAD + 2 * k + 1
+    reals = np.zeros(2 * k)
+    reals[:k] = _rates(truth)
+    gen = np.zeros(_GEN_SIZE, dtype=np.uint64)
+    ip, rp = ints.ctypes.data, reals.ctypes.data
+    args = (
+        seed, level, index.ctypes.data, n, ip + 8 * pos, gen.ctypes.data, k, config.max_slots,
+        config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
+        _weight_table(cache, k).ctypes.data,
+    )
+    tail = (_KERNEL_PARAMS.ctypes.data, ip + 8 * at)
+    lgamma = _lgamma_table(cache, 0)
+    while kernel.oddball_block(*args, lgamma.ctypes.data, len(lgamma), *tail) == _NEED_LGAMMA:
+        if len(lgamma) < _LGAMMA_CAP:
+            lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
+            continue
+        i = int(ints[pos])
+        rng = np.random.Generator(np.random.PCG64(0))  # the state is replaced
+        rng.bit_generator.state = _pcg64_state(gen)
+        out = _resume(config, truth, rng, ints[:pos].tolist(), frozenset(), [], cache)
+        ints[at + i : at + 3 * n : n] = out.tau, out.delta, out.capped
+        ints[_PENDING] = 0
+        ints[pos] = i + 1
+    tau, delta, capped = ints[at:].reshape(3, n).tolist()
+    return tau, delta, [c == 1 for c in capped], gen
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

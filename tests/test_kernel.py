@@ -3,22 +3,29 @@
 `policy._python_trial` is the reference and `policy._compiled_trial` the
 kernel; both are called directly, so no public switch picks between
 them. Outcomes, generator states and memo tables must agree exactly,
-floats compared with ==. The build and fallback tests run the loader
-against a temporary cache directory.
+floats compared with ==. The block call `policy._compiled_block` seeds
+each trial's generator in C; its generators are checked against numpy's
+`PCG64` and `default_rng`, its trials against the Python loop. The build
+and fallback tests run the loader against a temporary cache directory.
 """
 
 import dataclasses
+import itertools
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oddball.policy as policy
 from oddball import _native
 from oddball.cli import main as cli_main
+from oddball.experiments import ExperimentSpec, run_experiment
 from oddball.numerics import _LOG1P_TAIL_COEFFS, _SERIES_RADIUS, DomainError
 from oddball.policy import PolicyConfig
 from oddball.solver import _MIN_BRACKET, DEFAULT_TOL, NEAR_DEGENERATE_NU
@@ -138,6 +145,181 @@ def test_hand_over_past_lgamma_cap(name, kernel, monkeypatch):
     assert hand_overs.count(True) == len(configs) * len(seeds)
     assert memo_c["lgamma"][1] == 1024
     assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
+
+
+def _c_generator(lib, values):
+    """The kernel's generator array, seeded from `values` (at most three)."""
+    gen = np.zeros(policy._GEN_SIZE, dtype=np.uint64)
+    keys = np.array(values, dtype=np.uint64)
+    lib.oddball_draw(keys.ctypes.data, len(values), gen.ctypes.data, 64, 0, None)
+    return gen
+
+
+def _c_draws(lib, gen, bits, count):
+    out = np.zeros(count, dtype=np.uint64)
+    lib.oddball_draw(None, 0, gen.ctypes.data, bits, count, out.ctypes.data)
+    return out.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1))
+def test_seeding_matches_numpy(seed, level, trial):
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("the compiled kernel cannot be built on this machine")
+    key = [seed, level, trial]
+    assert policy._pcg64_state(_c_generator(lib, key)) == np.random.PCG64(key).state, key
+
+
+def test_seeding_edge_keys(kernel):
+    # A value takes one entropy word below 2^32 (0 included), two from 2^32 on.
+    edges = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+    keys = [[v] for v in edges] + [[v, w] for v, w in itertools.product(edges, repeat=2)]
+    keys += [list(key) for key in itertools.product(edges, edges[:5], edges[:5])]
+    for key in keys:
+        assert policy._pcg64_state(_c_generator(kernel, key)) == np.random.PCG64(key).state, key
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stream_matches_numpy_test_data(n, kernel):
+    # numpy's own reference outputs of PCG64(seed).random_raw().
+    path = os.path.join(
+        os.path.dirname(np.random.__file__), "tests", "data", f"pcg64-testset-{n}.csv"
+    )
+    if not os.path.exists(path):
+        pytest.skip("numpy's PCG64 test data is not installed")
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    seed, ref = int(rows[0][1], 0), [int(row[1], 0) for row in rows[1:]]
+    assert _c_draws(kernel, _c_generator(kernel, [seed]), 64, len(ref)) == ref
+
+
+def test_32_bit_draws_keep_the_spare_half(kernel):
+    # next_uint32 returns the low half of a 64-bit draw and keeps the high
+    # half for the next call; a 64-bit draw leaves that half waiting.
+    gen, bits = _c_generator(kernel, [7, 1, 2]), np.random.PCG64([7, 1, 2])
+    rng = np.random.Generator(bits)
+    for width, count in ((32, 3), (64, 2), (32, 1), (32, 2), (64, 1)):
+        if width == 32:
+            ref = rng.integers(0, 2**32, size=count, dtype=np.uint32).tolist()
+        else:
+            ref = bits.random_raw(count).tolist()
+        assert _c_draws(kernel, gen, width, count) == ref
+        assert policy._pcg64_state(gen) == bits.state
+
+
+@pytest.mark.parametrize("name", ["sim-hard", "low-rate", "wide"])
+def test_block_matches_run_trial(name, kernel, monkeypatch):
+    # Trial t of a block draws from default_rng([seed, level, t]), so it
+    # matches the Python loop on that generator: results, the generator's
+    # state after the trial (its spare 32-bit half included: low-rate
+    # trials draw for leader ties) and the memo.
+    configs, truth, _, _ = CONFIGS[name]
+    ties = 0
+    pick = policy._pick_leader
+
+    def counted_pick(z_min, rng):
+        nonlocal ties
+        ties += z_min.count(max(z_min)) > 1
+        return pick(z_min, rng)
+
+    monkeypatch.setattr(policy, "_pick_leader", counted_pick)
+    seed, trials = 2**40 + 3, [0, 2, 3, 5, 8, 13, 21, 2**32 + 1]
+    spares = 0
+    for level, config in enumerate(configs):
+        memo_py, memo_c, memo_one = {}, {}, {}
+        ref = []
+        for t in trials:
+            rng = np.random.default_rng([seed, level, t])
+            out = policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
+            ref.append((out.tau, out.delta, out.capped))
+            *one, gen = policy._compiled_block(kernel, config, truth, seed, level, [t], memo_one)
+            assert list(zip(*one)) == [ref[-1]], (level, t)
+            assert policy._pcg64_state(gen) == rng.bit_generator.state, (level, t)
+            spares += rng.bit_generator.state["has_uint32"]
+        *got, gen = policy._compiled_block(kernel, config, truth, seed, level, trials, memo_c)
+        assert list(zip(*got)) == ref
+        assert policy._pcg64_state(gen) == rng.bit_generator.state
+        assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
+        assert np.array_equal(memo_one[truth.k], memo_py[truth.k])
+    if name == "low-rate":
+        assert ties > 0 and spares > 0
+
+
+def test_block_hands_over_past_lgamma_cap(kernel, monkeypatch):
+    # With the lgamma table capped at its first size, a high-rate trial
+    # leaves the block for the Python loop, on a Generator given the
+    # kernel's state, and the block resumes with the next trial.
+    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+    hand_overs = []
+    python_trial = policy._python_trial
+
+    def spy(*args):
+        hand_overs.append(len(args) > 6)  # called with the kernel's state
+        return python_trial(*args)
+
+    monkeypatch.setattr(policy, "_python_trial", spy)
+    config, truth = PolicyConfig(k=3, threshold_l=1e3), OddConfig(3, 2, 200.0, 185.0)
+    trials = list(range(6))
+    memo_c = {}
+    got = policy._compiled_block(kernel, config, truth, 9, 1, trials, memo_c)[:3]
+    assert hand_overs == [True] * len(trials)
+    memo_py = {}
+    ref = [
+        python_trial(config, truth, np.random.default_rng([9, 1, t]), False, frozenset(), memo_py)
+        for t in trials
+    ]
+    assert list(zip(*got)) == [(o.tau, o.delta, o.capped) for o in ref]
+    assert memo_c["lgamma"][1] == 1024
+    assert np.array_equal(memo_c[3], memo_py[3])
+
+
+def _experiment_bytes(spec, trace_dir, parallelism):
+    """The report and trace files of `run_experiment`, by name."""
+    os.makedirs(trace_dir)
+    report = run_experiment(spec, parallelism=parallelism, trace_dir=str(trace_dir))
+    out = {"report": report.to_csv().encode()}
+    for name in sorted(os.listdir(trace_dir)):
+        with open(os.path.join(trace_dir, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, hands_over",
+    [
+        # The sim-hard workload's configuration.
+        (dict(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e2, 1e4], trials=40, seed=905), False),
+        # Leader ties; a seed of two entropy words.
+        (
+            dict(k=3, odd_index=1, r1=0.05, r2=0.2, l_grid=[10.0, 1e3], trials=30, seed=2**64 - 1),
+            False,
+        ),
+        # Past the lowered lgamma cap: trials hand over to the Python loop.
+        (dict(k=3, odd_index=2, r1=200.0, r2=185.0, l_grid=[10.0, 1e3], trials=6, seed=3), True),
+    ],
+    ids=["sim-hard", "low-rate", "hand-over"],
+)
+def test_block_bytes_match_fallback_and_workers(
+    spec, hands_over, kernel, tmp_path, monkeypatch, capsys
+):
+    # Report and trace bytes are the same from the block call, from
+    # run_trial on the Python loop (no compiler) and over two workers.
+    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+    resumed = []
+    resume = policy._resume
+    monkeypatch.setattr(policy, "_resume", lambda *args: resumed.append(1) or resume(*args))
+    spec = ExperimentSpec(**spec, trace_sampling=0.1)
+    block = _experiment_bytes(spec, tmp_path / "block", 1)
+    assert bool(resumed) == hands_over
+    assert _experiment_bytes(spec, tmp_path / "workers", 2) == block
+    monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
+    monkeypatch.setattr(_native, "_loaded", [])
+    assert _experiment_bytes(spec, tmp_path / "fallback", 1) == block
+    assert _native.kernel() is None
+    assert "compiled trial kernel unavailable" in capsys.readouterr().err
+    assert len(block) == 1 + len(spec.l_grid) * math.ceil(0.1 * spec.trials)
 
 
 def test_rates_past_numpy_poisson_limit(kernel):
@@ -280,6 +462,23 @@ def test_cached_build_is_reused(kernel, tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_new_build_removes_stale_libraries(kernel, tmp_path, monkeypatch):
+    # A library built from earlier source is never loaded again, so the
+    # build that replaces it removes it.
+    builds = _spy_builds(monkeypatch, tmp_path / "cache")
+    assert _native.kernel() is not None
+    edited = tmp_path / "_kernel.c"
+    shutil.copy(_native._SOURCE, edited)
+    with open(edited, "a", encoding="utf-8") as fh:
+        fh.write("/* edited */\n")
+    monkeypatch.setattr(_native, "_SOURCE", str(edited))
+    monkeypatch.setattr(_native, "_loaded", [])
+    assert _native.kernel() is not None
+    _, path = _cached_path(tmp_path / "cache")
+    assert len(builds) == 2
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+
+
 @pytest.mark.parametrize("damage", ["truncated", "stale"])
 def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     key, path = _cached_path(tmp_path)
@@ -316,6 +515,9 @@ def test_layouts_match_the_kernel():
     state = _c_enum("S_M")
     assert [getattr(policy, "_" + name[2:]) for name in state] == list(range(len(state)))
     assert _c_enum("DONE").index("NEED_LGAMMA") == policy._NEED_LGAMMA
+    gen = _c_enum("G_STATE_HI")
+    names = ["_GEN_SIZE" if name == "G_SIZE" else "_" + name[2:] for name in gen]
+    assert [getattr(policy, name) for name in names] == list(range(len(gen)))
     values = {
         "P_QUANT": policy._QUANT,
         "P_GAP": policy.DEGENERATE_ESTIMATE_GAP,

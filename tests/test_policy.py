@@ -131,7 +131,7 @@ class TestLeaderLambdaOdd:
         # an untraced one runs the compiled kernel, which counts its own,
         # and the two must agree.
         lookups = solves = 0
-        lookup, solve = policy.leader_lambda_odd, policy.solve_lambda_star
+        lookup, solve = policy.leader_lambda_odd, policy._root_scalar
         compiled, kernel_counts = policy._compiled_trial, []
 
         def counted_lookup(*args):
@@ -139,10 +139,10 @@ class TestLeaderLambdaOdd:
             lookups += 1
             return lookup(*args)
 
-        def counted_solve(config):
+        def counted_solve(*args):
             nonlocal solves
             solves += 1
-            return solve(config)
+            return solve(*args)
 
         def counted_compiled(*args):
             outcome, n_lookups, n_misses = compiled(*args)
@@ -150,7 +150,7 @@ class TestLeaderLambdaOdd:
             return outcome, n_lookups, n_misses
 
         monkeypatch.setattr(policy, "leader_lambda_odd", counted_lookup)
-        monkeypatch.setattr(policy, "solve_lambda_star", counted_solve)
+        monkeypatch.setattr(policy, "_root_scalar", counted_solve)
         monkeypatch.setattr(policy, "_compiled_trial", counted_compiled)
         cfg = PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=3000)
         truth = OddConfig(3, 1, 1.0, 2.0)
