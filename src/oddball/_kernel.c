@@ -11,13 +11,11 @@
    seeded as default_rng([seed, level, trial]) seeds it (oddball_block).
    Build with -ffp-contract=off: a fused multiply-add rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
-   lgamma(y + 1) is read from a table filled by math.lgamma, which is
-   CPython's own code.
-
-   All state lives in caller arrays, so a call that stops early for a
-   bigger lgamma table resumes where it stopped: here, or past the
-   table's cap, on the Python loop. Shared constants come from Python in
-   `par`; the P_, S_ and G_ enums below are layouts policy.py mirrors. */
+   lgamma is a port of CPython's own (oddball_lgamma), kept in a table
+   the memo owns. Event totals stay below 2^53, where int64 tallies are
+   exact doubles: a trial that would pass it is declined, and Python
+   reruns it. Shared constants come from Python in `par`; the P_, S_ and
+   G_ enums below are layouts policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
@@ -26,15 +24,15 @@
 #include "numpy/random/distributions.h"
 
 /* Slots of the int64 state array; visits[k] and events[k] follow. */
-enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_PENDING, S_STOPPED, S_CP, S_LOOKUPS, S_MISSES, S_HEAD };
+enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_CP, S_LOOKUPS, S_MISSES, S_HEAD };
 
 /* Slots of `par`: policy._QUANT and DEGENERATE_ESTIMATE_GAP, solver
    NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
    _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
 enum { P_QUANT, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
 
-/* Return codes of oddball_trial and oddball_block. */
-enum { DONE, NEED_LGAMMA };
+/* Return codes of oddball_trial. */
+enum { DONE, DECLINED };
 
 /* Slots of a generator array: numpy's PCG64.state, each 128-bit value
    as its high word, then its low word (the order get128 reads). */
@@ -127,6 +125,42 @@ void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, int64_t bits
     for (int64_t i = 0; i < count; i++) out[i] = bits == 32 ? pcg_next32(gen) : pcg_next64(gen);
 }
 
+/* CPython's m_lgamma (Modules/mathmodule.c) at x = y + 1, y >= 0, in its
+   order of operations: the Lanczos sum num/den, by Horner in x below 5
+   and in 1/x from 5 on, then the Lanczos formula. Exported for tests. */
+static const double LANCZOS_NUM[13] = {
+    23531376880.410759688572007674451636754734846804940,
+    42919803642.649098768957899047001988850926355848959,
+    35711959237.355668049440185451547166705960488635843,
+    17921034426.037209699919755754458931112671403265390,
+    6039542586.3520280050642916443072979210699388420708,
+    1439720407.3117216736632230727949123939715485786772,
+    248874557.86205415651146038641322942321632125127801,
+    31426415.585400194380614231628318205362874684987640,
+    2876370.6289353724412254090516208496135991145378768,
+    186056.26539522349504029498971604569928220784236328,
+    8071.6720023658162106380029022722506138218516325024,
+    210.82427775157934587250973392071336271166969580291,
+    2.5066282746310002701649081771338373386264310793408};
+static const double LANCZOS_DEN[13] = {0.0, 39916800.0, 120543840.0, 150917976.0, 105258076.0,
+    45995730.0, 13339535.0, 2637558.0, 357423.0, 32670.0, 1925.0, 66.0, 1.0};
+
+double oddball_lgamma(int64_t y) {
+    const double g = 6.024680040776729583740234375;
+    double x = (double)(y + 1), num = 0.0, den = 0.0;
+    if (y <= 1) return 0.0;
+    for (int i = 0; i < 13; i++) {
+        if (x < 5.0) {
+            num = num * x + LANCZOS_NUM[12 - i];
+            den = den * x + LANCZOS_DEN[12 - i];
+        } else {
+            num = num / x + LANCZOS_NUM[i];
+            den = den / x + LANCZOS_DEN[i];
+        }
+    }
+    return log(num / den) - g + (x - 0.5) * (log(x + g - 0.5) - 1.0);
+}
+
 /* numerics._u_minus_log1p: u - log(1 + u), by series near 0. */
 static double u_minus_log1p(double u, const double *par) {
     if (u > par[P_RADIUS] || u < -par[P_RADIUS]) return u - log1p(u);
@@ -175,45 +209,46 @@ double oddball_lam_odd(int64_t k, int64_t q, const double *par) {
     return lam_odd_at(q, (double)(k - 2) / (double)(k - 1), par);
 }
 
-/* Run one trial from the state in `st` until it stops, reaches
-   max_slots or needs lgamma(total + 1), which `lg` (lg[y] =
-   lgamma(y + 1), nlg entries) does not hold. z receives the scores of
-   the last slot. `weights` is the memo: entry q holds lambda*(k, q /
-   quant), 0.0 until solved. Checkpoint slots `cps` are sorted; snapshot
-   c goes to snap_i[c * (2 + 2k)] (leader, total, visits, events) and
-   snap_z[c * k]. */
+/* lgamma(y + 1): entry y of the memo's table `lg` of nlg entries, or computed past it. */
+static double lgamma_at(int64_t y, const double *lg, int64_t nlg) {
+    return y < nlg ? lg[y] : oddball_lgamma(y);
+}
+
+/* Run one trial until it stops or reaches max_slots, or return DECLINED
+   when a draw would take its event total to 2^53. Its state goes to `st`,
+   the scores of its last slot to z. The memo: weights[q] holds
+   lambda*(k, q / quant), 0.0 until solved; lg[y] = lgamma(y + 1) is filled
+   for y < *filled, here up to the event total or nlg. Checkpoint slots `cps`
+   are sorted; snapshot c goes to snap_i[c * (2 + 2k)] (leader, total,
+   visits, events) and snap_z[c * k]. */
 int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
                   double log_threshold, const double *rates, int64_t *st, double *z,
-                  double *weights, const double *lg, int64_t nlg, const int64_t *cps,
+                  double *weights, double *lg, int64_t nlg, int64_t *filled, const int64_t *cps,
                   int64_t ncp, int64_t *snap_i, double *snap_z, const double *par) {
+    memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
     int64_t *visits = st + S_HEAD, *events = visits + k;
-    int64_t m = st[S_M], action = st[S_ACTION], leader = st[S_LEADER], total = st[S_TOTAL];
-    int64_t pending = st[S_PENDING], ci = st[S_CP];
+    int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0, nfill = *filled;
     double rho = (double)(k - 2) / (double)(k - 1);
     int status = DONE;
-    for (;;) {
-        if (!pending) {
-            if (m == max_slots) break;
-            int64_t x = random_poisson(bg, rates[action - 1]);
-            m++;
-            visits[action - 1]++;
-            events[action - 1] += x;
-            total += x;
-        }
-        if (total >= nlg) {
-            pending = 1;
-            status = NEED_LGAMMA;
+    while (m < max_slots) {
+        int64_t x = random_poisson(bg, rates[action - 1]);
+        if (x >= ((int64_t)1 << 53) - total) {
+            status = DECLINED;
             break;
         }
-        pending = 0;
+        m++;
+        visits[action - 1]++;
+        events[action - 1] += x;
+        total += x;
+        for (; nfill <= total && nfill < nlg; nfill++) lg[nfill] = oddball_lgamma(nfill);
 
         /* Scores: z = avg - max_{j != i} ml_j via the top two of ml. */
         double m1 = -INFINITY, m2 = -INFINITY;
         int64_t a1 = -1;
         for (int64_t i = 0; i < k; i++) {
             int64_t yi = events[i], ni = visits[i], yo = total - yi, no = m - ni;
-            z[i] = lg[yi] - (double)(yi + 1) * log((double)(ni + 1)) + lg[yo]
-                   - (double)(yo + 1) * log((double)(no + 1));
+            z[i] = lgamma_at(yi, lg, nlg) - (double)(yi + 1) * log((double)(ni + 1))
+                   + lgamma_at(yo, lg, nlg) - (double)(yo + 1) * log((double)(no + 1));
             double t = 0.0;
             if (yi > 0) t += (double)yi * (log((double)yi / (double)ni) - 1.0);
             if (yo > 0) t += (double)yo * (log((double)yo / (double)no) - 1.0);
@@ -290,36 +325,28 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
     st[S_ACTION] = action;
     st[S_LEADER] = leader;
     st[S_TOTAL] = total;
-    st[S_PENDING] = pending;
     st[S_CP] = ci;
+    *filled = nfill;
     return status;
 }
 
-/* Run trials *pos..n-1 without checkpoints, trial i on the generator of
+/* Run trials 0..n-1 without checkpoints, trial i on the generator of
    default_rng([seed, level, trials[i]]), and write its stopping slot,
    final leader and whether it was capped to out[i], out[n + i] and
-   out[2n + i]. Returns DONE, or NEED_LGAMMA with *pos at a trial that
-   needs a longer lgamma table, its state in st (S_PENDING set) and its
-   generator in gen; a call with that state resumes it. */
-int oddball_block(uint64_t seed, int64_t level, const int64_t *trials, int64_t n, int64_t *pos,
-                  uint64_t *gen, int64_t k, int64_t max_slots, int64_t stopping,
-                  double log_threshold, const double *rates, int64_t *st, double *z,
-                  double *weights, const double *lg, int64_t nlg, const double *par,
-                  int64_t *out) {
+   out[2n + i]; a declined trial gets stopping slot 0. gen is left with
+   the generator of the last trial. */
+void oddball_block(uint64_t seed, int64_t level, const int64_t *trials, int64_t n, uint64_t *gen,
+                   int64_t k, int64_t max_slots, int64_t stopping, double log_threshold,
+                   const double *rates, int64_t *st, double *z, double *weights, double *lg,
+                   int64_t nlg, int64_t *filled, const double *par, int64_t *out) {
     bitgen_t bg = {gen, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
-    for (; *pos < n; ++*pos) {
-        if (!st[S_PENDING]) {
-            uint64_t key[3] = {seed, (uint64_t)level, (uint64_t)trials[*pos]};
-            pcg_seed(gen, key, 3);
-            memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
-            st[S_ACTION] = st[S_LEADER] = 1;
-        }
-        if (oddball_trial(&bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, lg,
-                          nlg, NULL, 0, NULL, NULL, par) == NEED_LGAMMA)
-            return NEED_LGAMMA;
-        out[*pos] = st[S_M];
-        out[n + *pos] = st[S_LEADER];
-        out[2 * n + *pos] = !st[S_STOPPED];
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t key[3] = {seed, (uint64_t)level, (uint64_t)trials[i]};
+        pcg_seed(gen, key, 3);
+        int status = oddball_trial(&bg, k, max_slots, stopping, log_threshold, rates, st, z,
+                                   weights, lg, nlg, filled, NULL, 0, NULL, NULL, par);
+        out[i] = status == DECLINED ? 0 : st[S_M];
+        out[n + i] = st[S_LEADER];
+        out[2 * n + i] = !st[S_STOPPED];
     }
-    return DONE;
 }

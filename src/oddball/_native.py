@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,10 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernel.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# Arguments y at which the kernel's lgamma(y + 1) must equal math.lgamma's:
+# both branches of the Lanczos sum, table sizes and a total near 2^53.
+_LGAMMA_PROBES = (0, 1, 2, 3, 4, 10, 1023, 1 << 21, 10**12 + 7, (1 << 53) - 2)
 
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
 _loaded: list = []
@@ -77,16 +82,19 @@ def _open(path: str, key: str):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.oddball_trial.argtypes = [
-        ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr,
+        ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr,
+        ptr,
     ]
     lib.oddball_trial.restype = ctypes.c_int
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
     lib.oddball_block.argtypes = [
-        ctypes.c_uint64, i64, ptr, i64, ptr, ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr,
-        ptr, ptr, i64, ptr, ptr,
+        ctypes.c_uint64, i64, ptr, i64, ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr,
+        ptr, i64, ptr, ptr, ptr,
     ]
-    lib.oddball_block.restype = ctypes.c_int
+    lib.oddball_block.restype = None
+    lib.oddball_lgamma.argtypes = [i64]
+    lib.oddball_lgamma.restype = ctypes.c_double
     lib.oddball_draw.argtypes = [ptr, i64, ptr, i64, i64, ptr]
     lib.oddball_draw.restype = None
     return lib
@@ -138,11 +146,15 @@ def bitgen_address(bit_generator) -> int:
 
 def kernel():
     """The compiled kernel library (entry points `oddball_trial`,
-    `oddball_block`, and `oddball_lam_odd` and `oddball_draw` for tests),
-    built on the first call in a process; None when it cannot be built."""
+    `oddball_block`, and `oddball_lam_odd`, `oddball_lgamma` and
+    `oddball_draw` for tests), built on the first call in a process; None
+    when it cannot be built or its lgamma port differs from `math.lgamma`
+    on a few probes, so output bytes never depend on which loop ran."""
     if not _loaded:
         try:
             lib = _load()
+            if any(lib.oddball_lgamma(y) != math.lgamma(y + 1) for y in _LGAMMA_PROBES):
+                raise OSError("its lgamma differs from math.lgamma")
         except (OSError, subprocess.SubprocessError) as exc:
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
             reason = detail.splitlines()[0] if detail else str(exc)

@@ -138,9 +138,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_drift(args) -> None:
     truth = OddConfig(args.k, args.odd, args.r1, args.r2)
     seeds = [args.seed + i for i in range(args.num_seeds)]
-    checkpoints = (
-        _parse_list(args.checkpoints, "--checkpoints", int) if args.checkpoints else None
-    )
+    checkpoints = args.checkpoints
+    if checkpoints is not None:
+        checkpoints = _parse_list(checkpoints, "--checkpoints", int)
     result = drift_experiment(
         truth, args.slots, seeds, checkpoints=checkpoints, parallelism=args.jobs
     )

@@ -29,7 +29,7 @@ first-seen one, so a memo's contents are a pure function of its keys:
 sharing one between trials changes how often the solver runs, never a
 result. The memo is a dict the caller owns and passes as `cache`: the
 weight table of each K under key K, and under "lgamma" the table of
-lgamma(y + 1) the compiled kernel reads, which stops growing at
+lgamma(y + 1) the compiled kernel fills and reads, which stops at
 _LGAMMA_CAP entries (16 MiB). Without one, each `run_trial`
 keeps its own for the trial and each `next_decision` or
 `leader_lambda_odd` call for that call alone. No memo is kept at module
@@ -43,9 +43,9 @@ kernel call, which seeds trial t's generator in C as
 `np.random.default_rng([seed, level, t])` would. A traced trial, a
 generator that is not a numpy `Generator`, and a machine where the
 kernel cannot be built run the Python loop below, which stays the
-reference. A trial whose event total
-outgrows the lgamma table's cap is handed from the kernel to the Python
-loop mid-trial, so memory stays bounded however long or busy the trial.
+reference. So does a trial the kernel declines, rerun from its start:
+one whose event total would reach 2^53, past which the kernel's int64
+tallies are no longer exact doubles.
 """
 
 from __future__ import annotations
@@ -102,9 +102,8 @@ _QUANT = 10 ** 6
 # Generator.poisson refuses, and a draw could overflow an int64.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# Entries of the memo's lgamma table at most (16 MiB). A trial whose event
-# total reaches it leaves the compiled kernel for the Python loop, which
-# calls math.lgamma directly.
+# Entries of the memo's lgamma table (16 MiB). Past it the compiled kernel
+# computes lgamma(y + 1) without storing it.
 _LGAMMA_CAP = 1 << 21
 
 
@@ -231,23 +230,6 @@ def _weight_table(cache: dict, k: int) -> np.ndarray:
     if table is None:
         table = cache[k] = _reserved(_QUANT)
     return table
-
-
-def _lgamma_table(cache: dict, total: int) -> np.ndarray:
-    """The filled part of the memo's table of math.lgamma(y + 1): y = 0,
-    1, ... in a length doubled until it covers y = total or reaches
-    _LGAMMA_CAP. The table is reserved at the cap and filled in place, in
-    chunks, so it never needs a second copy. The memo holds (table,
-    filled length)."""
-    table, filled = cache.get("lgamma") or (_reserved(_LGAMMA_CAP), 0)
-    size = max(filled, 1024)
-    while size <= total and size < _LGAMMA_CAP:
-        size *= 2
-    for lo in range(filled, size, 1 << 16):
-        hi = min(size, lo + (1 << 16))
-        table[lo:hi] = np.fromiter(map(math.lgamma, range(lo + 1, hi + 1)), np.float64, hi - lo)
-    cache["lgamma"] = (table, size)
-    return table[:size]
 
 
 def _weighted_action(leader: int, lam_odd: float, k: int, u: float) -> int:
@@ -392,16 +374,14 @@ def _python_trial(
     collect_trace: bool,
     cp: frozenset,
     cache: dict,
-    resume: tuple[SufficientStats, list[Snapshot]] | None = None,
 ) -> TrialOutcome:
     """`run_trial` on the Python loop: the reference the compiled kernel
-    repeats, and the only path that records a trace. `resume` is the
-    (tallies, snapshots) of an untraced trial the kernel hands over with
-    slot tallies.n drawn and recorded but not yet scored."""
+    repeats, and the only path that records a trace."""
     k = config.k
     odd = truth.odd_index
     rates = _rates(truth)
-    stats, snaps = (SufficientStats(k=k), []) if resume is None else resume
+    stats = SufficientStats(k=k)
+    snaps = []
     visits = stats.visits
     events = stats.events
     trace: list[dict] | None = [] if collect_trace else None
@@ -409,12 +389,10 @@ def _python_trial(
     stopped = False
     leader = 1
     z_min = [0.0] * k
-    if resume is None:
-        action = _next_action(config, 0, leader, stats.theta_hat(leader), rng, cache)[0]
-    for m in range(stats.n + (resume is None), config.max_slots + 1):
-        if m > stats.n:  # slot m is not drawn yet
-            x = int(rng.poisson(rates[action - 1]))
-            stats._record(action, x)
+    action = _next_action(config, 0, leader, stats.theta_hat(leader), rng, cache)[0]
+    for m in range(1, config.max_slots + 1):
+        x = int(rng.poisson(rates[action - 1]))
+        stats._record(action, x)
         avg, ml = _scores(stats)
         z_min = _z_min_from_scores(avg, ml)
         leader = _pick_leader(z_min, rng)
@@ -464,11 +442,11 @@ def _python_trial(
     )
 
 
-# The compiled kernel's int64 state array: these fields, then visits and
-# events; the code it returns for a longer lgamma table; and its constants.
+# The compiled kernel's int64 state array (these fields, then visits and
+# events), the code it returns for a trial it declines, and its constants.
 # The layouts are the S_ and P_ enums of _kernel.c.
-_M, _ACTION, _LEADER, _TOTAL, _PENDING, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(10)
-_NEED_LGAMMA = 1
+_M, _ACTION, _LEADER, _TOTAL, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(9)
+_DECLINED = 1
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
@@ -476,6 +454,17 @@ _KERNEL_PARAMS = np.array(
      _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
 )
 _KERNEL_PARAMS.flags.writeable = False
+
+
+def _memo_args(cache: dict, k: int) -> tuple[int, int, int, int]:
+    """The memo as the kernel takes it: the address of the weight table of
+    k; and of the lgamma table (lgamma(y + 1) at entry y, reserved at
+    _LGAMMA_CAP entries), its length and the address of its filled length,
+    a one-entry int64 array. The kernel fills the table."""
+    if "lgamma" not in cache:
+        cache["lgamma"] = (_reserved(_LGAMMA_CAP), np.zeros(1, dtype=np.int64))
+    table, filled = cache["lgamma"]
+    return _weight_table(cache, k).ctypes.data, table.ctypes.data, len(table), filled.ctypes.data
 
 
 def _compiled_trial(
@@ -488,48 +477,44 @@ def _compiled_trial(
 ) -> tuple[TrialOutcome, int, int]:
     """An untraced `run_trial` on the compiled kernel, with the number of
     weight lookups and of memo misses the kernel made. The kernel runs
-    with the generator's lock held, as numpy's own draws do. When it needs
-    a longer lgamma table it returns, and the call resumes from the state
-    it left; past the table's cap the Python loop takes that state over."""
+    with the generator's lock held, as numpy's own draws do. A trial it
+    declines reruns on the Python loop from the generator's state before
+    the call."""
     k = config.k
     odd = truth.odd_index
     ncp = len(cp)
     # One int64 buffer (state, checkpoint slots, snapshot tallies) and one
     # float64 buffer (rates, scores, snapshot scores).
     ints = np.zeros(_HEAD + 2 * k + ncp * (3 + 2 * k), dtype=np.int64)
-    ints[_ACTION] = ints[_LEADER] = 1
     cps_at = _HEAD + 2 * k
     ints[cps_at : cps_at + ncp] = sorted(cp)
     reals = np.zeros(k * (2 + ncp))
     reals[:k] = _rates(truth)
     ip, rp = ints.ctypes.data, reals.ctypes.data
     bitgen = rng.bit_generator
-    args = (
-        _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
-        config.log_threshold, rp, ip, rp + 8 * k, _weight_table(cache, k).ctypes.data,
-    )
-    tail = (ip + 8 * cps_at, ncp, ip + 8 * (cps_at + ncp), rp + 16 * k, _KERNEL_PARAMS.ctypes.data)
-    lgamma = _lgamma_table(cache, 0)
+    start = bitgen.state
     with bitgen.lock:
-        while kernel.oddball_trial(*args, lgamma.ctypes.data, len(lgamma), *tail) == _NEED_LGAMMA:
-            if len(lgamma) == _LGAMMA_CAP:
-                break
-            lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
+        status = kernel.oddball_trial(
+            _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
+            config.log_threshold, rp, ip, rp + 8 * k, *_memo_args(cache, k), ip + 8 * cps_at,
+            ncp, ip + 8 * (cps_at + ncp), rp + 16 * k, _KERNEL_PARAMS.ctypes.data,
+        )
     head = ints[:cps_at].tolist()
+    if status == _DECLINED:
+        bitgen.state = start
+        outcome = _python_trial(config, truth, rng, False, cp, cache)
+        return outcome, head[_LOOKUPS], head[_MISSES]
     leader = head[_LEADER]
-    snaps = []
+    snaps = None
     if cp:
         slots = ints[cps_at : cps_at + head[_CP]].tolist()
         tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
         scores = reals[2 * k :].reshape(ncp, k).tolist()
-        snaps = [
+        snaps = tuple(
             Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
                      events=tuple(s[2 + k :]), total=s[1])
             for n, s, zs in zip(slots, tallies, scores)
-        ]
-    if head[_PENDING]:
-        outcome = _resume(config, truth, rng, head, cp, snaps, cache)
-        return outcome, head[_LOOKUPS], head[_MISSES]
+        )
     outcome = TrialOutcome(
         k=k,
         tau=head[_M],
@@ -540,38 +525,9 @@ def _compiled_trial(
         events=tuple(head[_HEAD + k :]),
         total=head[_TOTAL],
         z_min=tuple(reals[k : 2 * k].tolist()),
-        snapshots=tuple(snaps) if cp else None,
+        snapshots=snaps,
     )
     return outcome, head[_LOOKUPS], head[_MISSES]
-
-
-def _resume(
-    config: PolicyConfig,
-    truth: OddConfig,
-    rng: np.random.Generator,
-    head: list,
-    cp: frozenset,
-    snaps: list,
-    cache: dict,
-) -> TrialOutcome:
-    """Finish on the Python loop a trial the kernel left with state `head`
-    (the state array as a list) and snapshots `snaps`, its last slot drawn
-    but not yet scored."""
-    k = config.k
-    visits, events = head[_HEAD : _HEAD + k], head[_HEAD + k : _HEAD + 2 * k]
-    stats = SufficientStats(k=k, n=head[_M], visits=visits, events=events, total=head[_TOTAL])
-    return _python_trial(config, truth, rng, False, cp, cache, (stats, snaps))
-
-
-def _pcg64_state(gen: np.ndarray) -> dict:
-    """numpy's PCG64.state of a kernel generator array."""
-    g = gen.tolist()
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": g[_STATE_HI] << 64 | g[_STATE_LO], "inc": g[_INC_HI] << 64 | g[_INC_LO]},
-        "has_uint32": g[_HAS_UINT32],
-        "uinteger": g[_UINTEGER],
-    }
 
 
 def _seeded_trials(
@@ -611,39 +567,28 @@ def _compiled_block(
     """`_seeded_trials` on the compiled kernel, with the generator array of
     the last trial the kernel ran. One kernel call seeds each trial's
     PCG64 in C and runs them all, building no Python object per trial.
-    When it needs a longer lgamma table it returns, and the call resumes;
-    past the table's cap the trial it stopped in finishes on the Python
-    loop, on a `Generator` given the kernel's generator state, and the
-    call resumes after it."""
+    A trial the kernel declines (stopping slot 0) reruns on the Python
+    loop from its seed."""
     k, n = config.k, len(trials)
     index = np.array(trials, dtype=np.int64)
-    # One int64 buffer (state, block position, results) and one float64
-    # buffer (rates, scores).
-    ints = np.zeros(_HEAD + 2 * k + 1 + 3 * n, dtype=np.int64)
-    pos, at = _HEAD + 2 * k, _HEAD + 2 * k + 1
+    # One int64 buffer (state, results) and one float64 buffer (rates, scores).
+    ints = np.zeros(_HEAD + 2 * k + 3 * n, dtype=np.int64)
+    at = _HEAD + 2 * k
     reals = np.zeros(2 * k)
     reals[:k] = _rates(truth)
     gen = np.zeros(_GEN_SIZE, dtype=np.uint64)
     ip, rp = ints.ctypes.data, reals.ctypes.data
-    args = (
-        seed, level, index.ctypes.data, n, ip + 8 * pos, gen.ctypes.data, k, config.max_slots,
+    kernel.oddball_block(
+        seed, level, index.ctypes.data, n, gen.ctypes.data, k, config.max_slots,
         config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
-        _weight_table(cache, k).ctypes.data,
+        *_memo_args(cache, k), _KERNEL_PARAMS.ctypes.data, ip + 8 * at,
     )
-    tail = (_KERNEL_PARAMS.ctypes.data, ip + 8 * at)
-    lgamma = _lgamma_table(cache, 0)
-    while kernel.oddball_block(*args, lgamma.ctypes.data, len(lgamma), *tail) == _NEED_LGAMMA:
-        if len(lgamma) < _LGAMMA_CAP:
-            lgamma = _lgamma_table(cache, int(ints[_TOTAL]))
-            continue
-        i = int(ints[pos])
-        rng = np.random.Generator(np.random.PCG64(0))  # the state is replaced
-        rng.bit_generator.state = _pcg64_state(gen)
-        out = _resume(config, truth, rng, ints[:pos].tolist(), frozenset(), [], cache)
-        ints[at + i : at + 3 * n : n] = out.tau, out.delta, out.capped
-        ints[_PENDING] = 0
-        ints[pos] = i + 1
     tau, delta, capped = ints[at:].reshape(3, n).tolist()
+    for i, t in enumerate(trials):
+        if tau[i] == 0:
+            rng = np.random.default_rng([seed, level, t])
+            out = _python_trial(config, truth, rng, False, frozenset(), cache)
+            tau[i], delta[i], capped[i] = out.tau, out.delta, out.capped
     return tau, delta, [c == 1 for c in capped], gen
 
 

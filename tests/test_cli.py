@@ -260,8 +260,9 @@ class TestDriftCommand:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 3 * 2
 
-    def test_rejects_malformed_checkpoints(self, capsys):
-        code, _, err = run_cli(capsys, *self.ARGV, "--checkpoints", "1,,2")
+    @pytest.mark.parametrize("text", ["1,,2", ""])
+    def test_rejects_malformed_checkpoints(self, text, capsys):
+        code, _, err = run_cli(capsys, *self.ARGV, "--checkpoints", text)
         assert code == 2
         assert "--checkpoints" in err
 

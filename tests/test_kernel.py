@@ -72,10 +72,11 @@ CONFIGS = {
 def _agree(configs, truth, seeds, checkpoints, kernel):
     """Run both loops on every (config, seed), each loop with its own memo
     across all trials as a block of trials keeps; assert equal outcomes
-    and generator states. Returns (Python memo, kernel memo, last Python
-    outcome, kernel lookups, kernel misses)."""
+    and generator states. Returns (Python memo, kernel memo, Python
+    outcomes, kernel lookups, kernel misses)."""
     cp = frozenset(checkpoints)
     memo_py, memo_c = {}, {}
+    refs = []
     lookups = misses = 0
     for config in configs:
         for seed in seeds:
@@ -92,9 +93,10 @@ def _agree(configs, truth, seeds, checkpoints, kernel):
             assert got.snapshots == ref.snapshots, key
             assert got == ref, key
             assert rng_c.bit_generator.state == rng_py.bit_generator.state, key
+            refs.append(ref)
             lookups += n_lookups
             misses += n_misses
-    return memo_py, memo_c, ref, lookups, misses
+    return memo_py, memo_c, refs, lookups, misses
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -109,7 +111,7 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
         return pick(z_min, rng)
 
     monkeypatch.setattr(policy, "_pick_leader", counted_pick)
-    memo_py, memo_c, ref, lookups, misses = _agree(configs, truth, seeds, checkpoints, kernel)
+    memo_py, memo_c, refs, lookups, misses = _agree(configs, truth, seeds, checkpoints, kernel)
     k = truth.k
     assert np.array_equal(memo_c[k], memo_py[k])
     assert misses == np.count_nonzero(memo_c[k]) > 0
@@ -117,34 +119,75 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
     if name == "low-rate":
         assert ties > 0
     if name == "drift":
-        # The trial outgrew the first lgamma table and resumed.
-        assert memo_c["lgamma"][1] > 1024
-        assert len(ref.snapshots) == len(checkpoints)
+        # The kernel filled the lgamma table up to the trials' event total.
+        assert memo_c["lgamma"][1][0] == max(ref.total for ref in refs) + 1 > 1024
+        assert len(refs[-1].snapshots) == len(checkpoints)
+
+
+def _python_trial_calls(monkeypatch):
+    """Count the calls of `policy._python_trial` from here on."""
+    calls = []
+    python_trial = policy._python_trial
+    monkeypatch.setattr(policy, "_python_trial", lambda *a: calls.append(1) or python_trial(*a))
+    return calls
 
 
 @pytest.mark.parametrize("name", ["drift", "high-rate"])
-def test_hand_over_past_lgamma_cap(name, kernel, monkeypatch):
-    # With the lgamma table capped at its first size, trials whose event
-    # total passes it leave the kernel for the Python loop mid-trial; the
-    # drift trial hands over between its checkpoints.
+def test_agree_past_lgamma_cap(name, kernel, monkeypatch):
+    # With the lgamma table capped at 1024 entries, trials whose event
+    # total passes it stay on the kernel, which computes lgamma past the
+    # table; the drift trial passes the cap between its checkpoints.
     monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
-    hand_overs = []
-    python_trial = policy._python_trial
-
-    def spy(*args):
-        hand_overs.append(len(args) > 6)  # called with the kernel's state
-        return python_trial(*args)
-
-    monkeypatch.setattr(policy, "_python_trial", spy)
+    calls = _python_trial_calls(monkeypatch)
     if name == "drift":
         configs, truth, seeds, checkpoints = CONFIGS["drift"]
     else:
         configs = [PolicyConfig(k=3, threshold_l=l) for l in (10.0, 1e3)]
         truth, seeds, checkpoints = OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
-    memo_py, memo_c, _, _, _ = _agree(configs, truth, seeds, checkpoints, kernel)
-    assert hand_overs.count(True) == len(configs) * len(seeds)
-    assert memo_c["lgamma"][1] == 1024
+    memo_py, memo_c, refs, _, _ = _agree(configs, truth, seeds, checkpoints, kernel)
+    assert len(calls) == len(refs)  # the references only: no trial was declined
+    assert min(ref.total for ref in refs) > 1024
+    assert memo_c["lgamma"][1][0] == 1024
     assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
+
+
+def test_lgamma_port_is_bitwise():
+    # The kernel's port of CPython's m_lgamma equals math.lgamma(y + 1) on
+    # every y it stores in a full table, past it, and at random y < 2^53.
+    # The library is loaded without the loader's probe, which would turn a
+    # wrong port into a skip.
+    try:
+        kernel = _native._load()
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("the compiled kernel cannot be built on this machine")
+    config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=3)
+    memo = {}
+    policy._compiled_trial(
+        kernel, config, OddConfig(3, 1, 2.0**20, 2.0**20), np.random.default_rng(0),
+        frozenset(), memo,
+    )
+    table, filled = memo["lgamma"]
+    cap = policy._LGAMMA_CAP
+    assert filled[0] == len(table) == cap
+    ref = np.fromiter(map(math.lgamma, range(1, cap + 1)), np.float64, cap)
+    assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
+    rng = np.random.default_rng(13)
+    ys = [*range(cap, cap + 4096), *rng.integers(0, 2**53, size=100_000).tolist()]
+    assert [y for y in ys if kernel.oddball_lgamma(y) != math.lgamma(y + 1)] == []
+
+
+def _pcg64_state(gen: np.ndarray) -> dict:
+    """numpy's PCG64.state of a kernel generator array."""
+    g = gen.tolist()
+    return {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": g[policy._STATE_HI] << 64 | g[policy._STATE_LO],
+            "inc": g[policy._INC_HI] << 64 | g[policy._INC_LO],
+        },
+        "has_uint32": g[policy._HAS_UINT32],
+        "uinteger": g[policy._UINTEGER],
+    }
 
 
 def _c_generator(lib, values):
@@ -168,7 +211,7 @@ def test_seeding_matches_numpy(seed, level, trial):
     if lib is None:
         pytest.skip("the compiled kernel cannot be built on this machine")
     key = [seed, level, trial]
-    assert policy._pcg64_state(_c_generator(lib, key)) == np.random.PCG64(key).state, key
+    assert _pcg64_state(_c_generator(lib, key)) == np.random.PCG64(key).state, key
 
 
 def test_seeding_edge_keys(kernel):
@@ -177,7 +220,7 @@ def test_seeding_edge_keys(kernel):
     keys = [[v] for v in edges] + [[v, w] for v, w in itertools.product(edges, repeat=2)]
     keys += [list(key) for key in itertools.product(edges, edges[:5], edges[:5])]
     for key in keys:
-        assert policy._pcg64_state(_c_generator(kernel, key)) == np.random.PCG64(key).state, key
+        assert _pcg64_state(_c_generator(kernel, key)) == np.random.PCG64(key).state, key
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -205,7 +248,7 @@ def test_32_bit_draws_keep_the_spare_half(kernel):
         else:
             ref = bits.random_raw(count).tolist()
         assert _c_draws(kernel, gen, width, count) == ref
-        assert policy._pcg64_state(gen) == bits.state
+        assert _pcg64_state(gen) == bits.state
 
 
 @pytest.mark.parametrize("name", ["sim-hard", "low-rate", "wide"])
@@ -235,43 +278,57 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
             ref.append((out.tau, out.delta, out.capped))
             *one, gen = policy._compiled_block(kernel, config, truth, seed, level, [t], memo_one)
             assert list(zip(*one)) == [ref[-1]], (level, t)
-            assert policy._pcg64_state(gen) == rng.bit_generator.state, (level, t)
+            assert _pcg64_state(gen) == rng.bit_generator.state, (level, t)
             spares += rng.bit_generator.state["has_uint32"]
         *got, gen = policy._compiled_block(kernel, config, truth, seed, level, trials, memo_c)
         assert list(zip(*got)) == ref
-        assert policy._pcg64_state(gen) == rng.bit_generator.state
+        assert _pcg64_state(gen) == rng.bit_generator.state
         assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
         assert np.array_equal(memo_one[truth.k], memo_py[truth.k])
     if name == "low-rate":
         assert ties > 0 and spares > 0
 
 
-def test_block_hands_over_past_lgamma_cap(kernel, monkeypatch):
-    # With the lgamma table capped at its first size, a high-rate trial
-    # leaves the block for the Python loop, on a Generator given the
-    # kernel's state, and the block resumes with the next trial.
+@pytest.mark.parametrize("name", ["past-cap", "poisson-limit"])
+def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
+    # With the lgamma table capped at 1024 entries, high-rate trials whose
+    # event total passes it stay in the block. At numpy's Poisson limit
+    # the first draw would take the total to 2^53, so the kernel declines
+    # every trial and each reruns on the Python loop from its seed.
     monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
-    hand_overs = []
-    python_trial = policy._python_trial
-
-    def spy(*args):
-        hand_overs.append(len(args) > 6)  # called with the kernel's state
-        return python_trial(*args)
-
-    monkeypatch.setattr(policy, "_python_trial", spy)
-    config, truth = PolicyConfig(k=3, threshold_l=1e3), OddConfig(3, 2, 200.0, 185.0)
-    trials = list(range(6))
+    config = PolicyConfig(k=3, threshold_l=1e3)
+    r1 = 200.0 if name == "past-cap" else policy._POISSON_LAM_MAX
+    truth, trials = OddConfig(3, 2, r1, 185.0), list(range(6))
+    calls = _python_trial_calls(monkeypatch)
     memo_c = {}
     got = policy._compiled_block(kernel, config, truth, 9, 1, trials, memo_c)[:3]
-    assert hand_overs == [True] * len(trials)
+    assert len(calls) == (0 if name == "past-cap" else len(trials))
     memo_py = {}
     ref = [
-        python_trial(config, truth, np.random.default_rng([9, 1, t]), False, frozenset(), memo_py)
+        policy._python_trial(
+            config, truth, np.random.default_rng([9, 1, t]), False, frozenset(), memo_py
+        )
         for t in trials
     ]
     assert list(zip(*got)) == [(o.tau, o.delta, o.capped) for o in ref]
-    assert memo_c["lgamma"][1] == 1024
+    assert min(o.total for o in ref) > 1024
+    # Past the cap the table is full; at the limit only slot 1's draws went in.
+    filled = memo_c["lgamma"][1][0]
+    assert filled == 1024 if name == "past-cap" else 0 < filled < 1024
     assert np.array_equal(memo_c[3], memo_py[3])
+
+
+def test_lgamma_mismatch_takes_the_fallback(monkeypatch, capsys):
+    # A kernel whose lgamma differs from math.lgamma by one ulp is never
+    # used, so output bytes cannot depend on which loop ran.
+    class Wrong:
+        def oddball_lgamma(self, y):
+            return math.lgamma(y + 1) * (1 + 2**-52)
+
+    monkeypatch.setattr(_native, "_load", Wrong)
+    monkeypatch.setattr(_native, "_loaded", [])
+    assert _native.kernel() is None
+    assert "its lgamma differs from math.lgamma" in capsys.readouterr().err
 
 
 def _experiment_bytes(spec, trace_dir, parallelism):
@@ -286,7 +343,7 @@ def _experiment_bytes(spec, trace_dir, parallelism):
 
 
 @pytest.mark.parametrize(
-    "spec, hands_over",
+    "spec, past_cap",
     [
         # The sim-hard workload's configuration.
         (dict(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e2, 1e4], trials=40, seed=905), False),
@@ -295,23 +352,29 @@ def _experiment_bytes(spec, trace_dir, parallelism):
             dict(k=3, odd_index=1, r1=0.05, r2=0.2, l_grid=[10.0, 1e3], trials=30, seed=2**64 - 1),
             False,
         ),
-        # Past the lowered lgamma cap: trials hand over to the Python loop.
+        # Past the lowered lgamma cap: the kernel computes lgamma past the table.
         (dict(k=3, odd_index=2, r1=200.0, r2=185.0, l_grid=[10.0, 1e3], trials=6, seed=3), True),
     ],
-    ids=["sim-hard", "low-rate", "hand-over"],
+    ids=["sim-hard", "low-rate", "past-cap"],
 )
 def test_block_bytes_match_fallback_and_workers(
-    spec, hands_over, kernel, tmp_path, monkeypatch, capsys
+    spec, past_cap, kernel, tmp_path, monkeypatch, capsys
 ):
     # Report and trace bytes are the same from the block call, from
     # run_trial on the Python loop (no compiler) and over two workers.
     monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
-    resumed = []
-    resume = policy._resume
-    monkeypatch.setattr(policy, "_resume", lambda *args: resumed.append(1) or resume(*args))
+    filled = []
+    block_call = policy._compiled_block
+
+    def spy(*args):
+        out = block_call(*args)
+        filled.append(int(args[-1]["lgamma"][1][0]))  # the memo's filled length
+        return out
+
+    monkeypatch.setattr(policy, "_compiled_block", spy)
     spec = ExperimentSpec(**spec, trace_sampling=0.1)
     block = _experiment_bytes(spec, tmp_path / "block", 1)
-    assert bool(resumed) == hands_over
+    assert (max(filled) == 1024) == past_cap
     assert _experiment_bytes(spec, tmp_path / "workers", 2) == block
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
@@ -324,7 +387,8 @@ def test_block_bytes_match_fallback_and_workers(
 
 def test_rates_past_numpy_poisson_limit(kernel):
     # Both loops refuse a rate numpy cannot draw from, before any draw; at
-    # the limit itself they agree (the kernel hands over at once).
+    # the limit itself they agree (the kernel declines at the first draw,
+    # and the trial reruns on the Python loop).
     config, limit = PolicyConfig(k=3, threshold_l=10.0), policy._POISSON_LAM_MAX
     over = OddConfig(3, 1, float(np.nextafter(limit, np.inf)), 1.0)
     for traced in (False, True):
@@ -514,7 +578,7 @@ def test_layouts_match_the_kernel():
     # the Python side must list the C enums' slots in the same order.
     state = _c_enum("S_M")
     assert [getattr(policy, "_" + name[2:]) for name in state] == list(range(len(state)))
-    assert _c_enum("DONE").index("NEED_LGAMMA") == policy._NEED_LGAMMA
+    assert _c_enum("DONE").index("DECLINED") == policy._DECLINED
     gen = _c_enum("G_STATE_HI")
     names = ["_GEN_SIZE" if name == "G_SIZE" else "_" + name[2:] for name in gen]
     assert [getattr(policy, name) for name in names] == list(range(len(gen)))
