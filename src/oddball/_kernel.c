@@ -11,11 +11,15 @@
    seeded as default_rng([seed, level, trial]) seeds it (oddball_block).
    Build with -ffp-contract=off: a fused multiply-add rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
-   lgamma is a port of CPython's own (oddball_lgamma), kept in a table
-   the memo owns. Event totals stay below 2^53, where int64 tallies are
-   exact doubles: a trial that would pass it is declined, and Python
-   reruns it. Shared constants come from Python in `par`; the P_, S_ and
-   G_ enums below are layouts policy.py mirrors. */
+   lgamma is a port of CPython's own (oddball_lgamma). lgamma(y + 1) and
+   log(n + 1) are kept in two tables the memo owns. The scores are updated
+   incrementally: a slot changes only the observed process's own terms of
+   glr._scores, so those are cached per process and each slot recomputes
+   only the pooled-others terms, every sum in glr._scores' order. Event
+   totals stay below 2^53, where int64 tallies are exact doubles: a trial
+   that would pass it is declined, and Python reruns it. Shared constants
+   come from Python in `par`; the P_, S_ and G_ enums below are layouts
+   policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
@@ -97,11 +101,11 @@ static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n) {
         if (v[j] >> 32) w[nw++] = (uint32_t)(v[j] >> 32);
     }
     for (int i = 0; i < 4; i++) pool[i] = hashmix(i < nw ? w[i] : 0, &h);
-    for (int s = 0; s < 4; s++)
+    for (int src = 0; src < 4; src++)
         for (int d = 0; d < 4; d++)
-            if (s != d) pool[d] = mix(pool[d], hashmix(pool[s], &h));
-    for (int s = 4; s < nw; s++)
-        for (int d = 0; d < 4; d++) pool[d] = mix(pool[d], hashmix(w[s], &h));
+            if (src != d) pool[d] = mix(pool[d], hashmix(pool[src], &h));
+    for (int src = 4; src < nw; src++)
+        for (int d = 0; d < 4; d++) pool[d] = mix(pool[d], hashmix(w[src], &h));
     h = 0x8b51f9ddu;
     for (int i = 0; i < 8; i++) {
         uint32_t x = pool[i % 4] ^ h;
@@ -214,20 +218,34 @@ static double lgamma_at(int64_t y, const double *lg, int64_t nlg) {
     return y < nlg ? lg[y] : oddball_lgamma(y);
 }
 
+/* log(n + 1): entry n of the memo's table `lt` of nlt entries, or computed past it. */
+static double log_at(int64_t n, const double *lt, int64_t nlt) {
+    return n < nlt ? lt[n] : log((double)(n + 1));
+}
+
 /* Run one trial until it stops or reaches max_slots, or return DECLINED
    when a draw would take its event total to 2^53. Its state goes to `st`,
-   the scores of its last slot to z. The memo: weights[q] holds
-   lambda*(k, q / quant), 0.0 until solved; lg[y] = lgamma(y + 1) is filled
-   for y < *filled, here up to the event total or nlg. Checkpoint slots `cps`
-   are sorted; snapshot c goes to snap_i[c * (2 + 2k)] (leader, total,
-   visits, events) and snap_z[c * k]. */
+   the scores of its last slot to z[0..k), and z[k..3k) is scratch. The
+   memo: weights[q] holds lambda*(k, q / quant), 0.0 until solved;
+   lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here up to the
+   event total or nlg; lt[n] = log(n + 1) for n < lt_filled[0], here up to
+   the slot count or nlt. Checkpoint slots `cps` are sorted; snapshot c
+   goes to snap_i[c * (2 + 2k)] (leader, total, visits, events) and
+   snap_z[c * k]. */
 int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
                   double log_threshold, const double *rates, int64_t *st, double *z,
-                  double *weights, double *lg, int64_t nlg, int64_t *filled, const int64_t *cps,
-                  int64_t ncp, int64_t *snap_i, double *snap_z, const double *par) {
+                  double *weights, double *lg, int64_t nlg, int64_t *lg_filled, double *lt,
+                  int64_t nlt, int64_t *lt_filled, const int64_t *cps, int64_t ncp,
+                  int64_t *snap_i, double *snap_z, const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
     int64_t *visits = st + S_HEAD, *events = visits + k;
-    int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0, nfill = *filled;
+    /* Each process's own terms of glr._scores, updated when it is observed:
+       own_avg = lgamma(y + 1) - (y + 1) log(n + 1) and own_ml =
+       0.0 (+ y (log(y / n) - 1) when y > 0). Both are 0.0 at y = n = 0. */
+    double *own_avg = z + k, *own_ml = z + 2 * k;
+    memset(own_avg, 0, sizeof(*z) * 2 * k);
+    int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0;
+    int64_t ngamma = *lg_filled, nlog = *lt_filled;
     double rho = (double)(k - 2) / (double)(k - 1);
     int status = DONE;
     while (m < max_slots) {
@@ -240,17 +258,21 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
         visits[action - 1]++;
         events[action - 1] += x;
         total += x;
-        for (; nfill <= total && nfill < nlg; nfill++) lg[nfill] = oddball_lgamma(nfill);
+        for (; ngamma <= total && ngamma < nlg; ngamma++) lg[ngamma] = oddball_lgamma(ngamma);
+        for (; nlog <= m && nlog < nlt; nlog++) lt[nlog] = log((double)(nlog + 1));
+        int64_t ya = events[action - 1], na = visits[action - 1];
+        own_avg[action - 1] = lgamma_at(ya, lg, nlg) - (double)(ya + 1) * log_at(na, lt, nlt);
+        own_ml[action - 1] = ya > 0 ? 0.0 + (double)ya * (log((double)ya / (double)na) - 1.0) : 0.0;
 
-        /* Scores: z = avg - max_{j != i} ml_j via the top two of ml. */
+        /* Scores: z = avg - max_{j != i} ml_j via the top two of ml, with
+           each sum in glr._scores' order: (own_avg + lgamma(yo + 1)) -
+           (yo + 1) log(no + 1), and own_ml + yo (log(yo / no) - 1). */
         double m1 = -INFINITY, m2 = -INFINITY;
         int64_t a1 = -1;
         for (int64_t i = 0; i < k; i++) {
-            int64_t yi = events[i], ni = visits[i], yo = total - yi, no = m - ni;
-            z[i] = lgamma_at(yi, lg, nlg) - (double)(yi + 1) * log((double)(ni + 1))
-                   + lgamma_at(yo, lg, nlg) - (double)(yo + 1) * log((double)(no + 1));
-            double t = 0.0;
-            if (yi > 0) t += (double)yi * (log((double)yi / (double)ni) - 1.0);
+            int64_t yo = total - events[i], no = m - visits[i];
+            z[i] = own_avg[i] + lgamma_at(yo, lg, nlg) - (double)(yo + 1) * log_at(no, lt, nlt);
+            double t = own_ml[i];
             if (yo > 0) t += (double)yo * (log((double)yo / (double)no) - 1.0);
             if (t > m1) {
                 m2 = m1;
@@ -326,27 +348,34 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
     st[S_LEADER] = leader;
     st[S_TOTAL] = total;
     st[S_CP] = ci;
-    *filled = nfill;
+    *lg_filled = ngamma;
+    *lt_filled = nlog;
     return status;
 }
 
 /* Run trials 0..n-1 without checkpoints, trial i on the generator of
    default_rng([seed, level, trials[i]]), and write its stopping slot,
    final leader and whether it was capped to out[i], out[n + i] and
-   out[2n + i]; a declined trial gets stopping slot 0. gen is left with
-   the generator of the last trial. */
+   out[2n + i]; a declined trial gets stopping slot 0. The weight lookups
+   and memo misses of all n trials go to out[3n] and out[3n + 1]. gen is
+   left with the generator of the last trial. */
 void oddball_block(uint64_t seed, int64_t level, const int64_t *trials, int64_t n, uint64_t *gen,
                    int64_t k, int64_t max_slots, int64_t stopping, double log_threshold,
                    const double *rates, int64_t *st, double *z, double *weights, double *lg,
-                   int64_t nlg, int64_t *filled, const double *par, int64_t *out) {
+                   int64_t nlg, int64_t *lg_filled, double *lt, int64_t nlt, int64_t *lt_filled,
+                   const double *par, int64_t *out) {
     bitgen_t bg = {gen, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+    out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
         uint64_t key[3] = {seed, (uint64_t)level, (uint64_t)trials[i]};
         pcg_seed(gen, key, 3);
         int status = oddball_trial(&bg, k, max_slots, stopping, log_threshold, rates, st, z,
-                                   weights, lg, nlg, filled, NULL, 0, NULL, NULL, par);
+                                   weights, lg, nlg, lg_filled, lt, nlt, lt_filled, NULL, 0, NULL,
+                                   NULL, par);
         out[i] = status == DECLINED ? 0 : st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];
+        out[3 * n] += st[S_LOOKUPS];
+        out[3 * n + 1] += st[S_MISSES];
     }
 }

@@ -46,12 +46,17 @@ def _key(source: bytes) -> str:
     return hashlib.sha256(source + b"\0" + tag).hexdigest()[:16]
 
 
+def _includes() -> list[str]:
+    """The compiler's include flags for the kernel: Python's and numpy's headers."""
+    return ["-I", sysconfig.get_paths()["include"], "-I", np.get_include()]
+
+
 def _build(out: str) -> None:
     """Compile the kernel into the file `out`; raise OSError or
     subprocess.CalledProcessError when it cannot be built."""
     numpy_dir = os.path.dirname(np.__file__)
     cmd = [
-        "cc", *_FLAGS, "-I", sysconfig.get_paths()["include"], "-I", np.get_include(), _SOURCE,
+        "cc", *_FLAGS, *_includes(), _SOURCE,
         os.path.join(numpy_dir, "random", "lib", "libnpyrandom.a"), "-lm", "-o", out,
     ]
     subprocess.run(cmd, check=True, capture_output=True)
@@ -83,14 +88,14 @@ def _open(path: str, key: str):
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.oddball_trial.argtypes = [
         ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr,
-        ptr,
+        i64, ptr, ptr, ptr,
     ]
     lib.oddball_trial.restype = ctypes.c_int
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
     lib.oddball_block.argtypes = [
         ctypes.c_uint64, i64, ptr, i64, ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr,
-        ptr, i64, ptr, ptr, ptr,
+        ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
     lib.oddball_lgamma.argtypes = [i64]

@@ -28,9 +28,10 @@ never 0). The value is always computed at the rounded nu, never the
 first-seen one, so a memo's contents are a pure function of its keys:
 sharing one between trials changes how often the solver runs, never a
 result. The memo is a dict the caller owns and passes as `cache`: the
-weight table of each K under key K, and under "lgamma" the table of
-lgamma(y + 1) the compiled kernel fills and reads, which stops at
-_LGAMMA_CAP entries (16 MiB). Without one, each `run_trial`
+weight table of each K under key K; under "lgamma" the table of
+lgamma(y + 1) and under "log" the table of log(n + 1), which the compiled
+kernel fills and reads, and which stop at _LGAMMA_CAP and _LOG_CAP
+entries (16 MiB each). Without one, each `run_trial`
 keeps its own for the trial and each `next_decision` or
 `leader_lambda_odd` call for that call alone. No memo is kept at module
 level.
@@ -102,9 +103,10 @@ _QUANT = 10 ** 6
 # Generator.poisson refuses, and a draw could overflow an int64.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# Entries of the memo's lgamma table (16 MiB). Past it the compiled kernel
-# computes lgamma(y + 1) without storing it.
+# Entries of the memo's lgamma and log tables (16 MiB each). Past them the
+# compiled kernel computes lgamma(y + 1) and log(n + 1) without storing them.
 _LGAMMA_CAP = 1 << 21
+_LOG_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -456,15 +458,19 @@ _KERNEL_PARAMS = np.array(
 _KERNEL_PARAMS.flags.writeable = False
 
 
-def _memo_args(cache: dict, k: int) -> tuple[int, int, int, int]:
+def _memo_args(cache: dict, k: int) -> tuple[int, ...]:
     """The memo as the kernel takes it: the address of the weight table of
-    k; and of the lgamma table (lgamma(y + 1) at entry y, reserved at
-    _LGAMMA_CAP entries), its length and the address of its filled length,
-    a one-entry int64 array. The kernel fills the table."""
-    if "lgamma" not in cache:
-        cache["lgamma"] = (_reserved(_LGAMMA_CAP), np.zeros(1, dtype=np.int64))
-    table, filled = cache["lgamma"]
-    return _weight_table(cache, k).ctypes.data, table.ctypes.data, len(table), filled.ctypes.data
+    k; then, for the lgamma table (lgamma(y + 1) at entry y, reserved at
+    _LGAMMA_CAP entries) and the log table (log(n + 1) at entry n,
+    reserved at _LOG_CAP entries), its address, its length and the address
+    of its filled length, a one-entry int64 array. The kernel fills both."""
+    args = [_weight_table(cache, k).ctypes.data]
+    for name, cap in (("lgamma", _LGAMMA_CAP), ("log", _LOG_CAP)):
+        if name not in cache:
+            cache[name] = (_reserved(cap), np.zeros(1, dtype=np.int64))
+        table, filled = cache[name]
+        args += [table.ctypes.data, len(table), filled.ctypes.data]
+    return tuple(args)
 
 
 def _compiled_trial(
@@ -484,11 +490,11 @@ def _compiled_trial(
     odd = truth.odd_index
     ncp = len(cp)
     # One int64 buffer (state, checkpoint slots, snapshot tallies) and one
-    # float64 buffer (rates, scores, snapshot scores).
+    # float64 buffer (rates, scores, the kernel's scratch, snapshot scores).
     ints = np.zeros(_HEAD + 2 * k + ncp * (3 + 2 * k), dtype=np.int64)
     cps_at = _HEAD + 2 * k
     ints[cps_at : cps_at + ncp] = sorted(cp)
-    reals = np.zeros(k * (2 + ncp))
+    reals = np.zeros(k * (4 + ncp))
     reals[:k] = _rates(truth)
     ip, rp = ints.ctypes.data, reals.ctypes.data
     bitgen = rng.bit_generator
@@ -497,7 +503,7 @@ def _compiled_trial(
         status = kernel.oddball_trial(
             _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
             config.log_threshold, rp, ip, rp + 8 * k, *_memo_args(cache, k), ip + 8 * cps_at,
-            ncp, ip + 8 * (cps_at + ncp), rp + 16 * k, _KERNEL_PARAMS.ctypes.data,
+            ncp, ip + 8 * (cps_at + ncp), rp + 32 * k, _KERNEL_PARAMS.ctypes.data,
         )
     head = ints[:cps_at].tolist()
     if status == _DECLINED:
@@ -509,7 +515,7 @@ def _compiled_trial(
     if cp:
         slots = ints[cps_at : cps_at + head[_CP]].tolist()
         tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
-        scores = reals[2 * k :].reshape(ncp, k).tolist()
+        scores = reals[4 * k :].reshape(ncp, k).tolist()
         snaps = tuple(
             Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
                      events=tuple(s[2 + k :]), total=s[1])
@@ -563,18 +569,20 @@ def _compiled_block(
     level: int,
     trials: list[int],
     cache: dict,
-) -> tuple[list[int], list[int], list[bool], np.ndarray]:
+) -> tuple[list[int], list[int], list[bool], np.ndarray, int, int]:
     """`_seeded_trials` on the compiled kernel, with the generator array of
-    the last trial the kernel ran. One kernel call seeds each trial's
-    PCG64 in C and runs them all, building no Python object per trial.
-    A trial the kernel declines (stopping slot 0) reruns on the Python
-    loop from its seed."""
+    the last trial the kernel ran and the numbers of weight lookups and of
+    memo misses the kernel made over all the trials. One kernel call seeds
+    each trial's PCG64 in C and runs them all, building no Python object
+    per trial. A trial the kernel declines (stopping slot 0) reruns on the
+    Python loop from its seed."""
     k, n = config.k, len(trials)
     index = np.array(trials, dtype=np.int64)
-    # One int64 buffer (state, results) and one float64 buffer (rates, scores).
-    ints = np.zeros(_HEAD + 2 * k + 3 * n, dtype=np.int64)
+    # One int64 buffer (state, results, counts) and one float64 buffer
+    # (rates, scores, the kernel's scratch).
+    ints = np.zeros(_HEAD + 2 * k + 3 * n + 2, dtype=np.int64)
     at = _HEAD + 2 * k
-    reals = np.zeros(2 * k)
+    reals = np.zeros(4 * k)
     reals[:k] = _rates(truth)
     gen = np.zeros(_GEN_SIZE, dtype=np.uint64)
     ip, rp = ints.ctypes.data, reals.ctypes.data
@@ -583,13 +591,14 @@ def _compiled_block(
         config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
         *_memo_args(cache, k), _KERNEL_PARAMS.ctypes.data, ip + 8 * at,
     )
-    tau, delta, capped = ints[at:].reshape(3, n).tolist()
+    tau, delta, capped = ints[at : at + 3 * n].reshape(3, n).tolist()
+    lookups, misses = ints[at + 3 * n :].tolist()
     for i, t in enumerate(trials):
         if tau[i] == 0:
             rng = np.random.default_rng([seed, level, t])
             out = _python_trial(config, truth, rng, False, frozenset(), cache)
             tau[i], delta[i], capped[i] = out.tau, out.delta, out.capped
-    return tau, delta, [c == 1 for c in capped], gen
+    return tau, delta, [c == 1 for c in capped], gen, lookups, misses
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

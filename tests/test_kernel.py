@@ -119,8 +119,10 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
     if name == "low-rate":
         assert ties > 0
     if name == "drift":
-        # The kernel filled the lgamma table up to the trials' event total.
+        # The kernel filled the lgamma table up to the trials' event total,
+        # and the log table up to their slot count.
         assert memo_c["lgamma"][1][0] == max(ref.total for ref in refs) + 1 > 1024
+        assert memo_c["log"][1][0] == max(ref.tau for ref in refs) + 1 > 1024
         assert len(refs[-1].snapshots) == len(checkpoints)
 
 
@@ -132,12 +134,10 @@ def _python_trial_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["drift", "high-rate"])
-def test_agree_past_lgamma_cap(name, kernel, monkeypatch):
-    # With the lgamma table capped at 1024 entries, trials whose event
-    # total passes it stay on the kernel, which computes lgamma past the
-    # table; the drift trial passes the cap between its checkpoints.
-    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+def _agree_past_cap(name, kernel, monkeypatch):
+    """`_agree` on the drift config or a high-rate stopping one, whose
+    trials all pass 1024 slots and 1024 events; returns the kernel memo
+    and the Python outcomes. No trial may be declined."""
     calls = _python_trial_calls(monkeypatch)
     if name == "drift":
         configs, truth, seeds, checkpoints = CONFIGS["drift"]
@@ -146,9 +146,30 @@ def test_agree_past_lgamma_cap(name, kernel, monkeypatch):
         truth, seeds, checkpoints = OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
     memo_py, memo_c, refs, _, _ = _agree(configs, truth, seeds, checkpoints, kernel)
     assert len(calls) == len(refs)  # the references only: no trial was declined
-    assert min(ref.total for ref in refs) > 1024
-    assert memo_c["lgamma"][1][0] == 1024
+    assert min(ref.total for ref in refs) > 1024 and min(ref.tau for ref in refs) > 1024
     assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
+    return memo_c, refs
+
+
+@pytest.mark.parametrize("name", ["drift", "high-rate"])
+def test_agree_past_lgamma_cap(name, kernel, monkeypatch):
+    # With the lgamma table capped at 1024 entries, trials whose event
+    # total passes it stay on the kernel, which computes lgamma past the
+    # table; the drift trial passes the cap between its checkpoints.
+    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+    memo_c, _ = _agree_past_cap(name, kernel, monkeypatch)
+    assert memo_c["lgamma"][1][0] == 1024
+
+
+@pytest.mark.parametrize("name", ["drift", "high-rate"])
+def test_agree_past_log_cap(name, kernel, monkeypatch):
+    # The same with the log table capped at 1024 entries: past it the
+    # kernel computes log(n + 1) for slot counts n, in the scores of every
+    # process, and stores nothing more.
+    monkeypatch.setattr(policy, "_LOG_CAP", 1024)
+    memo_c, refs = _agree_past_cap(name, kernel, monkeypatch)
+    assert memo_c["log"][1][0] == 1024
+    assert memo_c["lgamma"][1][0] == max(ref.total for ref in refs) + 1
 
 
 def test_lgamma_port_is_bitwise():
@@ -174,6 +195,21 @@ def test_lgamma_port_is_bitwise():
     rng = np.random.default_rng(13)
     ys = [*range(cap, cap + 4096), *rng.integers(0, 2**53, size=100_000).tolist()]
     assert [y for y in ys if kernel.oddball_lgamma(y) != math.lgamma(y + 1)] == []
+
+
+def test_log_table_is_bitwise(kernel):
+    # A trial longer than the log table fills it whole; entry n is
+    # math.log(n + 1), the value glr._scores takes for a visit count n.
+    cap = policy._LOG_CAP
+    config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=cap + 5)
+    memo = {}
+    policy._compiled_trial(
+        kernel, config, OddConfig(3, 1, 0.5, 1.0), np.random.default_rng(0), frozenset(), memo
+    )
+    table, filled = memo["log"]
+    assert filled[0] == len(table) == cap
+    ref = np.fromiter(map(math.log, range(1, cap + 1)), np.float64, cap)
+    assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
 
 
 def _pcg64_state(gen: np.ndarray) -> dict:
@@ -267,22 +303,36 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
         return pick(z_min, rng)
 
     monkeypatch.setattr(policy, "_pick_leader", counted_pick)
+    # The block's weight lookups and memo misses are the sums of the
+    # per-trial counts of `_compiled_trial` over the same memo order.
     seed, trials = 2**40 + 3, [0, 2, 3, 5, 8, 13, 21, 2**32 + 1]
     spares = 0
     for level, config in enumerate(configs):
-        memo_py, memo_c, memo_one = {}, {}, {}
+        memo_py, memo_c, memo_one, memo_trial = {}, {}, {}, {}
         ref = []
+        counts = [0, 0]
         for t in trials:
             rng = np.random.default_rng([seed, level, t])
             out = policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
             ref.append((out.tau, out.delta, out.capped))
-            *one, gen = policy._compiled_block(kernel, config, truth, seed, level, [t], memo_one)
+            *one, gen, _, _ = policy._compiled_block(
+                kernel, config, truth, seed, level, [t], memo_one
+            )
             assert list(zip(*one)) == [ref[-1]], (level, t)
             assert _pcg64_state(gen) == rng.bit_generator.state, (level, t)
             spares += rng.bit_generator.state["has_uint32"]
-        *got, gen = policy._compiled_block(kernel, config, truth, seed, level, trials, memo_c)
+            rng_c = np.random.default_rng([seed, level, t])
+            _, lookups, misses = policy._compiled_trial(
+                kernel, config, truth, rng_c, frozenset(), memo_trial
+            )
+            counts[0] += lookups
+            counts[1] += misses
+        *got, gen, lookups, misses = policy._compiled_block(
+            kernel, config, truth, seed, level, trials, memo_c
+        )
         assert list(zip(*got)) == ref
         assert _pcg64_state(gen) == rng.bit_generator.state
+        assert [lookups, misses] == counts and lookups > misses > 0
         assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
         assert np.array_equal(memo_one[truth.k], memo_py[truth.k])
     if name == "low-rate":
@@ -402,8 +452,9 @@ def test_rates_past_numpy_poisson_limit(kernel):
 
 def test_lgamma_table_memory_is_bounded(kernel):
     # A long non-stopping trial at rate 150 reaches an event total near
-    # 6e6; uncapped, its lgamma table alone would take 64 MiB. The first
-    # trial loads the kernel before the peak RSS is read.
+    # 6e6; uncapped, its lgamma table alone would take 64 MiB. Its log
+    # table holds 40k entries. The first trial loads the kernel before the
+    # peak RSS is read.
     probe = (
         "import resource, numpy as np\n"
         "from oddball.policy import PolicyConfig, run_trial\n"
@@ -563,6 +614,16 @@ def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     assert lam_odd == solve_lambda_star(OddConfig(3, 1, 0.25, 0.75)).lam_odd
     # The rebuilt file is sealed and loads again.
     assert _native._open(path, key) is not None
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # The kernel source stays clean under the strict warning set,
+    # shadowed names included.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on this machine")
+    cmd = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Wshadow", "-Werror", *_native._includes()]
+    proc = subprocess.run([*cmd, _native._SOURCE], capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _c_enum(first: str) -> list[str]:
