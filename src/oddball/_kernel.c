@@ -30,10 +30,10 @@
 /* Slots of the int64 state array; visits[k] and events[k] follow. */
 enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_CP, S_LOOKUPS, S_MISSES, S_HEAD };
 
-/* Slots of `par`: policy._QUANT and DEGENERATE_ESTIMATE_GAP, solver
-   NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
+/* Slots of `par`: policy._QUANT, _MEMO_CELLS and DEGENERATE_ESTIMATE_GAP,
+   solver NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
    _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
-enum { P_QUANT, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
+enum { P_QUANT, P_CELLS, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
 
 /* Return codes of oddball_trial. */
 enum { DONE, DECLINED };
@@ -208,7 +208,7 @@ static double lam_odd_at(int64_t q, double rho, const double *par) {
     return x * rho / (1.0 - x + x * rho);
 }
 
-/* lam_odd_at for the weight table of k, exported for tests. */
+/* lam_odd_at for the weight memo of k, exported for tests. */
 double oddball_lam_odd(int64_t k, int64_t q, const double *par) {
     return lam_odd_at(q, (double)(k - 2) / (double)(k - 1), par);
 }
@@ -226,7 +226,8 @@ static double log_at(int64_t n, const double *lt, int64_t nlt) {
 /* Run one trial until it stops or reaches max_slots, or return DECLINED
    when a draw would take its event total to 2^53. Its state goes to `st`,
    the scores of its last slot to z[0..k), and z[k..3k) is scratch. The
-   memo: weights[q] holds lambda*(k, q / quant), 0.0 until solved;
+   memo: weights holds par[P_CELLS] cells (q, lambda*(k, q / quant)), cell
+   q % par[P_CELLS] the last q that mapped to it, key 0.0 when empty;
    lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here up to the
    event total or nlg; lt[n] = log(n + 1) for n < lt_filled[0], here up to
    the slot count or nlt. Checkpoint slots `cps` are sorted; snapshot c
@@ -329,10 +330,11 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
         st[S_LOOKUPS]++;
         double quant = par[P_QUANT], qd = rint(t1 / (t1 + t2) * quant);
         int64_t q = qd < 1.0 ? 1 : qd > quant - 1.0 ? (int64_t)quant - 1 : (int64_t)qd;
-        double lam = weights[q];
-        if (lam == 0.0) {
+        double *cell = weights + 2 * (q & ((int64_t)par[P_CELLS] - 1)), lam = cell[1];
+        if (cell[0] != (double)q) {
             st[S_MISSES]++;
-            lam = weights[q] = lam_odd_at(q, rho, par);
+            cell[0] = (double)q;
+            lam = cell[1] = lam_odd_at(q, rho, par);
         }
         double u = next_double(bg);
         if (u < lam) {

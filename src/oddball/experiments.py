@@ -22,10 +22,10 @@ in C exactly as that `default_rng` call does, so its draws are the same.
 
 Both studies run their trials in blocks, each with one policy memo that
 lives as long as the block: a serial run is one block, a run over N
-workers has N interleaved blocks, one per worker. The memo holds a dense
-weight table per K and the lgamma and log tables the compiled kernel
-fills (see `oddball.policy`); it only saves work, and its values do not depend on
-which trials filled it. Traced trials run the Python loop and all others
+workers has N interleaved blocks, one per worker. The memo holds a small
+direct-mapped weight cache per K and the lgamma and log tables the
+compiled kernel fills (see `oddball.policy`); it only saves work, and the
+values it serves do not depend on which trials filled it. Traced trials run the Python loop and all others
 the compiled kernel when it is available; the bytes are the same either
 way.
 """

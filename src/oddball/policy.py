@@ -22,24 +22,24 @@ one stops, so trials run with equal seeds are coupled: stopping times are
 monotone in L, and a non-stopping trial replays the standard one slot for
 slot up to its stop.
 
-Weight lookups are memoized per K in a dense table over nu rounded to
-1e-6: entry q holds lambda*(K, q / 1e6), 0.0 until solved (a weight is
-never 0). The value is always computed at the rounded nu, never the
-first-seen one, so a memo's contents are a pure function of its keys:
-sharing one between trials changes how often the solver runs, never a
-result. The memo is a dict the caller owns and passes as `cache`: the
-weight table of each K under key K; under "lgamma" the table of
-lgamma(y + 1) and under "log" the table of log(n + 1), which the compiled
-kernel fills and reads, and which stop at _LGAMMA_CAP and _LOG_CAP
-entries (16 MiB each). Without one, each `run_trial`
-keeps its own for the trial and each `next_decision` or
-`leader_lambda_odd` call for that call alone. No memo is kept at module
-level.
+Weight lookups are memoized per K over nu rounded to 1e-6: the weight
+at grid point q is lambda*(K, q / 1e6), always computed at the rounded
+nu, never the first-seen one, so every value the memo serves is a pure
+function of (K, q): sharing a memo between trials changes how often the
+solver runs, never a result. The memo is a dict the caller owns and
+passes as `cache`: under key K a direct-mapped cache of _MEMO_CELLS
+(q, weight) cells, cell q % _MEMO_CELLS holding the last q that mapped to
+it (key 0.0 when empty); under "lgamma" the table of lgamma(y + 1) and
+under "log" the table of log(n + 1), which the compiled kernel fills and
+reads, and which stop at _LGAMMA_CAP and _LOG_CAP entries (16 MiB each).
+Without one, each `run_trial` keeps its own for the trial and each
+`next_decision` or `leader_lambda_odd` call for that call alone. No memo
+is kept at module level.
 
 `run_trial` runs an untraced trial on the compiled kernel (`_kernel.c`,
 see README, "Trial kernel"), which repeats the Python loop bitwise on the
 trial's own generator: same draws, same floating-point operations, same
-memo entries. `_seeded_trials` runs a list of untraced trials in one
+memo cells. `_seeded_trials` runs a list of untraced trials in one
 kernel call, which seeds trial t's generator in C as
 `np.random.default_rng([seed, level, t])` would. A traced trial, a
 generator that is not a numpy `Generator`, and a machine where the
@@ -98,6 +98,11 @@ VARIANTS = ("standard", "non_stopping")
 DEGENERATE_ESTIMATE_GAP = 1e-9
 
 _QUANT = 10 ** 6
+
+# Cells of each K's weight memo, a power of two: 2 * _MEMO_CELLS float64
+# (256 KiB). 2^14 keeps the misses of a benchmark call within 5% of those
+# of a dense table of _QUANT entries; 2^13 does not on `drift` (+16%).
+_MEMO_CELLS = 1 << 14
 
 # numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random): past it
 # Generator.poisson refuses, and a draw could overflow an int64.
@@ -190,9 +195,11 @@ class TrialOutcome:
 
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
     """Odd-process weight lambda*(k, nu) at the quantized nu of the positive
-    estimate pair. Values are memoized in the weight table of k in `cache`
-    and computed at the quantized point, so the memo is insertion-order
-    independent; cache=None solves without keeping the value."""
+    estimate pair. Values are memoized in the weight cells of k in `cache`
+    and computed at the quantized point, so the value served does not
+    depend on what the memo held before; cache=None solves without
+    keeping the value."""
+    _require_int(k, "k", 3)
     if not (theta_1 > 0.0 and theta_2 > 0.0):
         raise DomainError(f"leader estimates must be positive, got {theta_1!r}, {theta_2!r}")
     nu = theta_1 / (theta_1 + theta_2)
@@ -201,37 +208,41 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
         q = 1
     elif q > _QUANT - 1:
         q = _QUANT - 1
-    table = None if cache is None else _weight_table(cache, k)
-    lam_odd = 0.0 if table is None else float(table[q])
-    if lam_odd == 0.0:
-        # solve_lambda_star(OddConfig(k, 1, nu_q, 1 - nu_q)).lam_odd, whose
-        # degenerate case at nu_q = 1/2 _root_scalar also covers.
-        rho = (_require_int(k, "k", 3) - 2) / (k - 1)
-        nu_q = q / _QUANT
-        lam_odd = _lam_odd_from_hat(_root_scalar(nu_q, 1.0 - nu_q, rho), rho)
-        if table is not None:
-            table[q] = lam_odd
+    if cache is not None:
+        cells = _weight_cells(cache, k)
+        at = 2 * (q & (_MEMO_CELLS - 1))
+        if cells[at] == q:
+            return float(cells[at + 1])
+    # solve_lambda_star(OddConfig(k, 1, nu_q, 1 - nu_q)).lam_odd, whose
+    # degenerate case at nu_q = 1/2 _root_scalar also covers.
+    rho = (k - 2) / (k - 1)
+    nu_q = q / _QUANT
+    lam_odd = _lam_odd_from_hat(_root_scalar(nu_q, 1.0 - nu_q, rho), rho)
+    if cache is not None:
+        cells[at], cells[at + 1] = q, lam_odd
     return lam_odd
 
 
 def _reserved(n: int) -> np.ndarray:
     """n float64 zeros in an anonymous mmap advised against huge pages, so
-    only the pages written cost memory. Not np.zeros, which advises huge
-    pages from 4 MiB on: a table written at a few hundred scattered
-    entries would then hold whole 2 MiB pages."""
+    only the pages written cost memory: the backing of the memo's lgamma
+    and log tables, filled up to a trial's event total and slot count.
+    Not np.zeros, which advises huge pages from 4 MiB on: a table written
+    at its first few hundred entries would then hold a whole 2 MiB page."""
     buf = mmap.mmap(-1, 8 * n)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64)
 
 
-def _weight_table(cache: dict, k: int) -> np.ndarray:
-    """The memo's weight table of k: entry q holds lambda*(k, q / _QUANT),
-    0.0 until solved."""
-    table = cache.get(k)
-    if table is None:
-        table = cache[k] = _reserved(_QUANT)
-    return table
+def _weight_cells(cache: dict, k: int) -> np.ndarray:
+    """The memo's weight cells of k: cell c is entries 2c (a grid point q,
+    0.0 when empty) and 2c + 1 (lambda*(k, q / _QUANT)), for the last q
+    with q % _MEMO_CELLS == c that was solved."""
+    cells = cache.get(k)
+    if cells is None:
+        cells = cache[k] = np.zeros(2 * _MEMO_CELLS)
+    return cells
 
 
 def _weighted_action(leader: int, lam_odd: float, k: int, u: float) -> int:
@@ -452,19 +463,19 @@ _DECLINED = 1
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
-    [_QUANT, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET,
+    [_QUANT, _MEMO_CELLS, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET,
      _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
 )
 _KERNEL_PARAMS.flags.writeable = False
 
 
 def _memo_args(cache: dict, k: int) -> tuple[int, ...]:
-    """The memo as the kernel takes it: the address of the weight table of
+    """The memo as the kernel takes it: the address of the weight cells of
     k; then, for the lgamma table (lgamma(y + 1) at entry y, reserved at
     _LGAMMA_CAP entries) and the log table (log(n + 1) at entry n,
     reserved at _LOG_CAP entries), its address, its length and the address
     of its filled length, a one-entry int64 array. The kernel fills both."""
-    args = [_weight_table(cache, k).ctypes.data]
+    args = [_weight_cells(cache, k).ctypes.data]
     for name, cap in (("lgamma", _LGAMMA_CAP), ("log", _LOG_CAP)):
         if name not in cache:
             cache[name] = (_reserved(cap), np.zeros(1, dtype=np.int64))

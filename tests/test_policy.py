@@ -37,6 +37,11 @@ def make_state(z_min, theta=None, n=10, rng=None):
     return GlrState(n=n, z=np.zeros((k, k)), z_min=z_arr, theta=np.array(theta), leader=leader)
 
 
+def _memo_entries(cells) -> dict:
+    """{q: weight} for the filled cells of one K's weight memo."""
+    return {int(q): float(w) for q, w in zip(cells[::2], cells[1::2]) if q != 0.0}
+
+
 class TestPolicyConfig:
     def test_defaults(self):
         cfg = PolicyConfig(k=5, threshold_l=100.0)
@@ -93,27 +98,42 @@ class TestLeaderLambdaOdd:
         b = leader_lambda_odd(4, 1.0000001, 2.0000001, cache)
         assert a == b
         assert list(cache) == [4]
-        assert np.flatnonzero(cache[4]).tolist() == [333333]
-        assert cache[4][333333] == a
+        assert _memo_entries(cache[4]) == {333333: a}
 
     def test_cache_is_hit(self):
         cache = {}
         leader_lambda_odd(3, 3.0, 1.0, cache)
-        (q,) = np.flatnonzero(cache[3])
-        cache[3][q] = 0.123
+        (q,) = _memo_entries(cache[3])
+        cache[3][2 * (q % policy._MEMO_CELLS) + 1] = 0.123
         assert leader_lambda_odd(3, 3.0, 1.0, cache) == 0.123
-        assert np.count_nonzero(cache[3]) == 1
+        assert _memo_entries(cache[3]) == {q: 0.123}
 
     def test_insertion_order_irrelevant(self):
+        # The values served do not depend on the order of the lookups;
+        # with no two grid points in one cell, neither do the cells.
         pairs = [(1.0, 2.0), (5.0, 1.0), (2.0, 3.0), (1.0, 2.0)]
         fwd, rev = {}, {}
-        for t1, t2 in pairs:
-            leader_lambda_odd(3, t1, t2, fwd)
-        for t1, t2 in reversed(pairs):
-            leader_lambda_odd(3, t1, t2, rev)
+        got_fwd = [leader_lambda_odd(3, t1, t2, fwd) for t1, t2 in pairs]
+        got_rev = [leader_lambda_odd(3, t1, t2, rev) for t1, t2 in reversed(pairs)]
+        assert got_fwd == got_rev[::-1]
         assert list(fwd) == list(rev) == [3]
-        assert np.count_nonzero(fwd[3]) == 3
+        assert len(_memo_entries(fwd[3])) == 3
         assert np.array_equal(fwd[3], rev[3])
+
+    def test_k_is_checked_before_the_memo(self):
+        # A k that is not an int >= 3 is refused whatever the memo holds,
+        # and the memo is left as it was: 5.0 hashes as 5, True as 1.
+        warm = {}
+        leader_lambda_odd(5, 1.0, 2.0, warm)
+        before = warm[5].copy()
+        for k in (2, 5.0, True):
+            empty = {}
+            for cache in (warm, empty):
+                with pytest.raises(DomainError, match="k must be"):
+                    leader_lambda_odd(k, 1.0, 2.0, cache)
+            assert empty == {}
+        assert list(warm) == [5]
+        assert np.array_equal(warm[5], before)
 
     def test_extreme_estimates_clamp(self):
         # nu clamps to the grid points 1/1e6 and 999999/1e6; the reference
