@@ -1,4 +1,4 @@
-/* Compiled slot loop of oddball.policy.run_trial, for untraced trials.
+/* Compiled slot loop of oddball.policy.run_trial, for every trial on a numpy Generator.
 
    Each function below repeats a Python reference operation for operation,
    in the same order, so results are bitwise those of the Python loop:
@@ -7,19 +7,19 @@
    and the next action, and solver._root_scalar with numerics.poisson_kl
    for a weight the memo does not hold yet. Draws are the calls numpy's
    Generator makes for rng.poisson, rng.random and rng.integers, on the
-   trial's own bit generator (oddball_trial) or on a port of numpy's PCG64
-   seeded as default_rng([seed, level, trial]) seeds it (oddball_block).
-   Build with -ffp-contract=off: a fused multiply-add rounds differently.
+   caller's bit generator or on a port of numpy's PCG64 seeded as
+   default_rng([*prefix, trial]) seeds it. Build with -ffp-contract=off: a
+   fused multiply-add rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
    lgamma is a port of CPython's own (oddball_lgamma). lgamma(y + 1) and
    log(n + 1) are kept in two tables the memo owns. The scores are updated
    incrementally: a slot changes only the observed process's own terms of
    glr._scores, so those are cached per process and each slot recomputes
    only the pooled-others terms, every sum in glr._scores' order. Event
-   totals stay below 2^53, where int64 tallies are exact doubles: a trial
-   that would pass it is declined, and Python reruns it. Shared constants
-   come from Python in `par`; the P_, S_ and G_ enums below are layouts
-   policy.py mirrors. */
+   totals stay below 2^53, where int64 tallies and float64 trace rows are
+   exact: a trial that would pass it is declined, and Python reruns it.
+   Shared constants come from Python in `par`; the P_, S_, T_ and G_ enums
+   below are layouts policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
@@ -28,15 +28,15 @@
 #include "numpy/random/distributions.h"
 
 /* Slots of the int64 state array; visits[k] and events[k] follow. */
-enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_CP, S_LOOKUPS, S_MISSES, S_HEAD };
+enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_LOOKUPS, S_MISSES, S_HEAD };
+
+/* Columns of a trace row, one row per slot. */
+enum { T_ACTION, T_COUNT, T_LEADER, T_Z_LEADER, T_WIDTH };
 
 /* Slots of `par`: policy._QUANT, _MEMO_CELLS and DEGENERATE_ESTIMATE_GAP,
    solver NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
    _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
 enum { P_QUANT, P_CELLS, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
-
-/* Return codes of oddball_trial. */
-enum { DONE, DECLINED };
 
 /* Slots of a generator array: numpy's PCG64.state, each 128-bit value
    as its high word, then its low word (the order get128 reads). */
@@ -87,18 +87,19 @@ static uint32_t mix(uint32_t x, uint32_t y) {
     return r ^ (r >> 16);
 }
 
-/* Seed g as PCG64(SeedSequence(v[0..n))) does, n <= 3, each v below
-   2^64: the entropy is each value's 32-bit words, low first (one word
-   below 2^32), mixed into a pool of four; generate_state(4, uint64) of
-   the pool gives s, whose words seed the state (s[0], s[1]) and the
-   increment (s[2], s[3]). */
-static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n) {
+/* Seed g as PCG64(SeedSequence([*v[0..n), last])) does, n <= 2, each
+   value below 2^64: the entropy is each value's 32-bit words, low first
+   (one word below 2^32), mixed into a pool of four; generate_state(4,
+   uint64) of the pool gives s, whose words seed the state (s[0], s[1])
+   and the increment (s[2], s[3]). */
+static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n, uint64_t last) {
     uint32_t w[6], pool[4], h = 0x43b0d7e5u;
     uint64_t s[4] = {0};
     int nw = 0;
-    for (int64_t j = 0; j < n; j++) {
-        w[nw++] = (uint32_t)v[j];
-        if (v[j] >> 32) w[nw++] = (uint32_t)(v[j] >> 32);
+    for (int64_t j = 0; j <= n; j++) {
+        uint64_t x = j < n ? v[j] : last;
+        w[nw++] = (uint32_t)x;
+        if (x >> 32) w[nw++] = (uint32_t)(x >> 32);
     }
     for (int i = 0; i < 4; i++) pool[i] = hashmix(i < nw ? w[i] : 0, &h);
     for (int src = 0; src < 4; src++)
@@ -125,7 +126,7 @@ static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n) {
    next_uint64. */
 void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, int64_t bits, int64_t count,
                   uint64_t *out) {
-    if (n > 0) pcg_seed(gen, values, n);
+    if (n > 0) pcg_seed(gen, values, n - 1, values[n - 1]);
     for (int64_t i = 0; i < count; i++) out[i] = bits == 32 ? pcg_next32(gen) : pcg_next64(gen);
 }
 
@@ -223,21 +224,21 @@ static double log_at(int64_t n, const double *lt, int64_t nlt) {
     return n < nlt ? lt[n] : log((double)(n + 1));
 }
 
-/* Run one trial until it stops or reaches max_slots, or return DECLINED
-   when a draw would take its event total to 2^53. Its state goes to `st`,
-   the scores of its last slot to z[0..k), and z[k..3k) is scratch. The
-   memo: weights holds par[P_CELLS] cells (q, lambda*(k, q / quant)), cell
-   q % par[P_CELLS] the last q that mapped to it, key 0.0 when empty;
-   lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here up to the
-   event total or nlg; lt[n] = log(n + 1) for n < lt_filled[0], here up to
-   the slot count or nlt. Checkpoint slots `cps` are sorted; snapshot c
-   goes to snap_i[c * (2 + 2k)] (leader, total, visits, events) and
-   snap_z[c * k]. */
-int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
-                  double log_threshold, const double *rates, int64_t *st, double *z,
-                  double *weights, double *lg, int64_t nlg, int64_t *lg_filled, double *lt,
-                  int64_t nlt, int64_t *lt_filled, const int64_t *cps, int64_t ncp,
-                  int64_t *snap_i, double *snap_z, const double *par) {
+/* Run one trial until it stops or reaches max_slots, or decline it (slot
+   count 0) when a draw would take its event total to 2^53. Its state goes
+   to `st`, the scores of its last slot to z[0..k), and z[k..3k) is
+   scratch. The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q /
+   quant)), cell q % par[P_CELLS] the last q that mapped to it, key 0.0
+   when empty; lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here
+   up to the event total or nlg; lt[n] = log(n + 1) for n < lt_filled[0],
+   here up to the slot count or nlt. Checkpoint slots `cps` are sorted;
+   snapshot c goes to snap_i[c * (2 + 2k)] (leader, total, visits, events)
+   and snap_z[c * k]; slot m's T_ row to trace[(m - 1) * T_WIDTH]. */
+static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
+                         double log_threshold, const double *rates, int64_t *st, double *z,
+                         double *weights, double *lg, int64_t nlg, int64_t *lg_filled, double *lt,
+                         int64_t nlt, int64_t *lt_filled, const int64_t *cps, int64_t ncp,
+                         int64_t *snap_i, double *snap_z, double *trace, const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
     int64_t *visits = st + S_HEAD, *events = visits + k;
     /* Each process's own terms of glr._scores, updated when it is observed:
@@ -248,11 +249,10 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
     int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0;
     int64_t ngamma = *lg_filled, nlog = *lt_filled;
     double rho = (double)(k - 2) / (double)(k - 1);
-    int status = DONE;
     while (m < max_slots) {
         int64_t x = random_poisson(bg, rates[action - 1]);
         if (x >= ((int64_t)1 << 53) - total) {
-            status = DECLINED;
+            m = 0;
             break;
         }
         m++;
@@ -300,6 +300,11 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
             }
         }
 
+        if (trace) {
+            double *row = trace + (m - 1) * T_WIDTH;
+            row[T_ACTION] = (double)action, row[T_COUNT] = (double)x;
+            row[T_LEADER] = (double)leader, row[T_Z_LEADER] = z[leader - 1];
+        }
         if (ci < ncp && cps[ci] == m) {
             int64_t *s = snap_i + ci * (2 + 2 * k);
             s[0] = leader;
@@ -349,35 +354,39 @@ int oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
     st[S_ACTION] = action;
     st[S_LEADER] = leader;
     st[S_TOTAL] = total;
-    st[S_CP] = ci;
     *lg_filled = ngamma;
     *lt_filled = nlog;
-    return status;
 }
 
-/* Run trials 0..n-1 without checkpoints, trial i on the generator of
-   default_rng([seed, level, trials[i]]), and write its stopping slot,
-   final leader and whether it was capped to out[i], out[n + i] and
-   out[2n + i]; a declined trial gets stopping slot 0. The weight lookups
-   and memo misses of all n trials go to out[3n] and out[3n + 1]. gen is
-   left with the generator of the last trial. */
-void oddball_block(uint64_t seed, int64_t level, const int64_t *trials, int64_t n, uint64_t *gen,
-                   int64_t k, int64_t max_slots, int64_t stopping, double log_threshold,
-                   const double *rates, int64_t *st, double *z, double *weights, double *lg,
-                   int64_t nlg, int64_t *lg_filled, double *lt, int64_t nlt, int64_t *lt_filled,
-                   const double *par, int64_t *out) {
-    bitgen_t bg = {gen, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+/* Run trials 0..n-1 as oddball_trial does, with its other arguments:
+   trial i on the bit generator `caller` if given (n is then 1), else on
+   the generator array that `words` starts with, seeded as default_rng([*p,
+   t]) seeds it, p the nprefix values and t the ith of the n values that
+   follow the array. Its stopping slot, final leader and whether it was
+   capped go to out[i], out[n + i] and out[2n + i], its snapshots to snap_i
+   + i * ncp * (2 + 2k) and snap_z + i * ncp * k, and its trace rows after
+   trial i - 1's. The weight lookups and memo misses of all n trials go to
+   out[3n] and out[3n + 1]. */
+void oddball_block(bitgen_t *caller, uint64_t *words, int64_t nprefix, int64_t n, int64_t k,
+                   int64_t max_slots, int64_t stopping, double log_threshold, const double *rates,
+                   int64_t *st, double *z, double *weights, double *lg, int64_t nlg,
+                   int64_t *lg_filled, double *lt, int64_t nlt, int64_t *lt_filled,
+                   const int64_t *cps, int64_t ncp, int64_t *snap_i, double *snap_z,
+                   double *trace, const double *par, int64_t *out) {
+    bitgen_t seeded = {words, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+    bitgen_t *bg = caller ? caller : &seeded;
+    const uint64_t *keys = words + G_SIZE;
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t key[3] = {seed, (uint64_t)level, (uint64_t)trials[i]};
-        pcg_seed(gen, key, 3);
-        int status = oddball_trial(&bg, k, max_slots, stopping, log_threshold, rates, st, z,
-                                   weights, lg, nlg, lg_filled, lt, nlt, lt_filled, NULL, 0, NULL,
-                                   NULL, par);
-        out[i] = status == DECLINED ? 0 : st[S_M];
+        if (!caller) pcg_seed(words, keys, nprefix, keys[nprefix + i]);
+        oddball_trial(bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, lg, nlg,
+                      lg_filled, lt, nlt, lt_filled, cps, ncp, snap_i + i * ncp * (2 + 2 * k),
+                      snap_z + i * ncp * k, trace, par);
+        out[i] = st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];
         out[3 * n] += st[S_LOOKUPS];
         out[3 * n + 1] += st[S_MISSES];
+        if (trace) trace += st[S_M] * T_WIDTH;
     }
 }

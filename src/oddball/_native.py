@@ -86,16 +86,11 @@ def _open(path: str, key: str):
     except OSError:
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.oddball_trial.argtypes = [
-        ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr,
-        i64, ptr, ptr, ptr,
-    ]
-    lib.oddball_trial.restype = ctypes.c_int
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
     lib.oddball_block.argtypes = [
-        ctypes.c_uint64, i64, ptr, i64, ptr, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr,
-        ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
+        ptr, ptr, i64, i64, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr,
+        i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
     lib.oddball_lgamma.argtypes = [i64]
@@ -150,11 +145,11 @@ def bitgen_address(bit_generator) -> int:
 
 
 def kernel():
-    """The compiled kernel library (entry points `oddball_trial`,
-    `oddball_block`, and `oddball_lam_odd`, `oddball_lgamma` and
-    `oddball_draw` for tests), built on the first call in a process; None
-    when it cannot be built or its lgamma port differs from `math.lgamma`
-    on a few probes, so output bytes never depend on which loop ran."""
+    """The compiled kernel library (entry point `oddball_block`, and
+    `oddball_lam_odd`, `oddball_lgamma` and `oddball_draw` for tests),
+    built on the first call in a process; None when it cannot be built or
+    its lgamma port differs from `math.lgamma` on a few probes, so output
+    bytes never depend on which loop ran."""
     if not _loaded:
         try:
             lib = _load()

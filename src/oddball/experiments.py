@@ -16,18 +16,19 @@ Two studies:
 Reproducibility contract: trial (l_index, trial_index) always draws from
 `numpy.random.default_rng([seed, l_index, trial_index])`, and rows are
 aggregated in grid-then-trial order, so the emitted CSV is byte-identical
-for any worker count. The compiled kernel keeps this contract: it runs
-the untraced trials of a level as one call that seeds each trial's PCG64
-in C exactly as that `default_rng` call does, so its draws are the same.
+for any worker count; drift seed s draws from `default_rng(s)`. The
+compiled kernel keeps this contract: a level's trials, or a worker's
+drift seeds, run as one call that seeds each PCG64 in C exactly as that
+`default_rng` call does, so its draws are the same.
 
 Both studies run their trials in blocks, each with one policy memo that
 lives as long as the block: a serial run is one block, a run over N
 workers has N interleaved blocks, one per worker. The memo holds a small
 direct-mapped weight cache per K and the lgamma and log tables the
 compiled kernel fills (see `oddball.policy`); it only saves work, and the
-values it serves do not depend on which trials filled it. Traced trials run the Python loop and all others
-the compiled kernel when it is available; the bytes are the same either
-way.
+values it serves do not depend on which trials filled it. Every trial,
+traced or not, runs in C when the compiled kernel is available and on
+the Python loop when it is not; the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ import json
 import math
 import os
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .glr import SufficientStats
 from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_list, _require_real
-from .policy import PolicyConfig, TrialOutcome, _seeded_trials, run_trial
+from .policy import PolicyConfig, _seeded_trials
+from .policy import run_trial  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
 
 __all__ = [
@@ -195,34 +197,28 @@ def _run_levels(grid: tuple, items) -> list[tuple]:
     level, trial]). `grid` is (the policy config of each level, truth,
     seed, trials per level, traced trials per level). Result i is (tau,
     correct, capped, trace), trace None for an untraced trial. A level's
-    untraced trials in `items` run as one `_seeded_trials` call, before its
-    traced ones, so that the kernel rather than the Python loop fills the
-    memo."""
+    trials in `items`, traced and untraced, run as one `_seeded_trials`
+    call, on the compiled kernel when it is available."""
     configs, truth, seed, trials, n_traced = grid
     cache: dict = {}
     levels, indices = np.divmod(np.asarray(items, dtype=np.int64), trials)
     results = []
     for li, config in enumerate(configs):
         mine = indices[levels == li].tolist()
-        traced = [t for t in mine if t < n_traced]  # the first ones
-        tau, delta, capped = _seeded_trials(config, truth, seed, li, mine[len(traced) :], cache)
-        for t in traced:
-            rng = np.random.default_rng([seed, li, t])
-            out = run_trial(config, truth, rng, collect_trace=True, cache=cache)
-            results.append((out.tau, out.correct, out.capped, out.trace))
-        correct = [d == truth.odd_index for d in delta]
-        results += zip(tau, correct, capped, repeat(None))
+        traced = bisect_left(mine, n_traced)  # the first ones: `mine` is ascending
+        tau, delta, capped, traces, _ = _seeded_trials(
+            config, truth, (seed, li), mine, cache, n_traced=traced
+        )
+        results += zip(tau, [d == truth.odd_index for d in delta], capped, traces)
     return results
 
 
-def _run_block(jobs) -> list[TrialOutcome]:
-    """Run trials in order with one policy memo. A job is (policy config,
-    truth, rng seed, checkpoints)."""
-    cache: dict = {}
-    return [
-        run_trial(config, truth, np.random.default_rng(seed), checkpoints=checkpoints, cache=cache)
-        for config, truth, seed, checkpoints in jobs
-    ]
+def _run_block(setup: tuple, seeds: list[int]) -> list[tuple]:
+    """Run drift seeds in order with one policy memo, seed s drawing from
+    default_rng(s), as one `_seeded_trials` call. `setup` is (policy
+    config, truth, checkpoints). Result i is the snapshots of seed i."""
+    config, truth, checkpoints = setup
+    return _seeded_trials(config, truth, (), seeds, {}, checkpoints)[4]
 
 
 def _trace_lines(trace: tuple[dict, ...]) -> str:
@@ -449,12 +445,11 @@ def drift_experiment(
 
     sol = solve_lambda_star(truth)
     config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
-    jobs = [(config, truth, seed, cps) for seed in seeds]
-    outcomes = _fan_out(_run_block, jobs, parallelism)
+    snapshots = _fan_out(partial(_run_block, (config, truth, cps)), seeds, parallelism)
     rows = [
         _snapshot_row(snap, seed, truth.odd_index, truth.k)
-        for seed, out in zip(seeds, outcomes)
-        for snap in out.snapshots
+        for seed, snaps in zip(seeds, snapshots)
+        for snap in snaps
     ]
     return DriftResult(
         truth=truth,

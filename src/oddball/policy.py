@@ -36,24 +36,25 @@ Without one, each `run_trial` keeps its own for the trial and each
 `next_decision` or `leader_lambda_odd` call for that call alone. No memo
 is kept at module level.
 
-`run_trial` runs an untraced trial on the compiled kernel (`_kernel.c`,
-see README, "Trial kernel"), which repeats the Python loop bitwise on the
-trial's own generator: same draws, same floating-point operations, same
-memo cells. `_seeded_trials` runs a list of untraced trials in one
-kernel call, which seeds trial t's generator in C as
-`np.random.default_rng([seed, level, t])` would. A traced trial, a
-generator that is not a numpy `Generator`, and a machine where the
-kernel cannot be built run the Python loop below, which stays the
-reference. So does a trial the kernel declines, rerun from its start:
-one whose event total would reach 2^53, past which the kernel's int64
-tallies are no longer exact doubles.
+Every trial on a numpy `Generator`, traced or not, runs on the compiled
+kernel (`_kernel.c`, see README, "Trial kernel"), which repeats the
+Python loop bitwise: same draws, same floating-point operations, same
+memo cells. `_seeded_trials` runs a list of trials in one kernel call,
+which seeds trial t's generator in C as `np.random.default_rng([*prefix,
+t])` would. A generator of another type and a machine where the kernel
+cannot be built run the Python loop below, which stays the reference.
+So does a trial the kernel declines, rerun from its start: one whose
+event total would reach 2^53, past which int64 tallies are not exact
+doubles.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -347,21 +348,23 @@ def run_trial(
     {"n", "action", "count", "leader", "z_leader"} plus a terminal
     {"tau", "delta", "correct", "capped"} record. `checkpoints` are the
     slots (ints >= 1) to snapshot. `cache` is the memo to read and fill;
-    None means one for this trial only. Untraced trials on a numpy
-    `Generator` run on the compiled kernel when it is available; the
-    outcome, the generator's state afterwards and the memo are the same
-    either way.
+    None means one for this trial only. Trials on a numpy `Generator` run
+    on the compiled kernel when it is available; the outcome, the
+    generator's state afterwards and the memo are the same either way.
     """
     _check_truth(config, truth)
     cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
     cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
         cache = {}
-    if not collect_trace and isinstance(rng, np.random.Generator):
-        kernel = _native.kernel()
-        if kernel is not None:
-            return _compiled_trial(kernel, config, truth, rng, cp, cache)[0]
-    return _python_trial(config, truth, rng, collect_trace, cp, cache)
+    kernel = _native.kernel() if isinstance(rng, np.random.Generator) else None
+    if kernel is None:
+        return _python_trial(config, truth, rng, collect_trace, cp, cache)
+    tau, delta, capped, traces, snaps, last = _compiled(
+        kernel, config, truth, cache, [0], (), rng, tuple(sorted(cp)), int(collect_trace)
+    )[:6]
+    correct = delta[0] == truth.odd_index
+    return TrialOutcome(config.k, tau[0], delta[0], correct, capped[0], *last, traces[0], snaps[0])
 
 
 def _check_truth(config: PolicyConfig, truth: OddConfig) -> None:
@@ -389,7 +392,7 @@ def _python_trial(
     cache: dict,
 ) -> TrialOutcome:
     """`run_trial` on the Python loop: the reference the compiled kernel
-    repeats, and the only path that records a trace."""
+    repeats."""
     k = config.k
     odd = truth.odd_index
     rates = _rates(truth)
@@ -456,10 +459,10 @@ def _python_trial(
 
 
 # The compiled kernel's int64 state array (these fields, then visits and
-# events), the code it returns for a trial it declines, and its constants.
-# The layouts are the S_ and P_ enums of _kernel.c.
-_M, _ACTION, _LEADER, _TOTAL, _STOPPED, _CP, _LOOKUPS, _MISSES, _HEAD = range(9)
-_DECLINED = 1
+# events), the columns of its trace rows and its constants. The layouts
+# are the S_, T_ and P_ enums of _kernel.c.
+_M, _ACTION, _LEADER, _TOTAL, _STOPPED, _LOOKUPS, _MISSES, _HEAD = range(8)
+_T_ACTION, _T_COUNT, _T_LEADER, _T_Z_LEADER, _T_WIDTH = range(5)
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
@@ -484,132 +487,129 @@ def _memo_args(cache: dict, k: int) -> tuple[int, ...]:
     return tuple(args)
 
 
-def _compiled_trial(
+def _trace_records(rows: np.ndarray, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:
+    """The trace `_python_trial` records, from the kernel's rows of a trial."""
+    ints = rows[:, :_T_Z_LEADER].astype(np.int64).tolist()
+    records = [
+        {"n": n, "action": a, "count": x, "leader": l, "z_leader": z}
+        for n, (a, x, l), z in zip(range(1, len(ints) + 1), ints, rows[:, _T_Z_LEADER].tolist())
+    ]
+    records.append({"tau": len(ints), "delta": delta, "correct": delta == odd, "capped": capped})
+    return tuple(records)
+
+
+def _compiled(
     kernel,
     config: PolicyConfig,
     truth: OddConfig,
-    rng: np.random.Generator,
-    cp: frozenset,
     cache: dict,
-) -> tuple[TrialOutcome, int, int]:
-    """An untraced `run_trial` on the compiled kernel, with the number of
-    weight lookups and of memo misses the kernel made. The kernel runs
-    with the generator's lock held, as numpy's own draws do. A trial it
-    declines reruns on the Python loop from the generator's state before
-    the call."""
-    k = config.k
-    odd = truth.odd_index
-    ncp = len(cp)
-    # One int64 buffer (state, checkpoint slots, snapshot tallies) and one
-    # float64 buffer (rates, scores, the kernel's scratch, snapshot scores).
-    ints = np.zeros(_HEAD + 2 * k + ncp * (3 + 2 * k), dtype=np.int64)
-    cps_at = _HEAD + 2 * k
-    ints[cps_at : cps_at + ncp] = sorted(cp)
-    reals = np.zeros(k * (4 + ncp))
+    trials: list[int],
+    prefix: tuple[int, ...] = (),
+    rng: np.random.Generator | None = None,
+    cps: tuple[int, ...] = (),
+    n_traced: int = 0,
+) -> tuple:
+    """`run_trial`s on the kernel's one entry, `oddball_block`, with `cache`
+    as memo: trial t of `trials` on a PCG64 seeded in C as
+    `np.random.default_rng([*prefix, t])` seeds it (keys below 2^64), or
+    the one trial on rng's bit generator, with its lock held as numpy's
+    own draws do. Each trial is snapshotted at the sorted slots `cps`.
+    Then the first `n_traced` are replayed from their keys into a trace
+    buffer of exactly their slots. A trial the kernel declines reruns on
+    the Python loop from its start. Returns per-trial lists of tau, delta,
+    capped, trace (None when untraced) and snapshots (None without cps),
+    the last trial's (visits, events, total, z_min), and the first call's
+    weight lookups and memo misses."""
+    k, n, ncp, lead = config.k, len(trials), len(cps), _GEN_SIZE + len(prefix)
+    # One buffer per dtype, as each address costs a numpy call: int64 (state, checkpoint slots,
+    # snapshot tallies, results), float64 (rates, scores, scratch, snapshot scores) and uint64.
+    snap_at = _HEAD + 2 * k + ncp
+    out_at = snap_at + n * ncp * (2 + 2 * k)
+    ints = np.zeros(out_at + 3 * n + 2, dtype=np.int64)
+    ints[_HEAD + 2 * k : snap_at] = cps
+    reals = np.zeros(k * (4 + n * ncp))
     reals[:k] = _rates(truth)
-    ip, rp = ints.ctypes.data, reals.ctypes.data
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    with bitgen.lock:
-        status = kernel.oddball_trial(
-            _native.bitgen_address(bitgen), k, config.max_slots, config.variant == "standard",
-            config.log_threshold, rp, ip, rp + 8 * k, *_memo_args(cache, k), ip + 8 * cps_at,
-            ncp, ip + 8 * (cps_at + ncp), rp + 32 * k, _KERNEL_PARAMS.ctypes.data,
-        )
-    head = ints[:cps_at].tolist()
-    if status == _DECLINED:
-        bitgen.state = start
-        outcome = _python_trial(config, truth, rng, False, cp, cache)
-        return outcome, head[_LOOKUPS], head[_MISSES]
-    leader = head[_LEADER]
-    snaps = None
-    if cp:
-        slots = ints[cps_at : cps_at + head[_CP]].tolist()
-        tallies = ints[cps_at + ncp :].reshape(ncp, 2 + 2 * k).tolist()
-        scores = reals[4 * k :].reshape(ncp, k).tolist()
-        snaps = tuple(
-            Snapshot(n=n, leader=s[0], z_min=tuple(zs), visits=tuple(s[2 : 2 + k]),
-                     events=tuple(s[2 + k :]), total=s[1])
-            for n, s, zs in zip(slots, tallies, scores)
-        )
-    outcome = TrialOutcome(
-        k=k,
-        tau=head[_M],
-        delta=leader,
-        correct=leader == odd,
-        capped=not head[_STOPPED],
-        visits=tuple(head[_HEAD : _HEAD + k]),
-        events=tuple(head[_HEAD + k :]),
-        total=head[_TOTAL],
-        z_min=tuple(reals[k : 2 * k].tolist()),
-        snapshots=snaps,
+    words = np.array([*[0] * _GEN_SIZE, *prefix, *trials], dtype=np.uint64)
+    ip, rp, wp = ints.ctypes.data, reals.ctypes.data, words.ctypes.data
+    bitgen = None if rng is None else rng.bit_generator
+    start = None if rng is None else bitgen.state
+    caller = None if rng is None else _native.bitgen_address(bitgen)
+    args = (
+        k, config.max_slots, config.variant == "standard", config.log_threshold, rp, ip,
+        rp + 8 * k, *_memo_args(cache, k), ip + 8 * (_HEAD + 2 * k),
     )
-    return outcome, head[_LOOKUPS], head[_MISSES]
+    params = _KERNEL_PARAMS.ctypes.data
+
+    def run(count: int, snaps: int, trace: int | None) -> list[int]:
+        """The kernel on the first `count` trials in `words`, or on rng from its start."""
+        if bitgen is not None:
+            bitgen.state = start
+        with nullcontext() if bitgen is None else bitgen.lock:
+            kernel.oddball_block(caller, wp, len(prefix), count, *args, snaps, ip + 8 * snap_at,
+                                 rp + 32 * k, trace, params, ip + 8 * out_at)
+        return ints[out_at : out_at + 3 * count + 2].tolist()
+
+    out = run(n, ncp, None)
+    tau, delta, capped = out[:n], out[n : 2 * n], [c == 1 for c in out[2 * n : 3 * n]]
+    head = ints[: _HEAD + 2 * k].tolist()
+    last = (tuple(head[_HEAD : _HEAD + k]), tuple(head[_HEAD + k :]), head[_TOTAL],
+            tuple(reals[k : 2 * k].tolist()))
+    snaps = [None] * n
+    if cps:  # leader 0 marks a slot the trial did not reach
+        tallies = ints[snap_at:out_at].reshape(n, ncp, 2 + 2 * k).tolist()
+        scores = reals[4 * k :].reshape(n, ncp, k).tolist()
+        snaps = [
+            tuple(Snapshot(c, s[0], tuple(zs), tuple(s[2 : 2 + k]), tuple(s[2 + k :]), s[1])
+                  for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
+            for trial_tallies, trial_scores in zip(tallies, scores)
+        ]
+    traces = [None] * n
+    for i in [i for i in range(n) if tau[i] == 0]:
+        if bitgen is not None:
+            bitgen.state = start
+        trial_rng = np.random.default_rng([*prefix, trials[i]]) if rng is None else rng
+        o = _python_trial(config, truth, trial_rng, i < n_traced, frozenset(cps), cache)
+        tau[i], delta[i], capped[i] = o.tau, o.delta, o.capped
+        traces[i], snaps[i] = o.trace, o.snapshots
+        last = (o.visits, o.events, o.total, o.z_min) if i == n - 1 else last
+    replay = [i for i in range(min(n_traced, n)) if traces[i] is None]
+    if replay:
+        words[lead : lead + len(replay)] = [trials[i] for i in replay]
+        rows = np.zeros((sum(tau[i] for i in replay), _T_WIDTH))
+        run(len(replay), 0, rows.ctypes.data)
+        for i, end in zip(replay, accumulate(tau[i] for i in replay)):
+            part = rows[end - tau[i] : end]
+            traces[i] = _trace_records(part, delta[i], truth.odd_index, capped[i])
+    return tau, delta, capped, traces, snaps, last, out[3 * n], out[3 * n + 1]
 
 
 def _seeded_trials(
     config: PolicyConfig,
     truth: OddConfig,
-    seed: int,
-    level: int,
+    prefix: tuple[int, ...],
     trials: list[int],
     cache: dict,
-) -> tuple[list[int], list[int], list[bool]]:
-    """Untraced `run_trial`s without checkpoints, trial t on
-    `np.random.default_rng([seed, level, t])` for each t in `trials`
-    (ints >= 0), with `cache` as memo: the lists of their tau, delta and
-    capped. On the compiled kernel the whole list is one
-    `_compiled_block`; without it, or for a seed of 2^64 or more, each
-    trial runs `run_trial`. The results and the memo are the same."""
+    cps: tuple[int, ...] = (),
+    n_traced: int = 0,
+) -> tuple[list, list, list, list, list]:
+    """`run_trial` for each t in `trials` (ints >= 0) on
+    `np.random.default_rng([*prefix, t])`, with `cache` as memo, each
+    snapshotted at the sorted slots `cps` and the first `n_traced` traced:
+    the lists of their tau, delta, capped, trace (None when untraced) and
+    snapshots (None without cps). On the compiled kernel the whole list is
+    one `_compiled` call; for a key of 2^64 or more each trial runs
+    `run_trial`, and without the kernel the Python loop. The results and
+    every weight the memo serves are the same."""
     _check_truth(config, truth)
-    kernel = _native.kernel() if trials and seed < 1 << 64 else None
+    kernel = _native.kernel() if max([0, *prefix, *trials]) < 1 << 64 else None
     if kernel is not None:
-        return _compiled_block(kernel, config, truth, seed, level, trials, cache)[:3]
+        return _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)[:5]
     outs = [
-        run_trial(config, truth, np.random.default_rng([seed, level, t]), cache=cache)
-        for t in trials
+        run_trial(config, truth, np.random.default_rng([*prefix, t]), i < n_traced, cps, cache)
+        for i, t in enumerate(trials)
     ]
-    return [o.tau for o in outs], [o.delta for o in outs], [o.capped for o in outs]
-
-
-def _compiled_block(
-    kernel,
-    config: PolicyConfig,
-    truth: OddConfig,
-    seed: int,
-    level: int,
-    trials: list[int],
-    cache: dict,
-) -> tuple[list[int], list[int], list[bool], np.ndarray, int, int]:
-    """`_seeded_trials` on the compiled kernel, with the generator array of
-    the last trial the kernel ran and the numbers of weight lookups and of
-    memo misses the kernel made over all the trials. One kernel call seeds
-    each trial's PCG64 in C and runs them all, building no Python object
-    per trial. A trial the kernel declines (stopping slot 0) reruns on the
-    Python loop from its seed."""
-    k, n = config.k, len(trials)
-    index = np.array(trials, dtype=np.int64)
-    # One int64 buffer (state, results, counts) and one float64 buffer
-    # (rates, scores, the kernel's scratch).
-    ints = np.zeros(_HEAD + 2 * k + 3 * n + 2, dtype=np.int64)
-    at = _HEAD + 2 * k
-    reals = np.zeros(4 * k)
-    reals[:k] = _rates(truth)
-    gen = np.zeros(_GEN_SIZE, dtype=np.uint64)
-    ip, rp = ints.ctypes.data, reals.ctypes.data
-    kernel.oddball_block(
-        seed, level, index.ctypes.data, n, gen.ctypes.data, k, config.max_slots,
-        config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
-        *_memo_args(cache, k), _KERNEL_PARAMS.ctypes.data, ip + 8 * at,
-    )
-    tau, delta, capped = ints[at : at + 3 * n].reshape(3, n).tolist()
-    lookups, misses = ints[at + 3 * n :].tolist()
-    for i, t in enumerate(trials):
-        if tau[i] == 0:
-            rng = np.random.default_rng([seed, level, t])
-            out = _python_trial(config, truth, rng, False, frozenset(), cache)
-            tau[i], delta[i], capped[i] = out.tau, out.delta, out.capped
-    return tau, delta, [c == 1 for c in capped], gen, lookups, misses
+    fields = ("tau", "delta", "capped", "trace", "snapshots")
+    return tuple([getattr(o, name) for o in outs] for name in fields)
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

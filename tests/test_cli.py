@@ -491,7 +491,7 @@ class TestImportCost:
 
     def test_cli_import_builds_no_kernel(self):
         """The compiled trial kernel is built and loaded by the first
-        untraced trial, never by an import."""
+        trial, never by an import."""
         src = str(Path(oddball.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = "import oddball.cli, oddball._native as native; print(native._loaded)"

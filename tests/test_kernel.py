@@ -1,14 +1,16 @@
 """The compiled trial kernel against the Python loop it repeats.
 
-`policy._python_trial` is the reference and `policy._compiled_trial` the
-kernel; both are called directly, so no public switch picks between
-them. Outcomes, generator states and memo tables must agree exactly,
-floats compared with ==. The block call `policy._compiled_block` seeds
+`policy._python_trial` is the reference and `policy._compiled`, the
+wrapper of the kernel's one entry, the kernel; both are called directly
+or through `run_trial`, so no public switch picks between them.
+Outcomes, traces, generator states and memo tables must agree exactly,
+floats compared with ==. Without a caller's generator `_compiled` seeds
 each trial's generator in C; its generators are checked against numpy's
 `PCG64` and `default_rng`, its trials against the Python loop. The build
 and fallback tests run the loader against a temporary cache directory.
 """
 
+import ctypes
 import dataclasses
 import itertools
 import math
@@ -17,6 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import oddball.policy as policy
 from oddball import _native
 from oddball.cli import main as cli_main
-from oddball.experiments import ExperimentSpec, run_experiment
+from oddball.experiments import ExperimentSpec, drift_experiment, run_experiment
 from oddball.numerics import _LOG1P_TAIL_COEFFS, _SERIES_RADIUS, DomainError
 from oddball.policy import PolicyConfig
 from oddball.solver import _MIN_BRACKET, DEFAULT_TOL, NEAR_DEGENERATE_NU
@@ -69,10 +72,22 @@ CONFIGS = {
 }
 
 
-def _agree(configs, truth, seeds, checkpoints, kernel):
+def _kernel_trial(config, truth, rng, cp, memo, traced=False):
+    """`run_trial` on the kernel, and the weight lookups and memo misses of
+    its first kernel call; fails unless it made exactly one `_compiled` call."""
+    calls = []
+    compiled = policy._compiled
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy, "_compiled", lambda *a: calls.append(compiled(*a)) or calls[-1])
+        out = policy.run_trial(config, truth, rng, traced, cp, memo)
+    assert len(calls) == 1
+    return out, calls[0][-2], calls[0][-1]
+
+
+def _agree(configs, truth, seeds, checkpoints, traced=False):
     """Run both loops on every (config, seed), each loop with its own memo
-    across all trials as a block of trials keeps; assert equal outcomes
-    and generator states. Returns (Python memo, kernel memo, Python
+    across all trials as a block of trials keeps; assert equal outcomes,
+    traces and generator states. Returns (Python memo, kernel memo, Python
     outcomes, kernel lookups, kernel misses)."""
     cp = frozenset(checkpoints)
     memo_py, memo_c = {}, {}
@@ -81,16 +96,15 @@ def _agree(configs, truth, seeds, checkpoints, kernel):
     for config in configs:
         for seed in seeds:
             rng_py, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref = policy._python_trial(config, truth, rng_py, False, cp, memo_py)
-            got, n_lookups, n_misses = policy._compiled_trial(
-                kernel, config, truth, rng_c, cp, memo_c
-            )
+            ref = policy._python_trial(config, truth, rng_py, traced, cp, memo_py)
+            got, n_lookups, n_misses = _kernel_trial(config, truth, rng_c, cp, memo_c, traced)
             key = (config.threshold_l, seed)
             assert (got.tau, got.delta, got.correct, got.capped) == (
                 ref.tau, ref.delta, ref.correct, ref.capped), key
             assert (got.visits, got.events, got.total) == (ref.visits, ref.events, ref.total), key
             assert got.z_min == ref.z_min, key
             assert got.snapshots == ref.snapshots, key
+            assert got.trace == ref.trace and (got.trace is None) != traced, key
             assert got == ref, key
             assert rng_c.bit_generator.state == rng_py.bit_generator.state, key
             refs.append(ref)
@@ -99,8 +113,9 @@ def _agree(configs, truth, seeds, checkpoints, kernel):
     return memo_py, memo_c, refs, lookups, misses
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_kernels_agree_exactly(name, kernel, monkeypatch):
+def test_kernels_agree_exactly(name, traced, kernel, monkeypatch):
     configs, truth, seeds, checkpoints = CONFIGS[name]
     ties = 0
     pick = policy._pick_leader
@@ -111,7 +126,7 @@ def test_kernels_agree_exactly(name, kernel, monkeypatch):
         return pick(z_min, rng)
 
     monkeypatch.setattr(policy, "_pick_leader", counted_pick)
-    memo_py, memo_c, refs, lookups, misses = _agree(configs, truth, seeds, checkpoints, kernel)
+    memo_py, memo_c, refs, lookups, misses = _agree(configs, truth, seeds, checkpoints, traced)
     k = truth.k
     assert np.array_equal(memo_c[k], memo_py[k])
     # Each miss fills one cell, which a later miss may take over.
@@ -174,7 +189,7 @@ def test_loops_evict_alike(kernel, monkeypatch):
     monkeypatch.setattr(policy, "_KERNEL_PARAMS", params)
     solves = _solves(monkeypatch)
     configs, truth, seeds, checkpoints = CONFIGS["sim-hard"]
-    memo_py, memo_c, _, _, misses = _agree(configs, truth, seeds, checkpoints, kernel)
+    memo_py, memo_c, _, _, misses = _agree(configs, truth, seeds, checkpoints)
     k = truth.k
     assert memo_c[k].nbytes == memo_py[k].nbytes == 16 * 16
     assert np.array_equal(memo_c[k], memo_py[k])
@@ -199,7 +214,7 @@ def _agree_past_cap(name, kernel, monkeypatch):
     else:
         configs = [PolicyConfig(k=3, threshold_l=l) for l in (10.0, 1e3)]
         truth, seeds, checkpoints = OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
-    memo_py, memo_c, refs, _, _ = _agree(configs, truth, seeds, checkpoints, kernel)
+    memo_py, memo_c, refs, _, _ = _agree(configs, truth, seeds, checkpoints)
     assert len(calls) == len(refs)  # the references only: no trial was declined
     assert min(ref.total for ref in refs) > 1024 and min(ref.tau for ref in refs) > 1024
     assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
@@ -238,9 +253,8 @@ def test_lgamma_port_is_bitwise():
         pytest.skip("the compiled kernel cannot be built on this machine")
     config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=3)
     memo = {}
-    policy._compiled_trial(
-        kernel, config, OddConfig(3, 1, 2.0**20, 2.0**20), np.random.default_rng(0),
-        frozenset(), memo,
+    policy._compiled(
+        kernel, config, OddConfig(3, 1, 2.0**20, 2.0**20), memo, [0], (), np.random.default_rng(0)
     )
     table, filled = memo["lgamma"]
     cap = policy._LGAMMA_CAP
@@ -258,9 +272,8 @@ def test_log_table_is_bitwise(kernel):
     cap = policy._LOG_CAP
     config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=cap + 5)
     memo = {}
-    policy._compiled_trial(
-        kernel, config, OddConfig(3, 1, 0.5, 1.0), np.random.default_rng(0), frozenset(), memo
-    )
+    truth, rng = OddConfig(3, 1, 0.5, 1.0), np.random.default_rng(0)
+    policy._compiled(kernel, config, truth, memo, [0], (), rng)
     table, filled = memo["log"]
     assert filled[0] == len(table) == cap
     ref = np.fromiter(map(math.log, range(1, cap + 1)), np.float64, cap)
@@ -344,10 +357,10 @@ def test_32_bit_draws_keep_the_spare_half(kernel):
 
 @pytest.mark.parametrize("name", ["sim-hard", "low-rate", "wide"])
 def test_block_matches_run_trial(name, kernel, monkeypatch):
-    # Trial t of a block draws from default_rng([seed, level, t]), so it
-    # matches the Python loop on that generator: results, the generator's
-    # state after the trial (its spare 32-bit half included: low-rate
-    # trials draw for leader ties) and the memo.
+    # Trial t of a seeded call draws from default_rng([seed, level, t]), so
+    # it matches the Python loop on that generator: results, traces (the
+    # traced ones replayed from their keys) and the memo, whose cells hold
+    # the last grid point looked up in each.
     configs, truth, _, _ = CONFIGS[name]
     ties = 0
     pick = policy._pick_leader
@@ -358,40 +371,37 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
         return pick(z_min, rng)
 
     monkeypatch.setattr(policy, "_pick_leader", counted_pick)
-    # The block's weight lookups and memo misses are the sums of the
-    # per-trial counts of `_compiled_trial` over the same memo order.
+    # The call's weight lookups and memo misses are the sums of the
+    # per-trial counts of `run_trial` on the kernel over the same memo order.
     seed, trials = 2**40 + 3, [0, 2, 3, 5, 8, 13, 21, 2**32 + 1]
-    spares = 0
+    n_traced = 3
     for level, config in enumerate(configs):
         memo_py, memo_c, memo_one, memo_trial = {}, {}, {}, {}
         ref = []
         counts = [0, 0]
-        for t in trials:
+        for i, t in enumerate(trials):
             rng = np.random.default_rng([seed, level, t])
-            out = policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
-            ref.append((out.tau, out.delta, out.capped))
-            *one, gen, _, _ = policy._compiled_block(
-                kernel, config, truth, seed, level, [t], memo_one
-            )
-            assert list(zip(*one)) == [ref[-1]], (level, t)
-            assert _pcg64_state(gen) == rng.bit_generator.state, (level, t)
-            spares += rng.bit_generator.state["has_uint32"]
+            out = policy._python_trial(config, truth, rng, i < n_traced, frozenset(), memo_py)
+            ref.append((out.tau, out.delta, out.capped, out.trace))
+            one = policy._compiled(kernel, config, truth, memo_one, [t], (seed, level))
+            assert list(zip(*one[:4])) == [(*ref[-1][:3], None)], (level, t)
             rng_c = np.random.default_rng([seed, level, t])
-            _, lookups, misses = policy._compiled_trial(
-                kernel, config, truth, rng_c, frozenset(), memo_trial
-            )
+            _, lookups, misses = _kernel_trial(config, truth, rng_c, frozenset(), memo_trial)
             counts[0] += lookups
             counts[1] += misses
-        *got, gen, lookups, misses = policy._compiled_block(
-            kernel, config, truth, seed, level, trials, memo_c
-        )
-        assert list(zip(*got)) == ref
-        assert _pcg64_state(gen) == rng.bit_generator.state
-        assert [lookups, misses] == counts and lookups > misses > 0
-        assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
         assert np.array_equal(memo_one[truth.k], memo_py[truth.k])
+        got = policy._compiled(
+            kernel, config, truth, memo_c, trials, (seed, level), n_traced=n_traced
+        )
+        assert list(zip(*got[:4])) == ref
+        assert list(got[-2:]) == counts and counts[0] > counts[1] > 0
+        # The replay looks the weights of the traced trials up again, last.
+        for t in trials[:n_traced]:
+            rng = np.random.default_rng([seed, level, t])
+            policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
+        assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
     if name == "low-rate":
-        assert ties > 0 and spares > 0
+        assert ties > 0
 
 
 @pytest.mark.parametrize("name", ["past-cap", "poisson-limit"])
@@ -406,7 +416,7 @@ def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
     truth, trials = OddConfig(3, 2, r1, 185.0), list(range(6))
     calls = _python_trial_calls(monkeypatch)
     memo_c = {}
-    got = policy._compiled_block(kernel, config, truth, 9, 1, trials, memo_c)[:3]
+    got = policy._compiled(kernel, config, truth, memo_c, trials, (9, 1))[:3]
     assert len(calls) == (0 if name == "past-cap" else len(trials))
     memo_py = {}
     ref = [
@@ -447,6 +457,15 @@ def _experiment_bytes(spec, trace_dir, parallelism):
     return out
 
 
+def _drift_bytes(parallelism):
+    """The CSV of a checkpointed drift run over three seeds, one past 2^64."""
+    result = drift_experiment(
+        OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9, 2**64 + 1], checkpoints=[1, 10, 700],
+        parallelism=parallelism,
+    )
+    return {"drift": result.to_csv().encode()}
+
+
 @pytest.mark.parametrize(
     "spec, past_cap",
     [
@@ -459,35 +478,45 @@ def _experiment_bytes(spec, trace_dir, parallelism):
         ),
         # Past the lowered lgamma cap: the kernel computes lgamma past the table.
         (dict(k=3, odd_index=2, r1=200.0, r2=185.0, l_grid=[10.0, 1e3], trials=6, seed=3), True),
+        # Every trial traced, at K=50, where most slots fall back to uniform.
+        (dict(k=50, odd_index=2, r1=4.0, r2=1.0, l_grid=[1e3], trials=3, seed=12,
+              trace_sampling=1.0), False),
+        # A checkpointed drift run, past the lowered cap too.
+        ("drift", True),
     ],
-    ids=["sim-hard", "low-rate", "past-cap"],
+    ids=["sim-hard", "low-rate", "past-cap", "wide-traced", "drift"],
 )
 def test_block_bytes_match_fallback_and_workers(
     spec, past_cap, kernel, tmp_path, monkeypatch, capsys
 ):
-    # Report and trace bytes are the same from the block call, from
-    # run_trial on the Python loop (no compiler) and over two workers.
+    # Report, trace and drift bytes are the same from the kernel, from
+    # the Python loop (no compiler) and over two workers.
     monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
     filled = []
-    block_call = policy._compiled_block
+    compiled = policy._compiled
 
-    def spy(*args):
-        out = block_call(*args)
-        filled.append(int(args[-1]["lgamma"][1][0]))  # the memo's filled length
+    def spy(*args, **kwargs):
+        out = compiled(*args, **kwargs)
+        filled.append(int(args[3]["lgamma"][1][0]))  # the memo's filled length
         return out
 
-    monkeypatch.setattr(policy, "_compiled_block", spy)
-    spec = ExperimentSpec(**spec, trace_sampling=0.1)
-    block = _experiment_bytes(spec, tmp_path / "block", 1)
+    monkeypatch.setattr(policy, "_compiled", spy)
+    if spec == "drift":
+        run = lambda _, jobs: _drift_bytes(jobs)  # noqa: E731
+    else:
+        spec = ExperimentSpec(**{"trace_sampling": 0.1, **spec})
+        run = partial(_experiment_bytes, spec)
+    block = run(tmp_path / "block", 1)
     assert (max(filled) == 1024) == past_cap
-    assert _experiment_bytes(spec, tmp_path / "workers", 2) == block
+    assert run(tmp_path / "workers", 2) == block
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
     monkeypatch.setattr(_native, "_loaded", [])
-    assert _experiment_bytes(spec, tmp_path / "fallback", 1) == block
+    assert run(tmp_path / "fallback", 1) == block
     assert _native.kernel() is None
     assert "compiled trial kernel unavailable" in capsys.readouterr().err
-    assert len(block) == 1 + len(spec.l_grid) * math.ceil(0.1 * spec.trials)
+    if spec != "drift":
+        assert len(block) == 1 + len(spec.l_grid) * math.ceil(spec.trace_sampling * spec.trials)
 
 
 def test_rates_past_numpy_poisson_limit(kernel):
@@ -502,7 +531,7 @@ def test_rates_past_numpy_poisson_limit(kernel):
         with pytest.raises(DomainError, match="Poisson"):
             policy.run_trial(config, over, rng, collect_trace=traced)
         assert rng.bit_generator.state == state
-    _agree([config], OddConfig(3, 1, limit, 1.0), range(3), (1, 2), kernel)
+        _agree([config], OddConfig(3, 1, limit, 1.0), range(3), (1, 2), traced)
 
 
 def test_lgamma_table_memory_is_bounded(kernel):
@@ -543,19 +572,46 @@ def test_weight_solve_is_bitwise(kernel):
 
 
 def test_run_trial_dispatch(kernel, monkeypatch):
-    # Untraced trials run the kernel, traced ones the Python loop, with
-    # the same outcome apart from the trace.
+    # Trials on a numpy Generator run the kernel, traced ones included;
+    # a generator of another type runs the Python loop. The outcome is the
+    # same apart from the trace, and so is the generator's state after it.
     calls = []
-    compiled = policy._compiled_trial
-    monkeypatch.setattr(policy, "_compiled_trial", lambda *a: calls.append(1) or compiled(*a))
+    compiled = policy._compiled
+    monkeypatch.setattr(policy, "_compiled", lambda *a: calls.append(1) or compiled(*a))
+    python = _python_trial_calls(monkeypatch)
     config, truth = PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0)
-    plain = policy.run_trial(config, truth, np.random.default_rng(3), checkpoints=[2, 9])
-    traced = policy.run_trial(
-        config, truth, np.random.default_rng(3), collect_trace=True, checkpoints=[2, 9]
-    )
-    assert calls == [1]
+    rng_plain, rng_traced = np.random.default_rng(3), np.random.default_rng(3)
+    plain = policy.run_trial(config, truth, rng_plain, checkpoints=[2, 9])
+    traced = policy.run_trial(config, truth, rng_traced, collect_trace=True, checkpoints=[2, 9])
+    assert calls == [1, 1] and python == []
     assert plain.trace is None and traced.trace is not None
     assert plain == dataclasses.replace(traced, trace=None)
+    assert rng_plain.bit_generator.state == rng_traced.bit_generator.state
+
+    class Wrapped:
+        """Another type of generator, with the draws the Python loop makes."""
+
+        def __init__(self, rng):
+            self.poisson, self.random, self.integers = rng.poisson, rng.random, rng.integers
+
+    ref = policy.run_trial(
+        config, truth, Wrapped(np.random.default_rng(3)), collect_trace=True, checkpoints=[2, 9]
+    )
+    assert calls == [1, 1] and python == [1]
+    assert ref == traced
+
+
+def test_every_trial_runs_on_the_kernel(kernel, monkeypatch, tmp_path):
+    # Traced simulate trials, at a seed past 2^64 too, and checkpointed
+    # drift runs make no call of the Python loop.
+    calls = _python_trial_calls(monkeypatch)
+    for seed in (5, 2**64):
+        spec = ExperimentSpec(k=4, odd_index=2, r1=6.0, r2=2.0, l_grid=[10.0, 1e3], trials=20,
+                              seed=seed, trace_sampling=0.2)
+        run_experiment(spec, trace_dir=str(tmp_path))
+    drift_experiment(OddConfig(3, 1, 1.0, 2.0), 2000, [4, 5, 2**64], checkpoints=[10, 700])
+    assert len(os.listdir(tmp_path)) == 8
+    assert calls == []
 
 
 def _outputs(tmp_path, tag):
@@ -694,7 +750,8 @@ def test_layouts_match_the_kernel():
     # the Python side must list the C enums' slots in the same order.
     state = _c_enum("S_M")
     assert [getattr(policy, "_" + name[2:]) for name in state] == list(range(len(state)))
-    assert _c_enum("DONE").index("DECLINED") == policy._DECLINED
+    trace = _c_enum("T_ACTION")
+    assert [getattr(policy, "_" + name) for name in trace] == list(range(len(trace)))
     gen = _c_enum("G_STATE_HI")
     names = ["_GEN_SIZE" if name == "G_SIZE" else "_" + name[2:] for name in gen]
     assert [getattr(policy, name) for name in names] == list(range(len(gen)))
@@ -713,3 +770,12 @@ def test_layouts_match_the_kernel():
     params = policy._KERNEL_PARAMS
     assert [params[slots.index(name)] for name in values] == list(values.values())
     assert tuple(params[slots.index("P_COEFFS"):]) == _LOG1P_TAIL_COEFFS
+    # The ctypes argument types of the kernel's one entry follow its C
+    # parameters: a pointer, an int64_t or a double each.
+    lib = _native.kernel()
+    if lib is not None:
+        with open(_native._SOURCE, encoding="utf-8") as fh:
+            c_params = re.search(r"void oddball_block\(([^)]*)\)", fh.read()).group(1).split(",")
+        kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in c_params]
+        assert len(want) == 25 and list(lib.oddball_block.argtypes) == want

@@ -146,13 +146,13 @@ class TestLeaderLambdaOdd:
     def test_no_memo_outlives_its_call(self, monkeypatch):
         # Without a cache, a trial keeps one memo for itself: it solves
         # fewer times than it looks weights up, and a rerun of the same
-        # trial finds nothing left over from the first. A traced trial
-        # runs the Python loop, whose lookups and solves are counted here;
-        # an untraced one runs the compiled kernel, which counts its own,
-        # and the two must agree.
+        # trial finds nothing left over from the first. On a generator of
+        # another type the trial runs the Python loop, whose lookups and
+        # solves are counted here; on a numpy Generator it runs the
+        # compiled kernel, which counts its own, and the two must agree.
         lookups = solves = 0
         lookup, solve = policy.leader_lambda_odd, policy._root_scalar
-        compiled, kernel_counts = policy._compiled_trial, []
+        compiled, kernel_counts = policy._compiled, []
 
         def counted_lookup(*args):
             nonlocal lookups
@@ -165,19 +165,26 @@ class TestLeaderLambdaOdd:
             return solve(*args)
 
         def counted_compiled(*args):
-            outcome, n_lookups, n_misses = compiled(*args)
-            kernel_counts.append((n_lookups, n_misses))
-            return outcome, n_lookups, n_misses
+            out = compiled(*args)
+            kernel_counts.append(tuple(out[-2:]))  # its weight lookups and memo misses
+            return out
+
+        class OtherGenerator:
+            """Not a numpy Generator, with the draws the Python loop makes."""
+
+            def __init__(self, seed):
+                rng = np.random.default_rng(seed)
+                self.poisson, self.random, self.integers = rng.poisson, rng.random, rng.integers
 
         monkeypatch.setattr(policy, "leader_lambda_odd", counted_lookup)
         monkeypatch.setattr(policy, "_root_scalar", counted_solve)
-        monkeypatch.setattr(policy, "_compiled_trial", counted_compiled)
+        monkeypatch.setattr(policy, "_compiled", counted_compiled)
         cfg = PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=3000)
         truth = OddConfig(3, 1, 1.0, 2.0)
         counts = []
         for _ in range(2):
             lookups = solves = 0
-            run_trial(cfg, truth, np.random.default_rng(77), collect_trace=True, cache=None)
+            run_trial(cfg, truth, OtherGenerator(77), cache=None)
             counts.append((lookups, solves))
         assert counts[0] == counts[1]
         assert 0 < counts[0][1] < counts[0][0]
