@@ -230,15 +230,16 @@ static double log_at(int64_t n, const double *lt, int64_t nlt) {
    scratch. The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q /
    quant)), cell q % par[P_CELLS] the last q that mapped to it, key 0.0
    when empty; lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here
-   up to the event total or nlg; lt[n] = log(n + 1) for n < lt_filled[0],
-   here up to the slot count or nlt. Checkpoint slots `cps` are sorted;
-   snapshot c goes to snap_i[c * (2 + 2k)] (leader, total, visits, events)
-   and snap_z[c * k]; slot m's T_ row to trace[(m - 1) * T_WIDTH]. */
+   up to the event total or nlg; lt[n] = log(n + 1) likewise for n, up to
+   the slot count or nlt. Snapshot c of the sorted slots `cps` goes to
+   snap_i[c * (2 + 2k)] (leader, total, visits, events) and snap_z[c * k];
+   slot m's T_ row to trace[(m - 1) * T_WIDTH] while m <= nrows. */
 static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
                          double log_threshold, const double *rates, int64_t *st, double *z,
                          double *weights, double *lg, int64_t nlg, int64_t *lg_filled, double *lt,
                          int64_t nlt, int64_t *lt_filled, const int64_t *cps, int64_t ncp,
-                         int64_t *snap_i, double *snap_z, double *trace, const double *par) {
+                         int64_t *snap_i, double *snap_z, double *trace, int64_t nrows,
+                         const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
     int64_t *visits = st + S_HEAD, *events = visits + k;
     /* Each process's own terms of glr._scores, updated when it is observed:
@@ -300,7 +301,7 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
             }
         }
 
-        if (trace) {
+        if (trace && m <= nrows) {
             double *row = trace + (m - 1) * T_WIDTH;
             row[T_ACTION] = (double)action, row[T_COUNT] = (double)x;
             row[T_LEADER] = (double)leader, row[T_Z_LEADER] = z[leader - 1];
@@ -358,35 +359,34 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
     *lt_filled = nlog;
 }
 
-/* Run trials 0..n-1 as oddball_trial does, with its other arguments:
-   trial i on the bit generator `caller` if given (n is then 1), else on
-   the generator array that `words` starts with, seeded as default_rng([*p,
-   t]) seeds it, p the nprefix values and t the ith of the n values that
-   follow the array. Its stopping slot, final leader and whether it was
-   capped go to out[i], out[n + i] and out[2n + i], its snapshots to snap_i
-   + i * ncp * (2 + 2k) and snap_z + i * ncp * k, and its trace rows after
-   trial i - 1's. The weight lookups and memo misses of all n trials go to
-   out[3n] and out[3n + 1]. */
-void oddball_block(bitgen_t *caller, uint64_t *words, int64_t nprefix, int64_t n, int64_t k,
-                   int64_t max_slots, int64_t stopping, double log_threshold, const double *rates,
-                   int64_t *st, double *z, double *weights, double *lg, int64_t nlg,
-                   int64_t *lg_filled, double *lt, int64_t nlt, int64_t *lt_filled,
-                   const int64_t *cps, int64_t ncp, int64_t *snap_i, double *snap_z,
-                   double *trace, const double *par, int64_t *out) {
+/* Run trials 0..n-1 as oddball_trial does: trial i on the bit generator
+   `caller` if given (n is then 1), else on the array that `words` starts
+   with, seeded as default_rng([*p, t]) seeds it, p the nprefix values and
+   t the ith of the n values after the array. Its stopping slot, final
+   leader and capped flag go to out[i], out[n + i] and out[2n + i], its ncp
+   snapshots to snap_i + i * ncp * (2 + 2k) and snap_z + i * ncp * k, its
+   trace rows after trial i - 1's, up to nrows in all. The weight lookups
+   and memo misses of all n trials go to out[3n] and out[3n + 1]. */
+void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_t *caller,
+                   uint64_t *words, int64_t nprefix, int64_t k, int64_t max_slots,
+                   int64_t stopping, double log_threshold, const double *rates, int64_t *st,
+                   double *z, double *weights, double *lg, int64_t nlg, int64_t *lg_filled,
+                   double *lt, int64_t nlt, int64_t *lt_filled, const int64_t *cps,
+                   int64_t *snap_i, double *snap_z, const double *par, int64_t *out) {
     bitgen_t seeded = {words, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
     bitgen_t *bg = caller ? caller : &seeded;
-    const uint64_t *keys = words + G_SIZE;
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
-        if (!caller) pcg_seed(words, keys, nprefix, keys[nprefix + i]);
+        if (!caller) pcg_seed(words, words + G_SIZE, nprefix, words[G_SIZE + nprefix + i]);
         oddball_trial(bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, lg, nlg,
                       lg_filled, lt, nlt, lt_filled, cps, ncp, snap_i + i * ncp * (2 + 2 * k),
-                      snap_z + i * ncp * k, trace, par);
+                      snap_z + i * ncp * k, trace, nrows, par);
         out[i] = st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];
         out[3 * n] += st[S_LOOKUPS];
         out[3 * n + 1] += st[S_MISSES];
-        if (trace) trace += st[S_M] * T_WIDTH;
+        int64_t rows = st[S_M] < nrows ? st[S_M] : nrows;
+        if (trace) trace += rows * T_WIDTH, nrows -= rows;
     }
 }

@@ -89,8 +89,8 @@ def _open(path: str, key: str):
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
     lib.oddball_block.argtypes = [
-        ptr, ptr, i64, i64, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr,
-        i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+        i64, i64, ptr, i64, ptr, ptr, i64, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr,
+        i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
     lib.oddball_lgamma.argtypes = [i64]

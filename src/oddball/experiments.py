@@ -218,7 +218,7 @@ def _run_block(setup: tuple, seeds: list[int]) -> list[tuple]:
     default_rng(s), as one `_seeded_trials` call. `setup` is (policy
     config, truth, checkpoints). Result i is the snapshots of seed i."""
     config, truth, checkpoints = setup
-    return _seeded_trials(config, truth, (), seeds, {}, checkpoints)[4]
+    return _seeded_trials(config, truth, (), seeds, {}, checkpoints).snapshots
 
 
 def _trace_lines(trace: tuple[dict, ...]) -> str:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
@@ -360,11 +361,11 @@ def run_trial(
     kernel = _native.kernel() if isinstance(rng, np.random.Generator) else None
     if kernel is None:
         return _python_trial(config, truth, rng, collect_trace, cp, cache)
-    tau, delta, capped, traces, snaps, last = _compiled(
+    out, last, _ = _compiled(
         kernel, config, truth, cache, [0], (), rng, tuple(sorted(cp)), int(collect_trace)
-    )[:6]
-    correct = delta[0] == truth.odd_index
-    return TrialOutcome(config.k, tau[0], delta[0], correct, capped[0], *last, traces[0], snaps[0])
+    )
+    tau, delta, capped, trace, snaps = (field[0] for field in out)
+    return TrialOutcome(config.k, tau, delta, delta == truth.odd_index, capped, *last, trace, snaps)
 
 
 def _check_truth(config: PolicyConfig, truth: OddConfig) -> None:
@@ -494,8 +495,11 @@ def _trace_records(rows: np.ndarray, delta: int, odd: int, capped: bool) -> tupl
         {"n": n, "action": a, "count": x, "leader": l, "z_leader": z}
         for n, (a, x, l), z in zip(range(1, len(ints) + 1), ints, rows[:, _T_Z_LEADER].tolist())
     ]
-    records.append({"tau": len(ints), "delta": delta, "correct": delta == odd, "capped": capped})
-    return tuple(records)
+    return (*records, {"tau": len(ints), "delta": delta, "correct": delta == odd, "capped": capped})
+
+
+# The per-trial lists of a run of trials, named as `TrialOutcome`'s fields.
+_Trials = namedtuple("_Trials", "tau delta capped trace snapshots")
 
 
 def _compiled(
@@ -508,53 +512,60 @@ def _compiled(
     rng: np.random.Generator | None = None,
     cps: tuple[int, ...] = (),
     n_traced: int = 0,
-) -> tuple:
+) -> tuple[_Trials, tuple, tuple[int, int]]:
     """`run_trial`s on the kernel's one entry, `oddball_block`, with `cache`
     as memo: trial t of `trials` on a PCG64 seeded in C as
     `np.random.default_rng([*prefix, t])` seeds it (keys below 2^64), or
-    the one trial on rng's bit generator, with its lock held as numpy's
-    own draws do. Each trial is snapshotted at the sorted slots `cps`.
-    Then the first `n_traced` are replayed from their keys into a trace
-    buffer of exactly their slots. A trial the kernel declines reruns on
-    the Python loop from its start. Returns per-trial lists of tau, delta,
-    capped, trace (None when untraced) and snapshots (None without cps),
-    the last trial's (visits, events, total, z_min), and the first call's
-    weight lookups and memo misses."""
-    k, n, ncp, lead = config.k, len(trials), len(cps), _GEN_SIZE + len(prefix)
+    the one trial on rng's bit generator, each snapshotted at the sorted
+    slots `cps`; then the first `n_traced` replayed (from their keys, or
+    rng's saved state, with its lock held over both calls) into a trace
+    buffer of exactly their slots. A declined trial reruns on the Python
+    loop. Returns the lists, the last trial's (visits, events, total,
+    z_min), and the first call's weight lookups and memo misses."""
+    k, n, ncp = config.k, len(trials), len(cps)
     # One buffer per dtype, as each address costs a numpy call: int64 (state, checkpoint slots,
-    # snapshot tallies, results), float64 (rates, scores, scratch, snapshot scores) and uint64.
+    # snapshot tallies, results), float64 (rates, scores, scratch, snapshot scores), uint64 (the
+    # PCG64 array and keys, not needed on a caller's generator).
     snap_at = _HEAD + 2 * k + ncp
     out_at = snap_at + n * ncp * (2 + 2 * k)
     ints = np.zeros(out_at + 3 * n + 2, dtype=np.int64)
     ints[_HEAD + 2 * k : snap_at] = cps
     reals = np.zeros(k * (4 + n * ncp))
     reals[:k] = _rates(truth)
-    words = np.array([*[0] * _GEN_SIZE, *prefix, *trials], dtype=np.uint64)
-    ip, rp, wp = ints.ctypes.data, reals.ctypes.data, words.ctypes.data
+    ip, rp = ints.ctypes.data, reals.ctypes.data
+    words = np.array([*[0] * _GEN_SIZE, *prefix, *trials], dtype=np.uint64) if rng is None else None
     bitgen = None if rng is None else rng.bit_generator
-    start = None if rng is None else bitgen.state
-    caller = None if rng is None else _native.bitgen_address(bitgen)
     args = (
-        k, config.max_slots, config.variant == "standard", config.log_threshold, rp, ip,
-        rp + 8 * k, *_memo_args(cache, k), ip + 8 * (_HEAD + 2 * k),
+        None if bitgen is None else _native.bitgen_address(bitgen),
+        None if words is None else words.ctypes.data, len(prefix), k, config.max_slots,
+        config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
+        *_memo_args(cache, k), ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at, rp + 32 * k,
+        _KERNEL_PARAMS.ctypes.data, ip + 8 * out_at,
     )
-    params = _KERNEL_PARAMS.ctypes.data
 
-    def run(count: int, snaps: int, trace: int | None) -> list[int]:
-        """The kernel on the first `count` trials in `words`, or on rng from its start."""
-        if bitgen is not None:
-            bitgen.state = start
-        with nullcontext() if bitgen is None else bitgen.lock:
-            kernel.oddball_block(caller, wp, len(prefix), count, *args, snaps, ip + 8 * snap_at,
-                                 rp + 32 * k, trace, params, ip + 8 * out_at)
+    def run(count: int, snaps: int, rows: np.ndarray | None) -> list[int]:  # rows: the trace
+        trace = (None, 0) if rows is None else (rows.ctypes.data, len(rows))
+        kernel.oddball_block(count, snaps, *trace, *args)
         return ints[out_at : out_at + 3 * count + 2].tolist()
 
-    out = run(n, ncp, None)
-    tau, delta, capped = out[:n], out[n : 2 * n], [c == 1 for c in out[2 * n : 3 * n]]
-    head = ints[: _HEAD + 2 * k].tolist()
-    last = (tuple(head[_HEAD : _HEAD + k]), tuple(head[_HEAD + k :]), head[_TOTAL],
-            tuple(reals[k : 2 * k].tolist()))
-    snaps = [None] * n
+    with nullcontext() if bitgen is None else bitgen.lock:
+        start = None if bitgen is None else bitgen.state
+        out = run(n, ncp, None)
+        tau, delta, capped = out[:n], out[n : 2 * n], [c == 1 for c in out[2 * n : 3 * n]]
+        visits, events = ints[_HEAD : _HEAD + 2 * k].reshape(2, k).tolist()
+        last = (tuple(visits), tuple(events), int(ints[_TOTAL]), tuple(reals[k : 2 * k].tolist()))
+        replay = [i for i in range(min(n_traced, n)) if tau[i] > 0]  # declined ones rerun traced
+        if replay:
+            if bitgen is not None:
+                bitgen.state = start
+            else:
+                words[_GEN_SIZE + len(prefix) :][: len(replay)] = [trials[i] for i in replay]
+            rows = np.zeros((sum(tau[i] for i in replay), _T_WIDTH))
+            if run(len(replay), 0, rows)[: len(replay)] != [tau[i] for i in replay]:
+                raise RuntimeError("a trace replay ran differently from its trial")
+    traces, snaps = [None] * n, [None] * n
+    for i, end in zip(replay, accumulate(tau[i] for i in replay)):
+        traces[i] = _trace_records(rows[end - tau[i] : end], delta[i], truth.odd_index, capped[i])
     if cps:  # leader 0 marks a slot the trial did not reach
         tallies = ints[snap_at:out_at].reshape(n, ncp, 2 + 2 * k).tolist()
         scores = reals[4 * k :].reshape(n, ncp, k).tolist()
@@ -563,24 +574,15 @@ def _compiled(
                   for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
             for trial_tallies, trial_scores in zip(tallies, scores)
         ]
-    traces = [None] * n
     for i in [i for i in range(n) if tau[i] == 0]:
         if bitgen is not None:
             bitgen.state = start
         trial_rng = np.random.default_rng([*prefix, trials[i]]) if rng is None else rng
         o = _python_trial(config, truth, trial_rng, i < n_traced, frozenset(cps), cache)
-        tau[i], delta[i], capped[i] = o.tau, o.delta, o.capped
-        traces[i], snaps[i] = o.trace, o.snapshots
+        tau[i], delta[i], capped[i], traces[i] = o.tau, o.delta, o.capped, o.trace
+        snaps[i] = o.snapshots
         last = (o.visits, o.events, o.total, o.z_min) if i == n - 1 else last
-    replay = [i for i in range(min(n_traced, n)) if traces[i] is None]
-    if replay:
-        words[lead : lead + len(replay)] = [trials[i] for i in replay]
-        rows = np.zeros((sum(tau[i] for i in replay), _T_WIDTH))
-        run(len(replay), 0, rows.ctypes.data)
-        for i, end in zip(replay, accumulate(tau[i] for i in replay)):
-            part = rows[end - tau[i] : end]
-            traces[i] = _trace_records(part, delta[i], truth.odd_index, capped[i])
-    return tau, delta, capped, traces, snaps, last, out[3 * n], out[3 * n + 1]
+    return _Trials(tau, delta, capped, traces, snaps), last, (out[3 * n], out[3 * n + 1])
 
 
 def _seeded_trials(
@@ -591,25 +593,23 @@ def _seeded_trials(
     cache: dict,
     cps: tuple[int, ...] = (),
     n_traced: int = 0,
-) -> tuple[list, list, list, list, list]:
+) -> _Trials:
     """`run_trial` for each t in `trials` (ints >= 0) on
     `np.random.default_rng([*prefix, t])`, with `cache` as memo, each
-    snapshotted at the sorted slots `cps` and the first `n_traced` traced:
-    the lists of their tau, delta, capped, trace (None when untraced) and
-    snapshots (None without cps). On the compiled kernel the whole list is
-    one `_compiled` call; for a key of 2^64 or more each trial runs
-    `run_trial`, and without the kernel the Python loop. The results and
-    every weight the memo serves are the same."""
+    snapshotted at the sorted slots `cps` and the first `n_traced` traced.
+    One `_compiled` call on the kernel; for a key of 2^64 or more each
+    trial runs `run_trial`, and without the kernel the Python loop. The
+    results and every weight the memo serves are the same."""
     _check_truth(config, truth)
     kernel = _native.kernel() if max([0, *prefix, *trials]) < 1 << 64 else None
     if kernel is not None:
-        return _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)[:5]
+        out, _, _ = _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)
+        return out
     outs = [
         run_trial(config, truth, np.random.default_rng([*prefix, t]), i < n_traced, cps, cache)
         for i, t in enumerate(trials)
     ]
-    fields = ("tau", "delta", "capped", "trace", "snapshots")
-    return tuple([getattr(o, name) for o in outs] for name in fields)
+    return _Trials(*([getattr(o, name) for o in outs] for name in _Trials._fields))
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

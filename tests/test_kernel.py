@@ -19,6 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -81,7 +82,8 @@ def _kernel_trial(config, truth, rng, cp, memo, traced=False):
         mp.setattr(policy, "_compiled", lambda *a: calls.append(compiled(*a)) or calls[-1])
         out = policy.run_trial(config, truth, rng, traced, cp, memo)
     assert len(calls) == 1
-    return out, calls[0][-2], calls[0][-1]
+    _, _, (lookups, misses) = calls[0]
+    return out, lookups, misses
 
 
 def _agree(configs, truth, seeds, checkpoints, traced=False):
@@ -355,12 +357,28 @@ def test_32_bit_draws_keep_the_spare_half(kernel):
         assert _pcg64_state(gen) == bits.state
 
 
+class _GeneratorSpy:
+    """A kernel whose `oddball_block` forwards each call, then records the
+    numpy PCG64.state of the generator array it seeded (`words`)."""
+
+    def __init__(self, lib):
+        self.lib, self.states = lib, []
+
+    def oddball_block(self, *args):
+        self.lib.oddball_block(*args)
+        at = [p.split()[-1].lstrip("*") for p in _block_params()].index("words")
+        words = (ctypes.c_uint64 * policy._GEN_SIZE).from_address(args[at])
+        self.states.append(_pcg64_state(np.array(words, dtype=np.uint64)))
+
+
 @pytest.mark.parametrize("name", ["sim-hard", "low-rate", "wide"])
 def test_block_matches_run_trial(name, kernel, monkeypatch):
     # Trial t of a seeded call draws from default_rng([seed, level, t]), so
     # it matches the Python loop on that generator: results, traces (the
-    # traced ones replayed from their keys) and the memo, whose cells hold
-    # the last grid point looked up in each.
+    # traced ones replayed from their keys), the generator's state after
+    # the trial (its spare 32-bit half included: low-rate trials draw for
+    # leader ties) and the memo, whose cells hold the last grid point
+    # looked up in each.
     configs, truth, _, _ = CONFIGS[name]
     ties = 0
     pick = policy._pick_leader
@@ -375,33 +393,95 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
     # per-trial counts of `run_trial` on the kernel over the same memo order.
     seed, trials = 2**40 + 3, [0, 2, 3, 5, 8, 13, 21, 2**32 + 1]
     n_traced = 3
+    spares = 0
     for level, config in enumerate(configs):
         memo_py, memo_c, memo_one, memo_trial = {}, {}, {}, {}
-        ref = []
+        ref, states = [], []
         counts = [0, 0]
         for i, t in enumerate(trials):
             rng = np.random.default_rng([seed, level, t])
             out = policy._python_trial(config, truth, rng, i < n_traced, frozenset(), memo_py)
             ref.append((out.tau, out.delta, out.capped, out.trace))
-            one = policy._compiled(kernel, config, truth, memo_one, [t], (seed, level))
-            assert list(zip(*one[:4])) == [(*ref[-1][:3], None)], (level, t)
+            states.append(rng.bit_generator.state)
+            spares += states[-1]["has_uint32"]
+            spy = _GeneratorSpy(kernel)
+            one, _, _ = policy._compiled(spy, config, truth, memo_one, [t], (seed, level))
+            assert list(zip(one.tau, one.delta, one.capped)) == [ref[-1][:3]], (level, t)
+            assert one.trace == [None] and spy.states == [states[-1]], (level, t)
             rng_c = np.random.default_rng([seed, level, t])
             _, lookups, misses = _kernel_trial(config, truth, rng_c, frozenset(), memo_trial)
             counts[0] += lookups
             counts[1] += misses
         assert np.array_equal(memo_one[truth.k], memo_py[truth.k])
-        got = policy._compiled(
-            kernel, config, truth, memo_c, trials, (seed, level), n_traced=n_traced
+        spy = _GeneratorSpy(kernel)
+        got, _, (lookups, misses) = policy._compiled(
+            spy, config, truth, memo_c, trials, (seed, level), n_traced=n_traced
         )
-        assert list(zip(*got[:4])) == ref
-        assert list(got[-2:]) == counts and counts[0] > counts[1] > 0
+        assert list(zip(got.tau, got.delta, got.capped, got.trace)) == ref
+        # The call ends on the last trial's generator, its replay on the last traced one's.
+        assert spy.states == [states[-1], states[n_traced - 1]]
+        assert [lookups, misses] == counts and lookups > misses > 0
         # The replay looks the weights of the traced trials up again, last.
         for t in trials[:n_traced]:
             rng = np.random.default_rng([seed, level, t])
             policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
         assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
     if name == "low-rate":
-        assert ties > 0
+        assert ties > 0 and spares > 0
+
+
+def test_caller_replay_holds_the_lock(kernel):
+    # A traced trial on a caller's generator runs twice: untraced, then
+    # replayed from the saved state into a buffer of exactly its slots.
+    # The generator's lock is held over both kernel calls, so another
+    # thread cannot draw between them. A generator moved in between
+    # regardless (here by setting its state, which takes no lock) makes
+    # the replay run longer than the buffer: the kernel writes no row past
+    # it, and the wrapper raises.
+    config, truth = PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0)
+    names = [p.split()[-1].lstrip("*") for p in _block_params()]
+    at_trace, at_rows = names.index("trace"), names.index("nrows")
+    taus = [policy.run_trial(config, truth, np.random.default_rng(s)).tau for s in range(20)]
+    moved = next(s for s in range(1, 20) if taus[s] > taus[0])
+    rng = np.random.default_rng(0)
+
+    class Replay:
+        """Forwards each call, noting whether another thread could take the
+        lock and, with `move` set, moving the generator before the replay."""
+
+        def __init__(self, move):
+            self.move, self.free, self.tail = move, [], None
+
+        def oddball_block(self, *args):
+            probe = threading.Thread(target=self.try_lock)
+            probe.start()
+            probe.join()
+            if not (self.move and args[at_trace]):
+                return kernel.oddball_block(*args)
+            rng.bit_generator.state = np.random.default_rng(moved).bit_generator.state
+            nrows = args[at_rows]
+            rows = np.full((nrows + taus[moved], policy._T_WIDTH), np.nan)
+            kernel.oddball_block(*args[:at_trace], rows.ctypes.data, *args[at_trace + 1 :])
+            assert not np.isnan(rows[:nrows]).any()
+            self.tail = rows[nrows:]
+
+        def try_lock(self):
+            lock = rng.bit_generator.lock
+            self.free.append(lock.acquire(blocking=False))
+            if self.free[-1]:
+                lock.release()
+
+    spy = Replay(move=False)
+    out, _, _ = policy._compiled(spy, config, truth, {}, [0], (), rng, n_traced=1)
+    assert spy.free == [False, False]
+    assert out.trace[0] == policy.run_trial(
+        config, truth, np.random.default_rng(0), collect_trace=True
+    ).trace
+    spy = Replay(move=True)
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="replay ran differently"):
+        policy._compiled(spy, config, truth, {}, [0], (), rng, n_traced=1)
+    assert spy.free == [False, False] and np.isnan(spy.tail).all()
 
 
 @pytest.mark.parametrize("name", ["past-cap", "poisson-limit"])
@@ -416,7 +496,7 @@ def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
     truth, trials = OddConfig(3, 2, r1, 185.0), list(range(6))
     calls = _python_trial_calls(monkeypatch)
     memo_c = {}
-    got = policy._compiled(kernel, config, truth, memo_c, trials, (9, 1))[:3]
+    got, _, _ = policy._compiled(kernel, config, truth, memo_c, trials, (9, 1))
     assert len(calls) == (0 if name == "past-cap" else len(trials))
     memo_py = {}
     ref = [
@@ -425,7 +505,7 @@ def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
         )
         for t in trials
     ]
-    assert list(zip(*got)) == [(o.tau, o.delta, o.capped) for o in ref]
+    assert list(zip(got.tau, got.delta, got.capped)) == [(o.tau, o.delta, o.capped) for o in ref]
     assert min(o.total for o in ref) > 1024
     # Past the cap the table is full; at the limit only slot 1's draws went in.
     filled = memo_c["lgamma"][1][0]
@@ -745,6 +825,13 @@ def _c_enum(first: str) -> list[str]:
     return [name.strip() for name in body.split(",")]
 
 
+def _block_params() -> list[str]:
+    """The C parameters of `oddball_block`, each as declared ("int64_t n")."""
+    with open(_native._SOURCE, encoding="utf-8") as fh:
+        params = re.search(r"void oddball_block\(([^)]*)\)", fh.read()).group(1)
+    return [" ".join(p.split()) for p in params.split(",")]
+
+
 def test_layouts_match_the_kernel():
     # Each array layout the kernel shares is declared once per language;
     # the Python side must list the C enums' slots in the same order.
@@ -774,8 +861,6 @@ def test_layouts_match_the_kernel():
     # parameters: a pointer, an int64_t or a double each.
     lib = _native.kernel()
     if lib is not None:
-        with open(_native._SOURCE, encoding="utf-8") as fh:
-            c_params = re.search(r"void oddball_block\(([^)]*)\)", fh.read()).group(1).split(",")
         kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in c_params]
-        assert len(want) == 25 and list(lib.oddball_block.argtypes) == want
+        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in _block_params()]
+        assert len(want) == 26 and list(lib.oddball_block.argtypes) == want

@@ -166,7 +166,7 @@ class TestLeaderLambdaOdd:
 
         def counted_compiled(*args):
             out = compiled(*args)
-            kernel_counts.append(tuple(out[-2:]))  # its weight lookups and memo misses
+            kernel_counts.append(out[2])  # its weight lookups and memo misses
             return out
 
         class OtherGenerator:
