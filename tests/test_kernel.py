@@ -455,7 +455,8 @@ def test_caller_replay_holds_the_lock(kernel):
         def oddball_block(self, *args):
             probe = threading.Thread(target=self.try_lock)
             probe.start()
-            probe.join()
+            probe.join(timeout=10)
+            assert not probe.is_alive()
             if not (self.move and args[at_trace]):
                 return kernel.oddball_block(*args)
             rng.bit_generator.state = np.random.default_rng(moved).bit_generator.state
@@ -482,6 +483,45 @@ def test_caller_replay_holds_the_lock(kernel):
     with pytest.raises(RuntimeError, match="replay ran differently"):
         policy._compiled(spy, config, truth, {}, [0], (), rng, n_traced=1)
     assert spy.free == [False, False] and np.isnan(spy.tail).all()
+
+
+def test_threads_share_a_caller_generator(kernel):
+    # Four threads, more than the cores, run traced trials and plain draws
+    # on one Generator with a short switch interval. Each traced trial must
+    # still be one trial: its trace's counts add up to its tallies, which
+    # a replay started from a state another thread moved would break.
+    config, truth = PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0)
+    rng, outs, errors = np.random.default_rng(11), [], []
+
+    def work(traced):
+        try:
+            for _ in range(25):
+                if traced:
+                    outs.append(policy.run_trial(config, truth, rng, collect_trace=True))
+                else:
+                    rng.poisson(3.0, size=50)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2 == 0,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(outs) == 50
+    for out in outs:
+        slots = out.trace[:-1]
+        assert len(slots) == out.tau and out.trace[-1]["delta"] == out.delta
+        assert [sum(r["action"] == i + 1 for r in slots) for i in range(4)] == list(out.visits)
+        assert [sum(r["count"] for r in slots if r["action"] == i + 1) for i in range(4)] == list(
+            out.events
+        )
 
 
 @pytest.mark.parametrize("name", ["past-cap", "poisson-limit"])
