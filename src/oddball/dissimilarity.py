@@ -33,9 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
 
-from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_real
+from .numerics import DomainError, _csv_text, _f_upper_tail, _fan_out, _require_int, _require_real
 from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
@@ -252,7 +251,7 @@ def anova_f(groups) -> tuple[float, float]:
             return 0.0, 1.0
         return math.inf, 0.0
     f_stat = (ss_between / df_between) / (ss_within / df_within)
-    return f_stat, float(fdtrc(df_between, df_within, f_stat))
+    return f_stat, _f_upper_tail(f_stat, df_between, df_within)
 
 
 def correlation(x, y) -> float:

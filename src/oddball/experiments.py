@@ -42,10 +42,17 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .glr import SufficientStats
-from .numerics import DomainError, _csv_text, _fan_out, _require_int, _require_list, _require_real
+from .numerics import (
+    DomainError,
+    _clopper_pearson_upper,
+    _csv_text,
+    _fan_out,
+    _require_int,
+    _require_list,
+    _require_real,
+)
 from .policy import PolicyConfig, _seeded_trials
 from .policy import run_trial  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
 from .solver import OddConfig, d_star, lower_bound_expected_tau, solve_lambda_star
@@ -188,7 +195,7 @@ def error_upper_confidence(errors: int, trials: int) -> float:
     _require_int(errors, "errors", 0, trials)
     if errors == trials:
         return 1.0
-    return float(betaincinv(errors + 1, trials - errors, 0.95))
+    return _clopper_pearson_upper(errors, trials)
 
 
 def _run_levels(grid: tuple, items) -> list[tuple]:

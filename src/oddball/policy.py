@@ -31,7 +31,8 @@ passes as `cache`: under key K a direct-mapped cache of _MEMO_CELLS
 (q, weight) cells, cell q % _MEMO_CELLS holding the last q that mapped to
 it (key 0.0 when empty); under "lgamma" the table of lgamma(y + 1) and
 under "log" the table of log(n + 1), which the compiled kernel fills and
-reads, and which stop at _LGAMMA_CAP and _LOG_CAP entries (16 MiB each).
+reads, and which stop at _LGAMMA_CAP and _LOG_CAP entries (16 MiB each);
+under ("args", K) the addresses the kernel takes for these, read once.
 Without one, each `run_trial` keeps its own for the trial and each
 `next_decision` or `leader_lambda_odd` call for that call alone. No memo
 is kept at module level.
@@ -478,14 +479,21 @@ def _memo_args(cache: dict, k: int) -> tuple[int, ...]:
     k; then, for the lgamma table (lgamma(y + 1) at entry y, reserved at
     _LGAMMA_CAP entries) and the log table (log(n + 1) at entry n,
     reserved at _LOG_CAP entries), its address, its length and the address
-    of its filled length, a one-entry int64 array. The kernel fills both."""
-    args = [_weight_cells(cache, k).ctypes.data]
-    for name, cap in (("lgamma", _LGAMMA_CAP), ("log", _LOG_CAP)):
-        if name not in cache:
-            cache[name] = (_reserved(cap), np.zeros(1, dtype=np.int64))
-        table, filled = cache[name]
-        args += [table.ctypes.data, len(table), filled.ctypes.data]
-    return tuple(args)
+    of its filled length, a one-entry int64 array. The kernel fills both.
+    None of these buffers ever moves, so the tuple is kept in the memo
+    under ("args", k) and each address is read once; the entry also holds
+    the buffers, so its addresses stay valid if a caller drops them."""
+    entry = cache.get(("args", k))
+    if entry is None:
+        cells = _weight_cells(cache, k)
+        args = [cells.ctypes.data]
+        for name, cap in (("lgamma", _LGAMMA_CAP), ("log", _LOG_CAP)):
+            if name not in cache:
+                cache[name] = (_reserved(cap), np.zeros(1, dtype=np.int64))
+            table, filled = cache[name]
+            args += [table.ctypes.data, len(table), filled.ctypes.data]
+        entry = cache[("args", k)] = (tuple(args), cells, cache["lgamma"], cache["log"])
+    return entry[0]
 
 
 def _trace_records(rows: np.ndarray, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:

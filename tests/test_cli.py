@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,13 @@ import pytest
 import oddball
 from oddball.cli import main
 from oddball.dissimilarity import MATRIX_HEADER, FiringRateTable, pairwise_dstar
-from oddball.experiments import REPORT_HEADER, ExperimentSpec, drift_experiment, run_experiment
+from oddball.experiments import (
+    REPORT_HEADER,
+    ExperimentSpec,
+    drift_experiment,
+    error_upper_confidence,
+    run_experiment,
+)
 from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import (
     CURVE_HEADER,
@@ -477,17 +484,48 @@ class TestGoldenReports:
         assert out == (GOLDEN / "index_matrix.csv").read_text(encoding="utf-8")
 
 
+# Runs a simulate spec whose rows have errors > 0 (so error_ci_hi comes off
+# its closed form) and analyze (an anova p-value), then lists what loaded.
+COMMANDS_PROBE = """
+import csv, json, os, sys
+from oddball.cli import main
+work, golden = sys.argv[1:]
+spec = os.path.join(work, "spec.json")
+with open(spec, "w") as fh:
+    json.dump(dict(k=3, odd_index=2, r1=1.3, r2=1.0, l_grid=[1.0, 1.2], trials=40, seed=31), fh)
+report = os.path.join(work, "report.csv")
+assert main(["simulate", "--spec", spec, "--out", report]) == 0
+with open(report) as fh:
+    assert all(int(row["errors"]) > 0 for row in csv.DictReader(fh))
+assert main(["analyze", "--rates", os.path.join(golden, "index_rates.csv"), "--delays",
+             os.path.join(golden, "analyze_delays.csv"), "--k", "4",
+             "--out", os.path.join(work, "analyze.json")]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))))
+"""
+
+
 class TestImportCost:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        """`scipy.stats` takes most of a second to import; no command needs it."""
+    def test_commands_load_no_scipy_and_no_pool(self, tmp_path):
+        """scipy.special alone took ~270 ms of a CLI call's start-up and
+        multiprocessing ~10 ms; no command run at one worker needs either."""
         src = str(Path(oddball.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = "import sys, oddball.cli; print('scipy.stats' in sys.modules)"
         proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", COMMANDS_PROBE, str(tmp_path), str(GOLDEN)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.parametrize("trials, limit_s", [(10**4, 1e-3), (10**6, 50e-3)])
+    def test_error_bound_is_fast(self, trials, limit_s):
+        """The Clopper-Pearson bound is pure Python, summed term by term;
+        the longest sums are at half the trials."""
+        for errors in (1, trials // 100, trials // 2, trials - 2):
+            best = min(
+                timeit.repeat(lambda: error_upper_confidence(errors, trials), number=1, repeat=5)
+            )
+            assert best <= limit_s, (errors, trials, best)
 
     def test_cli_import_builds_no_kernel(self):
         """The compiled trial kernel is built and loaded by the first

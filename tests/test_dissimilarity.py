@@ -5,6 +5,7 @@ import io
 import math
 import multiprocessing
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -23,7 +24,7 @@ from oddball.dissimilarity import (
     parse_delays_csv,
     synthesize_search_dataset,
 )
-from oddball.numerics import DomainError
+from oddball.numerics import DomainError, _f_upper_tail
 from oddball.solver import OddConfig, brute_force_d_star, d_star
 
 LOG_AM_GM_1_4 = 0.223143551314209755766  # log(2.5 / 2)
@@ -275,6 +276,12 @@ class TestAnovaF:
             assert f_stat == math.inf
             assert p == 0.0
 
+    def test_f_at_the_ends_of_its_range(self):
+        # Equal means with spread give F = 0; a within-group variance of
+        # ~1e-300 makes F overflow to inf.
+        assert anova_f([[1.0, 3.0], [1.0, 3.0]]) == (0.0, 1.0)
+        assert anova_f([[0.0, 1e-150], [1e5, 1e5]]) == (math.inf, 0.0)
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -286,6 +293,48 @@ class TestAnovaF:
             f_got, p_got = anova_f(groups)
             assert f_got == pytest.approx(float(f_ref), rel=1e-8)
             assert p_got == pytest.approx(float(p_ref), rel=1e-8, abs=1e-12)
+
+    # Degrees of freedom of the tail tests, between and within groups.
+    DF1 = (1, 2, 3, 7, 30, 333, 10**4)
+    DF2 = (2, 3, 9, 50, 1001, 10**4)
+
+    @staticmethod
+    def _f_at(p, d1, d2):
+        """The F statistic whose upper tail is p, by bisection on log F."""
+        lo, hi = -745.0, 745.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _f_upper_tail(math.exp(mid), d1, d2) > p else (lo, mid)
+        return math.exp(0.5 * (lo + hi))
+
+    def test_p_value_matches_f_sf(self):
+        """anova_f's p-value is `_f_upper_tail` of its F statistic, the
+        F(d1, d2) upper tail from near 1 down to 1e-100."""
+        f_stat, p_value = anova_f([[1.0, 2.0], [1.5, 2.5], [3.0, 3.5, 4.0]])
+        assert p_value == _f_upper_tail(f_stat, 2, 4)
+        for d1 in self.DF1:
+            for d2 in self.DF2:
+                for p in (1 - 1e-9, 0.999, 0.5, 1e-3, 1e-20, 1e-100):
+                    f = self._f_at(p, d1, d2)
+                    got = _f_upper_tail(f, d1, d2)
+                    assert got == pytest.approx(p, rel=1e-6)
+                    want = float(scipy_stats.f.sf(f, d1, d2))
+                    assert got == pytest.approx(want, rel=1e-11, abs=0), (d1, d2, p)
+
+    def test_p_value_near_1e_300(self):
+        """Against a 50-digit incomplete beta: scipy's f.sf is itself 9% off
+        at d1 = 30, d2 = 50 here and returns 0 at d1 = 30, d2 = 10^4, where
+        the tail at this F is 2e-290."""
+        with mpmath.workdps(50):
+            for d1 in self.DF1:
+                for d2 in self.DF2:
+                    f = self._f_at(1e-300, d1, d2)
+                    got = _f_upper_tail(f, d1, d2)
+                    assert got == pytest.approx(1e-300, rel=1e-6)
+                    x = d2 / (d2 + d1 * mpmath.mpf(f))
+                    want = mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
+                                          regularized=True)
+                    assert abs(got - want) <= 1e-11 * want, (d1, d2)
 
     def test_separation_increases_f(self):
         base = [[0.9, 1.1], [0.95, 1.05]]

@@ -6,9 +6,10 @@ import math
 import multiprocessing
 import os
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 import oddball.experiments as experiments
 from oddball.experiments import (
@@ -130,6 +131,44 @@ class TestExperimentSpec:
                 ExperimentSpec.from_json(text)
 
 
+def _binomial_root(errors: int, trials: int, start: float):
+    """The p with P[Binomial(trials, p) <= errors] = 0.05, to 50 digits:
+    Newton's method from `start` on the tail summed term by term, each
+    term exact to the working precision."""
+    e, n = errors, trials
+    with mpmath.workdps(50):
+        p = mpmath.mpf(start)
+        for _ in range(30):
+            q = 1 - p
+            t = first = mpmath.exp(
+                mpmath.loggamma(n + 1) - mpmath.loggamma(e + 1) - mpmath.loggamma(n - e + 1)
+                + e * mpmath.log(p) + (n - e) * mpmath.log(q)
+            )
+            total, k = t, e
+            while k > 0:
+                ratio = k * q / ((n - k + 1) * p)
+                t *= ratio
+                k -= 1
+                total += t
+                if ratio < 1 and t < total * mpmath.mpf(10) ** -55:
+                    break
+            step = (total - mpmath.mpf("0.05")) / (-(n - e) / q * first)
+            p -= step
+            if abs(step) < p * mpmath.mpf(10) ** -40:
+                return p
+    raise AssertionError(f"no root for {errors} in {trials}")
+
+
+# Every error count below trials at small trials; at large ones both ends,
+# the middle and points between, where either tail of the sum is the long one.
+BOUND_CASES = [(e, n) for n in (1, 2, 7, 50) for e in range(n)] + [
+    (e, n)
+    for n in (333, 959, 10**4, 10**6)
+    for e in sorted({0, 1, 2, 3, n // 100, n // 2 - 1, n // 2, n // 2 + 1, n - n // 10,
+                     n - 3, n - 2, n - 1})
+]
+
+
 class TestErrorUpperConfidence:
     def test_all_errors_gives_one(self):
         assert error_upper_confidence(10, 10) == 1.0
@@ -140,15 +179,27 @@ class TestErrorUpperConfidence:
         assert abs(got - (1.0 - 0.05 ** (1 / 100))) < 1e-12
 
     def test_monotone_in_errors(self):
-        # The bound rises with the error count, and below trials it is the
-        # Beta(errors + 1, trials - errors) quantile at 0.95, bit for bit
-        # what scipy.stats.beta.ppf returns.
         for trials in (1, 2, 7, 50, 333):
             vals = [error_upper_confidence(x, trials) for x in range(trials + 1)]
             for a, b in zip(vals, vals[1:]):
                 assert b > a
-            for x, v in enumerate(vals[:-1]):
-                assert v == float(beta.ppf(0.95, x + 1, trials - x))
+
+    def test_matches_50_digit_root(self):
+        # Below trials the bound is the root of P[Binomial(trials, p) <= errors] = 0.05.
+        for errors, trials in BOUND_CASES:
+            got = error_upper_confidence(errors, trials)
+            root = _binomial_root(errors, trials, got)
+            assert abs(got - root) <= 1e-13 * root, (errors, trials)
+
+    def test_matches_scipy(self):
+        # The Beta(errors + 1, trials - errors) quantile at 0.95. scipy's own
+        # betaincinv is off the 50-digit root by 8.7e-13 at 2 errors in 10^5
+        # and 6.3e-12 at 2 in 10^6, so the comparison stops at 10^4 trials.
+        for errors, trials in BOUND_CASES:
+            if trials <= 10**4:
+                got = error_upper_confidence(errors, trials)
+                want = float(betaincinv(errors + 1, trials - errors, 0.95))
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (errors, trials)
 
     def test_dominates_point_estimate(self):
         for x, n in [(0, 10), (3, 40), (17, 20)]:
@@ -191,8 +242,8 @@ class TestRunExperiment:
         for row in report.rows:
             assert row.error_ci_hi == error_upper_confidence(row.errors, row.trials)
             if row.errors < row.trials:
-                quantile = beta.ppf(0.95, row.errors + 1, row.trials - row.errors)
-                assert row.error_ci_hi == float(quantile)
+                quantile = betaincinv(row.errors + 1, row.trials - row.errors, 0.95)
+                assert row.error_ci_hi == pytest.approx(float(quantile), rel=1e-13, abs=0)
 
     def test_csv_shape(self):
         report = run_experiment(ExperimentSpec(**SPEC_KWARGS))

@@ -282,6 +282,19 @@ def test_log_table_is_bitwise(kernel):
     assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
 
 
+def test_memo_holds_the_buffers_of_its_addresses(kernel):
+    # The kernel's addresses are read once per memo and K. A caller that
+    # drops a buffer from its memo leaves them valid and the outcome alike.
+    config, truth = PolicyConfig(k=5, threshold_l=1e3), OddConfig(5, 3, 10.0, 1.0)
+    memo = {}
+    first = policy.run_trial(config, truth, np.random.default_rng(4), cache=memo)
+    args = policy._memo_args(memo, 5)
+    assert policy._memo_args(memo, 5) is args
+    for name in (5, "lgamma", "log"):
+        del memo[name]
+    assert policy.run_trial(config, truth, np.random.default_rng(4), cache=memo) == first
+
+
 def _pcg64_state(gen: np.ndarray) -> dict:
     """numpy's PCG64.state of a kernel generator array."""
     g = gen.tolist()
