@@ -12,17 +12,20 @@
    fused multiply-add rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
    lgamma is a port of CPython's own (oddball_lgamma). lgamma(y + 1) and
-   log(n + 1) are kept in two tables the memo owns. The scores are updated
-   incrementally: a slot changes only the observed process's own terms of
-   glr._scores, so those are cached per process and each slot recomputes
-   only the pooled-others terms, every sum in glr._scores' order. Event
-   totals stay below 2^53, where int64 tallies and float64 trace rows are
-   exact: a trial that would pass it is declined, and Python reruns it.
-   Shared constants come from Python in `par`; the P_, S_, T_ and G_ enums
-   below are layouts policy.py mirrors. */
+   log(n + 1) are kept in two tables that each oddball_block call fills
+   lazily, up to par[P_TABLE_CAP] entries, and frees; the caller's memo
+   holds only weight cells. The scores are updated incrementally: a slot
+   changes only the observed process's own terms of glr._scores, so those
+   are cached per process and each slot recomputes only the pooled-others
+   terms, every sum in glr._scores' order. Event totals stay below 2^53,
+   where int64 tallies and float64 trace rows are exact: a trial that
+   would pass it is declined, and Python reruns it. Shared constants come
+   from Python in `par`; the P_, S_, T_ and G_ enums below are layouts
+   policy.py mirrors. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/random/distributions.h"
@@ -33,10 +36,12 @@ enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_LOOKUPS, S_MISSES, S_HEAD 
 /* Columns of a trace row, one row per slot. */
 enum { T_ACTION, T_COUNT, T_LEADER, T_Z_LEADER, T_WIDTH };
 
-/* Slots of `par`: policy._QUANT, _MEMO_CELLS and DEGENERATE_ESTIMATE_GAP,
-   solver NEAR_DEGENERATE_NU, DEFAULT_TOL and _MIN_BRACKET, numerics
-   _SERIES_RADIUS, then the count and values of _LOG1P_TAIL_COEFFS. */
-enum { P_QUANT, P_CELLS, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS, P_COEFFS };
+/* Slots of `par`: policy._QUANT, _MEMO_CELLS, _TABLE_CAP and
+   DEGENERATE_ESTIMATE_GAP, solver NEAR_DEGENERATE_NU, DEFAULT_TOL and
+   _MIN_BRACKET, numerics _SERIES_RADIUS, then the count and values of
+   _LOG1P_TAIL_COEFFS. */
+enum { P_QUANT, P_CELLS, P_TABLE_CAP, P_GAP, P_NEAR_NU, P_TOL, P_BRACKET, P_RADIUS, P_NCOEFFS,
+       P_COEFFS };
 
 /* Slots of a generator array: numpy's PCG64.state, each 128-bit value
    as its high word, then its low word (the order get128 reads). */
@@ -214,14 +219,30 @@ double oddball_lam_odd(int64_t k, int64_t q, const double *par) {
     return lam_odd_at(q, (double)(k - 2) / (double)(k - 1), par);
 }
 
-/* lgamma(y + 1): entry y of the memo's table `lg` of nlg entries, or computed past it. */
-static double lgamma_at(int64_t y, const double *lg, int64_t nlg) {
-    return y < nlg ? lg[y] : oddball_lgamma(y);
-}
+/* log(n + 1), the table entry of a visit count n. */
+static double log_plus_one(int64_t n) { return log((double)(n + 1)); }
 
-/* log(n + 1): entry n of the memo's table `lt` of nlt entries, or computed past it. */
-static double log_at(int64_t n, const double *lt, int64_t nlt) {
-    return n < nlt ? lt[n] : log((double)(n + 1));
+/* A table of fill(i) for i < len, in a buffer of size entries that
+   grows by doubling up to cap. Past cap, or when realloc fails, an
+   entry is computed and not stored. */
+typedef struct {
+    double *values;
+    int64_t len, size, cap;
+    double (*fill)(int64_t);
+} table_t;
+
+static double table_at(table_t *t, int64_t i) {
+    if (i < t->len) return t->values[i];
+    if (i >= t->cap) return t->fill(i);
+    if (i >= t->size) {
+        int64_t size = t->size ? t->size : 64;
+        while (size <= i) size *= 2;
+        if (size > t->cap) size = t->cap;
+        double *values = realloc(t->values, sizeof(*values) * size);
+        if (values) t->values = values, t->size = size;
+    }
+    for (; t->len <= i && t->len < t->size; t->len++) t->values[t->len] = t->fill(t->len);
+    return i < t->len ? t->values[i] : t->fill(i);
 }
 
 /* Run one trial until it stops or reaches max_slots, or decline it (slot
@@ -229,15 +250,13 @@ static double log_at(int64_t n, const double *lt, int64_t nlt) {
    to `st`, the scores of its last slot to z[0..k), and z[k..3k) is
    scratch. The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q /
    quant)), cell q % par[P_CELLS] the last q that mapped to it, key 0.0
-   when empty; lg[y] = lgamma(y + 1) is filled for y < lg_filled[0], here
-   up to the event total or nlg; lt[n] = log(n + 1) likewise for n, up to
-   the slot count or nlt. Snapshot c of the sorted slots `cps` goes to
+   when empty. lg holds lgamma(y + 1) for event totals y and lt log(n + 1)
+   for slot counts n. Snapshot c of the sorted slots `cps` goes to
    snap_i[c * (2 + 2k)] (leader, total, visits, events) and snap_z[c * k];
    slot m's T_ row to trace[(m - 1) * T_WIDTH] while m <= nrows. */
 static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
                          double log_threshold, const double *rates, int64_t *st, double *z,
-                         double *weights, double *lg, int64_t nlg, int64_t *lg_filled, double *lt,
-                         int64_t nlt, int64_t *lt_filled, const int64_t *cps, int64_t ncp,
+                         double *weights, table_t *lg, table_t *lt, const int64_t *cps, int64_t ncp,
                          int64_t *snap_i, double *snap_z, double *trace, int64_t nrows,
                          const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
@@ -248,7 +267,6 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
     double *own_avg = z + k, *own_ml = z + 2 * k;
     memset(own_avg, 0, sizeof(*z) * 2 * k);
     int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0;
-    int64_t ngamma = *lg_filled, nlog = *lt_filled;
     double rho = (double)(k - 2) / (double)(k - 1);
     while (m < max_slots) {
         int64_t x = random_poisson(bg, rates[action - 1]);
@@ -260,10 +278,8 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
         visits[action - 1]++;
         events[action - 1] += x;
         total += x;
-        for (; ngamma <= total && ngamma < nlg; ngamma++) lg[ngamma] = oddball_lgamma(ngamma);
-        for (; nlog <= m && nlog < nlt; nlog++) lt[nlog] = log((double)(nlog + 1));
         int64_t ya = events[action - 1], na = visits[action - 1];
-        own_avg[action - 1] = lgamma_at(ya, lg, nlg) - (double)(ya + 1) * log_at(na, lt, nlt);
+        own_avg[action - 1] = table_at(lg, ya) - (double)(ya + 1) * table_at(lt, na);
         own_ml[action - 1] = ya > 0 ? 0.0 + (double)ya * (log((double)ya / (double)na) - 1.0) : 0.0;
 
         /* Scores: z = avg - max_{j != i} ml_j via the top two of ml, with
@@ -273,7 +289,7 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
         int64_t a1 = -1;
         for (int64_t i = 0; i < k; i++) {
             int64_t yo = total - events[i], no = m - visits[i];
-            z[i] = own_avg[i] + lgamma_at(yo, lg, nlg) - (double)(yo + 1) * log_at(no, lt, nlt);
+            z[i] = own_avg[i] + table_at(lg, yo) - (double)(yo + 1) * table_at(lt, no);
             double t = own_ml[i];
             if (yo > 0) t += (double)yo * (log((double)yo / (double)no) - 1.0);
             if (t > m1) {
@@ -355,8 +371,6 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
     st[S_ACTION] = action;
     st[S_LEADER] = leader;
     st[S_TOTAL] = total;
-    *lg_filled = ngamma;
-    *lt_filled = nlog;
 }
 
 /* Run trials 0..n-1 as oddball_trial does: trial i on the bit generator
@@ -366,21 +380,23 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
    leader and capped flag go to out[i], out[n + i] and out[2n + i], its ncp
    snapshots to snap_i + i * ncp * (2 + 2k) and snap_z + i * ncp * k, its
    trace rows after trial i - 1's, up to nrows in all. The weight lookups
-   and memo misses of all n trials go to out[3n] and out[3n + 1]. */
+   and memo misses of all n trials go to out[3n] and out[3n + 1]. The
+   call's lgamma and log tables are freed before it returns. */
 void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_t *caller,
                    uint64_t *words, int64_t nprefix, int64_t k, int64_t max_slots,
                    int64_t stopping, double log_threshold, const double *rates, int64_t *st,
-                   double *z, double *weights, double *lg, int64_t nlg, int64_t *lg_filled,
-                   double *lt, int64_t nlt, int64_t *lt_filled, const int64_t *cps,
-                   int64_t *snap_i, double *snap_z, const double *par, int64_t *out) {
+                   double *z, double *weights, const int64_t *cps, int64_t *snap_i,
+                   double *snap_z, const double *par, int64_t *out) {
     bitgen_t seeded = {words, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+    table_t lg = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], oddball_lgamma};
+    table_t lt = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], log_plus_one};
     bitgen_t *bg = caller ? caller : &seeded;
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
         if (!caller) pcg_seed(words, words + G_SIZE, nprefix, words[G_SIZE + nprefix + i]);
-        oddball_trial(bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, lg, nlg,
-                      lg_filled, lt, nlt, lt_filled, cps, ncp, snap_i + i * ncp * (2 + 2 * k),
-                      snap_z + i * ncp * k, trace, nrows, par);
+        oddball_trial(bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, &lg, &lt,
+                      cps, ncp, snap_i + i * ncp * (2 + 2 * k), snap_z + i * ncp * k, trace,
+                      nrows, par);
         out[i] = st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];
@@ -389,4 +405,6 @@ void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_
         int64_t rows = st[S_M] < nrows ? st[S_M] : nrows;
         if (trace) trace += rows * T_WIDTH, nrows -= rows;
     }
+    free(lg.values);
+    free(lt.values);
 }

@@ -33,7 +33,7 @@ _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # Arguments y at which the kernel's lgamma(y + 1) must equal math.lgamma's:
-# both branches of the Lanczos sum, table sizes and a total near 2^53.
+# both branches of the Lanczos sum, the table cap and a total near 2^53.
 _LGAMMA_PROBES = (0, 1, 2, 3, 4, 10, 1023, 1 << 21, 10**12 + 7, (1 << 53) - 2)
 
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
@@ -90,7 +90,7 @@ def _open(path: str, key: str):
     lib.oddball_lam_odd.restype = ctypes.c_double
     lib.oddball_block.argtypes = [
         i64, i64, ptr, i64, ptr, ptr, i64, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr,
-        i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+        ptr, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
     lib.oddball_lgamma.argtypes = [i64]

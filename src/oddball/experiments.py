@@ -24,11 +24,11 @@ drift seeds, run as one call that seeds each PCG64 in C exactly as that
 Both studies run their trials in blocks, each with one policy memo that
 lives as long as the block: a serial run is one block, a run over N
 workers has N interleaved blocks, one per worker. The memo holds a small
-direct-mapped weight cache per K and the lgamma and log tables the
-compiled kernel fills (see `oddball.policy`); it only saves work, and the
-values it serves do not depend on which trials filled it. Every trial,
-traced or not, runs in C when the compiled kernel is available and on
-the Python loop when it is not; the bytes are the same either way.
+direct-mapped weight cache per K and nothing else (see `oddball.policy`);
+it only saves work, and the values it serves do not depend on which
+trials filled it. Every trial, traced or not, runs in C when the
+compiled kernel is available and on the Python loop when it is not; the
+bytes are the same either way.
 """
 
 from __future__ import annotations

@@ -20,8 +20,15 @@ D is evaluated in a cancellation-free form. Writing u = (y - x) / x,
 and u - log1p(u) is computed by its power series for small u. The naive
 three-term formula loses almost all significant digits when x is close to
 y (absolute error ~ eps * x against a true value ~ (y - x)^2 / (2x)),
-which would poison stationarity residuals downstream; the series form is
-accurate to a few ulp everywhere.
+which would poison stationarity residuals downstream. Where y >= x / 2
+the form is within 5e-15 relative of the exact value: a few ulp inside
+the series radius, more just outside it (see `_u_minus_log1p`). Where
+y < x / 2 it is not: the rounding of u, up to ~1e-16 absolute, is
+magnified by x / y in 1 + u = y / x, so the relative error grows like
+1e-16 (x / y) / log(x / y), and poisson_kl(1, 1e-12) is 8.3e-7 off.
+`_bd0` takes log(x / y) directly there, for the distribution tails that
+need those digits. `poisson_kl` keeps the u form because the compiled
+trial kernel repeats it bit for bit; changing it could move weights.
 """
 
 from __future__ import annotations
@@ -149,7 +156,10 @@ def poisson_kl(x: float, y: float) -> float:
         y: strictly positive mean of the reference distribution.
 
     Returns:
-        D(x || y) >= 0, zero iff x == y. D(0 || y) = y exactly.
+        D(x || y) >= 0, zero iff x == y. D(0 || y) = y exactly. Within
+        5e-15 relative of the exact value where y >= x / 2; where
+        y < x / 2 the error grows like 1e-16 (x / y) / log(x / y), see
+        the module docstring and `_bd0`.
 
     Raises:
         DomainError: if x < 0 or y <= 0.

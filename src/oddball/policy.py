@@ -27,15 +27,14 @@ at grid point q is lambda*(K, q / 1e6), always computed at the rounded
 nu, never the first-seen one, so every value the memo serves is a pure
 function of (K, q): sharing a memo between trials changes how often the
 solver runs, never a result. The memo is a dict the caller owns and
-passes as `cache`: under key K a direct-mapped cache of _MEMO_CELLS
-(q, weight) cells, cell q % _MEMO_CELLS holding the last q that mapped to
-it (key 0.0 when empty); under "lgamma" the table of lgamma(y + 1) and
-under "log" the table of log(n + 1), which the compiled kernel fills and
-reads, and which stop at _LGAMMA_CAP and _LOG_CAP entries (16 MiB each);
-under ("args", K) the addresses the kernel takes for these, read once.
-Without one, each `run_trial` keeps its own for the trial and each
-`next_decision` or `leader_lambda_odd` call for that call alone. No memo
-is kept at module level.
+passes as `cache`: under key K, and only there, a direct-mapped cache of
+_MEMO_CELLS (q, weight) cells, cell q % _MEMO_CELLS holding the last q
+that mapped to it (key 0.0 when empty). Without one, each `run_trial`
+keeps its own for the trial and each `next_decision` or
+`leader_lambda_odd` call for that call alone. No memo is kept at module
+level. The compiled kernel's tables of lgamma(y + 1) and log(n + 1) are
+its own: each kernel call fills them as it needs them, up to _TABLE_CAP
+entries, and frees them.
 
 Every trial on a numpy `Generator`, traced or not, runs on the compiled
 kernel (`_kernel.c`, see README, "Trial kernel"), which repeats the
@@ -52,7 +51,6 @@ doubles.
 from __future__ import annotations
 
 import math
-import mmap
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -111,10 +109,9 @@ _MEMO_CELLS = 1 << 14
 # Generator.poisson refuses, and a draw could overflow an int64.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# Entries of the memo's lgamma and log tables (16 MiB each). Past them the
-# compiled kernel computes lgamma(y + 1) and log(n + 1) without storing them.
-_LGAMMA_CAP = 1 << 21
-_LOG_CAP = 1 << 21
+# Entries of each of the compiled kernel's lgamma and log tables (16 MiB
+# each). Past them it computes lgamma(y + 1) and log(n + 1) without storing them.
+_TABLE_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -224,18 +221,6 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     if cache is not None:
         cells[at], cells[at + 1] = q, lam_odd
     return lam_odd
-
-
-def _reserved(n: int) -> np.ndarray:
-    """n float64 zeros in an anonymous mmap advised against huge pages, so
-    only the pages written cost memory: the backing of the memo's lgamma
-    and log tables, filled up to a trial's event total and slot count.
-    Not np.zeros, which advises huge pages from 4 MiB on: a table written
-    at its first few hundred entries would then hold a whole 2 MiB page."""
-    buf = mmap.mmap(-1, 8 * n)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64)
 
 
 def _weight_cells(cache: dict, k: int) -> np.ndarray:
@@ -468,32 +453,10 @@ _T_ACTION, _T_COUNT, _T_LEADER, _T_Z_LEADER, _T_WIDTH = range(5)
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
-    [_QUANT, _MEMO_CELLS, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET,
-     _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
+    [_QUANT, _MEMO_CELLS, _TABLE_CAP, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL,
+     _MIN_BRACKET, _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
 )
 _KERNEL_PARAMS.flags.writeable = False
-
-
-def _memo_args(cache: dict, k: int) -> tuple[int, ...]:
-    """The memo as the kernel takes it: the address of the weight cells of
-    k; then, for the lgamma table (lgamma(y + 1) at entry y, reserved at
-    _LGAMMA_CAP entries) and the log table (log(n + 1) at entry n,
-    reserved at _LOG_CAP entries), its address, its length and the address
-    of its filled length, a one-entry int64 array. The kernel fills both.
-    None of these buffers ever moves, so the tuple is kept in the memo
-    under ("args", k) and each address is read once; the entry also holds
-    the buffers, so its addresses stay valid if a caller drops them."""
-    entry = cache.get(("args", k))
-    if entry is None:
-        cells = _weight_cells(cache, k)
-        args = [cells.ctypes.data]
-        for name, cap in (("lgamma", _LGAMMA_CAP), ("log", _LOG_CAP)):
-            if name not in cache:
-                cache[name] = (_reserved(cap), np.zeros(1, dtype=np.int64))
-            table, filled = cache[name]
-            args += [table.ctypes.data, len(table), filled.ctypes.data]
-        entry = cache[("args", k)] = (tuple(args), cells, cache["lgamma"], cache["log"])
-    return entry[0]
 
 
 def _trace_records(rows: np.ndarray, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:
@@ -547,8 +510,8 @@ def _compiled(
         None if bitgen is None else _native.bitgen_address(bitgen),
         None if words is None else words.ctypes.data, len(prefix), k, config.max_slots,
         config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
-        *_memo_args(cache, k), ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at, rp + 32 * k,
-        _KERNEL_PARAMS.ctypes.data, ip + 8 * out_at,
+        _weight_cells(cache, k).ctypes.data, ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at,
+        rp + 32 * k, _KERNEL_PARAMS.ctypes.data, ip + 8 * out_at,
     )
 
     def run(count: int, snaps: int, rows: np.ndarray | None) -> list[int]:  # rows: the trace

@@ -248,7 +248,8 @@ def poisson_kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     where y / x overflows or underflows. Inside the series radius the two
     agree to a few ulp; outside it numpy's log1p may differ from
     math.log1p in the last bit, which the direct form's cancellation
-    amplifies up to its ~5e-15 relative bound.
+    amplifies up to its ~5e-15 relative bound. Both share `poisson_kl`'s
+    loss of accuracy where y < x / 2.
 
     Arguments are not validated; callers pass rates that passed
     `OddConfig` or `FiringRateTable` checks.

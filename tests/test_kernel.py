@@ -3,7 +3,7 @@
 `policy._python_trial` is the reference and `policy._compiled`, the
 wrapper of the kernel's one entry, the kernel; both are called directly
 or through `run_trial`, so no public switch picks between them.
-Outcomes, traces, generator states and memo tables must agree exactly,
+Outcomes, traces, generator states and memo cells must agree exactly,
 floats compared with ==. Without a caller's generator `_compiled` seeds
 each trial's generator in C; its generators are checked against numpy's
 `PCG64` and `default_rng`, its trials against the Python loop. The build
@@ -13,6 +13,7 @@ and fallback tests run the loader against a temporary cache directory.
 import ctypes
 import dataclasses
 import itertools
+import json
 import math
 import os
 import re
@@ -59,7 +60,7 @@ CONFIGS = {
     ),
     # K=50: most selections fall back to uniform sampling.
     "wide": ([PolicyConfig(k=50, threshold_l=1e3)], OddConfig(50, 2, 4.0, 1.0), range(6), ()),
-    # The drift workload: non-stopping, checkpoints, a growing lgamma table.
+    # The drift workload: non-stopping, checkpoints, growing lgamma and log tables.
     "drift": (
         [PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=20_000)],
         OddConfig(3, 1, 1.0, 2.0),
@@ -137,10 +138,11 @@ def test_kernels_agree_exactly(name, traced, kernel, monkeypatch):
     if name == "low-rate":
         assert ties > 0
     if name == "drift":
-        # The kernel filled the lgamma table up to the trials' event total,
-        # and the log table up to their slot count.
-        assert memo_c["lgamma"][1][0] == max(ref.total for ref in refs) + 1 > 1024
-        assert memo_c["log"][1][0] == max(ref.tau for ref in refs) + 1 > 1024
+        # The trials' event totals and slot counts take the kernel's lgamma
+        # and log tables through several doublings; the traced run compares
+        # every slot's score, and so every log(n + 1) the log table serves,
+        # bitwise.
+        assert min(ref.total for ref in refs) > 1024 and min(ref.tau for ref in refs) > 1024
         assert len(refs[-1].snapshots) == len(checkpoints)
 
 
@@ -206,93 +208,105 @@ def _python_trial_calls(monkeypatch):
     return calls
 
 
-def _agree_past_cap(name, kernel, monkeypatch):
-    """`_agree` on the drift config or a high-rate stopping one, whose
-    trials all pass 1024 slots and 1024 events; returns the kernel memo
-    and the Python outcomes. No trial may be declined."""
-    calls = _python_trial_calls(monkeypatch)
+def _shrink_table_cap(monkeypatch, cap):
+    """Cap the kernel's lgamma and log tables at `cap` entries."""
+    params = policy._KERNEL_PARAMS.copy()
+    params[_c_enum("P_QUANT").index("P_TABLE_CAP")] = cap
+    monkeypatch.setattr(policy, "_KERNEL_PARAMS", params)
+
+
+# Table caps: 0 is the compute-only path a failed realloc also takes, 1
+# stores one entry, 1024 grows by doubling and then computes past it.
+TABLE_CAPS = [0, 1, 1024]
+
+
+def _past_cap_case(name):
+    """The drift config, or a high-rate stopping one: configs, truth,
+    seeds and checkpoints of trials that all pass 1024 slots and events."""
     if name == "drift":
-        configs, truth, seeds, checkpoints = CONFIGS["drift"]
-    else:
-        configs = [PolicyConfig(k=3, threshold_l=l) for l in (10.0, 1e3)]
-        truth, seeds, checkpoints = OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
-    memo_py, memo_c, refs, _, _ = _agree(configs, truth, seeds, checkpoints)
-    assert len(calls) == len(refs)  # the references only: no trial was declined
-    assert min(ref.total for ref in refs) > 1024 and min(ref.tau for ref in refs) > 1024
+        return CONFIGS["drift"]
+    configs = [PolicyConfig(k=3, threshold_l=l) for l in (10.0, 1e3)]
+    return configs, OddConfig(3, 2, 200.0, 185.0), range(5), (1, 3, 8)
+
+
+@pytest.fixture(scope="module")
+def past_cap_refs():
+    """name: the Python loop's (outcome, generator state) for each trial of
+    `_past_cap_case(name)`, in order over one memo, and that memo; run once
+    for every cap."""
+    refs = {}
+    for name in ("drift", "high-rate"):
+        configs, truth, seeds, checkpoints = _past_cap_case(name)
+        memo, outs = {}, []
+        for config in configs:
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                out = policy._python_trial(config, truth, rng, False, frozenset(checkpoints), memo)
+                outs.append((out, rng.bit_generator.state))
+        refs[name] = outs, memo
+    return refs
+
+
+@pytest.mark.parametrize("cap", TABLE_CAPS)
+@pytest.mark.parametrize("name", ["drift", "high-rate"])
+def test_agree_past_table_cap(name, cap, kernel, monkeypatch, past_cap_refs):
+    # With the tables capped, trials whose event totals and slot counts
+    # pass the cap stay on the kernel, which computes lgamma(y + 1) and
+    # log(n + 1) past the tables, in the scores of every process; the
+    # drift trial passes a cap of 1024 between its checkpoints. Outcomes,
+    # generator states and memo cells match the Python loop's.
+    _shrink_table_cap(monkeypatch, cap)
+    calls = _python_trial_calls(monkeypatch)
+    configs, truth, seeds, checkpoints = _past_cap_case(name)
+    refs, memo_py = past_cap_refs[name]
+    memo_c, got = {}, []
+    for config in configs:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            out, _, _ = _kernel_trial(config, truth, rng, frozenset(checkpoints), memo_c)
+            got.append((out, rng.bit_generator.state))
+    assert calls == []  # no trial was declined
+    assert got == refs
+    assert min(o.total for o, _ in refs) > cap and min(o.tau for o, _ in refs) > cap
     assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
-    return memo_c, refs
-
-
-@pytest.mark.parametrize("name", ["drift", "high-rate"])
-def test_agree_past_lgamma_cap(name, kernel, monkeypatch):
-    # With the lgamma table capped at 1024 entries, trials whose event
-    # total passes it stay on the kernel, which computes lgamma past the
-    # table; the drift trial passes the cap between its checkpoints.
-    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
-    memo_c, _ = _agree_past_cap(name, kernel, monkeypatch)
-    assert memo_c["lgamma"][1][0] == 1024
-
-
-@pytest.mark.parametrize("name", ["drift", "high-rate"])
-def test_agree_past_log_cap(name, kernel, monkeypatch):
-    # The same with the log table capped at 1024 entries: past it the
-    # kernel computes log(n + 1) for slot counts n, in the scores of every
-    # process, and stores nothing more.
-    monkeypatch.setattr(policy, "_LOG_CAP", 1024)
-    memo_c, refs = _agree_past_cap(name, kernel, monkeypatch)
-    assert memo_c["log"][1][0] == 1024
-    assert memo_c["lgamma"][1][0] == max(ref.total for ref in refs) + 1
 
 
 def test_lgamma_port_is_bitwise():
     # The kernel's port of CPython's m_lgamma equals math.lgamma(y + 1) on
-    # every y it stores in a full table, past it, and at random y < 2^53.
-    # The library is loaded without the loader's probe, which would turn a
-    # wrong port into a skip.
+    # every y below the table cap (the values its lgamma table stores),
+    # past it, and at random y < 2^53. The library is loaded without the
+    # loader's probe, which would turn a wrong port into a skip. The 2^21
+    # calls on each side take about 1 s.
     try:
         kernel = _native._load()
     except (OSError, subprocess.SubprocessError):
         pytest.skip("the compiled kernel cannot be built on this machine")
-    config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=3)
-    memo = {}
-    policy._compiled(
-        kernel, config, OddConfig(3, 1, 2.0**20, 2.0**20), memo, [0], (), np.random.default_rng(0)
-    )
-    table, filled = memo["lgamma"]
-    cap = policy._LGAMMA_CAP
-    assert filled[0] == len(table) == cap
+    cap = policy._TABLE_CAP
+    got = np.fromiter(map(kernel.oddball_lgamma, range(cap)), np.float64, cap)
     ref = np.fromiter(map(math.lgamma, range(1, cap + 1)), np.float64, cap)
-    assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     rng = np.random.default_rng(13)
     ys = [*range(cap, cap + 4096), *rng.integers(0, 2**53, size=100_000).tolist()]
     assert [y for y in ys if kernel.oddball_lgamma(y) != math.lgamma(y + 1)] == []
 
 
-def test_log_table_is_bitwise(kernel):
-    # A trial longer than the log table fills it whole; entry n is
-    # math.log(n + 1), the value glr._scores takes for a visit count n.
-    cap = policy._LOG_CAP
-    config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=cap + 5)
+def test_memo_holds_only_weight_cells(kernel):
+    # The kernel's tables live and die with its call: after trials on a
+    # caller's generator, seeded blocks and a drift run, the memo's keys
+    # are exactly the K values used, each holding its weight cells.
     memo = {}
-    truth, rng = OddConfig(3, 1, 0.5, 1.0), np.random.default_rng(0)
-    policy._compiled(kernel, config, truth, memo, [0], (), rng)
-    table, filled = memo["log"]
-    assert filled[0] == len(table) == cap
-    ref = np.fromiter(map(math.log, range(1, cap + 1)), np.float64, cap)
-    assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
-
-
-def test_memo_holds_the_buffers_of_its_addresses(kernel):
-    # The kernel's addresses are read once per memo and K. A caller that
-    # drops a buffer from its memo leaves them valid and the outcome alike.
-    config, truth = PolicyConfig(k=5, threshold_l=1e3), OddConfig(5, 3, 10.0, 1.0)
-    memo = {}
-    first = policy.run_trial(config, truth, np.random.default_rng(4), cache=memo)
-    args = policy._memo_args(memo, 5)
-    assert policy._memo_args(memo, 5) is args
-    for name in (5, "lgamma", "log"):
-        del memo[name]
-    assert policy.run_trial(config, truth, np.random.default_rng(4), cache=memo) == first
+    policy.run_trial(
+        PolicyConfig(k=5, threshold_l=1e3), OddConfig(5, 3, 10.0, 1.0), np.random.default_rng(4),
+        collect_trace=True, cache=memo,
+    )
+    policy._seeded_trials(
+        PolicyConfig(k=4, threshold_l=1e2), OddConfig(4, 2, 6.0, 2.0), (1, 0), [0, 1, 2], memo,
+        n_traced=1,
+    )
+    config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=3000)
+    policy._seeded_trials(config, OddConfig(3, 1, 1.0, 2.0), (), [4, 9], memo, (10, 700))
+    assert sorted(memo) == [3, 4, 5]
+    assert all(cells.shape == (2 * policy._MEMO_CELLS,) for cells in memo.values())
 
 
 def _pcg64_state(gen: np.ndarray) -> dict:
@@ -537,13 +551,14 @@ def test_threads_share_a_caller_generator(kernel):
         )
 
 
+@pytest.mark.parametrize("cap", TABLE_CAPS)
 @pytest.mark.parametrize("name", ["past-cap", "poisson-limit"])
-def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
-    # With the lgamma table capped at 1024 entries, high-rate trials whose
-    # event total passes it stay in the block. At numpy's Poisson limit
-    # the first draw would take the total to 2^53, so the kernel declines
-    # every trial and each reruns on the Python loop from its seed.
-    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
+def test_block_agrees_past_lgamma_cap(name, cap, kernel, monkeypatch):
+    # With the tables capped, high-rate trials whose event totals pass the
+    # cap stay in the block. At numpy's Poisson limit the first draw would
+    # take the total to 2^53, so the kernel declines every trial and each
+    # reruns on the Python loop from its seed.
+    _shrink_table_cap(monkeypatch, cap)
     config = PolicyConfig(k=3, threshold_l=1e3)
     r1 = 200.0 if name == "past-cap" else policy._POISSON_LAM_MAX
     truth, trials = OddConfig(3, 2, r1, 185.0), list(range(6))
@@ -560,9 +575,6 @@ def test_block_agrees_past_lgamma_cap(name, kernel, monkeypatch):
     ]
     assert list(zip(got.tau, got.delta, got.capped)) == [(o.tau, o.delta, o.capped) for o in ref]
     assert min(o.total for o in ref) > 1024
-    # Past the cap the table is full; at the limit only slot 1's draws went in.
-    filled = memo_c["lgamma"][1][0]
-    assert filled == 1024 if name == "past-cap" else 0 < filled < 1024
     assert np.array_equal(memo_c[3], memo_py[3])
 
 
@@ -624,13 +636,13 @@ def test_block_bytes_match_fallback_and_workers(
 ):
     # Report, trace and drift bytes are the same from the kernel, from
     # the Python loop (no compiler) and over two workers.
-    monkeypatch.setattr(policy, "_LGAMMA_CAP", 1024)
-    filled = []
+    _shrink_table_cap(monkeypatch, 1024)
+    totals = []
     compiled = policy._compiled
 
     def spy(*args, **kwargs):
         out = compiled(*args, **kwargs)
-        filled.append(int(args[3]["lgamma"][1][0]))  # the memo's filled length
+        totals.append(out[1][2])  # the event total of the call's last trial
         return out
 
     monkeypatch.setattr(policy, "_compiled", spy)
@@ -640,7 +652,7 @@ def test_block_bytes_match_fallback_and_workers(
         spec = ExperimentSpec(**{"trace_sampling": 0.1, **spec})
         run = partial(_experiment_bytes, spec)
     block = run(tmp_path / "block", 1)
-    assert (max(filled) == 1024) == past_cap
+    assert (max(totals) > 1024) == past_cap
     assert run(tmp_path / "workers", 2) == block
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
@@ -667,11 +679,18 @@ def test_rates_past_numpy_poisson_limit(kernel):
         _agree([config], OddConfig(3, 1, limit, 1.0), range(3), (1, 2), traced)
 
 
-def test_lgamma_table_memory_is_bounded(kernel):
-    # A long non-stopping trial at rate 150 reaches an event total near
-    # 6e6; uncapped, its lgamma table alone would take 64 MiB. Its log
-    # table holds 40k entries. The first trial loads the kernel before the
-    # peak RSS is read.
+def _package_env(**extra) -> dict:
+    """This process's environment with this package first on PYTHONPATH, and `extra`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(policy.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _table_probe(runs: int) -> list[tuple[int, float]]:
+    """In a new process, after one short trial that loads the kernel, run
+    `runs` times a non-stopping 40k-slot trial at rate 150, whose event
+    total reaches about 6e6; after each, its event total and how far the
+    peak RSS has grown since the short trial, in MiB."""
     probe = (
         "import resource, numpy as np\n"
         "from oddball.policy import PolicyConfig, run_trial\n"
@@ -680,19 +699,33 @@ def test_lgamma_table_memory_is_bounded(kernel):
         " np.random.default_rng(0))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "config = PolicyConfig(k=3, threshold_l=1.0, variant='non_stopping', max_slots=40_000)\n"
-        "out = run_trial(config, OddConfig(3, 1, 150.0, 150.0), np.random.default_rng(1))\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(out.total, (after - before) / 1024)\n"
+        f"for _ in range({runs}):\n"
+        "    out = run_trial(config, OddConfig(3, 1, 150.0, 150.0), np.random.default_rng(1))\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(out.total, (after - before) / 1024)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(policy.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    total, grown_mib = proc.stdout.split()
-    assert int(total) > 5_000_000
-    assert float(grown_mib) < 32.0, proc.stdout
+    return [(int(total), float(grown)) for total, grown in map(str.split, proc.stdout.splitlines())]
+
+
+def test_lgamma_table_memory_is_bounded(kernel):
+    # Uncapped, the trial's lgamma table alone would take 64 MiB; its log
+    # table holds 40k entries.
+    ((total, grown_mib),) = _table_probe(1)
+    assert total > 5_000_000
+    assert grown_mib < 32.0, grown_mib
+
+
+def test_kernel_frees_its_tables(kernel):
+    # Each kernel call frees its tables, so five such trials in a row grow
+    # the peak RSS by about one capped lgamma table (16 MiB, plus the half
+    # a copying realloc may hold), not five.
+    grown = [grown_mib for _, grown_mib in _table_probe(5)]
+    assert grown[-1] < 28.0, grown
 
 
 def test_weight_solve_is_bitwise(kernel):
@@ -870,11 +903,71 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Run on the kernel built with the flags of JSON argv[2] added, in the
+# cache directory argv[1]: a traced sim-hard level, a traced trial on a
+# caller's generator, a trial at numpy's Poisson limit (which the kernel
+# declines) and a drift run past a table cap shrunk to 100 (argv[3] is
+# its slot of the kernel's parameters). Prints what each returns.
+_KERNEL_RUNS = """
+import json, sys, tempfile
+import numpy as np
+from oddball import _native, policy
+from oddball.experiments import ExperimentSpec, drift_experiment, run_experiment
+from oddball.policy import PolicyConfig, run_trial
+from oddball.solver import OddConfig
+_native._CACHE_DIR, _native._FLAGS = sys.argv[1], (*_native._FLAGS, *json.loads(sys.argv[2]))
+assert _native.kernel() is not None
+spec = ExperimentSpec(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e3], trials=40, seed=905,
+                      trace_sampling=0.1)
+with tempfile.TemporaryDirectory() as traces:
+    print(run_experiment(spec, trace_dir=traces).to_csv())
+rng = np.random.default_rng(0)
+print(run_trial(PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0), rng, True))
+limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
+print(run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, np.random.default_rng(0)))
+policy._KERNEL_PARAMS = policy._KERNEL_PARAMS.copy()
+policy._KERNEL_PARAMS[int(sys.argv[3])] = 100
+print(drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], checkpoints=[1, 10, 700]).to_csv())
+"""
+
+
+def test_kernel_is_clean_under_sanitizers(tmp_path, monkeypatch):
+    # The kernel built with AddressSanitizer and UndefinedBehaviorSanitizer,
+    # any error fatal, runs `_KERNEL_RUNS` to the end and prints what the
+    # plain build prints. Leak checks are off: the interpreter keeps its
+    # own allocations to the end.
+    cc = shutil.which("cc")
+    cmd = [cc or "cc", "-print-file-name=libasan.so"]
+    libasan = subprocess.run(cmd, capture_output=True, text=True).stdout.strip() if cc else ""
+    if not os.path.isabs(libasan):
+        pytest.skip("no C compiler with AddressSanitizer on this machine")
+    sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, *sanitize))
+    key, path = _cached_path(tmp_path)
+    try:
+        _native._build(path)
+    except subprocess.CalledProcessError:
+        pytest.skip("the kernel does not build with the sanitizers on this machine")
+    _native._seal(path, key)
+    cap_slot = str(_c_enum("P_QUANT").index("P_TABLE_CAP"))
+
+    def run(flags, cache, **extra):
+        argv = [sys.executable, "-c", _KERNEL_RUNS, cache, json.dumps(flags), cap_slot]
+        proc = subprocess.run(
+            argv, env=_package_env(**extra), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        return proc.stdout
+
+    sanitized = run(sanitize, str(tmp_path), LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    assert sanitized == run([], _native._CACHE_DIR)
+
+
 def _c_enum(first: str) -> list[str]:
     """Names of the enum in _kernel.c that starts with `first`."""
     with open(_native._SOURCE, encoding="utf-8") as fh:
         source = fh.read()
-    body = re.search(r"enum \{ (" + first + r"\b[^}]*)\}", source).group(1)
+    body = re.search(r"enum \{\s*(" + first + r"\b[^}]*)\}", source).group(1)
     return [name.strip() for name in body.split(",")]
 
 
@@ -898,6 +991,7 @@ def test_layouts_match_the_kernel():
     values = {
         "P_QUANT": policy._QUANT,
         "P_CELLS": policy._MEMO_CELLS,
+        "P_TABLE_CAP": policy._TABLE_CAP,
         "P_GAP": policy.DEGENERATE_ESTIMATE_GAP,
         "P_NEAR_NU": NEAR_DEGENERATE_NU,
         "P_TOL": DEFAULT_TOL,
@@ -916,4 +1010,4 @@ def test_layouts_match_the_kernel():
     if lib is not None:
         kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
         want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in _block_params()]
-        assert len(want) == 26 and list(lib.oddball_block.argtypes) == want
+        assert len(want) == 20 and list(lib.oddball_block.argtypes) == want

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,7 @@ from oddball.experiments import (
 )
 from oddball.glr import SufficientStats, averaged_log_likelihood, ml_log_likelihood
 from oddball.numerics import (
+    _SERIES_RADIUS,
     DomainError,
     _fan_out,
     binary_relative_entropy,
@@ -82,6 +84,29 @@ class TestPoissonKl:
         # The naive form loses every digit here (the result is ~8 orders
         # below one ulp of the intermediate terms).
         assert rel_err(poisson_kl(2.5, 2.5000001), KL_NEARBY) < 5e-13
+
+    def test_relative_error_where_y_is_at_least_half_x(self):
+        # The accuracy the docstrings claim: within 5e-15 relative of a
+        # 50-digit value wherever y >= x / 2, at the series radius and at
+        # y = x / 2 too. Below x / 2 no such bound holds.
+        rng = np.random.default_rng(7)
+        xs = 10.0 ** rng.uniform(-6, 6, 4000)
+        ratios = np.concatenate([
+            1 + rng.choice([-1, 1], 1000) * 10.0 ** rng.uniform(-12, -0.3, 1000),
+            1 + rng.choice([-1, 1], 1000) * _SERIES_RADIUS * rng.uniform(0.97, 1.03, 1000),
+            rng.uniform(0.5, 3.0, 1000),
+            10.0 ** rng.uniform(0.5, 12, 1000),
+        ])
+        points = [(x, x * r) for x, r in zip(xs.tolist(), ratios.tolist())]
+        points += [(1.0, 0.5), (3.0, 1.5), (1e300, 1e-300), (1e-300, 1e300)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, y in points:
+                if x == y or y < 0.5 * x:
+                    continue
+                ref = mpmath.mpf(x) * mpmath.log(mpmath.mpf(x) / y) - x + y
+                worst = max(worst, float(abs(poisson_kl(x, y) - ref) / ref))
+        assert worst < 5e-15, worst
 
     def test_quadratic_leading_behavior(self):
         # D(x || x(1+h)) = x h^2 / 2 (1 + O(h)).
