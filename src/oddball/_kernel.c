@@ -11,10 +11,12 @@
    default_rng([*prefix, trial]) seeds it. Build with -ffp-contract=off: a
    fused multiply-add rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
-   lgamma is a port of CPython's own (oddball_lgamma). lgamma(y + 1) and
-   log(n + 1) are kept in two tables that each oddball_block call fills
-   lazily, up to par[P_TABLE_CAP] entries, and frees; the caller's memo
-   holds only weight cells. The scores are updated incrementally: a slot
+   lgamma is a port of CPython's own (oddball_lgamma), which computes
+   LANES consecutive values side by side, each bitwise what it would be
+   alone. lgamma(y + 1) and log(n + 1) are kept in two tables that each
+   oddball_block call fills lazily, a LANES group at a time, up to
+   par[P_TABLE_CAP] entries, and frees; the caller's memo holds only
+   weight cells. The scores are updated incrementally: a slot
    changes only the observed process's own terms of glr._scores, so those
    are cached per process and each slot recomputes only the pooled-others
    terms, every sum in glr._scores' order. Event totals stay below 2^53,
@@ -136,8 +138,9 @@ void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, int64_t bits
 }
 
 /* CPython's m_lgamma (Modules/mathmodule.c) at x = y + 1, y >= 0, in its
-   order of operations: the Lanczos sum num/den, by Horner in x below 5
-   and in 1/x from 5 on, then the Lanczos formula. Exported for tests. */
+   order of operations: the Lanczos sum num/den, by Horner in 1/x from 5
+   on and in x below 5, then the Lanczos formula. */
+#define LANES 8
 static const double LANCZOS_NUM[13] = {
     23531376880.410759688572007674451636754734846804940,
     42919803642.649098768957899047001988850926355848959,
@@ -155,20 +158,41 @@ static const double LANCZOS_NUM[13] = {
 static const double LANCZOS_DEN[13] = {0.0, 39916800.0, 120543840.0, 150917976.0, 105258076.0,
     45995730.0, 13339535.0, 2637558.0, 357423.0, 32670.0, 1925.0, 66.0, 1.0};
 
-double oddball_lgamma(int64_t y) {
+/* lgamma(y + 1) into out[0..lanes) for y in [from, from + lanes), lanes <=
+   LANES, with the lanes side by side so their divisions overlap; each lane
+   makes the operations of a lone y. Inlined with a constant `lanes`, which
+   keeps the lanes in registers. The Horner in 1/x runs on every lane and
+   is redone in x on lanes below 5 (y = 0..3). */
+static inline __attribute__((always_inline)) void lgamma_lanes(double *out, int64_t from,
+                                                                int lanes) {
     const double g = 6.024680040776729583740234375;
-    double x = (double)(y + 1), num = 0.0, den = 0.0;
-    if (y <= 1) return 0.0;
+    double x[LANES], num[LANES] = {0.0}, den[LANES] = {0.0};
+    for (int j = 0; j < lanes; j++) x[j] = (double)(from + j + 1);
     for (int i = 0; i < 13; i++) {
-        if (x < 5.0) {
-            num = num * x + LANCZOS_NUM[12 - i];
-            den = den * x + LANCZOS_DEN[12 - i];
-        } else {
-            num = num / x + LANCZOS_NUM[i];
-            den = den / x + LANCZOS_DEN[i];
+        for (int j = 0; j < lanes; j++) {
+            num[j] = num[j] / x[j] + LANCZOS_NUM[i];
+            den[j] = den[j] / x[j] + LANCZOS_DEN[i];
         }
     }
-    return log(num / den) - g + (x - 0.5) * (log(x + g - 0.5) - 1.0);
+    for (int j = 0; j < lanes; j++) {
+        if (x[j] < 5.0) {
+            num[j] = den[j] = 0.0;
+            for (int i = 12; i >= 0; i--) {
+                num[j] = num[j] * x[j] + LANCZOS_NUM[i];
+                den[j] = den[j] * x[j] + LANCZOS_DEN[i];
+            }
+        }
+        out[j] = from + j <= 1 ? 0.0
+                 : log(num[j] / den[j]) - g + (x[j] - 0.5) * (log(x[j] + g - 0.5) - 1.0);
+    }
+}
+
+/* lgamma(y + 1) into out[0..n) for y in [from, from + n): LANES at a
+   time, then one at a time. Exported for tests. */
+void oddball_lgamma(double *out, int64_t from, int64_t n) {
+    int64_t at = 0;
+    for (; n - at >= LANES; at += LANES) lgamma_lanes(out + at, from + at, LANES);
+    for (; at < n; at++) lgamma_lanes(out + at, from + at, 1);
 }
 
 /* numerics._u_minus_log1p: u - log(1 + u), by series near 0. */
@@ -219,30 +243,40 @@ double oddball_lam_odd(int64_t k, int64_t q, const double *par) {
     return lam_odd_at(q, (double)(k - 2) / (double)(k - 1), par);
 }
 
-/* log(n + 1), the table entry of a visit count n. */
-static double log_plus_one(int64_t n) { return log((double)(n + 1)); }
+/* log(v + 1) for v in [from, from + n) into out[0..n): the log table's fill. */
+static void log_fill(double *out, int64_t from, int64_t n) {
+    for (int64_t j = 0; j < n; j++) out[j] = log((double)(from + j + 1));
+}
 
-/* A table of fill(i) for i < len, in a buffer of size entries that
-   grows by doubling up to cap. Past cap, or when realloc fails, an
-   entry is computed and not stored. */
+/* A table of fill's values for i < len, in a buffer of size entries that
+   grows by doubling up to cap, filled to the end of the LANES group that
+   holds the entry asked for. Past cap, or when realloc fails, an entry is
+   computed and not stored. */
 typedef struct {
     double *values;
     int64_t len, size, cap;
-    double (*fill)(int64_t);
+    void (*fill)(double *out, int64_t from, int64_t n);
 } table_t;
 
 static double table_at(table_t *t, int64_t i) {
     if (i < t->len) return t->values[i];
-    if (i >= t->cap) return t->fill(i);
-    if (i >= t->size) {
+    if (i < t->cap && i >= t->size) {
         int64_t size = t->size ? t->size : 64;
         while (size <= i) size *= 2;
         if (size > t->cap) size = t->cap;
         double *values = realloc(t->values, sizeof(*values) * size);
         if (values) t->values = values, t->size = size;
     }
-    for (; t->len <= i && t->len < t->size; t->len++) t->values[t->len] = t->fill(t->len);
-    return i < t->len ? t->values[i] : t->fill(i);
+    if (i >= t->size) {
+        double v;
+        t->fill(&v, i, 1);
+        return v;
+    }
+    int64_t end = (i / LANES + 1) * LANES;
+    if (end > t->size) end = t->size;
+    t->fill(t->values + t->len, t->len, end - t->len);
+    t->len = end;
+    return t->values[i];
 }
 
 /* Run one trial until it stops or reaches max_slots, or decline it (slot
@@ -389,7 +423,7 @@ void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_
                    double *snap_z, const double *par, int64_t *out) {
     bitgen_t seeded = {words, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
     table_t lg = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], oddball_lgamma};
-    table_t lt = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], log_plus_one};
+    table_t lt = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], log_fill};
     bitgen_t *bg = caller ? caller : &seeded;
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {

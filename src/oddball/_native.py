@@ -36,6 +36,11 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # both branches of the Lanczos sum, the table cap and a total near 2^53.
 _LGAMMA_PROBES = (0, 1, 2, 3, 4, 10, 1023, 1 << 21, 10**12 + 7, (1 << 53) - 2)
 
+# The kernel's LANES: how many consecutive lgamma values it computes side
+# by side. The probe also checks the group of y in [0, _LANES), which
+# holds both branches.
+_LANES = 8
+
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
 _loaded: list = []
 
@@ -93,8 +98,8 @@ def _open(path: str, key: str):
         ptr, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
-    lib.oddball_lgamma.argtypes = [i64]
-    lib.oddball_lgamma.restype = ctypes.c_double
+    lib.oddball_lgamma.argtypes = [ptr, i64, i64]
+    lib.oddball_lgamma.restype = None
     lib.oddball_draw.argtypes = [ptr, i64, ptr, i64, i64, ptr]
     lib.oddball_draw.restype = None
     return lib
@@ -144,6 +149,13 @@ def bitgen_address(bit_generator) -> int:
     return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
+def lgamma_range(lib, start: int, n: int) -> np.ndarray:
+    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`."""
+    out = np.empty(n)
+    lib.oddball_lgamma(out.ctypes.data, start, n)
+    return out
+
+
 def kernel():
     """The compiled kernel library (entry point `oddball_block`, and
     `oddball_lam_odd`, `oddball_lgamma` and `oddball_draw` for tests),
@@ -153,7 +165,9 @@ def kernel():
     if not _loaded:
         try:
             lib = _load()
-            if any(lib.oddball_lgamma(y) != math.lgamma(y + 1) for y in _LGAMMA_PROBES):
+            got = lgamma_range(lib, 0, _LANES).tolist()
+            got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
+            if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                 raise OSError("its lgamma differs from math.lgamma")
         except (OSError, subprocess.SubprocessError) as exc:
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()

@@ -228,8 +228,26 @@ def _run_block(setup: tuple, seeds: list[int]) -> list[tuple]:
     return _seeded_trials(config, truth, (), seeds, {}, checkpoints).snapshots
 
 
+# How json.dumps spells the floats whose repr is one of these.
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
 def _trace_lines(trace: tuple[dict, ...]) -> str:
-    return "\n".join(json.dumps(rec, separators=(",", ":")) for rec in trace) + "\n"
+    """A trace's records (the slot records, then the outcome), one line
+    each, with the text json.dumps(record, separators=(",", ":")) gives."""
+    *slots, end = trace
+    lines = []
+    for r in slots:
+        z = repr(r["z_leader"])
+        lines.append(
+            f'{{"n":{r["n"]},"action":{r["action"]},"count":{r["count"]},"leader":{r["leader"]},'
+            f'"z_leader":{_JSON_NON_FINITE.get(z, z)}}}'
+        )
+    correct, capped = ("true" if end[key] else "false" for key in ("correct", "capped"))
+    lines.append(
+        f'{{"tau":{end["tau"]},"delta":{end["delta"]},"correct":{correct},"capped":{capped}}}'
+    )
+    return "\n".join(lines) + "\n"
 
 
 def _aggregate(

@@ -23,6 +23,7 @@ from oddball.experiments import (
 )
 from oddball.glr import SufficientStats, modified_glr
 from oddball.numerics import DomainError, binary_relative_entropy
+from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import OddConfig, d_star, solve_lambda_star
 
 SPEC_KWARGS = dict(
@@ -299,6 +300,32 @@ class TestRunExperiment:
             for m, rec in enumerate(records[:-1], start=1):
                 assert rec["n"] == m
             assert set(records[-1]) == {"tau", "delta", "correct", "capped"}
+
+    @pytest.mark.parametrize(
+        "config, truth, correct, capped",
+        [
+            (PolicyConfig(k=3, threshold_l=20.0), OddConfig(3, 1, 8.0, 1.0), True, False),
+            (
+                PolicyConfig(k=3, threshold_l=1e8, max_slots=40), OddConfig(3, 1, 1.0, 1.02),
+                False, True,
+            ),
+            # Counts near 1e12 and scores past 2^40.
+            (
+                PolicyConfig(k=3, threshold_l=1e3, max_slots=60), OddConfig(3, 2, 1e12, 0.9e12),
+                True, True,
+            ),
+        ],
+        ids=["stopped", "capped", "large"],
+    )
+    def test_trace_lines_match_json_dumps(self, config, truth, correct, capped):
+        # The trace file text is json.dumps' of each record, on records of
+        # a traced trial and on ones whose scores repr spells differently.
+        trace = run_trial(config, truth, np.random.default_rng(0), collect_trace=True).trace
+        odd = [{**trace[0], "z_leader": z} for z in (math.inf, -math.inf, math.nan, -0.0, 5e-324)]
+        for records in (trace, (*odd, trace[-1])):
+            text = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+            assert experiments._trace_lines(records) == text
+        assert (trace[-1]["correct"], trace[-1]["capped"]) == (correct, capped)
 
     def test_trace_names_keep_report_digits(self, tmp_path):
         # Levels that agree to 6 significant digits get distinct files,

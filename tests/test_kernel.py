@@ -216,8 +216,9 @@ def _shrink_table_cap(monkeypatch, cap):
 
 
 # Table caps: 0 is the compute-only path a failed realloc also takes, 1
-# stores one entry, 1024 grows by doubling and then computes past it.
-TABLE_CAPS = [0, 1, 1024]
+# stores one entry, 1024 grows by doubling and then computes past it, and
+# 1001 ends inside a lane group, so the kernel's last fill is cut short.
+TABLE_CAPS = [0, 1, 1001, 1024]
 
 
 def _past_cap_case(name):
@@ -273,21 +274,36 @@ def test_agree_past_table_cap(name, cap, kernel, monkeypatch, past_cap_refs):
 
 def test_lgamma_port_is_bitwise():
     # The kernel's port of CPython's m_lgamma equals math.lgamma(y + 1) on
-    # every y below the table cap (the values its lgamma table stores),
-    # past it, and at random y < 2^53. The library is loaded without the
-    # loader's probe, which would turn a wrong port into a skip. The 2^21
-    # calls on each side take about 1 s.
+    # every y below the table cap (the values its lgamma table stores), on
+    # ranges whose start and length are not multiples of the lane width,
+    # past the cap, and at random y < 2^53, alone and in lane groups. The
+    # library is loaded without the loader's probe, which would turn a
+    # wrong port into a skip.
     try:
         kernel = _native._load()
     except (OSError, subprocess.SubprocessError):
         pytest.skip("the compiled kernel cannot be built on this machine")
-    cap = policy._TABLE_CAP
-    got = np.fromiter(map(kernel.oddball_lgamma, range(cap)), np.float64, cap)
-    ref = np.fromiter(map(math.lgamma, range(1, cap + 1)), np.float64, cap)
+    cap, lanes = policy._TABLE_CAP, _native._LANES
+    ref = np.fromiter(map(math.lgamma, range(1, cap + 4097)), np.float64, cap + 4096)
+    got = _native.lgamma_range(kernel, 0, cap + 4096)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for start, n in itertools.product([1, 3, lanes - 1, 5 * lanes + 3, cap - 2], range(3 * lanes)):
+        got = _native.lgamma_range(kernel, start, n)
+        assert np.array_equal(got.view(np.uint64), ref[start : start + n].view(np.uint64))
+    out = ctypes.c_double()
+    at = ctypes.byref(out)
+
+    def one(y):
+        kernel.oddball_lgamma(at, y, 1)
+        return out.value
+
     rng = np.random.default_rng(13)
-    ys = [*range(cap, cap + 4096), *rng.integers(0, 2**53, size=100_000).tolist()]
-    assert [y for y in ys if kernel.oddball_lgamma(y) != math.lgamma(y + 1)] == []
+    ys = rng.integers(0, 2**53, size=100_000).tolist()
+    assert [y for y in ys if one(y) != math.lgamma(y + 1)] == []
+    # A lane group and a tail at each of 1000 random starts.
+    for start in rng.integers(0, 2**53 - 2 * lanes, size=1000).tolist():
+        got = _native.lgamma_range(kernel, start, lanes + 3).tolist()
+        assert got == [math.lgamma(y + 1) for y in range(start, start + lanes + 3)], start
 
 
 def test_memo_holds_only_weight_cells(kernel):
@@ -578,13 +594,19 @@ def test_block_agrees_past_lgamma_cap(name, cap, kernel, monkeypatch):
     assert np.array_equal(memo_c[3], memo_py[3])
 
 
-def test_lgamma_mismatch_takes_the_fallback(monkeypatch, capsys):
+@pytest.mark.parametrize("wrong_y", [None, 5], ids=["every-y", "one-lane"])
+def test_lgamma_mismatch_takes_the_fallback(wrong_y, monkeypatch, capsys):
     # A kernel whose lgamma differs from math.lgamma by one ulp is never
-    # used, so output bytes cannot depend on which loop ran.
+    # used, so output bytes cannot depend on which loop ran: wrong on
+    # every y, or only on y = 5, which only the probe's lane group holds.
     class Wrong:
-        def oddball_lgamma(self, y):
-            return math.lgamma(y + 1) * (1 + 2**-52)
+        def oddball_lgamma(self, out, start, n):
+            values = (ctypes.c_double * n).from_address(out)
+            for i, y in enumerate(range(start, start + n)):
+                off = wrong_y is None or y == wrong_y
+                values[i] = math.lgamma(y + 1) * (1 + 2**-52 * off)
 
+    assert 5 not in _native._LGAMMA_PROBES and 5 < _native._LANES
     monkeypatch.setattr(_native, "_load", Wrong)
     monkeypatch.setattr(_native, "_loaded", [])
     assert _native.kernel() is None
@@ -906,8 +928,9 @@ def test_kernel_compiles_without_warnings(tmp_path):
 # Run on the kernel built with the flags of JSON argv[2] added, in the
 # cache directory argv[1]: a traced sim-hard level, a traced trial on a
 # caller's generator, a trial at numpy's Poisson limit (which the kernel
-# declines) and a drift run past a table cap shrunk to 100 (argv[3] is
-# its slot of the kernel's parameters). Prints what each returns.
+# declines) and a drift run past a table cap shrunk to 101, which ends
+# inside a lane group (argv[3] is its slot of the kernel's parameters).
+# Prints what each returns.
 _KERNEL_RUNS = """
 import json, sys, tempfile
 import numpy as np
@@ -926,7 +949,7 @@ print(run_trial(PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0),
 limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
 print(run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, np.random.default_rng(0)))
 policy._KERNEL_PARAMS = policy._KERNEL_PARAMS.copy()
-policy._KERNEL_PARAMS[int(sys.argv[3])] = 100
+policy._KERNEL_PARAMS[int(sys.argv[3])] = 101
 print(drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], checkpoints=[1, 10, 700]).to_csv())
 """
 
@@ -1004,6 +1027,8 @@ def test_layouts_match_the_kernel():
     params = policy._KERNEL_PARAMS
     assert [params[slots.index(name)] for name in values] == list(values.values())
     assert tuple(params[slots.index("P_COEFFS"):]) == _LOG1P_TAIL_COEFFS
+    with open(_native._SOURCE, encoding="utf-8") as fh:
+        assert re.search(r"#define LANES (\d+)", fh.read()).group(1) == str(_native._LANES)
     # The ctypes argument types of the kernel's one entry follow its C
     # parameters: a pointer, an int64_t or a double each.
     lib = _native.kernel()
