@@ -233,8 +233,9 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _trace_lines(trace: tuple[dict, ...]) -> str:
-    """A trace's records (the slot records, then the outcome), one line
-    each, with the text json.dumps(record, separators=(",", ":")) gives."""
+    """A trace's records, one line each, with the text
+    json.dumps(record, separators=(",", ":")) gives: the slot records are
+    formatted directly, the one outcome record by json.dumps."""
     *slots, end = trace
     lines = []
     for r in slots:
@@ -243,10 +244,7 @@ def _trace_lines(trace: tuple[dict, ...]) -> str:
             f'{{"n":{r["n"]},"action":{r["action"]},"count":{r["count"]},"leader":{r["leader"]},'
             f'"z_leader":{_JSON_NON_FINITE.get(z, z)}}}'
         )
-    correct, capped = ("true" if end[key] else "false" for key in ("correct", "capped"))
-    lines.append(
-        f'{{"tau":{end["tau"]},"delta":{end["delta"]},"correct":{correct},"capped":{capped}}}'
-    )
+    lines.append(json.dumps(end, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
 
