@@ -24,6 +24,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
 
 import numpy as np
 
@@ -43,6 +44,7 @@ _LANES = 8
 
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
 _loaded: list = []
+_load_lock = threading.Lock()
 
 
 def _key(source: bytes) -> str:
@@ -159,22 +161,24 @@ def lgamma_range(lib, start: int, n: int) -> np.ndarray:
 def kernel():
     """The compiled kernel library (entry point `oddball_block`, and
     `oddball_lam_odd`, `oddball_lgamma` and `oddball_draw` for tests),
-    built on the first call in a process; None when it cannot be built or
-    its lgamma port differs from `math.lgamma` on a few probes, so output
+    built once per process under a lock, so threads that make the first
+    call at once share one build; None when it cannot be built or its
+    lgamma port differs from `math.lgamma` on a few probes, so output
     bytes never depend on which loop ran."""
-    if not _loaded:
-        try:
-            lib = _load()
-            got = lgamma_range(lib, 0, _LANES).tolist()
-            got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
-            if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
-                raise OSError("its lgamma differs from math.lgamma")
-        except (OSError, subprocess.SubprocessError) as exc:
-            detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-            reason = detail.splitlines()[0] if detail else str(exc)
-            sys.stderr.write(
-                f"oddball: compiled trial kernel unavailable ({reason}); using the Python loop\n"
-            )
-            lib = None
-        _loaded.append(lib)
+    with _load_lock:
+        if not _loaded:
+            try:
+                lib = _load()
+                got = lgamma_range(lib, 0, _LANES).tolist()
+                got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
+                if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
+                    raise OSError("its lgamma differs from math.lgamma")
+            except (OSError, subprocess.SubprocessError) as exc:
+                detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+                reason = detail.splitlines()[0] if detail else str(exc)
+                sys.stderr.write(
+                    f"oddball: compiled trial kernel unavailable ({reason}); using the Python loop\n"
+                )
+                lib = None
+            _loaded.append(lib)
     return _loaded[0]

@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker processes (never changes output)")
+    jobs.add_argument("--jobs", type=int, default=1, help="worker threads (never changes output)")
 
     p = sub.add_parser("dstar", help="detectability index of one configuration")
     p.add_argument("--k", type=int, required=True, help="number of processes (>= 3)")

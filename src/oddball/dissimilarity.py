@@ -26,7 +26,6 @@ CSV writers emit therefore reads back as the same ids.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -168,12 +167,6 @@ class DissimilarityMatrix:
         return _csv_text(MATRIX_HEADER, rows)
 
 
-def _solve_pairs(k: int, rates: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """D* of each row (odd, distractor) of `pairs`, row indices into
-    `rates`, in one lockstep batch."""
-    return d_star_rows(k, rates[pairs[:, 0]], rates[pairs[:, 1]])
-
-
 def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> DissimilarityMatrix:
     """Dissimilarity of every ordered image pair in a K-item display.
 
@@ -193,8 +186,10 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     np.fill_diagonal(floored, flagged)
     odd, distractor = np.nonzero(~degenerate)
     if odd.size:
-        solve = functools.partial(_solve_pairs, k, table.rates)
-        values[odd, distractor] = _fan_out(solve, np.column_stack((odd, distractor)), parallelism)
+        values[odd, distractor] = _fan_out(
+            lambda p: d_star_rows(k, table.rates[p[:, 0]], table.rates[p[:, 1]]),
+            np.column_stack((odd, distractor)), parallelism,
+        )
     values.setflags(write=False)
     degenerate.setflags(write=False)
     floored.setflags(write=False)

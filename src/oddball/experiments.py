@@ -23,12 +23,14 @@ drift seeds, run as one call that seeds each PCG64 in C exactly as that
 
 Both studies run their trials in blocks, each with one policy memo that
 lives as long as the block: a serial run is one block, a run over N
-workers has N interleaved blocks, one per worker. The memo holds a small
-direct-mapped weight cache per K and nothing else (see `oddball.policy`);
-it only saves work, and the values it serves do not depend on which
-trials filled it. Every trial, traced or not, runs in C when the
-compiled kernel is available and on the Python loop when it is not; the
-bytes are the same either way.
+worker threads has N interleaved blocks, one per thread. The memo holds
+a small direct-mapped weight cache per K and nothing else (see
+`oddball.policy`); it only saves work, and the values it serves do not
+depend on which trials filled it. Threads never share a memo: a cell is
+two words (q, lambda), and a torn write could serve another q's weight.
+Every trial, traced or not, runs in C when the compiled kernel is
+available and on the Python loop when it is not; the bytes are the same
+either way.
 """
 
 from __future__ import annotations
@@ -198,15 +200,14 @@ def error_upper_confidence(errors: int, trials: int) -> float:
     return _clopper_pearson_upper(errors, trials)
 
 
-def _run_levels(grid: tuple, items) -> list[tuple]:
+def _run_levels(configs, truth, seed: int, trials: int, n_traced: int, items) -> list[tuple]:
     """Run grid items in order with one policy memo; item i is trial
-    i % trials of level i // trials, drawing from default_rng([seed,
-    level, trial]). `grid` is (the policy config of each level, truth,
-    seed, trials per level, traced trials per level). Result i is (tau,
+    i % trials of level i // trials, the level whose policy config is
+    configs[i // trials], drawing from default_rng([seed, level, trial]);
+    the first n_traced trials of each level are traced. Result i is (tau,
     correct, capped, trace), trace None for an untraced trial. A level's
     trials in `items`, traced and untraced, run as one `_seeded_trials`
     call, on the compiled kernel when it is available."""
-    configs, truth, seed, trials, n_traced = grid
     cache: dict = {}
     levels, indices = np.divmod(np.asarray(items, dtype=np.int64), trials)
     results = []
@@ -218,14 +219,6 @@ def _run_levels(grid: tuple, items) -> list[tuple]:
         )
         results += zip(tau, [d == truth.odd_index for d in delta], capped, traces)
     return results
-
-
-def _run_block(setup: tuple, seeds: list[int]) -> list[tuple]:
-    """Run drift seeds in order with one policy memo, seed s drawing from
-    default_rng(s), as one `_seeded_trials` call. `setup` is (policy
-    config, truth, checkpoints). Result i is the snapshots of seed i."""
-    config, truth, checkpoints = setup
-    return _seeded_trials(config, truth, (), seeds, {}, checkpoints).snapshots
 
 
 # How json.dumps spells the floats whose repr is one of these.
@@ -318,8 +311,8 @@ def run_experiment(
     configs = [
         PolicyConfig(k=spec.k, threshold_l=l, max_slots=spec.max_slots) for l in spec.l_grid
     ]
-    grid = (configs, truth, spec.seed, spec.trials, n_traced)
-    results = _fan_out(partial(_run_levels, grid), range(len(configs) * spec.trials), parallelism)
+    run = partial(_run_levels, configs, truth, spec.seed, spec.trials, n_traced)
+    results = _fan_out(run, range(len(configs) * spec.trials), parallelism)
 
     rows = []
     for li, config in enumerate(configs):
@@ -468,7 +461,9 @@ def drift_experiment(
 
     sol = solve_lambda_star(truth)
     config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
-    snapshots = _fan_out(partial(_run_block, (config, truth, cps)), seeds, parallelism)
+    snapshots = _fan_out(
+        lambda s: _seeded_trials(config, truth, (), s, {}, cps).snapshots, seeds, parallelism
+    )
     rows = [
         _snapshot_row(snap, seed, truth.odd_index, truth.k)
         for seed, snaps in zip(seeds, snapshots)

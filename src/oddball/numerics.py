@@ -94,18 +94,19 @@ def _require_real(
 
 def _fan_out(run_block, items, parallelism: int) -> list:
     """`run_block` applied over `items` by min(parallelism, len(items))
-    workers, the package's only way of starting worker processes: block
-    w = items[w::workers] goes to worker w of a process pool or, when there
-    is at most one worker, the one block runs in this process. `run_block`
-    (picklable) maps a block to one result per item; the results come
-    back in item order."""
+    workers, the package's only way of starting worker threads: block
+    w = items[w::workers] goes to worker w of a thread pool or, when there
+    is at most one worker, the one block runs in the calling thread.
+    `run_block` maps a block to one result per item; the results come
+    back in item order. A block's exception is raised once the running
+    blocks return."""
     workers = min(parallelism, len(items))
     if workers <= 1:
         return list(run_block(items))
-    import multiprocessing  # ~10 ms of import that a one-worker call never needs
+    from concurrent.futures import ThreadPoolExecutor  # ~5 ms that one worker never needs
 
-    with multiprocessing.Pool(processes=workers) as pool:
-        blocks = pool.map(run_block, [items[w::workers] for w in range(workers)], chunksize=1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = list(pool.map(run_block, [items[w::workers] for w in range(workers)]))
     # Item i is entry i // workers of block i % workers.
     return [blocks[i % workers][i // workers] for i in range(len(items))]
 

@@ -191,6 +191,16 @@ class TestSimulateCommand:
         assert code == 0
         assert parallel == serial
 
+    def test_error_in_a_worker_block_exits_two(self, capsys, tmp_path):
+        # A rate past numpy's Poisson limit passes the spec's checks and
+        # fails inside the block that runs the trials, on any worker count.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(SPEC, r1=1e19)), encoding="utf-8")
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "simulate", "--spec", str(spec_path), "--jobs", jobs)
+            assert (code, out) == (2, "")
+            assert err == "error: rates above 9.223372006e+18 are past numpy's Poisson sampler\n"
+
     def test_trace_dir_is_created_and_filled(self, capsys, tmp_path):
         spec = dict(SPEC, trials=10, trace_sampling=0.25)
         spec_path = tmp_path / "spec.json"
@@ -485,7 +495,8 @@ class TestGoldenReports:
 
 
 # Runs a simulate spec whose rows have errors > 0 (so error_ci_hi comes off
-# its closed form) and analyze (an anova p-value), then lists what loaded.
+# its closed form), analyze (an anova p-value), and drift and index at one
+# worker, then lists what loaded.
 COMMANDS_PROBE = """
 import csv, json, os, sys
 from oddball.cli import main
@@ -500,14 +511,20 @@ with open(report) as fh:
 assert main(["analyze", "--rates", os.path.join(golden, "index_rates.csv"), "--delays",
              os.path.join(golden, "analyze_delays.csv"), "--k", "4",
              "--out", os.path.join(work, "analyze.json")]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))))
+assert main(["drift", "--k", "3", "--odd", "1", "--r1", "1", "--r2", "2", "--slots", "500",
+             "--seed", "0", "--num-seeds", "2", "--out", os.path.join(work, "drift.csv")]) == 0
+assert main(["index", "--rates", os.path.join(golden, "index_rates.csv"), "--k", "4",
+             "--out", os.path.join(work, "index.csv")]) == 0
+pools = ("scipy", "multiprocessing", "concurrent")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in pools)))
 """
 
 
 class TestImportCost:
     def test_commands_load_no_scipy_and_no_pool(self, tmp_path):
-        """scipy.special alone took ~270 ms of a CLI call's start-up and
-        multiprocessing ~10 ms; no command run at one worker needs either."""
+        """scipy.special alone took ~270 ms of a CLI call's start-up,
+        multiprocessing ~10 ms and concurrent.futures ~5 ms; no command
+        run at one worker needs any of them."""
         src = str(Path(oddball.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
@@ -515,7 +532,7 @@ class TestImportCost:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        assert json.loads(proc.stdout.splitlines()[-1]) == []  # after drift's summary
 
     @pytest.mark.parametrize("trials, limit_s", [(10**4, 1e-3), (10**6, 50e-3)])
     def test_error_bound_is_fast(self, trials, limit_s):

@@ -1,9 +1,9 @@
 """Tests for the visual-search dissimilarity index and its statistics."""
 
+import concurrent.futures
 import csv
 import io
 import math
-import multiprocessing
 
 import mpmath
 import numpy as np
@@ -183,15 +183,15 @@ class TestPairwiseDstar:
                 assert np.array_equal(serial.values, pooled.values)
 
     def test_pool_sized_by_chunks(self, monkeypatch):
-        # Two solved pairs over four workers: the pool starts two processes.
+        # Two solved pairs over four workers: the pool starts two threads.
         started = []
-        real_pool = multiprocessing.Pool
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
-        def spy(processes=None, *args, **kwargs):
-            started.append(processes)
-            return real_pool(processes, *args, **kwargs)
+        def spy(max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            return real_pool(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
         pooled = pairwise_dstar(table, k=3, parallelism=4)
         assert started == [2]

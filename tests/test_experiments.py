@@ -1,9 +1,9 @@
 """Tests for the Monte Carlo harness: spec parsing, aggregation,
 parallel determinism, trace emission, and the drift audit."""
 
+import concurrent.futures
 import json
 import math
-import multiprocessing
 import os
 
 import mpmath
@@ -481,13 +481,13 @@ class TestWorkerCount:
     def test_pool_never_exceeds_items(self, monkeypatch):
         # A spy that records each pool's size and delegates to the real pool.
         started = []
-        real_pool = multiprocessing.Pool
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
-        def spy(processes=None, *args, **kwargs):
-            started.append(processes)
-            return real_pool(processes, *args, **kwargs)
+        def spy(max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            return real_pool(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         drift_experiment(OddConfig(3, 1, 1.0, 2.0), 200, [1], checkpoints=[50], parallelism=8)
         assert started == []
         small = ExperimentSpec(**{**SPEC_KWARGS, "l_grid": (5.0,), "trials": 2})

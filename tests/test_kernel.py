@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -657,7 +658,8 @@ def test_block_bytes_match_fallback_and_workers(
     spec, past_cap, kernel, tmp_path, monkeypatch, capsys
 ):
     # Report, trace and drift bytes are the same from the kernel, from
-    # the Python loop (no compiler) and over two workers.
+    # the Python loop (no compiler) and over two workers on either loop:
+    # each worker thread's block has its own memo.
     _shrink_table_cap(monkeypatch, 1024)
     totals = []
     compiled = policy._compiled
@@ -680,6 +682,7 @@ def test_block_bytes_match_fallback_and_workers(
     monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
     monkeypatch.setattr(_native, "_loaded", [])
     assert run(tmp_path / "fallback", 1) == block
+    assert run(tmp_path / "fallback-workers", 2) == block
     assert _native.kernel() is None
     assert "compiled trial kernel unavailable" in capsys.readouterr().err
     if spec != "drift":
@@ -845,6 +848,53 @@ def test_fallback_without_compiler(kernel, tmp_path, monkeypatch, capsys):
     assert "using the Python loop" in err
 
 
+def _first_loads(monkeypatch, tmp_path, build, threads=4):
+    """What `kernel()` returns in each of `threads` threads that call it
+    at once on a fresh cache in `tmp_path`, with `build` as `_build`."""
+    monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_native, "_build", build)
+    monkeypatch.setattr(_native, "_loaded", [])
+    start, got = threading.Barrier(threads, timeout=60), []
+
+    def load():
+        start.wait()
+        got.append(_native.kernel())
+
+    workers = [threading.Thread(target=load) for _ in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in workers) and len(got) == threads
+    return got
+
+
+def test_threads_share_the_first_build(kernel, tmp_path, monkeypatch):
+    builds, real = [], _native._build
+
+    def build(out):
+        builds.append(out)
+        real(out)
+
+    got = _first_loads(monkeypatch, tmp_path, build)
+    assert len(builds) == 1 and len(_native._loaded) == 1
+    assert got[0] is not None and all(lib is got[0] for lib in got)
+
+
+def test_threads_share_a_failed_build(tmp_path, monkeypatch, capsys):
+    builds = []
+
+    def build(out):
+        builds.append(out)
+        time.sleep(0.05)  # the other threads reach `kernel()` meanwhile
+        raise subprocess.CalledProcessError(1, ["cc"], stderr=b"cc: no input files")
+
+    assert _first_loads(monkeypatch, tmp_path, build) == [None] * 4
+    assert len(builds) == 1 and _native._loaded == [None]
+    err = capsys.readouterr().err
+    assert err.count("compiled trial kernel unavailable (cc: no input files)") == 1, err
+
+
 def _spy_builds(monkeypatch, tmp_path):
     builds = []
     build = _native._build
@@ -930,7 +980,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 # caller's generator, a trial at numpy's Poisson limit (which the kernel
 # declines) and a drift run past a table cap shrunk to 101, which ends
 # inside a lane group (argv[3] is its slot of the kernel's parameters).
-# Prints what each returns.
+# The sim-hard level and the drift run go over two worker threads, so two
+# kernel calls run at once in one address space. Prints what each returns.
 _KERNEL_RUNS = """
 import json, sys, tempfile
 import numpy as np
@@ -943,14 +994,15 @@ assert _native.kernel() is not None
 spec = ExperimentSpec(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e3], trials=40, seed=905,
                       trace_sampling=0.1)
 with tempfile.TemporaryDirectory() as traces:
-    print(run_experiment(spec, trace_dir=traces).to_csv())
+    print(run_experiment(spec, parallelism=2, trace_dir=traces).to_csv())
 rng = np.random.default_rng(0)
 print(run_trial(PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0), rng, True))
 limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
 print(run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, np.random.default_rng(0)))
 policy._KERNEL_PARAMS = policy._KERNEL_PARAMS.copy()
 policy._KERNEL_PARAMS[int(sys.argv[3])] = 101
-print(drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], checkpoints=[1, 10, 700]).to_csv())
+drift = drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], [1, 10, 700], parallelism=2)
+print(drift.to_csv())
 """
 
 

@@ -7,8 +7,9 @@ never decimal-representation error of the inputs).
 
 import ast
 import math
-import multiprocessing
-import os
+import concurrent.futures
+import threading
+import time
 from pathlib import Path
 
 import mpmath
@@ -243,8 +244,8 @@ class TestBinaryRelativeEntropy:
 
 
 def _tag_block(block):
-    """(item, block size, process id) for each item of a block."""
-    return [(item, len(block), os.getpid()) for item in block]
+    """(item, block size, thread id) for each item of a block."""
+    return [(item, len(block), threading.get_ident()) for item in block]
 
 
 def _row_sums(block):
@@ -257,14 +258,16 @@ class TestFanOut:
         results = _fan_out(_tag_block, list(range(7)), 3)
         assert [r[0] for r in results] == list(range(7))
         assert [r[1] for r in results] == [3, 2, 2, 3, 2, 2, 3]
-        assert all(r[2] != os.getpid() for r in results)
+        assert all(r[2] != threading.get_ident() for r in results)
 
-    def test_one_worker_runs_in_this_process(self, monkeypatch):
+    def test_one_worker_runs_in_this_thread(self, monkeypatch):
         started = []
-        monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **kw: started.append(a))
+        monkeypatch.setattr(
+            concurrent.futures, "ThreadPoolExecutor", lambda *a, **kw: started.append(a)
+        )
         for items, parallelism in ((list(range(5)), 1), (["only"], 4)):
             results = _fan_out(_tag_block, items, parallelism)
-            assert results == [(item, len(items), os.getpid()) for item in items]
+            assert results == [(item, len(items), threading.get_ident()) for item in items]
         assert started == []
 
     def test_numpy_array_items(self):
@@ -273,10 +276,27 @@ class TestFanOut:
             results = _fan_out(_row_sums, items, parallelism)
             assert np.array_equal(results, items.sum(axis=1))
 
+    def test_block_error_is_raised_after_running_blocks_return(self):
+        # Both blocks start; the first fails while the second still runs.
+        started, done = threading.Barrier(2, timeout=10), []
 
-def test_one_module_starts_worker_processes():
-    """`numerics._fan_out` is the only place that starts worker processes:
-    no other module of the package imports a process pool."""
+        def run_block(block):
+            started.wait()
+            if block[0] == 0:
+                raise DomainError("block 0")
+            time.sleep(0.05)
+            done.append(block)
+            return block
+
+        with pytest.raises(DomainError, match="block 0"):
+            _fan_out(run_block, [0, 1, 2, 3], 2)
+        assert done == [[1, 3]]
+
+
+def test_one_module_starts_worker_threads():
+    """`numerics._fan_out` is the only place that starts worker threads:
+    no other module of the package imports a thread pool or names
+    `Thread`, and none imports `multiprocessing`."""
     importers = []
     for path in sorted(Path(oddball.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -285,8 +305,11 @@ def test_one_module_starts_worker_processes():
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
+                assert getattr(node, "attr", getattr(node, "id", None)) != "Thread", path.name
                 continue
-            if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
+            roots = {m.split(".")[0] for m in modules}
+            assert "multiprocessing" not in roots, path.name
+            if "concurrent" in roots:
                 importers.append(path.name)
     assert importers == ["numerics.py"]
 
