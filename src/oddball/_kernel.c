@@ -1,11 +1,14 @@
-/* Compiled slot loop of oddball.policy.run_trial, for every trial on a numpy Generator.
+/* Compiled slot loop of oddball.policy.run_trial, for every trial on a numpy Generator,
+   and the lam_hat / D* solve of oddball.solver._solve_rows, for every configuration.
 
    Each function below repeats a Python reference operation for operation,
    in the same order, so results are bitwise those of the Python loop:
    glr._scores, glr._z_min_from_scores and glr._pick_leader for the scores
    and the leader, policy._stops and policy._next_action for the stop rule
-   and the next action, and solver._root_scalar with numerics.poisson_kl
-   for a weight the memo does not hold yet. Draws are the calls numpy's
+   and the next action, and solver._root_row, solver._objective_sum and
+   numerics.poisson_kl for the solve. The solve has one loop, over rows of
+   D coordinates (oddball_solve_rows); a weight the memo does not hold yet
+   is its D = 1 case (lam_odd_at), compiled inline. Draws are the calls numpy's
    Generator makes for rng.poisson, rng.random and rng.integers, on the
    caller's bit generator or on a port of numpy's PCG64 seeded as
    default_rng([*prefix, trial]) seeds it. Build with -ffp-contract=off: a
@@ -211,31 +214,102 @@ static double poisson_kl(double x, double y, const double *par) {
     return x * u_minus_log1p(u, par);
 }
 
+/* The rows of solver._solve_rows: odd rates a[0..d) and common rates
+   b[0..d), every sum over the d coordinates in their order from 0.0. */
+
+/* solver._root_row's equal-rates test: one coordinate with a / (a + b)
+   (solver._nu) within par[P_NEAR_NU] of 1/2. */
+static int near_equal(const double *a, const double *b, int64_t d, const double *par) {
+    if (d != 1) return 0;
+    double x = a[0], y = b[0], total = x + y;
+    if (isinf(total)) x = 0.5 * x, y = 0.5 * y, total = x + y;
+    return fabs(x / total - 0.5) < par[P_NEAR_NU];
+}
+
+/* solver._root_row's sign-change test: g(0) = D(a || b) > 0 and
+   -g(1) = rho D(b || a) > 0. */
+static int sign_change(const double *a, const double *b, int64_t d, double rho,
+                       const double *par) {
+    double g0 = 0.0, g1 = 0.0;
+    for (int64_t j = 0; j < d; j++) {
+        g0 += poisson_kl(a[j], b[j], par);
+        g1 += poisson_kl(b[j], a[j], par);
+    }
+    return g0 > 0.0 && rho * g1 > 0.0;
+}
+
+/* solver._root_row past its sign-change test: the root lam_hat of g by
+   safeguarded Newton from the equal-rates root. Inlined, so that
+   lam_odd_at's d = 1 loop is compiled for one coordinate. */
+static inline __attribute__((always_inline)) double root_row(const double *a, const double *b,
+                                                             int64_t d, double rho,
+                                                             const double *par) {
+    double x = 1.0 / (1.0 + sqrt(rho));
+    if (near_equal(a, b, d, par)) return x;
+    double lo = 0.0, hi = 1.0, step = 1.0;
+    for (;;) {
+        double d1 = 0.0, t2 = 0.0, slope = 0.0;
+        for (int64_t j = 0; j < d; j++) {
+            double m = x * a[j] + (1.0 - x) * b[j];
+            d1 += poisson_kl(a[j], m, par);
+            t2 += poisson_kl(b[j], m, par);
+            slope += (a[j] - b[j]) * ((1.0 - a[j] / m) - rho * (1.0 - b[j] / m));
+        }
+        t2 = rho * t2;
+        double g = d1 - t2;
+        if (fabs(g) <= par[P_TOL] * (d1 > t2 ? d1 : t2)) return x;
+        if (g > 0.0) lo = x; else hi = x;
+        if (hi - lo < par[P_BRACKET]) return x;
+        double nxt = slope < 0.0 ? x - g / slope : x;
+        if (!(lo < nxt && nxt < hi && fabs(nxt - x) <= 0.5 * step)) nxt = 0.5 * (lo + hi);
+        step = fabs(nxt - x);
+        x = nxt;
+    }
+}
+
+/* solver._lam_odd_from_hat. */
+static double lam_odd_from_hat(double x, double rho) { return x * rho / (1.0 - x + x * rho); }
+
+/* solver._objective_sum: the objective at weight lam on the odd process,
+   each coordinate's reference rate solver._mix. */
+static double objective(const double *a, const double *b, int64_t d, double rho, double lam,
+                        const double *par) {
+    double d1 = 0.0, d2 = 0.0;
+    for (int64_t j = 0; j < d; j++) {
+        double m = (lam * a[j] + (1.0 - lam) * rho * b[j]) / (lam + (1.0 - lam) * rho);
+        d1 += poisson_kl(a[j], m, par);
+        d2 += poisson_kl(b[j], m, par);
+    }
+    return lam * d1 + (1.0 - lam) * rho * d2;
+}
+
+/* solver._solve_rows on n rows of d coordinates, r1 and r2 row-major:
+   each row's root into lam_hat[i] and its D* into dstar[i]. Every row is
+   first checked for a sign change; the first that has none is returned,
+   with nothing solved. Otherwise each row iterates to its own stop and
+   -1 is returned. Keeps no state, so threads may call it at once. */
+int64_t oddball_solve_rows(int64_t n, int64_t d, const double *r1, const double *r2, double rho,
+                           const double *par, double *lam_hat, double *dstar) {
+    for (int64_t i = 0; i < n; i++) {
+        const double *a = r1 + i * d, *b = r2 + i * d;
+        if (!near_equal(a, b, d, par) && !sign_change(a, b, d, rho, par)) return i;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double *a = r1 + i * d, *b = r2 + i * d;
+        lam_hat[i] = root_row(a, b, d, rho, par);
+        dstar[i] = objective(a, b, d, rho, lam_odd_from_hat(lam_hat[i], rho), par);
+    }
+    return -1;
+}
+
 /* solve_lambda_star(OddConfig(k, 1, q / quant, 1 - q / quant)).lam_odd:
-   solver._root_scalar, then solver._lam_odd_from_hat. The sign-change
-   check of _root_scalar always passes on this grid: the rates differ by
-   at least 2 / quant except at q = quant / 2, which takes the
-   equal-rates weight. */
+   the one-coordinate root_row, then solver._lam_odd_from_hat. The
+   sign-change test always passes on this grid, so it is skipped: the
+   rates differ by at least 2 / quant except at q = quant / 2, which takes
+   the equal-rates weight. */
 static double lam_odd_at(int64_t q, double rho, const double *par) {
     double a = (double)q / par[P_QUANT], b = 1.0 - a;
-    double x = 1.0 / (1.0 + sqrt(rho));
-    if (fabs(a / (a + b) - 0.5) >= par[P_NEAR_NU]) {
-        double lo = 0.0, hi = 1.0, step = 1.0;
-        for (;;) {
-            double m = x * a + (1.0 - x) * b;
-            double d1 = poisson_kl(a, m, par), t2 = rho * poisson_kl(b, m, par);
-            double slope = (a - b) * ((1.0 - a / m) - rho * (1.0 - b / m));
-            double g = d1 - t2;
-            if (fabs(g) <= par[P_TOL] * (d1 > t2 ? d1 : t2)) break;
-            if (g > 0.0) lo = x; else hi = x;
-            if (hi - lo < par[P_BRACKET]) break;
-            double nxt = slope < 0.0 ? x - g / slope : x;
-            if (!(lo < nxt && nxt < hi && fabs(nxt - x) <= 0.5 * step)) nxt = 0.5 * (lo + hi);
-            step = fabs(nxt - x);
-            x = nxt;
-        }
-    }
-    return x * rho / (1.0 - x + x * rho);
+    return lam_odd_from_hat(root_row(&a, &b, 1, rho, par), rho);
 }
 
 /* lam_odd_at for the weight memo of k, exported for tests. */

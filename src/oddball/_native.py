@@ -1,4 +1,4 @@
-"""Build and load the compiled trial kernel, `_kernel.c`.
+"""Build and load the compiled kernel, `_kernel.c`: the trial loop and the solve.
 
 The kernel is compiled on first use, never at import, into the package's
 `__pycache__` directory as `_kernel.<key>.so`, where the key hashes the C
@@ -10,7 +10,7 @@ its bytes and its key, and a cached file whose digest does not match
 (truncated, or built from other source) is rebuilt, never loaded. When
 the kernel cannot be built (no compiler, an unwritable cache, a failed
 link), `kernel()` returns None, one note goes to stderr, and callers run
-the Python loop. A new build removes the libraries of earlier sources
+the Python loops. A new build removes the libraries of earlier sources
 from the cache directory.
 """
 
@@ -95,6 +95,8 @@ def _open(path: str, key: str):
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.oddball_lam_odd.argtypes = [i64, i64, ptr]
     lib.oddball_lam_odd.restype = ctypes.c_double
+    lib.oddball_solve_rows.argtypes = [i64, i64, ptr, ptr, ctypes.c_double, ptr, ptr, ptr]
+    lib.oddball_solve_rows.restype = i64
     lib.oddball_block.argtypes = [
         i64, i64, ptr, i64, ptr, ptr, i64, i64, i64, i64, ctypes.c_double, ptr, ptr, ptr, ptr, ptr,
         ptr, ptr, ptr, ptr,
@@ -159,12 +161,12 @@ def lgamma_range(lib, start: int, n: int) -> np.ndarray:
 
 
 def kernel():
-    """The compiled kernel library (entry point `oddball_block`, and
-    `oddball_lam_odd`, `oddball_lgamma` and `oddball_draw` for tests),
-    built once per process under a lock, so threads that make the first
-    call at once share one build; None when it cannot be built or its
-    lgamma port differs from `math.lgamma` on a few probes, so output
-    bytes never depend on which loop ran."""
+    """The compiled kernel library (entry points `oddball_block` and
+    `oddball_solve_rows`, and `oddball_lam_odd`, `oddball_lgamma` and
+    `oddball_draw` for tests), built once per process under a lock, so
+    threads that make the first call at once share one build; None when
+    it cannot be built or its lgamma port differs from `math.lgamma` on a
+    few probes, so output bytes never depend on which loop ran."""
     with _load_lock:
         if not _loaded:
             try:

@@ -160,10 +160,14 @@ class DissimilarityMatrix:
         return float(self.values[a, b])
 
     def to_csv(self) -> str:
-        ids, rows = self.images, []
-        for a, b in itertools.permutations(range(len(ids)), 2):
-            flags = (int(self.degenerate[a, b]), int(self.floored_cells[a, b]))
-            rows.append((ids[a], ids[b], f"{self.values[a, b]:.12g}", *flags))
+        ids = self.images
+        values, degenerate, floored = (
+            field.tolist() for field in (self.values, self.degenerate, self.floored_cells)
+        )
+        rows = [
+            (ids[a], ids[b], f"{values[a][b]:.12g}", int(degenerate[a][b]), floored[a][b])
+            for a, b in itertools.permutations(range(len(ids)), 2)
+        ]
         return _csv_text(MATRIX_HEADER, rows)
 
 
@@ -171,10 +175,10 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     """Dissimilarity of every ordered image pair in a K-item display.
 
     The non-degenerate pairs are dealt out with `numerics._fan_out`, and
-    each block is solved in one lockstep batch (`solver.d_star_rows`). A
-    pair's value is bitwise `d_star(OddConfig(k, 1, rates[a], rates[b]))`,
-    so it depends neither on the other pairs in its block nor on
-    `parallelism`.
+    each block is solved in one call of `solver.d_star_rows`, each pair to
+    its own stop. A pair's value is bitwise
+    `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends neither on
+    the other pairs in its block nor on `parallelism`.
     """
     _require_int(k, "display size k", 3)
     _require_int(parallelism, "parallelism", 1)
@@ -187,7 +191,7 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     odd, distractor = np.nonzero(~degenerate)
     if odd.size:
         values[odd, distractor] = _fan_out(
-            lambda p: d_star_rows(k, table.rates[p[:, 0]], table.rates[p[:, 1]]),
+            lambda p, stop: d_star_rows(k, table.rates[p[:, 0]], table.rates[p[:, 1]]),
             np.column_stack((odd, distractor)), parallelism,
         )
     values.setflags(write=False)

@@ -200,18 +200,21 @@ def error_upper_confidence(errors: int, trials: int) -> float:
     return _clopper_pearson_upper(errors, trials)
 
 
-def _run_levels(configs, truth, seed: int, trials: int, n_traced: int, items) -> list[tuple]:
+def _run_levels(configs, truth, seed: int, trials: int, n_traced: int, items, stop) -> list[tuple]:
     """Run grid items in order with one policy memo; item i is trial
     i % trials of level i // trials, the level whose policy config is
     configs[i // trials], drawing from default_rng([seed, level, trial]);
     the first n_traced trials of each level are traced. Result i is (tau,
     correct, capped, trace), trace None for an untraced trial. A level's
     trials in `items`, traced and untraced, run as one `_seeded_trials`
-    call, on the compiled kernel when it is available."""
+    call, on the compiled kernel when it is available. Once the event
+    `stop` is set no further level starts, and the results stop short."""
     cache: dict = {}
     levels, indices = np.divmod(np.asarray(items, dtype=np.int64), trials)
     results = []
     for li, config in enumerate(configs):
+        if stop.is_set():
+            break
         mine = indices[levels == li].tolist()
         traced = bisect_left(mine, n_traced)  # the first ones: `mine` is ascending
         tau, delta, capped, traces, _ = _seeded_trials(
@@ -462,7 +465,8 @@ def drift_experiment(
     sol = solve_lambda_star(truth)
     config = PolicyConfig(k=truth.k, threshold_l=1.0, variant="non_stopping", max_slots=n_slots)
     snapshots = _fan_out(
-        lambda s: _seeded_trials(config, truth, (), s, {}, cps).snapshots, seeds, parallelism
+        lambda s, stop: _seeded_trials(config, truth, (), s, {}, cps).snapshots,
+        seeds, parallelism,
     )
     rows = [
         _snapshot_row(snap, seed, truth.odd_index, truth.k)

@@ -37,6 +37,7 @@ import csv
 import io
 import math
 import sys
+import threading
 
 __all__ = [
     "DomainError",
@@ -97,16 +98,26 @@ def _fan_out(run_block, items, parallelism: int) -> list:
     workers, the package's only way of starting worker threads: block
     w = items[w::workers] goes to worker w of a thread pool or, when there
     is at most one worker, the one block runs in the calling thread.
-    `run_block` maps a block to one result per item; the results come
-    back in item order. A block's exception is raised once the running
+    `run_block(block, stop)` maps a block to one result per item; the
+    results come back in item order. `stop`, a `threading.Event` of this
+    call, is set when the calling thread leaves on an exception (Ctrl-C
+    included): a long block may poll it and return early, as its results
+    are then discarded. A block's exception is raised once the running
     blocks return."""
     workers = min(parallelism, len(items))
+    stop = threading.Event()
     if workers <= 1:
-        return list(run_block(items))
+        return list(run_block(items, stop))
     from concurrent.futures import ThreadPoolExecutor  # ~5 ms that one worker never needs
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(run_block, [items[w::workers] for w in range(workers)]))
+        try:
+            blocks = list(
+                pool.map(run_block, [items[w::workers] for w in range(workers)], [stop] * workers)
+            )
+        except BaseException:
+            stop.set()
+            raise
     # Item i is entry i // workers of block i % workers.
     return [blocks[i % workers][i // workers] for i in range(len(items))]
 

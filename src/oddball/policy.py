@@ -62,20 +62,16 @@ import numpy as np
 from . import _native
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import (
-    _LOG1P_TAIL_COEFFS,
-    _SERIES_RADIUS,
     DomainError,
     _require_int,
     _require_list,
     _require_real,
 )
 from .solver import (
-    _MIN_BRACKET,
-    DEFAULT_TOL,
-    NEAR_DEGENERATE_NU,
+    _SOLVE_PARAMS,
     OddConfig,
     _lam_odd_from_hat,
-    _root_scalar,
+    _root_row,
     _weight_vector,
     solve_lambda_star,  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
 )
@@ -214,10 +210,10 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
         if cells[at] == q:
             return float(cells[at + 1])
     # solve_lambda_star(OddConfig(k, 1, nu_q, 1 - nu_q)).lam_odd, whose
-    # degenerate case at nu_q = 1/2 _root_scalar also covers.
+    # degenerate case at nu_q = 1/2 _root_row also covers.
     rho = (k - 2) / (k - 1)
     nu_q = q / _QUANT
-    lam_odd = _lam_odd_from_hat(_root_scalar(nu_q, 1.0 - nu_q, rho), rho)
+    lam_odd = _lam_odd_from_hat(_root_row((nu_q,), (1.0 - nu_q,), rho), rho)
     if cache is not None:
         cells[at], cells[at + 1] = q, lam_odd
     return lam_odd
@@ -453,8 +449,7 @@ _T_ACTION, _T_COUNT, _T_LEADER, _T_Z_LEADER, _T_WIDTH = range(5)
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
 _KERNEL_PARAMS = np.array(
-    [_QUANT, _MEMO_CELLS, _TABLE_CAP, DEGENERATE_ESTIMATE_GAP, NEAR_DEGENERATE_NU, DEFAULT_TOL,
-     _MIN_BRACKET, _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
+    [_QUANT, _MEMO_CELLS, _TABLE_CAP, DEGENERATE_ESTIMATE_GAP, *_SOLVE_PARAMS[4:]]
 )
 _KERNEL_PARAMS.flags.writeable = False
 

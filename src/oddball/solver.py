@@ -45,11 +45,15 @@ step. At the root, f = D(r1 || r_tilde).
 
 Vector rates (each process emits D independent Poisson coordinates) use
 the same machinery with D(. || .) replaced by the coordinate sum and a
-shared lam_hat; everything reduces to the scalar case when D = 1. The
-coordinate count alone picks the kernel: D = 1 runs a pure-Python loop on
-`poisson_kl` (the policy solves one such problem per weight-cache miss,
-where array overhead would dominate), D > 1 runs every row of a (B, D)
-batch in lockstep on numpy arrays (`d_star_rows`).
+shared lam_hat; everything reduces to the scalar case when D = 1. One
+loop solves every configuration, a (B, D) batch of rows (`_solve_rows`):
+`oddball_solve_rows` of the compiled kernel when it loads, else the same
+iteration on Python floats, row by row (`_root_row`, `_objective_sum`),
+which is the reference the kernel repeats bit for bit. Each row iterates
+to its own stop, with every sum over D taken in coordinate order, so a
+row's values depend neither on the other rows nor on the loop that ran.
+The policy's weight solve is the D = 1 case (`_root_row` on the Python
+loop, its inlined copy in the kernel's trial loop).
 
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
@@ -70,6 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .numerics import (
     _LOG1P_TAIL_COEFFS,
     _SERIES_RADIUS,
@@ -90,7 +95,6 @@ __all__ = [
     "solve_lambda_star",
     "d_star",
     "d_star_rows",
-    "poisson_kl_array",
     "brute_force_d_star",
     "lower_bound_expected_tau",
     "curve_rows",
@@ -105,6 +109,15 @@ NEAR_DEGENERATE_NU = 1e-9
 
 # A bracket narrower than this cannot be split further in double precision.
 _MIN_BRACKET = 1e-15
+
+# The solve's constants in the kernel's `par` layout (the P_ enum of
+# _kernel.c): its slots from P_NEAR_NU on. The four before them are the
+# trial loop's, which `policy._KERNEL_PARAMS` fills; a solve reads none.
+_SOLVE_PARAMS = np.array(
+    [0.0, 0.0, 0.0, 0.0, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET, _SERIES_RADIUS,
+     len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
+)
+_SOLVE_PARAMS.flags.writeable = False
 
 
 class DegenerateRatesError(DomainError):
@@ -225,8 +238,7 @@ def mixed_rate(lambda_odd: float, r1, r2, k: int):
 
 
 def _mix(lam, a, b, rho: float):
-    """The mixed rate (lam * a + (1 - lam) * rho * b) / (lam + (1 - lam) * rho);
-    floats or broadcast arrays."""
+    """The mixed rate (lam * a + (1 - lam) * rho * b) / (lam + (1 - lam) * rho)."""
     return (lam * a + (1.0 - lam) * rho * b) / (lam + (1.0 - lam) * rho)
 
 
@@ -240,39 +252,6 @@ def objective(config: OddConfig, lambda_odd: float) -> float:
     return _objective_sum(config.r1, config.r2, config.rho, lambda_odd)
 
 
-def poisson_kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise D(x || y) for float arrays of equal shape with x > 0, y > 0.
-
-    The array form of `poisson_kl` for positive means: the same series for
-    |u| <= 0.09, the same direct form outside it and the same log split
-    where y / x overflows or underflows. Inside the series radius the two
-    agree to a few ulp; outside it numpy's log1p may differ from
-    math.log1p in the last bit, which the direct form's cancellation
-    amplifies up to its ~5e-15 relative bound. Both share `poisson_kl`'s
-    loss of accuracy where y < x / 2.
-
-    Arguments are not validated; callers pass rates that passed
-    `OddConfig` or `FiringRateTable` checks.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (y - x) / x
-        out = u - np.log1p(u)
-        small = np.abs(u) <= _SERIES_RADIUS
-        if small.any():
-            us = u[small]
-            p = np.zeros_like(us)
-            for c in _LOG1P_TAIL_COEFFS:
-                p = p * us + c
-            out[small] = us * us * p
-        out *= x
-        split = np.isinf(u) | (u <= -1.0)
-        if split.any():
-            xs = x[split]
-            ys = y[split]
-            out[split] = xs * (np.log(xs) - np.log(ys)) - xs + ys
-    return out
-
-
 def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
     d1 = 0.0
     d2 = 0.0
@@ -283,21 +262,13 @@ def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
     return lambda_odd * d1 + (1.0 - lambda_odd) * rho * d2
 
 
-def _objective_rows(r1: np.ndarray, r2: np.ndarray, rho: float, lam_odd: np.ndarray) -> np.ndarray:
-    """`objective` of every row of (B, D) rate arrays at its own weight."""
-    m = _mix(lam_odd[:, None], r1, r2, rho)
-    d1 = poisson_kl_array(r1, m).sum(axis=1)
-    d2 = poisson_kl_array(r2, m).sum(axis=1)
-    return lam_odd * d1 + (1.0 - lam_odd) * rho * d2
-
-
 def _equal_rates_hat(rho: float) -> float:
     """Equal-rates limit of the optimal lam_hat, 1 / (1 + sqrt(rho))."""
     return 1.0 / (1.0 + math.sqrt(rho))
 
 
 def _lam_odd_from_hat(lam_hat, rho: float):
-    """Invert lam_hat = lam / (lam + (1 - lam) * rho); floats or arrays."""
+    """Invert lam_hat = lam / (lam + (1 - lam) * rho)."""
     return lam_hat * rho / (1.0 - lam_hat + lam_hat * rho)
 
 
@@ -315,27 +286,33 @@ def _no_sign_change() -> DegenerateRatesError:
     )
 
 
-def _residual(a: float, b: float, rho: float, lam_hat: float) -> tuple[float, float, float]:
-    """Scalar g(lam_hat), its scale max(d1, rho * d2) and its slope g'(lam_hat)."""
-    m = lam_hat * a + (1.0 - lam_hat) * b
-    d1 = poisson_kl(a, m)
-    t2 = rho * poisson_kl(b, m)
-    slope = (a - b) * ((1.0 - a / m) - rho * (1.0 - b / m))
+def _residual(a, b, rho: float, lam_hat: float) -> tuple[float, float, float]:
+    """g(lam_hat), its scale max(d1, rho * d2) and its slope g'(lam_hat)
+    for one row, each sum over the coordinates in order."""
+    d1 = t2 = slope = 0.0
+    for x, y in zip(a, b):
+        m = lam_hat * x + (1.0 - lam_hat) * y
+        d1 += poisson_kl(x, m)
+        t2 += poisson_kl(y, m)
+        slope += (x - y) * ((1.0 - x / m) - rho * (1.0 - y / m))
+    t2 = rho * t2
     return d1 - t2, (d1 if d1 > t2 else t2), slope
 
 
-def _root_scalar(a: float, b: float, rho: float) -> float:
-    """Root lam_hat of g for one coordinate (D = 1), on Python floats.
+def _root_row(a, b, rho: float) -> float:
+    """Root lam_hat of g for one row, odd rates a and common rates b
+    (sequences of D floats), on Python floats: the reference and fallback
+    of the kernel's `oddball_solve_rows`.
 
     Newton starts from the equal-rates root 1 / (1 + sqrt(rho)); the
     halving test falls back to bisection where rounding noise in g would
     otherwise make Newton creep (nu just outside NEAR_DEGENERATE_NU).
     """
     start = _equal_rates_hat(rho)
-    if abs(_nu(a, b) - 0.5) < NEAR_DEGENERATE_NU:
+    if len(a) == 1 and abs(_nu(a[0], b[0]) - 0.5) < NEAR_DEGENERATE_NU:
         return start
     # g(0) = D(r1 || r2) and g(1) = -rho * D(r2 || r1).
-    if not (poisson_kl(a, b) > 0.0 and rho * poisson_kl(b, a) > 0.0):
+    if not (sum(map(poisson_kl, a, b)) > 0.0 and rho * sum(map(poisson_kl, b, a)) > 0.0):
         raise _no_sign_change()
     lo, hi, step = 0.0, 1.0, 1.0
     x = start
@@ -356,69 +333,31 @@ def _root_scalar(a: float, b: float, rho: float) -> float:
         x = nxt
 
 
-def _roots_array(r1: np.ndarray, r2: np.ndarray, rho: float) -> np.ndarray:
-    """Roots lam_hat of g for every row of (B, D) rate arrays.
-
-    The scalar iteration run on all rows in lockstep; a row leaves the
-    batch as soon as it meets the stopping rule. Every operation is
-    elementwise or a sum along one row, so a row's root does not depend
-    on the other rows in the batch.
-    """
-    if not (
-        np.all(poisson_kl_array(r1, r2).sum(axis=1) > 0.0)
-        and np.all(rho * poisson_kl_array(r2, r1).sum(axis=1) > 0.0)
-    ):
-        raise _no_sign_change()
-    lam_hat = np.empty(r1.shape[0])
-    rows = np.arange(r1.shape[0])
-    x = np.full(rows.size, _equal_rates_hat(rho))
-    lo = np.zeros(rows.size)
-    hi = np.ones(rows.size)
-    step = np.ones(rows.size)
-    a, b = r1, r2
-    while rows.size:
-        xc = x[:, None]
-        m = xc * a + (1.0 - xc) * b
-        d1 = poisson_kl_array(a, m).sum(axis=1)
-        t2 = rho * poisson_kl_array(b, m).sum(axis=1)
-        g = d1 - t2
-        slope = ((a - b) * ((1.0 - a / m) - rho * (1.0 - b / m))).sum(axis=1)
-        pos = g > 0.0
-        lo = np.where(pos, x, lo)
-        hi = np.where(pos, hi, x)
-        done = (np.abs(g) <= DEFAULT_TOL * np.maximum(d1, t2)) | (hi - lo < _MIN_BRACKET)
-        lam_hat[rows[done]] = x[done]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - g / slope
-        newton = (slope < 0.0) & (lo < nxt) & (nxt < hi) & (np.abs(nxt - x) <= 0.5 * step)
-        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        step = np.abs(nxt - x)
-        keep = ~done
-        rows, a, b = rows[keep], a[keep], b[keep]
-        x, lo, hi, step = nxt[keep], lo[keep], hi[keep], step[keep]
-    return lam_hat
-
-
 def _solve_rows(r1, r2, rho: float):
-    """lam_hat and D* of every row pair of two (B, D) rate tables.
-
-    The one place that picks the kernel, from the coordinate count D
-    alone: D = 1 runs `_root_scalar` row by row, D > 1 runs
-    `_roots_array` on the whole batch. Rows must not be degenerate.
+    """lam_hat and D* of every row pair of two (B, D) rate tables (2-D
+    arrays or sequences of rows), on the kernel's `oddball_solve_rows`
+    when it loads, else row by row on `_root_row` and `_objective_sum`;
+    the values are the same bits either way. Rows must not be degenerate.
     """
-    if len(r1[0]) == 1:
-        lam_hat = []
-        values = []
-        for a, b in zip(r1, r2):
-            a, b = float(a[0]), float(b[0])
-            h = _root_scalar(a, b, rho)
+    a = np.ascontiguousarray(r1, dtype=float)
+    b = np.ascontiguousarray(r2, dtype=float)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DomainError(f"rate tables must be 2-D of one shape, got {a.shape} and {b.shape}")
+    lib = _native.kernel()
+    if lib is None:
+        lam_hat, values = [], []
+        for odd, common in zip(a.tolist(), b.tolist()):
+            h = _root_row(odd, common, rho)
             lam_hat.append(h)
-            values.append(_objective_sum((a,), (b,), rho, _lam_odd_from_hat(h, rho)))
+            values.append(_objective_sum(odd, common, rho, _lam_odd_from_hat(h, rho)))
         return lam_hat, values
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
-    lam_hat = _roots_array(a, b, rho)
-    return lam_hat, _objective_rows(a, b, rho, _lam_odd_from_hat(lam_hat, rho))
+    n, d = a.shape
+    out = np.empty((2, n))
+    at = out.ctypes.data
+    if lib.oddball_solve_rows(n, d, a.ctypes.data, b.ctypes.data, rho, _SOLVE_PARAMS.ctypes.data,
+                              at, at + 8 * n) >= 0:
+        raise _no_sign_change()
+    return out[0], out[1]
 
 
 def solve_lambda_star(config: OddConfig) -> LambdaSolution:

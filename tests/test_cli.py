@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import timeit
@@ -57,6 +58,21 @@ SPEC = {
     "trials": 30,
     "seed": 0,
 }
+
+# Runs `simulate --jobs 2` on the spec at argv[1], printing "level <l>" as
+# a worker block starts level l.
+LEVELS_PROBE = """
+import sys
+import oddball.experiments as experiments
+from oddball.cli import main
+seeded_trials = experiments._seeded_trials
+def announced(config, truth, prefix, *args, **kwargs):
+    sys.stdout.write(f"level {prefix[1]}\\n")  # one write: the two blocks' lines never mix
+    sys.stdout.flush()
+    return seeded_trials(config, truth, prefix, *args, **kwargs)
+experiments._seeded_trials = announced
+main(["simulate", "--spec", sys.argv[1], "--jobs", "2"])
+"""
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -200,6 +216,31 @@ class TestSimulateCommand:
             code, out, err = run_cli(capsys, "simulate", "--spec", str(spec_path), "--jobs", jobs)
             assert (code, out) == (2, "")
             assert err == "error: rates above 9.223372006e+18 are past numpy's Poisson sampler\n"
+
+    def test_ctrl_c_starts_no_further_level(self, tmp_path):
+        # SIGINT during the first level of a 4-level `simulate --jobs 2`
+        # (~0.5 s per level and block): each worker block ends the level
+        # it runs and starts no other, so at most two of the eight level
+        # calls run (one, when the signal comes before the second block
+        # has started).
+        spec = dict(SPEC, r1=1.0, r2=1.3, l_grid=[1e6, 2e6, 4e6, 8e6], trials=800)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        src = str(Path(oddball.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", LEVELS_PROBE, str(spec_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first == "level 0\n", err
+        assert "KeyboardInterrupt" in err
+        assert (first + out).splitlines() in (["level 0"], ["level 0", "level 0"])
 
     def test_trace_dir_is_created_and_filled(self, capsys, tmp_path):
         spec = dict(SPEC, trials=10, trace_sampling=0.25)

@@ -124,7 +124,7 @@ class TestFiringRateTable:
 
 class TestPairwiseDstar:
     def test_matrix_against_scalar_solver(self):
-        # Multi-neuron rows take the lockstep batch, which must give each
+        # Multi-neuron rows are solved in one batch, which must give each
         # pair exactly its own single-configuration value.
         for rates in (
             [[1.0], [2.0]],

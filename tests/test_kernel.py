@@ -149,13 +149,13 @@ def test_kernels_agree_exactly(name, traced, kernel, monkeypatch):
 
 def _solves(monkeypatch) -> list:
     """Record the weight solves of `leader_lambda_odd` from here on."""
-    calls, solve = [], policy._root_scalar
+    calls, solve = [], policy._root_row
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(policy, "_root_scalar", counted)
+    monkeypatch.setattr(policy, "_root_row", counted)
     return calls
 
 
@@ -753,7 +753,9 @@ def test_kernel_frees_its_tables(kernel):
     assert grown[-1] < 28.0, grown
 
 
-def test_weight_solve_is_bitwise(kernel):
+def test_weight_solve_is_bitwise(kernel, monkeypatch):
+    # The memo-miss solve against `solve_lambda_star` on the Python loop.
+    monkeypatch.setattr(_native, "_loaded", [None])
     params = policy._KERNEL_PARAMS.ctypes.data
     grid = set(range(1, 10**6, 4999)) | {1, 2, 333_333, 499_999, 500_000, 500_001, 999_998, 999_999}
     for k in (3, 4, 5, 50, 1000):
@@ -979,16 +981,20 @@ def test_kernel_compiles_without_warnings(tmp_path):
 # cache directory argv[1]: a traced sim-hard level, a traced trial on a
 # caller's generator, a trial at numpy's Poisson limit (which the kernel
 # declines) and a drift run past a table cap shrunk to 101, which ends
-# inside a lane group (argv[3] is its slot of the kernel's parameters).
-# The sim-hard level and the drift run go over two worker threads, so two
-# kernel calls run at once in one address space. Prints what each returns.
+# inside a lane group (argv[3] is its slot of the kernel's parameters);
+# then solves: an index matrix of 30 images x 100 neurons with floored
+# cells, a scalar and a vector `d_star`, and a batch with a degenerate row.
+# The sim-hard level, the drift run and the matrix go over two worker
+# threads, so two kernel calls run at once in one address space. Prints
+# what each returns.
 _KERNEL_RUNS = """
 import json, sys, tempfile
 import numpy as np
 from oddball import _native, policy
+from oddball.dissimilarity import FiringRateTable, pairwise_dstar
 from oddball.experiments import ExperimentSpec, drift_experiment, run_experiment
 from oddball.policy import PolicyConfig, run_trial
-from oddball.solver import OddConfig
+from oddball.solver import DegenerateRatesError, OddConfig, d_star, d_star_rows
 _native._CACHE_DIR, _native._FLAGS = sys.argv[1], (*_native._FLAGS, *json.loads(sys.argv[2]))
 assert _native.kernel() is not None
 spec = ExperimentSpec(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e3], trials=40, seed=905,
@@ -1003,6 +1009,14 @@ policy._KERNEL_PARAMS = policy._KERNEL_PARAMS.copy()
 policy._KERNEL_PARAMS[int(sys.argv[3])] = 101
 drift = drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], [1, 10, 700], parallelism=2)
 print(drift.to_csv())
+rates = np.random.default_rng(1).uniform(0.0, 8.0, (30, 100))
+table = FiringRateTable.from_arrays([f"i{i}" for i in range(30)], np.where(rates < 0.4, 0.0, rates))
+print(pairwise_dstar(table, 6, parallelism=2).to_csv())
+print(repr(d_star(OddConfig(5, 1, 10.0, 1.0))), repr(d_star(OddConfig(4, 2, (1e-3, 9.0), (2.0, 1.0)))))
+try:
+    d_star_rows(4, [[1.0, 2.0], [3.0, 3.0]], [[2.0, 1.0], [3.0, 3.0]])
+except DegenerateRatesError as exc:
+    print(exc)
 """
 
 

@@ -76,10 +76,12 @@ MATRIX = {
 # last bit.
 DIGITS = {"analyze": 10}
 
-# Entries that take at most ~0.2 s on the Python loop. The others take
+# Entries that take at most ~0.2 s on the Python loops. The others take
 # ~1 s or more there; test_kernel.py compares low-rate bytes on both loops.
+# The solver's entries pin the Python solve loop's bytes.
 FALLBACK = [f"simulate-{spec}-{seed}" for spec in ("k5", "k50") for seed in SEEDS]
 FALLBACK += ["drift-k3", "drift-k3-checkpoints", "drift-k8"]
+FALLBACK += ["index", "analyze", "lambda", "dstar", "curve"]
 
 
 def _write_specs(workdir: str) -> None:

@@ -243,12 +243,12 @@ class TestBinaryRelativeEntropy:
                 binary_relative_entropy(bad)
 
 
-def _tag_block(block):
+def _tag_block(block, stop):
     """(item, block size, thread id) for each item of a block."""
     return [(item, len(block), threading.get_ident()) for item in block]
 
 
-def _row_sums(block):
+def _row_sums(block, stop):
     return block.sum(axis=1)
 
 
@@ -280,7 +280,7 @@ class TestFanOut:
         # Both blocks start; the first fails while the second still runs.
         started, done = threading.Barrier(2, timeout=10), []
 
-        def run_block(block):
+        def run_block(block, stop):
             started.wait()
             if block[0] == 0:
                 raise DomainError("block 0")
@@ -291,6 +291,29 @@ class TestFanOut:
         with pytest.raises(DomainError, match="block 0"):
             _fan_out(run_block, [0, 1, 2, 3], 2)
         assert done == [[1, 3]]
+
+    def test_stop_is_set_when_the_caller_leaves(self):
+        # Block 0 fails; block 1, still running, sees the call's stop event
+        # set and returns early. Each call has its own event, which a call
+        # that returns normally never sets.
+        started, events = threading.Barrier(2, timeout=10), []
+
+        def run_block(block, stop):
+            events.append(stop)
+            if block[0] in (0, 1):
+                started.wait()
+                if block[0] == 0:
+                    raise DomainError("block 0")
+                assert stop.wait(timeout=10)
+            return block
+
+        with pytest.raises(DomainError, match="block 0"):
+            _fan_out(run_block, [0, 1], 2)
+        assert len(events) == 2 and events[0] is events[1] and events[0].is_set()
+        for parallelism in (1, 2):
+            assert _fan_out(run_block, [2, 3], parallelism) == [2, 3]
+        assert len({id(stop) for stop in events}) == 3
+        assert not any(stop.is_set() for stop in events[2:])
 
 
 def test_one_module_starts_worker_threads():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddball.numerics import DomainError, poisson_kl
+from oddball import _native, solver
+from oddball.numerics import _SERIES_RADIUS, DomainError, poisson_kl
 from oddball.solver import (
     CURVE_HEADER,
     DegenerateRatesError,
@@ -24,7 +25,6 @@ from oddball.solver import (
     lower_bound_expected_tau,
     mixed_rate,
     objective,
-    poisson_kl_array,
     solve_lambda_star,
 )
 
@@ -430,41 +430,102 @@ class TestCurveRows:
             curve_rows([3.0], 10)
 
 
-class TestPoissonKlArray:
-    @staticmethod
-    def check(x, y):
-        # Inside the series radius both forms run the same float operations.
-        # Outside it numpy's log1p may differ from math.log1p in the last
-        # bit, which u - log1p(u) amplifies up to the direct form's
-        # documented cancellation bound, ~2 eps / 0.09 ~ 5e-15 relative.
-        want = np.array([poisson_kl(float(a), float(b)) for a, b in zip(x.ravel(), y.ravel())])
-        got = poisson_kl_array(x, y).ravel()
-        with np.errstate(over="ignore"):
-            series = np.abs((y - x) / x).ravel() <= 0.09
-        np.testing.assert_array_max_ulp(got[series], want[series], maxulp=4)
-        np.testing.assert_allclose(got, want, rtol=5e-15, atol=0.0)
+def _solve_on(loop, r1, r2, rho):
+    """`solver._solve_rows` on `loop`, the kernel library or None for the
+    Python loop: lam_hat and D* of each row as lists of floats, or
+    DegenerateRatesError when it raises that."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "_loaded", [loop])
+        try:
+            lam_hat, values = solver._solve_rows(r1, r2, rho)
+        except DegenerateRatesError:
+            return DegenerateRatesError
+    return np.asarray(lam_hat).tolist(), np.asarray(values).tolist()
 
-    def test_matches_scalar_elementwise(self):
-        # Random rates, |u| on both sides of the series radius 0.09, x at
-        # the 1e-3 rate floor, and ratios whose (y - x) / x overflows or
-        # reaches -1 (the log-split fallback).
-        rng = np.random.default_rng(21)
-        x = list(rng.uniform(1e-3, 50.0, 400))
-        y = list(rng.uniform(1e-3, 50.0, 400))
-        for base in (0.7, 3.0, 1e-3):
-            for u in (0.0899, 0.09, 0.0901, -0.0899, -0.09, -0.0901, 1e-7, -1e-7, 0.5, -0.5):
-                x.append(base)
-                y.append(base * (1.0 + u))
-        x += [1e-3, 1e-3, 1e-3, 1e-300, 1e10, 1e-3]
-        y += [8.0, 1e-3 * (1.0 + 1e-9), 2e-3, 1e10, 1e-300, 1e-320]
-        x = np.array(x)
-        y = np.array(y)
+
+# Coordinate pairs (r1, r2) on which poisson_kl's terms, at the sign-change
+# test and at the iterates between them, take each of its branches: the
+# series (|u| <= 0.09, both sides of the radius), the direct form, the log
+# split ((y - x) / x overflows or is <= -1) and rates at the 1e-3 floor.
+_BRANCH_PAIRS = [
+    *[(base, base * (1.0 + u)) for base in (0.7, 3.0, 1e-3)
+      for u in (0.0899, 0.09, 0.0901, -0.0899, -0.09, -0.0901, 1e-7, -1e-7, 0.5, -0.5)],
+    (1e-3, 8.0), (8.0, 1e-3), (1e-3, 2e-3), (1e-3, 1e-3 * (1.0 + 1e-9)),
+    (1e-300, 1e10), (1e10, 1e-300), (1e-3, 1e-320), (1.5e308, 1e308), (1.0, 1.0 + 1e-10),
+]
+
+
+class TestKernelSolve:
+    """The kernel's `oddball_solve_rows` repeats `_root_row` and
+    `_objective_sum`: every lam_hat and D* bitwise, and a
+    DegenerateRatesError for the same rows."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self):
+        lib = _native.kernel()
+        if lib is None:
+            pytest.skip("the compiled kernel cannot be built on this machine")
+        self.lib = lib
+
+    def check(self, r1, r2):
+        for k in (3, 6, 50):
+            rho = (k - 2) / (k - 1)
+            want = _solve_on(None, r1, r2, rho)
+            assert want is not DegenerateRatesError
+            assert _solve_on(self.lib, r1, r2, rho) == want
+            for i in range(len(r1)):  # each row alone, as `d_star` solves it
+                one = _solve_on(self.lib, r1[i : i + 1], r2[i : i + 1], rho)
+                assert one == ([want[0][i]], [want[1][i]])
+
+    def test_pairs_reach_every_branch(self):
+        x, y = np.array(_BRANCH_PAIRS).T
         with np.errstate(over="ignore"):
             u = (y - x) / x
-        assert np.any(np.isinf(u)) and np.any(u <= -1.0)
-        assert np.any(np.abs(u) <= 0.09) and np.any(np.abs(u) > 0.09)
-        self.check(x, y)
+        assert np.any(np.abs(u) <= _SERIES_RADIUS) and np.any(np.isinf(u))
+        assert np.any((np.abs(u) > _SERIES_RADIUS) & (u > -1.0) & np.isfinite(u))
+        assert np.any(u <= -1.0) and np.any(x == 1e-3) and np.any(y == 1e-3)
 
-    def test_two_dimensional_rows(self):
+    def test_one_coordinate(self):
+        rng = np.random.default_rng(21)
+        pairs = [*_BRANCH_PAIRS, *rng.uniform(1e-3, 50.0, (200, 2)).tolist()]
+        self.check([[a] for a, _ in pairs], [[b] for _, b in pairs])
+
+    def test_two_coordinates(self):
         rng = np.random.default_rng(22)
-        self.check(rng.uniform(0.5, 8.0, (4, 7)), rng.uniform(0.5, 8.0, (4, 7)))
+        pairs = _BRANCH_PAIRS
+        rows = [(pairs[i], pairs[j]) for i in range(len(pairs)) for j in rng.choice(len(pairs), 3)]
+        self.check([[p[0], q[0]] for p, q in rows], [[p[1], q[1]] for p, q in rows])
+
+    def test_hundred_coordinates(self):
+        # The benchmark's rates, with floored cells and every branch pair
+        # in some row.
+        rng = np.random.default_rng(23)
+        r1 = rng.uniform(0.5, 8.0, (40, 100))
+        r2 = rng.uniform(0.5, 8.0, (40, 100))
+        r1[rng.random(r1.shape) < 0.05] = 1e-3
+        r2[rng.random(r2.shape) < 0.05] = 1e-3
+        for i, (a, b) in enumerate(_BRANCH_PAIRS):
+            r1[i, i % 100], r2[i, i % 100] = a, b
+        self.check(r1, r2)
+
+    def test_tables_of_other_shapes_are_refused(self):
+        for r1, r2 in (([[1.0, 2.0]], [[1.0, 2.0, 3.0]]), ([1.0, 2.0], [2.0, 1.0])):
+            for loop in (None, self.lib):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_native, "_loaded", [loop])
+                    with pytest.raises(DomainError, match="2-D of one shape"):
+                        d_star_rows(3, r1, r2)
+
+    def test_degenerate_rows_raise_on_both_loops(self):
+        # Rows whose residual has no sign change: equal vectors, and
+        # vectors that differ only where the divergence underflows to 0. A
+        # batch raises on both loops when any row does, and only then.
+        tiny = 1e-300
+        bad = [([2.0, 3.0], [2.0, 3.0]), ([tiny, 1.0], [tiny * (1.0 + 2.0**-40), 1.0])]
+        good = [([2.0, 3.0], [2.0, 3.5]), ([tiny, 1.0], [2.0 * tiny, 1.0])]
+        assert poisson_kl(tiny, tiny * (1.0 + 2.0**-40)) == 0.0
+        for rows, raises in (([*good, bad[0]], True), ([bad[1], *good], True), (good, False)):
+            r1, r2 = [a for a, _ in rows], [b for _, b in rows]
+            got = [_solve_on(loop, r1, r2, 0.5) for loop in (None, self.lib)]
+            assert got[0] == got[1]
+            assert (got[0] is DegenerateRatesError) == raises
