@@ -2,31 +2,32 @@
 
 The kernel is compiled on first use, never at import, into the package's
 `__pycache__` directory as `_kernel.<key>.so`, where the key hashes the C
-source with the Python and numpy versions. It links numpy's own
-`libnpyrandom.a`, so its draws are the ones a `Generator` makes. A build
-goes to a temporary name and is moved into place with `os.replace`, so a
-concurrent reader never sees half a file. Each file ends in a digest of
-its bytes and its key, and a cached file whose digest does not match
-(truncated, or built from other source) is rebuilt, never loaded. When
-the kernel cannot be built (no compiler, an unwritable cache, a failed
-link), `kernel()` returns None, one note goes to stderr, and callers run
-the Python loops. A new build removes the libraries of earlier sources
-from the cache directory.
+source with the Python version and the text of the installed numpy's
+`numpy/version.py`, found with `importlib.util.find_spec` and read, not
+imported: a load from the cache needs neither numpy nor the modules a
+build runs on (`subprocess`, `tempfile`, `sysconfig`), which only the
+build path imports. The kernel links numpy's own `libnpyrandom.a`, so
+its draws are the ones a `Generator` makes. A build goes to a temporary
+name and is moved into place with `os.replace`, so a concurrent reader
+never sees half a file. Each file ends in a digest of its bytes and its
+key, and a cached file whose digest does not match (truncated, or built
+from other source) is rebuilt, never loaded. When the kernel cannot be
+built (no compiler, an unwritable cache, a failed link: each an OSError,
+a failed compile one that carries the compiler's first line of errors),
+`kernel()` returns None, one note goes to stderr, and callers run the
+Python loops. A new build removes the libraries of earlier sources from
+the cache directory.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import math
 import os
-import subprocess
 import sys
-import sysconfig
-import tempfile
 import threading
-
-import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernel.c")
@@ -48,25 +49,42 @@ _load_lock = threading.Lock()
 
 
 def _key(source: bytes) -> str:
-    """Cache key of a kernel built from `source` by this interpreter."""
-    tag = f"{sys.version}|{np.__version__}|{' '.join(_FLAGS)}".encode()
-    return hashlib.sha256(source + b"\0" + tag).hexdigest()[:16]
+    """Cache key of a kernel built from `source` by this interpreter against
+    the installed numpy, which it names by the text of `numpy/version.py`."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        raise OSError("numpy is not installed")
+    with open(os.path.join(spec.submodule_search_locations[0], "version.py"), "rb") as fh:
+        numpy_version = fh.read()
+    tag = f"{sys.version}|{' '.join(_FLAGS)}".encode()
+    return hashlib.sha256(source + b"\0" + numpy_version + b"\0" + tag).hexdigest()[:16]
 
 
 def _includes() -> list[str]:
     """The compiler's include flags for the kernel: Python's and numpy's headers."""
+    import sysconfig
+
+    import numpy as np
+
     return ["-I", sysconfig.get_paths()["include"], "-I", np.get_include()]
 
 
 def _build(out: str) -> None:
-    """Compile the kernel into the file `out`; raise OSError or
-    subprocess.CalledProcessError when it cannot be built."""
+    """Compile the kernel into the file `out`; raise OSError, with the
+    compiler's first line of errors when it fails, when it cannot be built."""
+    import subprocess
+
+    import numpy as np
+
     numpy_dir = os.path.dirname(np.__file__)
     cmd = [
         "cc", *_FLAGS, *_includes(), _SOURCE,
         os.path.join(numpy_dir, "random", "lib", "libnpyrandom.a"), "-lm", "-o", out,
     ]
-    subprocess.run(cmd, check=True, capture_output=True)
+    proc = subprocess.run(cmd, capture_output=True)
+    if proc.returncode != 0:
+        lines = proc.stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(lines[0] if lines else f"cc exited with status {proc.returncode}")
 
 
 def _seal(path: str, key: str) -> None:
@@ -116,6 +134,8 @@ def _load():
     lib = _open(path, key)
     if lib is not None:
         return lib
+    import tempfile
+
     os.makedirs(_CACHE_DIR, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix="_kernel.", suffix=".so.tmp", dir=_CACHE_DIR)
     os.close(fd)
@@ -153,11 +173,26 @@ def bitgen_address(bit_generator) -> int:
     return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
-def lgamma_range(lib, start: int, n: int) -> np.ndarray:
-    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`."""
-    out = np.empty(n)
-    lib.oddball_lgamma(out.ctypes.data, start, n)
+def buffer_address(buffer) -> int:
+    """Address of the first item of an `array.array`, as the kernel takes
+    its buffers."""
+    return buffer.buffer_info()[0]
+
+
+def _lgamma_values(lib, start: int, n: int):
+    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`, as a
+    ctypes array of n doubles."""
+    out = (ctypes.c_double * n)()
+    lib.oddball_lgamma(ctypes.addressof(out), start, n)
     return out
+
+
+def lgamma_range(lib, start: int, n: int):
+    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`, as a
+    numpy array."""
+    import numpy as np
+
+    return np.frombuffer(_lgamma_values(lib, start, n))
 
 
 def kernel():
@@ -171,15 +206,13 @@ def kernel():
         if not _loaded:
             try:
                 lib = _load()
-                got = lgamma_range(lib, 0, _LANES).tolist()
-                got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
+                got = _lgamma_values(lib, 0, _LANES)[:]
+                got += [_lgamma_values(lib, y, 1)[0] for y in _LGAMMA_PROBES]
                 if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                     raise OSError("its lgamma differs from math.lgamma")
-            except (OSError, subprocess.SubprocessError) as exc:
-                detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-                reason = detail.splitlines()[0] if detail else str(exc)
+            except OSError as exc:
                 sys.stderr.write(
-                    f"oddball: compiled trial kernel unavailable ({reason}); using the Python loop\n"
+                    f"oddball: compiled trial kernel unavailable ({exc}); using the Python loop\n"
                 )
                 lib = None
             _loaded.append(lib)

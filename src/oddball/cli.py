@@ -13,7 +13,8 @@ Subcommands (JSON for single results, CSV for sweeps, stdout unless
   analyze   evaluate the index against observed decision delays -> JSON
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
-domain violations), 1 runtime failure. No numerical logic lives here;
+domain violations), 1 runtime failure, 130 interrupted (Ctrl-C, reported
+as one line, `interrupted`, on stderr). No numerical logic lives here;
 every subcommand validates inputs and delegates to the library. All
 randomness is seeded explicitly (spec `seed` field, drift --seed).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 - gettext imports it for argparse; load it here, not in a command
 import math
 import os
 import sys
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,11 @@ flooring is recorded per cell.
 Image ids follow one rule wherever they enter (a table, a delay row, a
 lookup, a delays writer): surrounding whitespace is stripped. What the
 CSV writers emit therefore reads back as the same ids.
+
+Tables and matrices hold their numbers as Python values (a table's rows
+as `array('d')`, which the solver gathers with one copy each); their
+numpy fields are read-only arrays built on first access, so a caller
+that never reads them never loads numpy.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .numerics import DomainError, _csv_text, _f_upper_tail, _fan_out, _require_int, _require_real
-from .solver import d_star, d_star_rows  # noqa: F401 (d_star stays importable from here)
+from .solver import _solve_rows, d_star  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
     "DEFAULT_RATE_FLOOR",
@@ -56,37 +61,64 @@ MATRIX_HEADER = "odd_id,distractor_id,dstar,degenerate,floored_cells"
 DELAYS_HEADER = "odd_id,distractor_id,delay"
 
 
+def _read_only(rows, dtype):
+    """`rows` (a sequence of equal-length rows) as a read-only 2-D numpy array."""
+    import numpy as np
+
+    out = np.array(rows, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class FiringRateTable:
     """Per-image firing-rate vectors with a shared neuron count.
 
     rates[i, d] is image i's mean rate on neuron d, after flooring:
     entries below `floor` are raised to it and flagged in `floored`.
+    Both are read-only numpy arrays, built from `_rows` (one `array('d')`
+    per image, never written) and `_floored` on first access.
     """
 
     images: tuple[str, ...]
-    rates: np.ndarray
-    floored: np.ndarray
     floor: float
+    _rows: tuple[array, ...] = field(repr=False)
+    _floored: tuple[tuple[bool, ...], ...] = field(repr=False)
 
     @classmethod
     def from_arrays(cls, images, rates, floor: float = DEFAULT_RATE_FLOOR) -> "FiringRateTable":
+        """A table from image ids and their rate rows (a 2-D array or a
+        sequence of sequences of numbers)."""
         ids = tuple(_image_id(s) for s in images)
         if len(ids) < 1:
             raise DomainError("table needs at least one image")
         if len(set(ids)) != len(ids):
             raise DomainError("image identifiers must be distinct")
         floor = _require_real(floor, "floor", 0.0, open=True)
-        arr = np.asarray(rates, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != len(ids) or arr.shape[1] < 1:
-            raise DomainError("rates must be a 2-D array, one row per image, >= 1 neuron")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        try:
+            rows = [array("d", row) for row in rates]
+        except TypeError:
+            rows = []
+        if len(rows) != len(ids) or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            raise DomainError(
+                "rates must be a 2-D array of numbers, one row per image, >= 1 neuron"
+            )
+        if not all(all(map(math.isfinite, row)) and min(row) >= 0.0 for row in rows):
             raise DomainError("rates must be finite and nonnegative")
-        mask = arr < floor
-        arr = np.where(mask, floor, arr)
-        arr.setflags(write=False)
-        mask.setflags(write=False)
-        return cls(images=ids, rates=arr, floored=mask, floor=floor)
+        return cls(
+            images=ids,
+            floor=floor,
+            _rows=tuple(array("d", [floor if v < floor else v for v in row]) for row in rows),
+            _floored=tuple(tuple(map(floor.__gt__, row)) for row in rows),
+        )
+
+    @cached_property
+    def rates(self):
+        return _read_only(self._rows, float)
+
+    @cached_property
+    def floored(self):
+        return _read_only(self._floored, bool)
 
     @classmethod
     def from_csv(cls, text: str, floor: float = DEFAULT_RATE_FLOOR) -> "FiringRateTable":
@@ -121,7 +153,7 @@ class FiringRateTable:
 
     @property
     def n_neurons(self) -> int:
-        return int(self.rates.shape[1])
+        return len(self._rows[0])
 
     def index_of(self, image_id: str) -> int:
         return _index_of(self.images, image_id)
@@ -146,24 +178,38 @@ class DissimilarityMatrix:
     """Ordered-pair dissimilarities: values[a, b] = D* with image a odd
     among copies of image b. Both orientations are stored; the matrix is
     not symmetric. Diagonal entries are exactly 0 and flagged degenerate,
-    as is any pair with identical (post-floor) rate vectors."""
+    as is any pair with identical (post-floor) rate vectors.
+    `floored_cells[a, b]` counts the floored cells of both rows (of a
+    alone on the diagonal). The three are read-only numpy arrays, built
+    on first access from the row tuples of `_values`, `_degenerate` and
+    `_floored`."""
 
     images: tuple[str, ...]
     k: int
-    values: np.ndarray
-    degenerate: np.ndarray
-    floored_cells: np.ndarray
+    _values: tuple[tuple[float, ...], ...] = field(repr=False)
+    _degenerate: tuple[tuple[bool, ...], ...] = field(repr=False)
+    _floored: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def values(self):
+        return _read_only(self._values, float)
+
+    @cached_property
+    def degenerate(self):
+        return _read_only(self._degenerate, bool)
+
+    @cached_property
+    def floored_cells(self):
+        return _read_only(self._floored, int)
 
     def value(self, odd_id: str, distractor_id: str) -> float:
         a = _index_of(self.images, odd_id)
         b = _index_of(self.images, distractor_id)
-        return float(self.values[a, b])
+        return self._values[a][b]
 
     def to_csv(self) -> str:
-        ids = self.images
-        values, degenerate, floored = (
-            field.tolist() for field in (self.values, self.degenerate, self.floored_cells)
-        )
+        ids, values, degenerate = self.images, self._values, self._degenerate
+        floored = self._floored
         rows = [
             (ids[a], ids[b], f"{values[a][b]:.12g}", int(degenerate[a][b]), floored[a][b])
             for a, b in itertools.permutations(range(len(ids)), 2)
@@ -171,34 +217,39 @@ class DissimilarityMatrix:
         return _csv_text(MATRIX_HEADER, rows)
 
 
+def _pair_dstar(table: FiringRateTable, k: int, pairs) -> list[float]:
+    """D* of each (odd, distractor) row pair of `table`, in one solve
+    (`solver._solve_rows`); the pairs must not be degenerate."""
+    rows, rho = table._rows, (k - 2) / (k - 1)
+    return _solve_rows([rows[a] for a, _ in pairs], [rows[b] for _, b in pairs], rho)[1]
+
+
 def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> DissimilarityMatrix:
     """Dissimilarity of every ordered image pair in a K-item display.
 
     The non-degenerate pairs are dealt out with `numerics._fan_out`, and
-    each block is solved in one call of `solver.d_star_rows`, each pair to
+    each block is solved in one call of `solver._solve_rows`, each pair to
     its own stop. A pair's value is bitwise
     `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends neither on
     the other pairs in its block nor on `parallelism`.
     """
     _require_int(k, "display size k", 3)
     _require_int(parallelism, "parallelism", 1)
-    m = table.n_images
-    values = np.zeros((m, m))
-    degenerate = (table.rates[:, None] == table.rates[None]).all(2)
-    flagged = table.floored.sum(axis=1)
-    floored = flagged[:, None] + flagged[None]
-    np.fill_diagonal(floored, flagged)
-    odd, distractor = np.nonzero(~degenerate)
-    if odd.size:
-        values[odd, distractor] = _fan_out(
-            lambda p, stop: d_star_rows(k, table.rates[p[:, 0]], table.rates[p[:, 1]]),
-            np.column_stack((odd, distractor)), parallelism,
-        )
-    values.setflags(write=False)
-    degenerate.setflags(write=False)
-    floored.setflags(write=False)
+    rows, images = table._rows, range(table.n_images)
+    degenerate = tuple(tuple(rows[a] == rows[b] for b in images) for a in images)
+    pairs = [(a, b) for a in images for b in images if not degenerate[a][b]]
+    values = [[0.0] * len(images) for _ in images]
+    if pairs:
+        solved = _fan_out(lambda block, stop: _pair_dstar(table, k, block), pairs, parallelism)
+        for (a, b), value in zip(pairs, solved):
+            values[a][b] = value
+    flagged = [sum(row) for row in table._floored]
+    floored = tuple(
+        tuple(flagged[a] + flagged[b] if a != b else flagged[a] for b in images) for a in images
+    )
     return DissimilarityMatrix(
-        images=table.images, k=k, values=values, degenerate=degenerate, floored_cells=floored
+        images=table.images, k=k, _values=tuple(map(tuple, values)), _degenerate=degenerate,
+        _floored=floored,
     )
 
 
@@ -309,11 +360,10 @@ def synthesize_search_dataset(
     for code in sorted(int(c) for c in chosen):
         a, residue = divmod(code, n_images - 1)
         pairs.append((a, residue if residue < a else residue + 1))
-    odd, distractor = zip(*pairs)
-    diffs = d_star_rows(k, table.rates[list(odd)], table.rates[list(distractor)])
+    diffs = _pair_dstar(table, k, pairs)
     delays = []
     for (a, b), diff in zip(pairs, diffs):
-        mean_delay = base_delay / float(diff)
+        mean_delay = base_delay / diff
         for _ in range(samples_per_pair):
             value = mean_delay * (1.0 + noise_scale * float(rng.standard_normal()))
             delays.append((ids[a], ids[b], max(value, 1e-9)))
@@ -371,21 +421,19 @@ def analyze_search_delays(table: FiringRateTable, delays, k: int) -> dict:
     if len(groups) < 3:
         raise DomainError("analysis needs delays for at least 3 distinct pairs")
 
-    odd = []
-    distractor = []
+    pairs = []
     mean_delays = []
     for (odd_id, distractor_id), samples in groups.items():
         a = table.index_of(odd_id)
         b = table.index_of(distractor_id)
-        if np.array_equal(table.rates[a], table.rates[b]):
+        if table._rows[a] == table._rows[b]:
             raise DomainError(
                 f"pair ({odd_id!r}, {distractor_id!r}) has identical rate vectors; "
                 "delay analysis needs a positive index"
             )
-        odd.append(a)
-        distractor.append(b)
+        pairs.append((a, b))
         mean_delays.append(math.fsum(samples) / len(samples))
-    diffs = [float(d) for d in d_star_rows(k, table.rates[odd], table.rates[distractor])]
+    diffs = _pair_dstar(table, k, pairs)
 
     pearson = correlation([1.0 / d for d in diffs], mean_delays)
     if all(len(samples) >= 2 for samples in groups.values()):

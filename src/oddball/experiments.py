@@ -43,8 +43,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
 
-import numpy as np
-
 from .glr import SufficientStats
 from .numerics import (
     DomainError,
@@ -210,12 +208,15 @@ def _run_levels(configs, truth, seed: int, trials: int, n_traced: int, items, st
     call, on the compiled kernel when it is available. Once the event
     `stop` is set no further level starts, and the results stop short."""
     cache: dict = {}
-    levels, indices = np.divmod(np.asarray(items, dtype=np.int64), trials)
+    by_level: dict[int, list[int]] = {}
+    for item in items:
+        level, trial = divmod(item, trials)
+        by_level.setdefault(level, []).append(trial)
     results = []
     for li, config in enumerate(configs):
         if stop.is_set():
             break
-        mine = indices[levels == li].tolist()
+        mine = by_level.get(li, [])
         traced = bisect_left(mine, n_traced)  # the first ones: `mine` is ascending
         tau, delta, capped, traces, _ = _seeded_trials(
             config, truth, (seed, li), mine, cache, n_traced=traced

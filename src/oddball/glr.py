@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import DomainError, _require_int, _require_list
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SufficientStats",
@@ -224,6 +226,8 @@ def _pick_leader(z_min: list[float], rng) -> int:
 def modified_glr(stats: SufficientStats, rng) -> GlrState:
     """Full test state after stats.n slots: pairwise matrix, row minima,
     per-hypothesis rate estimates, and the current leader."""
+    import numpy as np
+
     if stats.n < 1:
         raise DomainError("modified_glr requires at least one observed slot")
     k = stats.k

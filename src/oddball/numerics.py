@@ -1,8 +1,7 @@
 """Log-space numerical primitives for Poisson rate comparisons, plus the
 private helpers other modules share: input rules, `_fan_out`, `_csv_text`,
 and the two distribution tails the reports need, `_clopper_pearson_upper`
-and `_f_upper_tail`, in pure Python so that no command imports more than
-numpy.
+and `_f_upper_tail`, in pure Python so that no command imports scipy.
 
 The public functions are pure functions of their arguments. The central
 quantity is the Kullback-Leibler divergence between unit-time Poisson

@@ -51,13 +51,13 @@ doubles.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from . import _native
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
@@ -101,9 +101,10 @@ _QUANT = 10 ** 6
 # of a dense table of _QUANT entries; 2^13 does not on `drift` (+16%).
 _MEMO_CELLS = 1 << 14
 
-# numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random): past it
-# Generator.poisson refuses, and a draw could overflow an int64.
-_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random, INT64_MAX -
+# sqrt(INT64_MAX) * 10 in doubles): past it Generator.poisson refuses, and a
+# draw could overflow an int64.
+_POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 # Entries of each of the compiled kernel's lgamma and log tables (16 MiB
 # each). Past them it computes lgamma(y + 1) and log(n + 1) without storing them.
@@ -219,13 +220,13 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     return lam_odd
 
 
-def _weight_cells(cache: dict, k: int) -> np.ndarray:
-    """The memo's weight cells of k: cell c is entries 2c (a grid point q,
-    0.0 when empty) and 2c + 1 (lambda*(k, q / _QUANT)), for the last q
-    with q % _MEMO_CELLS == c that was solved."""
+def _weight_cells(cache: dict, k: int) -> array:
+    """The memo's weight cells of k, an `array('d')`: cell c is entries 2c
+    (a grid point q, 0.0 when empty) and 2c + 1 (lambda*(k, q / _QUANT)),
+    for the last q with q % _MEMO_CELLS == c that was solved."""
     cells = cache.get(k)
     if cells is None:
-        cells = cache[k] = np.zeros(2 * _MEMO_CELLS)
+        cells = cache[k] = array("d", [0.0]) * (2 * _MEMO_CELLS)
     return cells
 
 
@@ -340,7 +341,8 @@ def run_trial(
     cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
     if cache is None:
         cache = {}
-    kernel = _native.kernel() if isinstance(rng, np.random.Generator) else None
+    np = sys.modules.get("numpy")  # a Generator exists only once numpy is loaded
+    kernel = _native.kernel() if np is not None and isinstance(rng, np.random.Generator) else None
     if kernel is None:
         return _python_trial(config, truth, rng, collect_trace, cp, cache)
     out, last, _ = _compiled(
@@ -448,20 +450,30 @@ _M, _ACTION, _LEADER, _TOTAL, _STOPPED, _LOOKUPS, _MISSES, _HEAD = range(8)
 _T_ACTION, _T_COUNT, _T_LEADER, _T_Z_LEADER, _T_WIDTH = range(5)
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)
-_KERNEL_PARAMS = np.array(
-    [_QUANT, _MEMO_CELLS, _TABLE_CAP, DEGENERATE_ESTIMATE_GAP, *_SOLVE_PARAMS[4:]]
+# The kernel's constants (the P_ enum), as `solver._SOLVE_PARAMS`; never written.
+_KERNEL_PARAMS = array(
+    "d", [_QUANT, _MEMO_CELLS, _TABLE_CAP, DEGENERATE_ESTIMATE_GAP, *_SOLVE_PARAMS[4:]]
 )
-_KERNEL_PARAMS.flags.writeable = False
 
 
-def _trace_records(rows: np.ndarray, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:
-    """The trace `_python_trial` records, from the kernel's rows of a trial."""
-    ints = rows[:, :_T_Z_LEADER].astype(np.int64).tolist()
+def _reshaped(buffer: array, start: int, *shape: int) -> list:
+    """Items buffer[start:] read as nested lists of `shape`, as numpy's
+    reshape(shape).tolist() gives them."""
+    if shape[0] == 0:
+        return []
+    view = memoryview(buffer)[start : start + math.prod(shape)]
+    return view.cast("B").cast(buffer.typecode, shape).tolist()
+
+
+def _trace_records(rows: list, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:
+    """The trace `_python_trial` records, from the kernel's rows of a trial
+    (lists of _T_WIDTH floats)."""
     records = [
-        {"n": n, "action": a, "count": x, "leader": l, "z_leader": z}
-        for n, (a, x, l), z in zip(range(1, len(ints) + 1), ints, rows[:, _T_Z_LEADER].tolist())
+        {"n": n, "action": int(r[_T_ACTION]), "count": int(r[_T_COUNT]),
+         "leader": int(r[_T_LEADER]), "z_leader": r[_T_Z_LEADER]}
+        for n, r in enumerate(rows, 1)
     ]
-    return (*records, {"tau": len(ints), "delta": delta, "correct": delta == odd, "capped": capped})
+    return (*records, {"tau": len(rows), "delta": delta, "correct": delta == odd, "capped": capped})
 
 
 # The per-trial lists of a run of trials, named as `TrialOutcome`'s fields.
@@ -475,7 +487,7 @@ def _compiled(
     cache: dict,
     trials: list[int],
     prefix: tuple[int, ...] = (),
-    rng: np.random.Generator | None = None,
+    rng=None,
     cps: tuple[int, ...] = (),
     n_traced: int = 0,
 ) -> tuple[_Trials, tuple, tuple[int, int]]:
@@ -489,28 +501,29 @@ def _compiled(
     loop. Returns the lists, the last trial's (visits, events, total,
     z_min), and the first call's weight lookups and memo misses."""
     k, n, ncp = config.k, len(trials), len(cps)
-    # One buffer per dtype, as each address costs a numpy call: int64 (state, checkpoint slots,
-    # snapshot tallies, results), float64 (rates, scores, scratch, snapshot scores), uint64 (the
-    # PCG64 array and keys, not needed on a caller's generator).
+    # One buffer per type: int64 (state, checkpoint slots, snapshot tallies, results), float64
+    # (rates, scores, scratch, snapshot scores), uint64 (the PCG64 array and keys, not needed on a
+    # caller's generator).
     snap_at = _HEAD + 2 * k + ncp
     out_at = snap_at + n * ncp * (2 + 2 * k)
-    ints = np.zeros(out_at + 3 * n + 2, dtype=np.int64)
-    ints[_HEAD + 2 * k : snap_at] = cps
-    reals = np.zeros(k * (4 + n * ncp))
-    reals[:k] = _rates(truth)
-    ip, rp = ints.ctypes.data, reals.ctypes.data
-    words = np.array([*[0] * _GEN_SIZE, *prefix, *trials], dtype=np.uint64) if rng is None else None
+    ints = array("q", [0]) * (out_at + 3 * n + 2)
+    ints[_HEAD + 2 * k : snap_at] = array("q", cps)
+    reals = array("d", [0.0]) * (k * (4 + n * ncp))
+    reals[:k] = array("d", _rates(truth))
+    address = _native.buffer_address
+    ip, rp = address(ints), address(reals)
+    words = array("Q", [*[0] * _GEN_SIZE, *prefix, *trials]) if rng is None else None
     bitgen = None if rng is None else rng.bit_generator
     args = (
         None if bitgen is None else _native.bitgen_address(bitgen),
-        None if words is None else words.ctypes.data, len(prefix), k, config.max_slots,
+        None if words is None else address(words), len(prefix), k, config.max_slots,
         config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
-        _weight_cells(cache, k).ctypes.data, ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at,
-        rp + 32 * k, _KERNEL_PARAMS.ctypes.data, ip + 8 * out_at,
+        address(_weight_cells(cache, k)), ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at,
+        rp + 32 * k, address(_KERNEL_PARAMS), ip + 8 * out_at,
     )
 
-    def run(count: int, snaps: int, rows: np.ndarray | None) -> list[int]:  # rows: the trace
-        trace = (None, 0) if rows is None else (rows.ctypes.data, len(rows))
+    def run(count: int, snaps: int, rows: array | None) -> list[int]:  # rows: the trace
+        trace = (None, 0) if rows is None else (address(rows), len(rows) // _T_WIDTH)
         kernel.oddball_block(count, snaps, *trace, *args)
         return ints[out_at : out_at + 3 * count + 2].tolist()
 
@@ -518,23 +531,25 @@ def _compiled(
         start = None if bitgen is None else bitgen.state
         out = run(n, ncp, None)
         tau, delta, capped = out[:n], out[n : 2 * n], [c == 1 for c in out[2 * n : 3 * n]]
-        visits, events = ints[_HEAD : _HEAD + 2 * k].reshape(2, k).tolist()
-        last = (tuple(visits), tuple(events), int(ints[_TOTAL]), tuple(reals[k : 2 * k].tolist()))
+        visits, events = ints[_HEAD : _HEAD + k], ints[_HEAD + k : _HEAD + 2 * k]
+        last = (tuple(visits), tuple(events), ints[_TOTAL], tuple(reals[k : 2 * k]))
         replay = [i for i in range(min(n_traced, n)) if tau[i] > 0]  # declined ones rerun traced
         if replay:
             if bitgen is not None:
                 bitgen.state = start
             else:
-                words[_GEN_SIZE + len(prefix) :][: len(replay)] = [trials[i] for i in replay]
-            rows = np.zeros((sum(tau[i] for i in replay), _T_WIDTH))
+                at = _GEN_SIZE + len(prefix)
+                words[at : at + len(replay)] = array("Q", [trials[i] for i in replay])
+            rows = array("d", [0.0]) * (sum(tau[i] for i in replay) * _T_WIDTH)
             if run(len(replay), 0, rows)[: len(replay)] != [tau[i] for i in replay]:
                 raise RuntimeError("a trace replay ran differently from its trial")
+            rows = _reshaped(rows, 0, len(rows) // _T_WIDTH, _T_WIDTH)
     traces, snaps = [None] * n, [None] * n
     for i, end in zip(replay, accumulate(tau[i] for i in replay)):
         traces[i] = _trace_records(rows[end - tau[i] : end], delta[i], truth.odd_index, capped[i])
     if cps:  # leader 0 marks a slot the trial did not reach
-        tallies = ints[snap_at:out_at].reshape(n, ncp, 2 + 2 * k).tolist()
-        scores = reals[4 * k :].reshape(n, ncp, k).tolist()
+        tallies = _reshaped(ints, snap_at, n, ncp, 2 + 2 * k)
+        scores = _reshaped(reals, 4 * k, n, ncp, k)
         snaps = [
             tuple(Snapshot(c, s[0], tuple(zs), tuple(s[2 : 2 + k]), tuple(s[2 + k :]), s[1])
                   for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
@@ -543,12 +558,20 @@ def _compiled(
     for i in [i for i in range(n) if tau[i] == 0]:
         if bitgen is not None:
             bitgen.state = start
-        trial_rng = np.random.default_rng([*prefix, trials[i]]) if rng is None else rng
+        trial_rng = _default_rng([*prefix, trials[i]]) if rng is None else rng
         o = _python_trial(config, truth, trial_rng, i < n_traced, frozenset(cps), cache)
         tau[i], delta[i], capped[i], traces[i] = o.tau, o.delta, o.capped, o.trace
         snaps[i] = o.snapshots
         last = (o.visits, o.events, o.total, o.z_min) if i == n - 1 else last
     return _Trials(tau, delta, capped, traces, snaps), last, (out[3 * n], out[3 * n + 1])
+
+
+def _default_rng(key: list[int]):
+    """`numpy.random.default_rng(key)`: numpy is loaded only for a trial
+    that runs on the Python loop."""
+    import numpy as np
+
+    return np.random.default_rng(key)
 
 
 def _seeded_trials(
@@ -572,7 +595,7 @@ def _seeded_trials(
         out, _, _ = _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)
         return out
     outs = [
-        run_trial(config, truth, np.random.default_rng([*prefix, t]), i < n_traced, cps, cache)
+        run_trial(config, truth, _default_rng([*prefix, t]), i < n_traced, cps, cache)
         for i, t in enumerate(trials)
     ]
     return _Trials(*([getattr(o, name) for o in outs] for name in _Trials._fields))

@@ -69,10 +69,9 @@ and pinned by tests.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import _native
 from .numerics import (
@@ -113,11 +112,12 @@ _MIN_BRACKET = 1e-15
 # The solve's constants in the kernel's `par` layout (the P_ enum of
 # _kernel.c): its slots from P_NEAR_NU on. The four before them are the
 # trial loop's, which `policy._KERNEL_PARAMS` fills; a solve reads none.
-_SOLVE_PARAMS = np.array(
+# An `array('d')`, whose address the kernel takes; never written.
+_SOLVE_PARAMS = array(
+    "d",
     [0.0, 0.0, 0.0, 0.0, NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET, _SERIES_RADIUS,
-     len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS]
+     len(_LOG1P_TAIL_COEFFS), *_LOG1P_TAIL_COEFFS],
 )
-_SOLVE_PARAMS.flags.writeable = False
 
 
 class DegenerateRatesError(DomainError):
@@ -333,31 +333,43 @@ def _root_row(a, b, rho: float) -> float:
         x = nxt
 
 
-def _solve_rows(r1, r2, rho: float):
-    """lam_hat and D* of every row pair of two (B, D) rate tables (2-D
-    arrays or sequences of rows), on the kernel's `oddball_solve_rows`
-    when it loads, else row by row on `_root_row` and `_objective_sum`;
-    the values are the same bits either way. Rows must not be degenerate.
+def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
+    """lam_hat and D* of every row pair of two (B, D) rate tables, each a
+    sequence of B rows of D rates (lists, `array('d')` rows or a 2-D numpy
+    array), on the kernel's `oddball_solve_rows` when it loads, else row by
+    row on `_root_row` and `_objective_sum`; the values are the same bits
+    either way. Rows must not be degenerate. The rows are gathered into one
+    flat `array('d')` per table, row after row, by `array.extend`, which
+    copies an `array('d')` row as one block.
     """
-    a = np.ascontiguousarray(r1, dtype=float)
-    b = np.ascontiguousarray(r2, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise DomainError(f"rate tables must be 2-D of one shape, got {a.shape} and {b.shape}")
+    a, b = array("d"), array("d")
+    try:
+        n, d = len(r1), len(r1[0]) if len(r1) else 0
+        if len(r2) != n:
+            raise ValueError
+        for rows, flat in ((r1, a), (r2, b)):
+            for row in rows:
+                if len(row) != d:
+                    raise ValueError
+                flat.extend(row)
+    except (TypeError, ValueError):
+        raise DomainError("rate tables must be 2-D of one shape") from None
     lib = _native.kernel()
     if lib is None:
         lam_hat, values = [], []
-        for odd, common in zip(a.tolist(), b.tolist()):
+        for i in range(0, n * d, d):
+            odd, common = a[i : i + d], b[i : i + d]
             h = _root_row(odd, common, rho)
             lam_hat.append(h)
             values.append(_objective_sum(odd, common, rho, _lam_odd_from_hat(h, rho)))
         return lam_hat, values
-    n, d = a.shape
-    out = np.empty((2, n))
-    at = out.ctypes.data
-    if lib.oddball_solve_rows(n, d, a.ctypes.data, b.ctypes.data, rho, _SOLVE_PARAMS.ctypes.data,
+    out = array("d", [0.0]) * (2 * n)
+    address = _native.buffer_address
+    at = address(out)
+    if lib.oddball_solve_rows(n, d, address(a), address(b), rho, address(_SOLVE_PARAMS),
                               at, at + 8 * n) >= 0:
         raise _no_sign_change()
-    return out[0], out[1]
+    return out[:n].tolist(), out[n:].tolist()
 
 
 def solve_lambda_star(config: OddConfig) -> LambdaSolution:
@@ -388,7 +400,7 @@ def solve_lambda_star(config: OddConfig) -> LambdaSolution:
         r_tilde = config.r1
     else:
         roots, values = _solve_rows((config.r1,), (config.r2,), rho)
-        lam_hat, value = float(roots[0]), float(values[0])
+        lam_hat, value = roots[0], values[0]
         r_tilde = tuple(lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2))
     lam_odd = _lam_odd_from_hat(lam_hat, rho)
     return LambdaSolution(
@@ -407,19 +419,24 @@ def d_star(config: OddConfig) -> float:
     return solve_lambda_star(config).d_star
 
 
-def d_star_rows(k: int, r1, r2) -> np.ndarray:
+def d_star_rows(k: int, r1, r2):
     """D* of K-item configurations with odd rates r1[i] and common rates
-    r2[i], for every row i of two (B, D) rate tables, in one solve.
+    r2[i], for every row i of two (B, D) rate tables, in one solve, as a
+    numpy array.
 
     Row i equals `d_star(OddConfig(k, 1, r1[i], r2[i]))` bitwise, whatever
     the other rows are. Rows must differ (r1[i] != r2[i]); rates must be
     positive and finite.
     """
+    import numpy as np
+
     return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1))[1], dtype=float)
 
 
-def _kl_grid(x: float, y: np.ndarray) -> np.ndarray:
-    """Vectorized D(x || y) for scalar x >= 0 and positive array y."""
+def _kl_grid(x: float, y):
+    """Vectorized D(x || y) for scalar x >= 0 and a positive numpy array y."""
+    import numpy as np
+
     if x == 0.0:
         return y.copy()
     return x * np.log(x / y) - x + y
@@ -441,6 +458,8 @@ def brute_force_d_star(config: OddConfig, grid_resolution: int = 400) -> float:
     `solve_lambda_star`; this is the oracle the solver is tested against.
     Scalar configs with K <= 4 only (the grid blows up combinatorially).
     """
+    import numpy as np
+
     if config.dim != 1:
         raise DomainError("brute force supports scalar-rate configs only")
     if config.k > 4:
@@ -516,6 +535,8 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     if not ks:
         raise DomainError("k_values must be non-empty")
     _require_int(nu_steps, "nu_steps", 2)
+    import numpy as np
+
     nus = np.linspace(0.01, 0.99, nu_steps)
     rows = []
     for k in ks:

@@ -12,6 +12,7 @@ and fallback tests run the loader against a temporary cache directory.
 
 import ctypes
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -22,6 +23,8 @@ import subprocess
 import sys
 import threading
 import time
+import types
+from array import array
 from functools import partial
 
 import numpy as np
@@ -176,9 +179,10 @@ def test_colliding_grid_points(kernel, monkeypatch):
     for q, lam_odd in zip((q1, q2), got):
         nu = q / policy._QUANT
         assert lam_odd == solve_lambda_star(OddConfig(3, 1, nu, 1.0 - nu)).lam_odd
-        assert lam_odd == kernel.oddball_lam_odd(3, q, policy._KERNEL_PARAMS.ctypes.data)
+        params = _native.buffer_address(policy._KERNEL_PARAMS)
+        assert lam_odd == kernel.oddball_lam_odd(3, q, params)
     assert got[2:] == [got[0], got[0]]
-    assert cache[3].nbytes == 16 * cells
+    assert len(cache[3]) * cache[3].itemsize == 16 * cells
     at = 2 * (q1 % cells)
     assert cache[3][at : at + 2].tolist() == [q1, got[0]]
     assert np.count_nonzero(cache[3]) == 2
@@ -188,7 +192,7 @@ def test_loops_evict_alike(kernel, monkeypatch):
     # With 16 cells nearly every miss evicts another point. Both loops
     # must evict the same points: the memos agree cell for cell, and the
     # kernel misses exactly as often as the Python loop solves.
-    params = policy._KERNEL_PARAMS.copy()
+    params = array("d", policy._KERNEL_PARAMS)
     params[_c_enum("P_QUANT").index("P_CELLS")] = 16
     monkeypatch.setattr(policy, "_MEMO_CELLS", 16)
     monkeypatch.setattr(policy, "_KERNEL_PARAMS", params)
@@ -196,7 +200,7 @@ def test_loops_evict_alike(kernel, monkeypatch):
     configs, truth, seeds, checkpoints = CONFIGS["sim-hard"]
     memo_py, memo_c, _, _, misses = _agree(configs, truth, seeds, checkpoints)
     k = truth.k
-    assert memo_c[k].nbytes == memo_py[k].nbytes == 16 * 16
+    assert len(memo_c[k]) * memo_c[k].itemsize == len(memo_py[k]) * memo_py[k].itemsize == 16 * 16
     assert np.array_equal(memo_c[k], memo_py[k])
     assert misses == len(solves) > 10 * np.count_nonzero(memo_c[k][::2])
 
@@ -211,7 +215,7 @@ def _python_trial_calls(monkeypatch):
 
 def _shrink_table_cap(monkeypatch, cap):
     """Cap the kernel's lgamma and log tables at `cap` entries."""
-    params = policy._KERNEL_PARAMS.copy()
+    params = array("d", policy._KERNEL_PARAMS)
     params[_c_enum("P_QUANT").index("P_TABLE_CAP")] = cap
     monkeypatch.setattr(policy, "_KERNEL_PARAMS", params)
 
@@ -282,7 +286,7 @@ def test_lgamma_port_is_bitwise():
     # wrong port into a skip.
     try:
         kernel = _native._load()
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         pytest.skip("the compiled kernel cannot be built on this machine")
     cap, lanes = policy._TABLE_CAP, _native._LANES
     ref = np.fromiter(map(math.lgamma, range(1, cap + 4097)), np.float64, cap + 4096)
@@ -323,7 +327,9 @@ def test_memo_holds_only_weight_cells(kernel):
     config = PolicyConfig(k=3, threshold_l=1.0, variant="non_stopping", max_slots=3000)
     policy._seeded_trials(config, OddConfig(3, 1, 1.0, 2.0), (), [4, 9], memo, (10, 700))
     assert sorted(memo) == [3, 4, 5]
-    assert all(cells.shape == (2 * policy._MEMO_CELLS,) for cells in memo.values())
+    assert all(
+        cells.typecode == "d" and len(cells) == 2 * policy._MEMO_CELLS for cells in memo.values()
+    )
 
 
 def _pcg64_state(gen: np.ndarray) -> dict:
@@ -634,6 +640,11 @@ def _drift_bytes(parallelism):
     return {"drift": result.to_csv().encode()}
 
 
+def _failed_build(out):
+    """A `_build` whose compiler fails, as `_native._build` reports it."""
+    raise OSError("cc: no input files")
+
+
 @pytest.mark.parametrize(
     "spec, past_cap",
     [
@@ -679,7 +690,7 @@ def test_block_bytes_match_fallback_and_workers(
     assert (max(totals) > 1024) == past_cap
     assert run(tmp_path / "workers", 2) == block
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(_native, "_build", lambda out: subprocess.run(["false"], check=True))
+    monkeypatch.setattr(_native, "_build", _failed_build)
     monkeypatch.setattr(_native, "_loaded", [])
     assert run(tmp_path / "fallback", 1) == block
     assert run(tmp_path / "fallback-workers", 2) == block
@@ -756,7 +767,7 @@ def test_kernel_frees_its_tables(kernel):
 def test_weight_solve_is_bitwise(kernel, monkeypatch):
     # The memo-miss solve against `solve_lambda_star` on the Python loop.
     monkeypatch.setattr(_native, "_loaded", [None])
-    params = policy._KERNEL_PARAMS.ctypes.data
+    params = _native.buffer_address(policy._KERNEL_PARAMS)
     grid = set(range(1, 10**6, 4999)) | {1, 2, 333_333, 499_999, 500_000, 500_001, 999_998, 999_999}
     for k in (3, 4, 5, 50, 1000):
         for q in sorted(grid):
@@ -889,12 +900,53 @@ def test_threads_share_a_failed_build(tmp_path, monkeypatch, capsys):
     def build(out):
         builds.append(out)
         time.sleep(0.05)  # the other threads reach `kernel()` meanwhile
-        raise subprocess.CalledProcessError(1, ["cc"], stderr=b"cc: no input files")
+        _failed_build(out)
 
     assert _first_loads(monkeypatch, tmp_path, build) == [None] * 4
     assert len(builds) == 1 and _native._loaded == [None]
     err = capsys.readouterr().err
     assert err.count("compiled trial kernel unavailable (cc: no input files)") == 1, err
+
+
+def test_key_names_numpy_by_its_version_text(tmp_path, monkeypatch):
+    # The cache key reads numpy's version.py, found by `find_spec`, rather
+    # than importing numpy: another version's text gives another key.
+    keys = []
+    for i, version in enumerate(('version = "2.4.6"\n', 'version = "2.4.7"\n')):
+        package = tmp_path / f"numpy{i}"
+        package.mkdir()
+        (package / "version.py").write_text(version, encoding="utf-8")
+        spec = types.SimpleNamespace(submodule_search_locations=[str(package)])
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.util, "find_spec", lambda name, spec=spec: spec)
+            keys.append(_native._key(b"source"))
+    assert len(set(keys)) == 2 and _native._key(b"source") not in keys
+    probe = (
+        "import sys\n"
+        "from oddball import _native\n"
+        "_native._key(b'source')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_failed_compile_raises_its_first_error_line(tmp_path, monkeypatch):
+    # `_build` reports a failed compile as an OSError carrying the
+    # compiler's first line of errors, which `kernel()` puts in its note.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on this machine")
+    broken = tmp_path / "_kernel.c"
+    broken.write_text("int oddball_broken(void) { return }\n", encoding="utf-8")
+    monkeypatch.setattr(_native, "_SOURCE", str(broken))
+    with pytest.raises(OSError) as info:
+        _native._build(str(tmp_path / "out.so"))
+    proc = subprocess.run(["cc", "-fsyntax-only", str(broken)], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert str(info.value) == proc.stderr.strip().splitlines()[0]
 
 
 def _spy_builds(monkeypatch, tmp_path):
@@ -961,7 +1013,7 @@ def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     builds = _spy_builds(monkeypatch, tmp_path)
     lib = _native.kernel()
     assert len(builds) == 1 and lib is not None
-    lam_odd = lib.oddball_lam_odd(3, 250_000, policy._KERNEL_PARAMS.ctypes.data)
+    lam_odd = lib.oddball_lam_odd(3, 250_000, _native.buffer_address(policy._KERNEL_PARAMS))
     assert lam_odd == solve_lambda_star(OddConfig(3, 1, 0.25, 0.75)).lam_odd
     # The rebuilt file is sealed and loads again.
     assert _native._open(path, key) is not None
@@ -989,6 +1041,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 # what each returns.
 _KERNEL_RUNS = """
 import json, sys, tempfile
+from array import array
 import numpy as np
 from oddball import _native, policy
 from oddball.dissimilarity import FiringRateTable, pairwise_dstar
@@ -1005,7 +1058,7 @@ rng = np.random.default_rng(0)
 print(run_trial(PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0), rng, True))
 limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
 print(run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, np.random.default_rng(0)))
-policy._KERNEL_PARAMS = policy._KERNEL_PARAMS.copy()
+policy._KERNEL_PARAMS = array("d", policy._KERNEL_PARAMS)
 policy._KERNEL_PARAMS[int(sys.argv[3])] = 101
 drift = drift_experiment(OddConfig(3, 1, 1.0, 2.0), 3000, [4, 9], [1, 10, 700], parallelism=2)
 print(drift.to_csv())
@@ -1035,7 +1088,7 @@ def test_kernel_is_clean_under_sanitizers(tmp_path, monkeypatch):
     key, path = _cached_path(tmp_path)
     try:
         _native._build(path)
-    except subprocess.CalledProcessError:
+    except OSError:
         pytest.skip("the kernel does not build with the sanitizers on this machine")
     _native._seal(path, key)
     cap_slot = str(_c_enum("P_QUANT").index("P_TABLE_CAP"))

@@ -125,7 +125,7 @@ class TestLeaderLambdaOdd:
         # and the memo is left as it was: 5.0 hashes as 5, True as 1.
         warm = {}
         leader_lambda_odd(5, 1.0, 2.0, warm)
-        before = warm[5].copy()
+        before = warm[5][:]
         for k in (2, 5.0, True):
             empty = {}
             for cache in (warm, empty):
@@ -310,6 +310,17 @@ class TestRunTrial:
             run_trial(self.CFG, OddConfig(4, 2, [1.0, 2.0], [2.0, 2.0]), np.random.default_rng(0))
         with pytest.raises(DomainError):
             run_trial(self.CFG, OddConfig(5, 2, 6.0, 2.0), np.random.default_rng(0))
+
+    def test_poisson_limit_is_numpys(self):
+        # Computed with math, bit for bit numpy's POISSON_LAM_MAX; the
+        # refusal above it names the limit in the same words.
+        int64_max = np.iinfo(np.int64).max
+        limit = float(int64_max - np.sqrt(int64_max) * 10)
+        assert policy._POISSON_LAM_MAX.hex() == limit.hex()
+        over = OddConfig(3, 1, float(np.nextafter(limit, np.inf)), 1.0)
+        with pytest.raises(DomainError) as info:
+            run_trial(PolicyConfig(k=3, threshold_l=10.0), over, np.random.default_rng(0))
+        assert str(info.value) == "rates above 9.223372006e+18 are past numpy's Poisson sampler"
 
     def test_deterministic_under_seed(self):
         a = run_trial(self.CFG, self.TRUTH, np.random.default_rng(42))
