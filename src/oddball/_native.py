@@ -179,20 +179,12 @@ def buffer_address(buffer) -> int:
     return buffer.buffer_info()[0]
 
 
-def _lgamma_values(lib, start: int, n: int):
+def lgamma_range(lib, start: int, n: int):
     """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`, as a
     ctypes array of n doubles."""
     out = (ctypes.c_double * n)()
     lib.oddball_lgamma(ctypes.addressof(out), start, n)
     return out
-
-
-def lgamma_range(lib, start: int, n: int):
-    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`, as a
-    numpy array."""
-    import numpy as np
-
-    return np.frombuffer(_lgamma_values(lib, start, n))
 
 
 def kernel():
@@ -206,8 +198,8 @@ def kernel():
         if not _loaded:
             try:
                 lib = _load()
-                got = _lgamma_values(lib, 0, _LANES)[:]
-                got += [_lgamma_values(lib, y, 1)[0] for y in _LGAMMA_PROBES]
+                got = lgamma_range(lib, 0, _LANES)[:]
+                got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
                 if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                     raise OSError("its lgamma differs from math.lgamma")
             except OSError as exc:

@@ -340,12 +340,13 @@ def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
     row on `_root_row` and `_objective_sum`; the values are the same bits
     either way. Rows must not be degenerate. The rows are gathered into one
     flat `array('d')` per table, row after row, by `array.extend`, which
-    copies an `array('d')` row as one block.
+    copies an `array('d')` row as one block. A table of no rows gives empty
+    lists; rows of no rates are refused.
     """
     a, b = array("d"), array("d")
     try:
         n, d = len(r1), len(r1[0]) if len(r1) else 0
-        if len(r2) != n:
+        if len(r2) != n or (n and d < 1):
             raise ValueError
         for rows, flat in ((r1, a), (r2, b)):
             for row in rows:
@@ -357,8 +358,8 @@ def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
     lib = _native.kernel()
     if lib is None:
         lam_hat, values = [], []
-        for i in range(0, n * d, d):
-            odd, common = a[i : i + d], b[i : i + d]
+        for i in range(n):
+            odd, common = a[i * d : (i + 1) * d], b[i * d : (i + 1) * d]
             h = _root_row(odd, common, rho)
             lam_hat.append(h)
             values.append(_objective_sum(odd, common, rho, _lam_odd_from_hat(h, rho)))

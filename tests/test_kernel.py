@@ -290,10 +290,10 @@ def test_lgamma_port_is_bitwise():
         pytest.skip("the compiled kernel cannot be built on this machine")
     cap, lanes = policy._TABLE_CAP, _native._LANES
     ref = np.fromiter(map(math.lgamma, range(1, cap + 4097)), np.float64, cap + 4096)
-    got = _native.lgamma_range(kernel, 0, cap + 4096)
+    got = np.frombuffer(_native.lgamma_range(kernel, 0, cap + 4096))
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     for start, n in itertools.product([1, 3, lanes - 1, 5 * lanes + 3, cap - 2], range(3 * lanes)):
-        got = _native.lgamma_range(kernel, start, n)
+        got = np.frombuffer(_native.lgamma_range(kernel, start, n))
         assert np.array_equal(got.view(np.uint64), ref[start : start + n].view(np.uint64))
     out = ctypes.c_double()
     at = ctypes.byref(out)
@@ -307,7 +307,7 @@ def test_lgamma_port_is_bitwise():
     assert [y for y in ys if one(y) != math.lgamma(y + 1)] == []
     # A lane group and a tail at each of 1000 random starts.
     for start in rng.integers(0, 2**53 - 2 * lanes, size=1000).tolist():
-        got = _native.lgamma_range(kernel, start, lanes + 3).tolist()
+        got = _native.lgamma_range(kernel, start, lanes + 3)[:]
         assert got == [math.lgamma(y + 1) for y in range(start, start + lanes + 3)], start
 
 
@@ -330,6 +330,28 @@ def test_memo_holds_only_weight_cells(kernel):
     assert all(
         cells.typecode == "d" and len(cells) == 2 * policy._MEMO_CELLS for cells in memo.values()
     )
+
+
+def test_parameter_buffers_stay_unchanged(kernel):
+    # The kernel reads its constants from `_KERNEL_PARAMS` and
+    # `_SOLVE_PARAMS` by address, from several threads at once, and must
+    # never write them: after trials and solves on the kernel they still
+    # hold the constants they were built from.
+    from oddball import solver
+
+    want_solve = [0.0] * 4 + [
+        NEAR_DEGENERATE_NU, DEFAULT_TOL, _MIN_BRACKET, _SERIES_RADIUS, len(_LOG1P_TAIL_COEFFS),
+        *_LOG1P_TAIL_COEFFS,
+    ]
+    want_kernel = [
+        policy._QUANT, policy._MEMO_CELLS, policy._TABLE_CAP, policy.DEGENERATE_ESTIMATE_GAP,
+        *want_solve[4:],
+    ]
+    config = PolicyConfig(k=5, threshold_l=1e3)
+    policy._seeded_trials(config, OddConfig(5, 3, 10.0, 1.0), (), list(range(8)), {}, n_traced=2)
+    solver.d_star_rows(4, [[1.0, 2.0], [3.0, 0.5]], [[2.0, 2.0], [1.0, 1.0]])
+    assert policy._KERNEL_PARAMS.tolist() == want_kernel
+    assert solver._SOLVE_PARAMS.tolist() == want_solve
 
 
 def _pcg64_state(gen: np.ndarray) -> dict:

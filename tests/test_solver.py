@@ -509,12 +509,20 @@ class TestKernelSolve:
         self.check(r1, r2)
 
     def test_tables_of_other_shapes_are_refused(self):
-        for r1, r2 in (([[1.0, 2.0]], [[1.0, 2.0, 3.0]]), ([1.0, 2.0], [2.0, 1.0])):
-            for loop in (None, self.lib):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(_native, "_loaded", [loop])
+        refused = (
+            ([[1.0, 2.0]], [[1.0, 2.0, 3.0]]), ([1.0, 2.0], [2.0, 1.0]), ([[]], [[]]),
+            (np.empty((2, 0)), np.empty((2, 0))), ([[1.0, 2.0]], []),
+        )
+        for loop in (None, self.lib):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_native, "_loaded", [loop])
+                for r1, r2 in refused:
                     with pytest.raises(DomainError, match="2-D of one shape"):
                         d_star_rows(3, r1, r2)
+                # A table of no rows has no D* to solve, on either loop.
+                for empty in ([], np.empty((0, 3))):
+                    got = d_star_rows(3, empty, empty)
+                    assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_degenerate_rows_raise_on_both_loops(self):
         # Rows whose residual has no sign change: equal vectors, and
