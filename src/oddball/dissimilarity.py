@@ -35,10 +35,17 @@ import io
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .numerics import DomainError, _csv_text, _f_upper_tail, _fan_out, _require_int, _require_real
+from .numerics import (
+    DomainError,
+    _FrozenRecord,
+    _csv_text,
+    _f_upper_tail,
+    _fan_out,
+    _require_int,
+    _require_real,
+)
 from .solver import _solve_rows, d_star  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
@@ -70,8 +77,7 @@ def _read_only(rows, dtype):
     return out
 
 
-@dataclass(frozen=True)
-class FiringRateTable:
+class FiringRateTable(_FrozenRecord):
     """Per-image firing-rate vectors with a shared neuron count.
 
     rates[i, d] is image i's mean rate on neuron d, after flooring:
@@ -80,10 +86,16 @@ class FiringRateTable:
     per image, never written) and `_floored` on first access.
     """
 
-    images: tuple[str, ...]
-    floor: float
-    _rows: tuple[array, ...] = field(repr=False)
-    _floored: tuple[tuple[bool, ...], ...] = field(repr=False)
+    _fields = ("images", "floor", "_rows", "_floored")
+
+    def __init__(
+        self,
+        images: tuple[str, ...],
+        floor: float,
+        _rows: tuple[array, ...],
+        _floored: tuple[tuple[bool, ...], ...],
+    ):
+        self.__dict__.update(images=images, floor=floor, _rows=_rows, _floored=_floored)
 
     @classmethod
     def from_arrays(cls, images, rates, floor: float = DEFAULT_RATE_FLOOR) -> "FiringRateTable":
@@ -173,8 +185,7 @@ def _index_of(images: tuple[str, ...], image_id: str) -> int:
         raise DomainError(f"unknown image id {image_id!r}") from None
 
 
-@dataclass(frozen=True)
-class DissimilarityMatrix:
+class DissimilarityMatrix(_FrozenRecord):
     """Ordered-pair dissimilarities: values[a, b] = D* with image a odd
     among copies of image b. Both orientations are stored; the matrix is
     not symmetric. Diagonal entries are exactly 0 and flagged degenerate,
@@ -184,11 +195,19 @@ class DissimilarityMatrix:
     on first access from the row tuples of `_values`, `_degenerate` and
     `_floored`."""
 
-    images: tuple[str, ...]
-    k: int
-    _values: tuple[tuple[float, ...], ...] = field(repr=False)
-    _degenerate: tuple[tuple[bool, ...], ...] = field(repr=False)
-    _floored: tuple[tuple[int, ...], ...] = field(repr=False)
+    _fields = ("images", "k", "_values", "_degenerate", "_floored")
+
+    def __init__(
+        self,
+        images: tuple[str, ...],
+        k: int,
+        _values: tuple[tuple[float, ...], ...],
+        _degenerate: tuple[tuple[bool, ...], ...],
+        _floored: tuple[tuple[int, ...], ...],
+    ):
+        self.__dict__.update(
+            images=images, k=k, _values=_values, _degenerate=_degenerate, _floored=_floored,
+        )
 
     @cached_property
     def values(self):

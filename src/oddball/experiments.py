@@ -38,14 +38,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from functools import partial
 
 from .glr import SufficientStats
 from .numerics import (
     DomainError,
+    _FrozenRecord,
     _clopper_pearson_upper,
     _csv_text,
     _fan_out,
@@ -75,8 +74,7 @@ REPORT_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_FrozenRecord):
     """Declarative description of one policy experiment.
 
     l_grid must be strictly increasing with every entry >= 1. r1 and r2
@@ -87,41 +85,48 @@ class ExperimentSpec:
     trace_sampling as floats.
     """
 
-    k: int
-    odd_index: int
-    r1: float
-    r2: float
-    l_grid: tuple[float, ...]
-    trials: int
-    seed: int
-    max_slots: int = 10_000_000
-    trace_sampling: float = 0.0
+    _fields = (
+        "k", "odd_index", "r1", "r2", "l_grid", "trials", "seed", "max_slots", "trace_sampling"
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "r1", _require_real(self.r1, "r1", 0.0, open=True))
-        object.__setattr__(self, "r2", _require_real(self.r2, "r2", 0.0, open=True))
-        sampling = _require_real(self.trace_sampling, "trace_sampling", 0.0, 1.0)
-        object.__setattr__(self, "trace_sampling", sampling)
+    def __init__(
+        self,
+        k: int,
+        odd_index: int,
+        r1: float,
+        r2: float,
+        l_grid: tuple[float, ...],
+        trials: int,
+        seed: int,
+        max_slots: int = 10_000_000,
+        trace_sampling: float = 0.0,
+    ):
+        r1 = _require_real(r1, "r1", 0.0, open=True)
+        r2 = _require_real(r2, "r2", 0.0, open=True)
+        trace_sampling = _require_real(trace_sampling, "trace_sampling", 0.0, 1.0)
         # Delegate k / odd_index validation to the config type.
-        OddConfig(self.k, self.odd_index, self.r1, self.r2)
-        _require_int(self.trials, "trials", 1)
-        _require_int(self.seed, "seed", 0)
-        _require_int(self.max_slots, "max_slots", 1)
+        OddConfig(k, odd_index, r1, r2)
+        _require_int(trials, "trials", 1)
+        _require_int(seed, "seed", 0)
+        _require_int(max_slots, "max_slots", 1)
         try:
-            grid = tuple(_require_real(l, "l_grid entry", 1.0) for l in self.l_grid)
+            grid = tuple(_require_real(l, "l_grid entry", 1.0) for l in l_grid)
         except TypeError:
             raise DomainError("l_grid must be a list of numbers") from None
         if not grid:
             raise DomainError("l_grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("l_grid must be strictly increasing")
-        object.__setattr__(self, "l_grid", grid)
+        self.__dict__.update(
+            k=k, odd_index=odd_index, r1=r1, r2=r2, l_grid=grid, trials=trials, seed=seed,
+            max_slots=max_slots, trace_sampling=trace_sampling,
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise DomainError("experiment spec must be a JSON object")
-        known = {f.name for f in fields(cls)}
+        known = set(cls._fields)
         unknown = sorted(set(data) - known)
         if unknown:
             raise DomainError(f"unknown spec keys: {', '.join(unknown)}")
@@ -153,22 +158,35 @@ class ExperimentSpec:
         return OddConfig(self.k, self.odd_index, self.r1, self.r2)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_FrozenRecord):
     """Aggregate over all trials at one reliability level."""
 
-    l_value: float
-    threshold: float
-    trials: int
-    errors: int
-    error_rate: float
-    error_ci_hi: float
-    mean_tau: float
-    se_tau: float
-    tau_over_ln_l: float
-    lower_bound: float
-    inv_dstar: float
-    capped: int
+    _fields = (
+        "l_value", "threshold", "trials", "errors", "error_rate", "error_ci_hi", "mean_tau",
+        "se_tau", "tau_over_ln_l", "lower_bound", "inv_dstar", "capped",
+    )
+
+    def __init__(
+        self,
+        l_value: float,
+        threshold: float,
+        trials: int,
+        errors: int,
+        error_rate: float,
+        error_ci_hi: float,
+        mean_tau: float,
+        se_tau: float,
+        tau_over_ln_l: float,
+        lower_bound: float,
+        inv_dstar: float,
+        capped: int,
+    ):
+        self.__dict__.update(
+            l_value=l_value, threshold=threshold, trials=trials, errors=errors,
+            error_rate=error_rate, error_ci_hi=error_ci_hi, mean_tau=mean_tau, se_tau=se_tau,
+            tau_over_ln_l=tau_over_ln_l, lower_bound=lower_bound, inv_dstar=inv_dstar,
+            capped=capped,
+        )
 
     def to_csv_line(self) -> str:
         return (
@@ -179,10 +197,13 @@ class ReportRow:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    spec: ExperimentSpec
-    rows: tuple[ReportRow, ...]
+class ExperimentReport(_FrozenRecord):
+    """A spec and its report rows, one per level of its grid."""
+
+    _fields = ("spec", "rows")
+
+    def __init__(self, spec: ExperimentSpec, rows: tuple[ReportRow, ...]):
+        self.__dict__.update(spec=spec, rows=rows)
 
     def to_csv(self) -> str:
         return "\n".join([REPORT_HEADER, *(row.to_csv_line() for row in self.rows)]) + "\n"
@@ -333,34 +354,54 @@ def run_experiment(
     return ExperimentReport(spec=spec, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class DriftRow:
+class DriftRow(_FrozenRecord):
     """State audit of one non-stopping run at one checkpoint slot n."""
 
-    seed: int
-    n: int
-    leader: int
-    z_leader_over_n: float
-    z_true_over_n: float
-    frequencies: tuple[float, ...]
-    empirical_rates: tuple[float, ...]
-    holdout_rates: tuple[float, ...]
-    visits: tuple[int, ...]
-    events: tuple[int, ...]
-    total: int
+    _fields = (
+        "seed", "n", "leader", "z_leader_over_n", "z_true_over_n", "frequencies",
+        "empirical_rates", "holdout_rates", "visits", "events", "total",
+    )
+
+    def __init__(
+        self,
+        seed: int,
+        n: int,
+        leader: int,
+        z_leader_over_n: float,
+        z_true_over_n: float,
+        frequencies: tuple[float, ...],
+        empirical_rates: tuple[float, ...],
+        holdout_rates: tuple[float, ...],
+        visits: tuple[int, ...],
+        events: tuple[int, ...],
+        total: int,
+    ):
+        self.__dict__.update(
+            seed=seed, n=n, leader=leader, z_leader_over_n=z_leader_over_n,
+            z_true_over_n=z_true_over_n, frequencies=frequencies, empirical_rates=empirical_rates,
+            holdout_rates=holdout_rates, visits=visits, events=events, total=total,
+        )
 
 
-@dataclass(frozen=True)
-class DriftResult:
+class DriftResult(_FrozenRecord):
     """Per-(seed, checkpoint) rows plus the truth quantities they are
     audited against: D*, lambda*, the true rates, and the mixed rate."""
 
-    truth: OddConfig
-    n_slots: int
-    d_star: float
-    lambda_star: tuple[float, ...]
-    mixed_rate: float
-    rows: tuple[DriftRow, ...]
+    _fields = ("truth", "n_slots", "d_star", "lambda_star", "mixed_rate", "rows")
+
+    def __init__(
+        self,
+        truth: OddConfig,
+        n_slots: int,
+        d_star: float,
+        lambda_star: tuple[float, ...],
+        mixed_rate: float,
+        rows: tuple[DriftRow, ...],
+    ):
+        self.__dict__.update(
+            truth=truth, n_slots=n_slots, d_star=d_star, lambda_star=lambda_star,
+            mixed_rate=mixed_rate, rows=rows,
+        )
 
     def final_rows(self) -> tuple[DriftRow, ...]:
         return tuple(r for r in self.rows if r.n == self.n_slots)
@@ -386,11 +427,11 @@ class DriftResult:
             "n_slots": self.n_slots,
             "d_star": self.d_star,
             "leader_correct_fraction": sum(1 for r in rows if r.leader == odd) / len(rows),
-            "median_z_rel_err": statistics.median(z_errs),
+            "median_z_rel_err": _median(z_errs),
             "max_z_rel_err": max(z_errs),
-            "median_freq_err_inf": statistics.median(freq_errs),
+            "median_freq_err_inf": _median(freq_errs),
             "max_freq_err_inf": max(freq_errs),
-            "median_holdout_rel_err": statistics.median(holdout_errs),
+            "median_holdout_rel_err": _median(holdout_errs),
             "max_holdout_rel_err": max(holdout_errs),
         }
 
@@ -404,6 +445,14 @@ class DriftResult:
             cells = [f"{v:.12g}" for v in reals + r.holdout_rates]
             rows.append((r.seed, r.n, r.leader, *cells, r.total))
         return _csv_text(",".join(header + ["total"]), rows)
+
+
+def _median(values: list[float]) -> float:
+    """The median as `statistics.median` computes it, bit for bit: the
+    middle value, or the mean of the middle two."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
 def default_checkpoints(n_slots: int) -> tuple[int, ...]:

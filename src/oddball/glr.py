@@ -37,10 +37,9 @@ process can hold a positive score, which is what makes thresholding sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .numerics import DomainError, _require_int, _require_list
+from .numerics import DomainError, _FrozenRecord, _Record, _require_int, _require_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,38 +53,41 @@ __all__ = [
 ]
 
 
-@dataclass
-class SufficientStats:
+class SufficientStats(_Record):
     """Visit and event tallies over K processes. Single-writer, mutable.
 
     Invariants (exact, integers): sum(visits) == n, sum(events) == total.
+    With neither visits nor events given, both start as K zeros.
     """
 
-    k: int
-    n: int = 0
-    visits: list[int] = field(default_factory=list)
-    events: list[int] = field(default_factory=list)
-    total: int = 0
+    _fields = ("k", "n", "visits", "events", "total")
 
-    def __post_init__(self):
-        _require_int(self.k, "k", 3)
-        if not self.visits and not self.events:
-            self.visits = [0] * self.k
-            self.events = [0] * self.k
-        if len(self.visits) != self.k or len(self.events) != self.k:
+    def __init__(
+        self,
+        k: int,
+        n: int = 0,
+        visits: list[int] | None = None,
+        events: list[int] | None = None,
+        total: int = 0,
+    ):
+        _require_int(k, "k", 3)
+        if not visits and not events:
+            visits, events = [0] * k, [0] * k
+        if len(visits or ()) != k or len(events or ()) != k:
             raise DomainError("visits and events must each have one entry per process")
-        for v in self.visits:
+        for v in visits:
             _require_int(v, "visits entry", 0)
-        for e in self.events:
+        for e in events:
             _require_int(e, "events entry", 0)
-        _require_int(self.n, "n", 0)
-        _require_int(self.total, "total", 0)
-        if any(v == 0 and e > 0 for v, e in zip(self.visits, self.events)):
+        _require_int(n, "n", 0)
+        _require_int(total, "total", 0)
+        if any(v == 0 and e > 0 for v, e in zip(visits, events)):
             raise DomainError("a process with zero visits cannot have events")
-        if sum(self.visits) != self.n:
+        if sum(visits) != n:
             raise DomainError("visits must sum to n")
-        if sum(self.events) != self.total:
+        if sum(events) != total:
             raise DomainError("events must sum to total")
+        self.k, self.n, self.visits, self.events, self.total = k, n, visits, events, total
 
     @classmethod
     def from_counts(cls, visits, events) -> "SufficientStats":
@@ -127,9 +129,8 @@ class SufficientStats:
         return t1, t2
 
 
-@dataclass(frozen=True, eq=False)
-class GlrState:
-    """One slot's worth of test state.
+class GlrState(_FrozenRecord):
+    """One slot's worth of test state, equal only to itself.
 
     z:      K x K matrix of pairwise scores Z_ij (diagonal unused, 0.0).
     z_min:  Z_i = min over j != i of Z_ij.
@@ -139,11 +140,12 @@ class GlrState:
             at random from the caller's stream.
     """
 
-    n: int
-    z: np.ndarray
-    z_min: np.ndarray
-    theta: np.ndarray
-    leader: int
+    _fields = ("n", "z", "z_min", "theta", "leader")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, z: np.ndarray, z_min: np.ndarray, theta: np.ndarray, leader: int):
+        self.__dict__.update(n=n, z=z, z_min=z_min, theta=theta, leader=leader)
 
 
 def _check_hypothesis(stats: SufficientStats, i: int, caller: str) -> None:

@@ -1,7 +1,8 @@
 """Log-space numerical primitives for Poisson rate comparisons, plus the
-private helpers other modules share: input rules, `_fan_out`, `_csv_text`,
-and the two distribution tails the reports need, `_clopper_pearson_upper`
-and `_f_upper_tail`, in pure Python so that no command imports scipy.
+private helpers other modules share: input rules, the record bases
+`_Record` and `_FrozenRecord`, `_fan_out`, `_csv_text`, and the two
+distribution tails the reports need, `_clopper_pearson_upper` and
+`_f_upper_tail`, in pure Python so that no command imports scipy.
 
 The public functions are pure functions of their arguments. The central
 quantity is the Kullback-Leibler divergence between unit-time Poisson
@@ -90,6 +91,45 @@ def _require_real(
             return x
     span = f"{'(' if open else '['}{low:g}, {high:g}{')' if open or high == math.inf else ']'}"
     raise DomainError(f"{name} must be a finite number in {span}, got {value!r}")
+
+
+class _Record:
+    """Base of the package's record types. A record names its fields, in
+    its constructor's argument order, in the class tuple `_fields`, and
+    its `__init__` checks and stores them. The base gives the repr (fields
+    whose names start with "_" left out) and equality (same class and
+    equal fields); records built on it are mutable and unhashable, those
+    built on `_FrozenRecord` frozen. Nothing is generated at import, where
+    the `dataclasses` module compiles every method it writes."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` that hashes its fields and refuses any assignment or
+    deletion with an AttributeError. Its `__init__` stores the fields with
+    `self.__dict__.update(...)`, which the guard does not see."""
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
 
 
 def _fan_out(run_block, items, parallelism: int) -> list:

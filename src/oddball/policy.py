@@ -55,7 +55,6 @@ import sys
 from array import array
 from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -63,6 +62,7 @@ from . import _native
 from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import (
     DomainError,
+    _FrozenRecord,
     _require_int,
     _require_list,
     _require_real,
@@ -111,8 +111,7 @@ _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 _TABLE_CAP = 1 << 21
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(_FrozenRecord):
     """Parameters of the sequential test.
 
     threshold_l: reliability parameter L >= 1, stored as a float; the
@@ -125,50 +124,60 @@ class PolicyConfig:
     `log_threshold`, which the policy step reads on every slot.
     """
 
-    k: int
-    threshold_l: float
-    variant: str = "standard"
-    max_slots: int = 10_000_000
+    _fields = ("k", "threshold_l", "variant", "max_slots")
 
-    def __post_init__(self):
-        _require_int(self.k, "k", 3)
-        object.__setattr__(self, "threshold_l", _require_real(self.threshold_l, "threshold_l", 1.0))
-        if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        _require_int(self.max_slots, "max_slots", 1)
-        object.__setattr__(self, "warmup", self.k)
-        object.__setattr__(self, "log_threshold", math.log((self.k - 1) * self.threshold_l))
-        if self.max_slots < self.warmup:
-            raise DomainError(
-                f"max_slots ({self.max_slots}) must cover the warm-up ({self.warmup} slots)"
-            )
+    def __init__(
+        self, k: int, threshold_l: float, variant: str = "standard", max_slots: int = 10_000_000
+    ):
+        _require_int(k, "k", 3)
+        threshold_l = _require_real(threshold_l, "threshold_l", 1.0)
+        if variant not in VARIANTS:
+            raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        _require_int(max_slots, "max_slots", 1)
+        if max_slots < k:
+            raise DomainError(f"max_slots ({max_slots}) must cover the warm-up ({k} slots)")
+        self.__dict__.update(
+            k=k, threshold_l=threshold_l, variant=variant, max_slots=max_slots,
+            warmup=k, log_threshold=math.log((k - 1) * threshold_l),
+        )
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(_FrozenRecord):
     """What the policy does at the end of a slot: stop and declare, or
     continue with `action` drawn from `distribution`."""
 
-    stop: bool
-    declared: int | None = None
-    action: int | None = None
-    distribution: tuple[float, ...] | None = None
+    _fields = ("stop", "declared", "action", "distribution")
+
+    def __init__(
+        self,
+        stop: bool,
+        declared: int | None = None,
+        action: int | None = None,
+        distribution: tuple[float, ...] | None = None,
+    ):
+        self.__dict__.update(stop=stop, declared=declared, action=action, distribution=distribution)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(_FrozenRecord):
     """Mid-trial state capture (used by drift studies and trace audits)."""
 
-    n: int
-    leader: int
-    z_min: tuple[float, ...]
-    visits: tuple[int, ...]
-    events: tuple[int, ...]
-    total: int
+    _fields = ("n", "leader", "z_min", "visits", "events", "total")
+
+    def __init__(
+        self,
+        n: int,
+        leader: int,
+        z_min: tuple[float, ...],
+        visits: tuple[int, ...],
+        events: tuple[int, ...],
+        total: int,
+    ):
+        self.__dict__.update(
+            n=n, leader=leader, z_min=z_min, visits=visits, events=events, total=total,
+        )
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(_FrozenRecord):
     """Result of one simulated trial.
 
     tau is the stopping slot (or max_slots if capped), delta the declared
@@ -177,17 +186,29 @@ class TrialOutcome:
     the per-slot trace only when requested.
     """
 
-    k: int
-    tau: int
-    delta: int
-    correct: bool
-    capped: bool
-    visits: tuple[int, ...]
-    events: tuple[int, ...]
-    total: int
-    z_min: tuple[float, ...]
-    trace: tuple[dict, ...] | None = None
-    snapshots: tuple[Snapshot, ...] | None = None
+    _fields = (
+        "k", "tau", "delta", "correct", "capped", "visits", "events", "total", "z_min", "trace",
+        "snapshots",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        tau: int,
+        delta: int,
+        correct: bool,
+        capped: bool,
+        visits: tuple[int, ...],
+        events: tuple[int, ...],
+        total: int,
+        z_min: tuple[float, ...],
+        trace: tuple[dict, ...] | None = None,
+        snapshots: tuple[Snapshot, ...] | None = None,
+    ):
+        self.__dict__.update(
+            k=k, tau=tau, delta=delta, correct=correct, capped=capped, visits=visits,
+            events=events, total=total, z_min=z_min, trace=trace, snapshots=snapshots,
+        )
 
 
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:

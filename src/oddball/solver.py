@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import _native
@@ -78,6 +77,7 @@ from .numerics import (
     _LOG1P_TAIL_COEFFS,
     _SERIES_RADIUS,
     DomainError,
+    _FrozenRecord,
     _require_int,
     _require_list,
     _require_real,
@@ -139,8 +139,7 @@ def _as_rate_tuple(value, name: str) -> tuple[float, ...]:
     return tuple(_require_real(v, f"{name} rate", 0.0, open=True) for v in coords)
 
 
-@dataclass(frozen=True)
-class OddConfig:
+class OddConfig(_FrozenRecord):
     """Ground-truth arrangement: K processes, one odd, two rate profiles.
 
     `r1` and `r2` accept a single rate or a sequence (one value per
@@ -149,10 +148,7 @@ class OddConfig:
     solver gives them the equal-rates limit of the optimal weights.
     """
 
-    k: int
-    odd_index: int
-    r1: tuple[float, ...]
-    r2: tuple[float, ...]
+    _fields = ("k", "odd_index", "r1", "r2")
 
     def __init__(self, k: int, odd_index: int, r1, r2):
         _require_int(k, "k", 3)
@@ -161,10 +157,7 @@ class OddConfig:
         r2t = _as_rate_tuple(r2, "r2")
         if len(r1t) != len(r2t):
             raise DomainError(f"r1 and r2 must have equal dimension, got {len(r1t)} and {len(r2t)}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "odd_index", odd_index)
-        object.__setattr__(self, "r1", r1t)
-        object.__setattr__(self, "r2", r2t)
+        self.__dict__.update(k=k, odd_index=odd_index, r1=r1t, r2=r2t)
 
     @property
     def dim(self) -> int:
@@ -198,8 +191,7 @@ def _nu(a: float, b: float) -> float:
     return a / total
 
 
-@dataclass(frozen=True)
-class LambdaSolution:
+class LambdaSolution(_FrozenRecord):
     """Optimal sampling weights and the value they achieve.
 
     lam:      full probability vector over the K processes (odd_index gets
@@ -211,13 +203,22 @@ class LambdaSolution:
     d_star:   objective value at lam_odd (0 exactly for degenerate configs).
     """
 
-    config: OddConfig
-    lam: tuple[float, ...]
-    lam_odd: float
-    lam_hat: float
-    r_tilde: tuple[float, ...]
-    nu: float | None
-    d_star: float
+    _fields = ("config", "lam", "lam_odd", "lam_hat", "r_tilde", "nu", "d_star")
+
+    def __init__(
+        self,
+        config: OddConfig,
+        lam: tuple[float, ...],
+        lam_odd: float,
+        lam_hat: float,
+        r_tilde: tuple[float, ...],
+        nu: float | None,
+        d_star: float,
+    ):
+        self.__dict__.update(
+            config=config, lam=lam, lam_odd=lam_odd, lam_hat=lam_hat, r_tilde=r_tilde, nu=nu,
+            d_star=d_star,
+        )
 
 
 def mixed_rate(lambda_odd: float, r1, r2, k: int):

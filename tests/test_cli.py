@@ -574,14 +574,13 @@ print(json.dumps(heavy()))
 # Top-level modules, apart from private ones ("_csv"), that `import
 # oddball.cli` may load beyond those the interpreter starts with: the
 # standard library's light modules. numpy, scipy, subprocess, tempfile and
-# concurrent are not among them.
+# concurrent are not among them, nor dataclasses (with inspect, ast and
+# tokenize) or statistics (with decimal and fractions).
 CLI_IMPORTS = {
-    "argparse", "array", "ast", "bisect", "collections", "contextlib", "copy", "copyreg", "csv",
-    "ctypes", "dataclasses", "decimal", "dis", "enum", "fractions", "functools", "genericpath",
-    "gettext", "hashlib", "importlib", "inspect", "itertools", "json", "keyword", "linecache",
-    "locale", "math", "numbers", "oddball", "opcode", "operator", "os", "posixpath", "random",
-    "re", "reprlib", "stat", "statistics", "struct", "threading", "token", "tokenize", "types",
-    "typing", "warnings", "weakref",
+    "argparse", "array", "bisect", "collections", "contextlib", "copyreg", "csv", "ctypes", "enum",
+    "functools", "genericpath", "gettext", "hashlib", "importlib", "itertools", "json", "keyword",
+    "locale", "math", "oddball", "operator", "os", "posixpath", "re", "reprlib", "stat", "struct",
+    "threading", "types", "typing", "warnings",
 }
 
 

@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import math
 import os
+import statistics
 
 import mpmath
 import numpy as np
@@ -467,6 +468,18 @@ class TestDriftExperiment:
             max(abs(f - l) for f, l in zip(r.frequencies, result.lambda_star)) for r in finals
         )
         assert summary["median_freq_err_inf"] == errs[1]
+
+    def test_summary_medians_are_statistics_median(self):
+        # Two seeds: the even count takes the mean of the middle pair.
+        result = drift_experiment(self.TRUTH, 500, [0, 1])
+        summary = result.summary()
+        finals = result.final_rows()
+        z_errs = [abs(r.z_true_over_n - result.d_star) / result.d_star for r in finals]
+        assert summary["median_z_rel_err"] == statistics.median(z_errs)
+        rng = np.random.default_rng(7)
+        for n in range(1, 8):
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+            assert experiments._median(values) == statistics.median(values)
 
     def test_long_run_concentrates(self):
         result = drift_experiment(self.TRUTH, 2000, [0, 1, 2])

@@ -5,7 +5,6 @@ The trial runner and the public single step (`modified_glr` +
 checks that the two paths agree draw for draw.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -72,8 +71,9 @@ class TestPolicyConfig:
 
     def test_fields(self):
         # Warm-up length, stop index and variant gates are not settable.
-        names = [f.name for f in dataclasses.fields(PolicyConfig)]
-        assert names == ["k", "threshold_l", "variant", "max_slots"]
+        assert PolicyConfig._fields == ("k", "threshold_l", "variant", "max_slots")
+        with pytest.raises(TypeError):
+            PolicyConfig(k=3, threshold_l=10.0, warmup=3)
 
     def test_warmup_is_k(self):
         for k in (3, 4, 50):
