@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -512,6 +513,149 @@ class TestExitDiscipline:
         )
         assert code == 1
         assert err.startswith("runtime failure: ")
+
+
+DSTAR = ("dstar", "--k", "3", "--r1", "1.0", "--r2", "2.0")
+
+# Every flag of each command, in the order its help lists them.
+COMMAND_FLAGS = {
+    "dstar": ["--k", "--r1", "--r2", "--out"],
+    "lambda": ["--k", "--r1", "--r2", "--out"],
+    "curve": ["--k-list", "--nu-steps", "--out"],
+    "simulate": ["--jobs", "--spec", "--trace-dir", "--out"],
+    "drift": [
+        "--jobs", "--k", "--odd", "--r1", "--r2", "--slots", "--seed", "--num-seeds",
+        "--checkpoints", "--out",
+    ],
+    "bound": ["--k", "--r1", "--r2", "--alpha", "--out"],
+    "index": ["--jobs", "--rates", "--k", "--floor", "--out"],
+    "analyze": ["--rates", "--delays", "--k", "--floor", "--out"],
+}
+
+# A complete argv of each command without `--jobs`; the files need not
+# exist, since a usage error stops the call before they are read.
+NO_JOBS_ARGV = {
+    "dstar": DSTAR,
+    "lambda": ("lambda", *DSTAR[1:]),
+    "curve": ("curve", "--k-list", "3", "--nu-steps", "5"),
+    "bound": ("bound", *DSTAR[1:], "--alpha", "0.1"),
+    "analyze": ("analyze", "--rates", "r.csv", "--delays", "d.csv", "--k", "3"),
+}
+
+
+class TestGrammar:
+    """How argv is read, pinned as argparse read it: the `=` form, unique
+    prefixes, repeats, negative numbers as values, help on stdout with
+    exit 0, and usage errors on stderr with exit 2."""
+
+    def test_equals_form(self, capsys):
+        code, out, err = run_cli(capsys, "dstar", "--k=3", "--r1=1.0", "--r2", "2.0")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *DSTAR)[1]
+
+    @pytest.mark.parametrize("flag", [("--num", "2"), ("--num-s=2",)])
+    def test_unique_prefix(self, capsys, flag):
+        argv = TestDriftCommand.ARGV[:-2]  # without --num-seeds
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "--num-seeds", "2")[1]
+
+    def test_repeated_flag_last_wins(self, capsys):
+        code, out, err = run_cli(capsys, "dstar", "--k", "7", *DSTAR[1:], "--r1", "4.0")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "dstar", "--k", "3", "--r1", "4.0", "--r2", "2.0")[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*TestDriftCommand.ARGV, "--seed", "-3"),
+            (*TestDriftCommand.ARGV, "--seed=-3"),
+            ("bound", *DSTAR[1:], "--alpha", "-.5"),
+            ("dstar", "--k", "-3", "--r1", "1.0", "--r2", "2.0"),
+        ],
+    )
+    def test_negative_number_is_a_value(self, capsys, argv):
+        # The library refuses the value: a DomainError, not a usage error.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "usage:" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "oddball: error: the following arguments are required: command"),
+            (
+                ("frobnicate",),
+                "oddball: error: argument command: invalid choice: 'frobnicate' (choose from "
+                "'dstar', 'lambda', 'curve', 'simulate', 'drift', 'bound', 'index', 'analyze')",
+            ),
+            ((*DSTAR, "--bogus"), "oddball: error: unrecognized arguments: --bogus"),
+            ((*DSTAR, "x", "y"), "oddball: error: unrecognized arguments: x y"),
+            (("dstar", "--k"), "oddball dstar: error: argument --k: expected one argument"),
+            (
+                (*DSTAR, "--out", "--jobs"),
+                "oddball dstar: error: argument --out: expected one argument",
+            ),
+            (
+                ("dstar", "--k", "3", "--r1", "-1e5", "--r2", "2.0"),
+                "oddball dstar: error: argument --r1: expected one argument",
+            ),
+            (
+                ("drift", "--k", "3"),
+                "oddball drift: error: the following arguments are required: "
+                "--odd, --r1, --r2, --slots, --seed",
+            ),
+            (
+                ("dstar", "--k", "three", "--r1", "1.0", "--r2", "2.0"),
+                "oddball dstar: error: argument --k: invalid int value: 'three'",
+            ),
+            (
+                ("bound", *DSTAR[1:], "--alpha", "half"),
+                "oddball bound: error: argument --alpha: invalid float value: 'half'",
+            ),
+            (
+                (*TestDriftCommand.ARGV, "--s", "5"),
+                "oddball drift: error: ambiguous option: --s could match --slots, --seed",
+            ),
+            (
+                ("dstar", "--k", "3", "--r", "1.0"),
+                "oddball dstar: error: ambiguous option: --r could match --r1, --r2",
+            ),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: oddball") and err.endswith("\n" + message + "\n"), err
+
+    @pytest.mark.parametrize("command", sorted(NO_JOBS_ARGV))
+    def test_jobs_only_where_work_is_spread(self, capsys, command):
+        code, _, err = run_cli(capsys, *NO_JOBS_ARGV[command], "--jobs", "2")
+        assert code == 2
+        assert err.endswith("oddball: error: unrecognized arguments: --jobs 2\n"), err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_command_help_lists_every_flag(self, capsys, command, flag):
+        # Help comes before the check of required flags.
+        code, out, err = run_cli(capsys, command, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: oddball {command} ")
+        assert set(re.findall(r"--[a-z][\w-]*", out)) == {*COMMAND_FLAGS[command], "--help"}
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = run_cli(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: oddball ")
+        for command in COMMAND_FLAGS:
+            assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["oddball", *DSTAR])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == run_cli(capsys, *DSTAR)[1]
 
 
 class TestGoldenReports:
