@@ -16,7 +16,8 @@ built (no compiler, an unwritable cache, a failed link: each an OSError,
 a failed compile one that carries the compiler's first line of errors),
 `kernel()` returns None, one note goes to stderr, and callers run the
 Python loops. A new build removes the libraries of earlier sources from
-the cache directory.
+the cache directory, and the temporary files of builders no longer
+running, whose pid each temporary name carries.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def _load():
     import tempfile
 
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_kernel.", suffix=".so.tmp", dir=_CACHE_DIR)
+    # The builder's pid in the name tells a later build whether it is still running.
+    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=".so.tmp", dir=_CACHE_DIR)
     os.close(fd)
     try:
         _build(tmp)
@@ -151,14 +153,34 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # Libraries built from earlier sources are never loaded again.
+    # Libraries built from earlier sources are never loaded again, and a
+    # builder killed mid-build (a signal skips the `finally` above) leaves
+    # its temporary file for good; a running builder's file stays.
     for name in os.listdir(_CACHE_DIR):
-        if name.startswith("_kernel.") and name.endswith(".so") and name != os.path.basename(path):
-            try:
-                os.remove(os.path.join(_CACHE_DIR, name))
-            except OSError:
-                pass
+        if not name.startswith("_kernel.") or name == os.path.basename(path):
+            continue
+        if name.endswith(".so.tmp"):
+            pid = name.split(".")[1]
+            if not pid.isdecimal() or _running(int(pid)):
+                continue
+        elif not name.endswith(".so"):
+            continue
+        try:
+            os.remove(os.path.join(_CACHE_DIR, name))
+        except OSError:
+            pass
     return lib
+
+
+def _running(pid: int) -> bool:
+    """Whether a process with this pid exists (perhaps under another user)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return True
 
 
 _capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer

@@ -18,21 +18,26 @@ as one line, `interrupted`, on stderr). No numerical logic lives here;
 every subcommand validates inputs and delegates to the library. All
 randomness is seeded explicitly (spec `seed` field, drift --seed).
 
+The grammar is argparse's, read from the one table `_COMMANDS`: a flag
+takes its value as `--flag value` or `--flag=value`, may be shortened to
+a unique prefix of its name, and the last of repeated flags wins; a
+value may be a negative number (`-3`, `-.5`) but no other token starting
+with `-`. `-h`/`--help` prints help to stdout and exits 0; a usage error
+prints the usage line and `oddball[ <command>]: error: ...` to stderr
+and exits 2.
+
 Non-finite numbers in JSON output are encoded as null (NaN) or the
 strings "inf"/"-inf", keeping the output strictly standard JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's gettext imports locale (~1.2-1.7 ms) when `main` builds its
-# first parser; importing it here puts that cost in start-up rather than
-# in the first command a process runs.
-import locale  # noqa: F401
 import math
 import os
+import re
 import sys
+import types
 
 from .dissimilarity import (
     DEFAULT_RATE_FLOOR,
@@ -187,92 +192,191 @@ def _cmd_analyze(args) -> None:
     _write(_dump_json(metrics), args.out)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oddball",
-        description="Odd-process detection: optimal weights, sequential policy simulation, "
-        "and firing-rate dissimilarity analysis.",
+# The command-line grammar, the one source of parsing and help: each
+# command's handler, its one-line help and its flags, and each flag's
+# (name, type, default, help). A flag whose default is _REQUIRED must be
+# given; the others take their default when absent.
+_REQUIRED = object()
+_HELP = ("--help", None, None, "show this help message and exit")
+_K = ("--k", int, _REQUIRED, "number of processes (>= 3)")
+_R1 = ("--r1", str, _REQUIRED, "odd rate(s), comma-separated")
+_R2 = ("--r2", str, _REQUIRED, "common rate(s), comma-separated")
+_RATES = ("--rates", str, _REQUIRED, "firing-rate CSV path")
+_FLOOR = ("--floor", float, DEFAULT_RATE_FLOOR, "lowest rate; cells below it are raised to it")
+_OUT = ("--out", str, None, "output path (default: stdout)")
+_JOBS = ("--jobs", int, 1, "worker threads (never changes output)")
+
+_COMMANDS = {
+    "dstar": (_cmd_dstar, "detectability index of one configuration", (_K, _R1, _R2, _OUT)),
+    "lambda": (_cmd_lambda, "optimal sampling weights of one configuration", (_K, _R1, _R2, _OUT)),
+    "curve": (_cmd_curve, "optimal weight vs nu sweep (CSV)", (
+        ("--k-list", str, _REQUIRED, "display sizes, comma-separated"),
+        ("--nu-steps", int, _REQUIRED, "grid points on (0.01, 0.99)"),
+        _OUT,
+    )),
+    "simulate": (_cmd_simulate, "run a Monte Carlo experiment spec (CSV report)", (
+        _JOBS,
+        ("--spec", str, _REQUIRED, "experiment spec JSON path"),
+        ("--trace-dir", str, None, "directory for sampled trial traces"),
+        _OUT,
+    )),
+    "drift": (_cmd_drift, "non-stopping drift audit (CSV rows + summary JSON)", (
+        _JOBS,
+        _K,
+        ("--odd", int, _REQUIRED, "true odd index (1-based)"),
+        ("--r1", float, _REQUIRED, "odd rate (scalar)"),
+        ("--r2", float, _REQUIRED, "common rate (scalar)"),
+        ("--slots", int, _REQUIRED, "slots per run"),
+        ("--seed", int, _REQUIRED, "first seed; runs use seed..seed+N-1"),
+        ("--num-seeds", int, 1, "number of runs N (default: 1)"),
+        ("--checkpoints", str, None, "audit slots, comma-separated"),
+        ("--out", str, None, "checkpoint CSV path (default: none)"),
+    )),
+    "bound": (_cmd_bound, "information lower bound on expected decision time", (
+        _K, _R1, _R2, ("--alpha", float, _REQUIRED, "error tolerance in (0, 1)"), _OUT,
+    )),
+    "index": (_cmd_index, "pairwise dissimilarity matrix from a firing-rate CSV", (
+        _JOBS, _RATES, ("--k", int, _REQUIRED, "search display size (>= 3)"), _FLOOR, _OUT,
+    )),
+    "analyze": (_cmd_analyze, "evaluate the index against decision delays", (
+        _RATES, ("--delays", str, _REQUIRED, "delays CSV path"), _K, _FLOOR, _OUT,
+    )),
+}
+
+_DESCRIPTION = (
+    "Odd-process detection: optimal weights, sequential policy simulation,\n"
+    "and firing-rate dissimilarity analysis."
+)
+
+# A token that reads as a negative number is a value, never a flag
+# (argparse's pattern).
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
+def _metavar(name: str) -> str:
+    return name[2:].upper().replace("-", "_")
+
+
+def _usage(command: str | None) -> str:
+    """The usage line of `command`, or of the program when None, wrapped
+    at 79 columns under the first flag."""
+    if command is None:
+        return f"usage: oddball [-h] {{{','.join(_COMMANDS)}}} ..."
+    lines = [f"usage: oddball {command} [-h]"]
+    indent = " " * (len(lines[0]) - 4)
+    for name, _, default, _ in _COMMANDS[command][2]:
+        part = f"{name} {_metavar(name)}"
+        if default is not _REQUIRED:
+            part = f"[{part}]"
+        if len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _rows(rows) -> str:
+    width = max(len(left) for left, _ in rows)
+    return "\n".join(f"  {left:<{width}}  {right}" for left, right in rows)
+
+
+def _help(command: str | None) -> str:
+    """The help of `command`, or of the program when None."""
+    options = [("-h, --help", _HELP[3])]
+    if command is None:
+        commands = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+        return (
+            f"{_usage(None)}\n\n{_DESCRIPTION}\n\ncommands:\n{_rows(commands)}\n\n"
+            f"options:\n{_rows(options)}\n\nRun `oddball <command> -h` for its flags.\n"
+        )
+    _, text, flags = _COMMANDS[command]
+    options += [(f"{name} {_metavar(name)}", about) for name, _, _, about in flags]
+    return f"{_usage(command)}\n\n{text}\n\noptions:\n{_rows(options)}\n"
+
+
+def _fail(command: str | None, message: str):
+    """Report a usage error as argparse does, on stderr, and exit 2."""
+    prog = "oddball" if command is None else f"oddball {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _lookup(command: str | None, token: str):
+    """The flag of `command` that `token` names before any `=value`: by
+    its whole name, else by a unique prefix of it; None when it names none."""
+    name = token.partition("=")[0]
+    if name == "-h":
+        return _HELP
+    flags = (_HELP, *_COMMANDS[command][2]) if command else (_HELP,)
+    matches = [flag for flag in flags if flag[0] == name]
+    if not matches and len(name) > 2:
+        matches = [flag for flag in flags if flag[0].startswith(name)]
+    if len(matches) > 1:
+        names = ", ".join(flag[0] for flag in matches)
+        _fail(command, f"ambiguous option: {token} could match {names}")
+    return matches[0] if matches else None
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace:
+    """The command of `argv`, its handler and its flag values, read by
+    `_COMMANDS`; each value is an attribute named like its flag, with `_`
+    for `-`. Help goes to stdout and a usage error to stderr; both end in
+    SystemExit, with code 0 and 2."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command is not None and _is_flag(command):
+            if _lookup(None, command) is _HELP:
+                sys.stdout.write(_help(None))
+                raise SystemExit(0)
+            command = None
+        if command is None:
+            _fail(None, "the following arguments are required: command")
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, flags = _COMMANDS[command]
+    values, extras = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = _lookup(command, token) if _is_flag(token) else None
+        if flag is None:
+            extras.append(token)
+            continue
+        _, explicit, value = token.partition("=")
+        if flag is _HELP:
+            if explicit:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        name, kind = flag[:2]
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                _fail(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            _fail(command, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+    missing = [flag[0] for flag in flags if flag[2] is _REQUIRED and flag[0] not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(
+        command=command,
+        handler=handler,
+        **{name[2:].replace("-", "_"): values.get(name, default) for name, _, default, _ in flags},
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker threads (never changes output)")
-
-    p = sub.add_parser("dstar", help="detectability index of one configuration")
-    p.add_argument("--k", type=int, required=True, help="number of processes (>= 3)")
-    p.add_argument("--r1", required=True, help="odd rate(s), comma-separated")
-    p.add_argument("--r2", required=True, help="common rate(s), comma-separated")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_dstar)
-
-    p = sub.add_parser("lambda", help="optimal sampling weights of one configuration")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r2", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_lambda)
-
-    p = sub.add_parser("curve", help="optimal weight vs nu sweep (CSV)")
-    p.add_argument("--k-list", required=True, help="display sizes, comma-separated")
-    p.add_argument("--nu-steps", type=int, required=True, help="grid points on (0.01, 0.99)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_curve)
-
-    p = sub.add_parser(
-        "simulate", parents=[jobs], help="run a Monte Carlo experiment spec (CSV report)"
-    )
-    p.add_argument("--spec", required=True, help="experiment spec JSON path")
-    p.add_argument("--trace-dir", default=None, help="directory for sampled trial traces")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser(
-        "drift", parents=[jobs], help="non-stopping drift audit (CSV rows + summary JSON)"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--odd", type=int, required=True, help="true odd index (1-based)")
-    p.add_argument("--r1", type=float, required=True, help="odd rate (scalar)")
-    p.add_argument("--r2", type=float, required=True, help="common rate (scalar)")
-    p.add_argument("--slots", type=int, required=True, help="slots per run")
-    p.add_argument("--seed", type=int, required=True, help="first seed; runs use seed..seed+N-1")
-    p.add_argument("--num-seeds", type=int, default=1)
-    p.add_argument("--checkpoints", default=None, help="audit slots, comma-separated")
-    p.add_argument("--out", default=None, help="checkpoint CSV path")
-    p.set_defaults(handler=_cmd_drift)
-
-    p = sub.add_parser("bound", help="information lower bound on expected decision time")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r2", required=True)
-    p.add_argument("--alpha", type=float, required=True, help="error tolerance in (0, 1)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser(
-        "index", parents=[jobs], help="pairwise dissimilarity matrix from a firing-rate CSV"
-    )
-    p.add_argument("--rates", required=True, help="firing-rate CSV path")
-    p.add_argument("--k", type=int, required=True, help="search display size (>= 3)")
-    p.add_argument("--floor", type=float, default=DEFAULT_RATE_FLOOR)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_index)
-
-    p = sub.add_parser("analyze", help="evaluate the index against decision delays")
-    p.add_argument("--rates", required=True, help="firing-rate CSV path")
-    p.add_argument("--delays", required=True, help="delays CSV path")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--floor", type=float, default=DEFAULT_RATE_FLOOR)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_analyze)
-
-    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         args.handler(args)
     except DomainError as exc:

@@ -719,12 +719,13 @@ print(json.dumps(heavy()))
 # oddball.cli` may load beyond those the interpreter starts with: the
 # standard library's light modules. numpy, scipy, subprocess, tempfile and
 # concurrent are not among them, nor dataclasses (with inspect, ast and
-# tokenize) or statistics (with decimal and fractions).
+# tokenize), statistics (with decimal and fractions) or argparse (with
+# gettext and locale).
 CLI_IMPORTS = {
-    "argparse", "array", "bisect", "collections", "contextlib", "copyreg", "csv", "ctypes", "enum",
-    "functools", "genericpath", "gettext", "hashlib", "importlib", "itertools", "json", "keyword",
-    "locale", "math", "oddball", "operator", "os", "posixpath", "re", "reprlib", "stat", "struct",
-    "threading", "types", "typing", "warnings",
+    "array", "bisect", "collections", "contextlib", "copyreg", "csv", "ctypes", "enum",
+    "functools", "genericpath", "hashlib", "importlib", "itertools", "json", "keyword", "math",
+    "oddball", "operator", "os", "posixpath", "re", "reprlib", "stat", "struct", "threading",
+    "types", "typing", "warnings",
 }
 
 

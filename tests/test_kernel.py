@@ -1019,6 +1019,28 @@ def test_new_build_removes_stale_libraries(kernel, tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
 
 
+def test_build_removes_temporary_files_of_dead_builders(kernel, tmp_path, monkeypatch):
+    # A builder killed mid-build leaves its temporary file, named with its
+    # pid; the next build removes it unless that process still runs.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    dead, live = int(proc.stdout), os.getppid()
+    assert not _native._running(dead) and _native._running(live)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    names = [f"_kernel.{dead}.x1y2.so.tmp", f"_kernel.{live}.x3y4.so.tmp", "_kernel.a1b2c3.so.tmp"]
+    for name in names:
+        (cache / name).write_bytes(b"partial")
+    builds = _spy_builds(monkeypatch, cache)
+    assert _native.kernel() is not None
+    assert len(builds) == 1
+    assert os.path.basename(builds[0]).startswith(f"_kernel.{os.getpid()}.")
+    _, path = _cached_path(cache)
+    assert sorted(os.listdir(cache)) == sorted([os.path.basename(path), *names[1:]])
+
+
 @pytest.mark.parametrize("damage", ["truncated", "stale"])
 def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     key, path = _cached_path(tmp_path)
