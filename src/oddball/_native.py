@@ -153,9 +153,9 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # Libraries built from earlier sources are never loaded again, and a
-    # builder killed mid-build (a signal skips the `finally` above) leaves
-    # its temporary file for good; a running builder's file stays.
+    # Libraries built from earlier sources are never loaded again. Nor is
+    # the temporary file of a builder killed mid-build (a signal skips the
+    # `finally` above), but one whose builder still runs is in use.
     for name in os.listdir(_CACHE_DIR):
         if not name.startswith("_kernel.") or name == os.path.basename(path):
             continue
