@@ -88,15 +88,6 @@ class FiringRateTable(_FrozenRecord):
 
     _fields = ("images", "floor", "_rows", "_floored")
 
-    def __init__(
-        self,
-        images: tuple[str, ...],
-        floor: float,
-        _rows: tuple[array, ...],
-        _floored: tuple[tuple[bool, ...], ...],
-    ):
-        self.__dict__.update(images=images, floor=floor, _rows=_rows, _floored=_floored)
-
     @classmethod
     def from_arrays(cls, images, rates, floor: float = DEFAULT_RATE_FLOOR) -> "FiringRateTable":
         """A table from image ids and their rate rows (a 2-D array or a
@@ -196,18 +187,6 @@ class DissimilarityMatrix(_FrozenRecord):
     `_floored`."""
 
     _fields = ("images", "k", "_values", "_degenerate", "_floored")
-
-    def __init__(
-        self,
-        images: tuple[str, ...],
-        k: int,
-        _values: tuple[tuple[float, ...], ...],
-        _degenerate: tuple[tuple[bool, ...], ...],
-        _floored: tuple[tuple[int, ...], ...],
-    ):
-        self.__dict__.update(
-            images=images, k=k, _values=_values, _degenerate=_degenerate, _floored=_floored,
-        )
 
     @cached_property
     def values(self):

@@ -166,28 +166,6 @@ class ReportRow(_FrozenRecord):
         "se_tau", "tau_over_ln_l", "lower_bound", "inv_dstar", "capped",
     )
 
-    def __init__(
-        self,
-        l_value: float,
-        threshold: float,
-        trials: int,
-        errors: int,
-        error_rate: float,
-        error_ci_hi: float,
-        mean_tau: float,
-        se_tau: float,
-        tau_over_ln_l: float,
-        lower_bound: float,
-        inv_dstar: float,
-        capped: int,
-    ):
-        self.__dict__.update(
-            l_value=l_value, threshold=threshold, trials=trials, errors=errors,
-            error_rate=error_rate, error_ci_hi=error_ci_hi, mean_tau=mean_tau, se_tau=se_tau,
-            tau_over_ln_l=tau_over_ln_l, lower_bound=lower_bound, inv_dstar=inv_dstar,
-            capped=capped,
-        )
-
     def to_csv_line(self) -> str:
         return (
             f"{self.l_value:.12g},{self.threshold:.12g},{self.trials},{self.errors},"
@@ -201,9 +179,6 @@ class ExperimentReport(_FrozenRecord):
     """A spec and its report rows, one per level of its grid."""
 
     _fields = ("spec", "rows")
-
-    def __init__(self, spec: ExperimentSpec, rows: tuple[ReportRow, ...]):
-        self.__dict__.update(spec=spec, rows=rows)
 
     def to_csv(self) -> str:
         return "\n".join([REPORT_HEADER, *(row.to_csv_line() for row in self.rows)]) + "\n"
@@ -362,46 +337,12 @@ class DriftRow(_FrozenRecord):
         "empirical_rates", "holdout_rates", "visits", "events", "total",
     )
 
-    def __init__(
-        self,
-        seed: int,
-        n: int,
-        leader: int,
-        z_leader_over_n: float,
-        z_true_over_n: float,
-        frequencies: tuple[float, ...],
-        empirical_rates: tuple[float, ...],
-        holdout_rates: tuple[float, ...],
-        visits: tuple[int, ...],
-        events: tuple[int, ...],
-        total: int,
-    ):
-        self.__dict__.update(
-            seed=seed, n=n, leader=leader, z_leader_over_n=z_leader_over_n,
-            z_true_over_n=z_true_over_n, frequencies=frequencies, empirical_rates=empirical_rates,
-            holdout_rates=holdout_rates, visits=visits, events=events, total=total,
-        )
-
 
 class DriftResult(_FrozenRecord):
     """Per-(seed, checkpoint) rows plus the truth quantities they are
     audited against: D*, lambda*, the true rates, and the mixed rate."""
 
     _fields = ("truth", "n_slots", "d_star", "lambda_star", "mixed_rate", "rows")
-
-    def __init__(
-        self,
-        truth: OddConfig,
-        n_slots: int,
-        d_star: float,
-        lambda_star: tuple[float, ...],
-        mixed_rate: float,
-        rows: tuple[DriftRow, ...],
-    ):
-        self.__dict__.update(
-            truth=truth, n_slots=n_slots, d_star=d_star, lambda_star=lambda_star,
-            mixed_rate=mixed_rate, rows=rows,
-        )
 
     def final_rows(self) -> tuple[DriftRow, ...]:
         return tuple(r for r in self.rows if r.n == self.n_slots)

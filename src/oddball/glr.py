@@ -37,12 +37,8 @@ process can hold a positive score, which is what makes thresholding sound.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .numerics import DomainError, _FrozenRecord, _Record, _require_int, _require_list
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SufficientStats",
@@ -143,9 +139,6 @@ class GlrState(_FrozenRecord):
     _fields = ("n", "z", "z_min", "theta", "leader")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, n: int, z: np.ndarray, z_min: np.ndarray, theta: np.ndarray, leader: int):
-        self.__dict__.update(n=n, z=z, z_min=z_min, theta=theta, leader=leader)
 
 
 def _check_hypothesis(stats: SufficientStats, i: int, caller: str) -> None:

@@ -95,14 +95,44 @@ def _require_real(
 
 class _Record:
     """Base of the package's record types. A record names its fields, in
-    its constructor's argument order, in the class tuple `_fields`, and
-    its `__init__` checks and stores them. The base gives the repr (fields
-    whose names start with "_" left out) and equality (same class and
-    equal fields); records built on it are mutable and unhashable, those
-    built on `_FrozenRecord` frozen. Nothing is generated at import, where
-    the `dataclasses` module compiles every method it writes."""
+    constructor order, in the class tuple `_fields`, and the last of them
+    take the class tuple `_defaults` when a call leaves them out. This
+    `__init__` binds a call's arguments to the fields as a Python
+    signature would, with the same TypeErrors, and stores them; a record
+    that checks its fields defines its own. The base also gives the repr
+    (fields whose names start with "_" left out) and equality (same class
+    and equal fields); records built on it are mutable and unhashable,
+    those built on `_FrozenRecord` frozen. Nothing is generated at import,
+    where the `dataclasses` module compiles every method it writes."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+            return
+        name = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            defaults = self._defaults
+            for field, default in zip(fields[len(fields) - len(defaults) :], defaults):
+                values.setdefault(field, default)
+            missing = [repr(field) for field in fields if field not in values]
+            if missing:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        self.__dict__.update(zip(fields, map(values.__getitem__, fields)))
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -119,7 +149,7 @@ class _Record:
 
 class _FrozenRecord(_Record):
     """A `_Record` that hashes its fields and refuses any assignment or
-    deletion with an AttributeError. Its `__init__` stores the fields with
+    deletion with an AttributeError. Constructors store the fields with
     `self.__dict__.update(...)`, which the guard does not see."""
 
     def __hash__(self) -> int:

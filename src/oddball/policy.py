@@ -71,6 +71,7 @@ from .solver import (
     _SOLVE_PARAMS,
     OddConfig,
     _lam_odd_from_hat,
+    _nu,
     _root_row,
     _weight_vector,
     solve_lambda_star,  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
@@ -147,34 +148,13 @@ class PolicyDecision(_FrozenRecord):
     continue with `action` drawn from `distribution`."""
 
     _fields = ("stop", "declared", "action", "distribution")
-
-    def __init__(
-        self,
-        stop: bool,
-        declared: int | None = None,
-        action: int | None = None,
-        distribution: tuple[float, ...] | None = None,
-    ):
-        self.__dict__.update(stop=stop, declared=declared, action=action, distribution=distribution)
+    _defaults = (None, None, None)
 
 
 class Snapshot(_FrozenRecord):
     """Mid-trial state capture (used by drift studies and trace audits)."""
 
     _fields = ("n", "leader", "z_min", "visits", "events", "total")
-
-    def __init__(
-        self,
-        n: int,
-        leader: int,
-        z_min: tuple[float, ...],
-        visits: tuple[int, ...],
-        events: tuple[int, ...],
-        total: int,
-    ):
-        self.__dict__.update(
-            n=n, leader=leader, z_min=z_min, visits=visits, events=events, total=total,
-        )
 
 
 class TrialOutcome(_FrozenRecord):
@@ -190,25 +170,7 @@ class TrialOutcome(_FrozenRecord):
         "k", "tau", "delta", "correct", "capped", "visits", "events", "total", "z_min", "trace",
         "snapshots",
     )
-
-    def __init__(
-        self,
-        k: int,
-        tau: int,
-        delta: int,
-        correct: bool,
-        capped: bool,
-        visits: tuple[int, ...],
-        events: tuple[int, ...],
-        total: int,
-        z_min: tuple[float, ...],
-        trace: tuple[dict, ...] | None = None,
-        snapshots: tuple[Snapshot, ...] | None = None,
-    ):
-        self.__dict__.update(
-            k=k, tau=tau, delta=delta, correct=correct, capped=capped, visits=visits,
-            events=events, total=total, z_min=z_min, trace=trace, snapshots=snapshots,
-        )
+    _defaults = (None, None)
 
 
 def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
@@ -216,11 +178,13 @@ def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None
     estimate pair. Values are memoized in the weight cells of k in `cache`
     and computed at the quantized point, so the value served does not
     depend on what the memo held before; cache=None solves without
-    keeping the value."""
+    keeping the value. Raises DomainError unless both estimates are
+    finite and positive."""
     _require_int(k, "k", 3)
-    if not (theta_1 > 0.0 and theta_2 > 0.0):
-        raise DomainError(f"leader estimates must be positive, got {theta_1!r}, {theta_2!r}")
-    nu = theta_1 / (theta_1 + theta_2)
+    nu = _nu(
+        _require_real(theta_1, "theta_1", 0.0, open=True),
+        _require_real(theta_2, "theta_2", 0.0, open=True),
+    )
     q = round(nu * _QUANT)
     if q < 1:
         q = 1

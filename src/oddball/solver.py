@@ -205,21 +205,6 @@ class LambdaSolution(_FrozenRecord):
 
     _fields = ("config", "lam", "lam_odd", "lam_hat", "r_tilde", "nu", "d_star")
 
-    def __init__(
-        self,
-        config: OddConfig,
-        lam: tuple[float, ...],
-        lam_odd: float,
-        lam_hat: float,
-        r_tilde: tuple[float, ...],
-        nu: float | None,
-        d_star: float,
-    ):
-        self.__dict__.update(
-            config=config, lam=lam, lam_odd=lam_odd, lam_hat=lam_hat, r_tilde=r_tilde, nu=nu,
-            d_star=d_star,
-        )
-
 
 def mixed_rate(lambda_odd: float, r1, r2, k: int):
     """Worst-case reference rate for sampling weight lambda_odd.
@@ -537,13 +522,13 @@ def curve_rows(k_values: Sequence[int], nu_steps: int) -> list[tuple[int, float,
     if not ks:
         raise DomainError("k_values must be non-empty")
     _require_int(nu_steps, "nu_steps", 2)
-    import numpy as np
-
-    nus = np.linspace(0.01, 0.99, nu_steps)
+    # numpy.linspace(0.01, 0.99, nu_steps), bit for bit: start + i * step,
+    # with the end point exact.
+    step = (0.99 - 0.01) / (nu_steps - 1)
+    nus = [0.01 + i * step for i in range(nu_steps - 1)] + [0.99]
     rows = []
     for k in ks:
         for nu in nus:
-            nu = float(nu)
             sol = solve_lambda_star(OddConfig(k, 1, nu, 1.0 - nu))
             rows.append((k, nu, sol.lam_odd, sol.lam_hat, sol.d_star))
     return rows

@@ -712,6 +712,8 @@ print(json.dumps(heavy()))
 assert main(["analyze", "--rates", os.path.join(golden, "index_rates.csv"), "--delays",
              os.path.join(golden, "analyze_delays.csv"), "--k", "4",
              "--out", os.path.join(work, "analyze.json")]) == 0
+assert main(["curve", "--k-list", "3,5", "--nu-steps", "21",
+             "--out", os.path.join(work, "curve.csv")]) == 0
 print(json.dumps(heavy()))
 """
 
@@ -746,25 +748,25 @@ class TestImportCost:
         """numpy took ~150 ms and ~13 MiB of a CLI call's start-up,
         scipy.special alone ~270 ms, multiprocessing ~10 ms and
         concurrent.futures ~5 ms. With the kernel, `simulate`, `drift` and
-        `index` need none of them, bar the thread pool of --jobs 2;
-        `analyze` may load numpy, but no pool and no scipy. Without the
-        kernel the trials run on numpy's generators, so only numpy is
-        then allowed."""
+        `index` need none of them, bar the thread pool of --jobs 2, and
+        `analyze` and `curve` add none. Without the kernel the trials run
+        on numpy's generators, so only numpy is then allowed."""
         # Built here, so the probe loads it from the cache.
         has_kernel = _native.kernel() is not None
         out = _run_python("-c", COMMANDS_PROBE, str(tmp_path), str(GOLDEN), jobs)
-        commands, with_analyze = map(json.loads, out.splitlines()[-2:])  # after drift's summary
+        commands, after_curve = map(json.loads, out.splitlines()[-2:])  # after drift's summary
 
         def light(modules):
             return [m for m in modules if m.split(".")[0] != "numpy"]
 
         if has_kernel:
             assert light(commands) == commands
+            assert after_curve == commands
         if jobs == "1":
             assert light(commands) == []
         else:
             assert {m.split(".")[0] for m in light(commands)} == {"concurrent"}
-        assert light(with_analyze) == light(commands)
+        assert light(after_curve) == light(commands)
 
     def test_cli_import_loads_only_allowed_modules(self):
         """The modules `import oddball.cli` adds, compared with an

@@ -194,11 +194,20 @@ class TestLeaderLambdaOdd:
             assert kernel_counts == counts
 
     def test_unusable_estimates_raise_domain_error(self):
-        # A zero, negative or NaN estimate has no weight; it is never a
-        # ZeroDivisionError or a weight from a made-up nu.
-        for t1, t2 in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0)):
+        # A zero, negative, infinite or NaN estimate has no weight; it is
+        # never a ZeroDivisionError, a ValueError from rounding a NaN nu or
+        # a weight from a made-up nu.
+        for t1, t2 in (
+            (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan),
+            (1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf),
+        ):
             with pytest.raises(DomainError):
                 leader_lambda_odd(3, t1, t2, cache={})
+
+    def test_huge_estimates_give_the_weight_of_their_ratio(self):
+        # theta_1 + theta_2 overflows here; nu is still theta_1's share, 1/2 and 3/4.
+        assert leader_lambda_odd(3, 1e308, 1e308, cache={}) == leader_lambda_odd(3, 1.0, 1.0)
+        assert leader_lambda_odd(4, 1.5e308, 0.5e308) == leader_lambda_odd(4, 3.0, 1.0)
 
     def test_midpoint_cell_uses_extension(self):
         # Estimates whose nu rounds to exactly 1/2 take the equal-rates

@@ -6,16 +6,19 @@ each, so one table pins the positional order, the keyword names and the
 repr of all of them.
 """
 
+import importlib
 import pickle
+import pkgutil
 from array import array
 
 import numpy as np
 import pytest
 
+import oddball
 from oddball.dissimilarity import DissimilarityMatrix, FiringRateTable, pairwise_dstar
 from oddball.experiments import DriftResult, DriftRow, ExperimentReport, ExperimentSpec, ReportRow
 from oddball.glr import GlrState, SufficientStats
-from oddball.numerics import DomainError
+from oddball.numerics import DomainError, _FrozenRecord, _Record
 from oddball.policy import PolicyConfig, PolicyDecision, Snapshot, TrialOutcome
 from oddball.solver import LambdaSolution, OddConfig
 
@@ -56,6 +59,13 @@ CASES = [
     (DissimilarityMatrix, MATRIX, True),
 ]
 IDS = [case[0].__name__ for case in CASES]
+# Records left out of CASES, with the fields their constructors take: a
+# GlrState equals only itself, and SufficientStats is mutable.
+EXCEPTIONS = {
+    GlrState: dict(n=3, z=np.zeros((3, 3)), z_min=np.zeros(3), theta=np.ones((3, 2)), leader=1),
+    SufficientStats: dict(k=3, n=1, visits=[0, 1, 0], events=[0, 2, 0], total=2),
+}
+SIGNATURES = [(cls, fields) for cls, fields, _ in CASES] + list(EXCEPTIONS.items())
 
 
 @pytest.mark.parametrize("cls, fields, hashable", CASES, ids=IDS)
@@ -69,6 +79,36 @@ def test_positional_and_keyword_construction_agree(cls, fields, hashable):
     else:
         with pytest.raises(TypeError):
             hash(by_name)
+
+
+@pytest.mark.parametrize("cls, fields", SIGNATURES, ids=[c.__name__ for c, _ in SIGNATURES])
+def test_bad_calls_raise_type_error_as_a_signature_does(cls, fields):
+    values = list(fields.values())
+    first, *rest = fields
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])  # one argument too many
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=1)
+    with pytest.raises(TypeError):
+        cls(values[0], **fields)  # the first field by position and by keyword
+    with pytest.raises(TypeError):
+        cls(**{name: fields[name] for name in rest})  # a required field left out
+    with pytest.raises(TypeError):
+        cls()
+
+
+def test_every_record_type_is_pinned():
+    """A record type added to the package is in CASES or EXCEPTIONS, so
+    it cannot skip the contract above."""
+    for info in pkgutil.iter_modules(oddball.__path__):
+        importlib.import_module(f"oddball.{info.name}")
+    found, stack = set(), [_Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.add(sub)
+            stack.append(sub)
+    found.discard(_FrozenRecord)
+    assert found == {cls for cls, _ in SIGNATURES}
 
 
 @pytest.mark.parametrize("cls, fields, hashable", CASES, ids=IDS)

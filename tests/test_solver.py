@@ -401,6 +401,13 @@ class TestCurveRows:
         assert nus_k3[0] == pytest.approx(0.01)
         assert nus_k3[-1] == pytest.approx(0.99)
 
+    @pytest.mark.parametrize("steps", [range(2, 101), (997, 1000, 4999, 5000)])
+    def test_grid_is_numpy_linspace(self, steps):
+        # The grid is built without numpy, bit for bit as np.linspace.
+        for nu_steps in steps:
+            nus = [row[1] for row in curve_rows([3], nu_steps)]
+            assert nus == np.linspace(0.01, 0.99, nu_steps).tolist()
+
     def test_midpoint_uses_extension(self):
         # 99 steps put nu = 1/2 on the grid: the degenerate row must carry
         # the extension weight and a d_star of exactly zero.
