@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from oddball import _native
+from oddball import _native, policy
 from oddball.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +39,8 @@ SPECS = {
     "k50": dict(k=50, odd_index=2, r1=4.0, r2=1.0, l_grid=[1e3], trials=6, trace_sampling=0.34),
     "low-rate": dict(k=3, odd_index=1, r1=0.05, r2=0.2, l_grid=[10.0, 1e3], trials=30,
                      trace_sampling=0.1),
+    "poisson-limit": dict(k=3, odd_index=1, r1=policy._POISSON_LAM_MAX, r2=1.0,
+                          l_grid=[10.0, 1e3], trials=8, trace_sampling=1.0),
 }
 SEEDS = {"seed2^64-1": 2**64 - 1, "seed2^64": 2**64}
 
@@ -78,7 +80,9 @@ DIGITS = {"analyze": 10}
 # Entries that take at most ~0.2 s on the Python loops. The others take
 # ~1 s or more there; test_kernel.py compares low-rate bytes on both loops.
 # The solver's entries pin the Python solve loop's bytes.
-FALLBACK = [f"simulate-{spec}-{seed}" for spec in ("k5", "k50") for seed in SEEDS]
+FALLBACK = [
+    f"simulate-{spec}-{seed}" for spec in ("k5", "k50", "poisson-limit") for seed in SEEDS
+]
 FALLBACK += ["drift-k3", "drift-k3-checkpoints", "drift-k8"]
 FALLBACK += ["index", "analyze", "lambda", "dstar", "curve"]
 
