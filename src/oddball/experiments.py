@@ -436,7 +436,7 @@ def drift_experiment(
         raise DomainError("drift studies support scalar-rate configurations only")
     if truth.is_degenerate:
         raise DomainError("drift studies need distinct rates")
-    _require_int(n_slots, "n_slots", 1)
+    _require_int(n_slots, "n_slots", truth.k)  # the policy's K warm-up slots
     seeds = [_require_int(s, "seed", 0) for s in _require_list(seeds, "seeds")]
     if not seeds:
         raise DomainError("at least one seed is required")

@@ -36,16 +36,18 @@ level. The compiled kernel's tables of lgamma(y + 1) and log(n + 1) are
 its own: each kernel call fills them as it needs them, up to _TABLE_CAP
 entries, and frees them.
 
-Every trial on a numpy `Generator`, traced or not, runs on the compiled
-kernel (`_kernel.c`, see README, "Trial kernel"), which repeats the
-Python loop bitwise: same draws, same floating-point operations, same
-memo cells. `_seeded_trials` runs a list of trials in one kernel call,
-which seeds trial t's generator in C as `np.random.default_rng([*prefix,
-t])` would. A generator of another type and a machine where the kernel
-cannot be built run the Python loop below, which stays the reference.
-So does a trial the kernel declines, rerun from its start: one whose
-event total would reach 2^53, past which int64 tallies are not exact
-doubles.
+Every trial runs through `_compiled`. On a numpy `Generator`, traced or
+not, it runs on the compiled kernel (`_kernel.c`, see README, "Trial
+kernel"), which repeats the Python loop bitwise: same draws, same
+floating-point operations, same memo cells. `_seeded_trials` runs a list
+of trials in one kernel call, which seeds trial t's generator in C as
+`np.random.default_rng([*prefix, t])` would. The Python loop,
+`_python_trial`, stays the reference and runs only where the kernel does
+not: a trial the kernel declines, rerun from its start (one whose event
+total would reach 2^53, past which int64 tallies are not exact doubles),
+and every trial on a generator of another type or on a machine where the
+kernel cannot be built. It hands `_compiled` what a kernel trial does, so
+`_trace_records` builds every trace and `run_trial` every outcome.
 """
 
 from __future__ import annotations
@@ -321,17 +323,14 @@ def run_trial(
     on the compiled kernel when it is available; the outcome, the
     generator's state afterwards and the memo are the same either way.
     """
-    _check_truth(config, truth)
+    if rng is None:
+        raise DomainError("run_trial needs a generator to draw from, got None")
     cps = () if checkpoints is None else _require_list(checkpoints, "checkpoints")
-    cp = frozenset(_require_int(c, "checkpoint", 1) for c in cps)
-    if cache is None:
-        cache = {}
+    cps = tuple(sorted({_require_int(c, "checkpoint", 1) for c in cps}))
     np = sys.modules.get("numpy")  # a Generator exists only once numpy is loaded
     kernel = _native.kernel() if np is not None and isinstance(rng, np.random.Generator) else None
-    if kernel is None:
-        return _python_trial(config, truth, rng, collect_trace, cp, cache)
     out, last, _ = _compiled(
-        kernel, config, truth, cache, [0], (), rng, tuple(sorted(cp)), int(collect_trace)
+        kernel, config, truth, {} if cache is None else cache, [0], (), rng, cps, int(collect_trace)
     )
     tau, delta, capped, trace, snaps = (field[0] for field in out)
     return TrialOutcome(config.k, tau, delta, delta == truth.odd_index, capped, *last, trace, snaps)
@@ -360,19 +359,22 @@ def _python_trial(
     collect_trace: bool,
     cp: frozenset,
     cache: dict,
-) -> TrialOutcome:
-    """`run_trial` on the Python loop: the reference the compiled kernel
-    repeats."""
+) -> tuple:
+    """One trial on the Python loop, the reference the compiled kernel
+    repeats. Returns what `_compiled` reads of a kernel trial: (tau,
+    delta, capped, rows, snapshots, last), with the trace rows
+    (action, count, leader, z_leader) of each slot when `collect_trace`
+    (else None), a `Snapshot` at each slot of `cp` and the final (visits,
+    events, total, z_min)."""
     k = config.k
-    odd = truth.odd_index
     rates = _rates(truth)
     stats = SufficientStats(k=k)
     snaps = []
     visits = stats.visits
     events = stats.events
-    trace: list[dict] | None = [] if collect_trace else None
+    rows: list[tuple] | None = [] if collect_trace else None
 
-    stopped = False
+    capped = True
     leader = 1
     z_min = [0.0] * k
     action = _next_action(config, 0, leader, stats.theta_hat(leader), rng, cache)[0]
@@ -382,16 +384,8 @@ def _python_trial(
         avg, ml = _scores(stats)
         z_min = _z_min_from_scores(avg, ml)
         leader = _pick_leader(z_min, rng)
-        if trace is not None:
-            trace.append(
-                {
-                    "n": m,
-                    "action": action,
-                    "count": x,
-                    "leader": leader,
-                    "z_leader": z_min[leader - 1],
-                }
-            )
+        if rows is not None:
+            rows.append((action, x, leader, z_min[leader - 1]))
         if m in cp:
             snaps.append(
                 Snapshot(
@@ -404,28 +398,11 @@ def _python_trial(
                 )
             )
         if _stops(config, z_min[leader - 1]):
-            stopped = True
+            capped = False
             break
         action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]
-
-    capped = not stopped
-    outcome_trace: tuple[dict, ...] | None = None
-    if trace is not None:
-        trace.append({"tau": m, "delta": leader, "correct": leader == odd, "capped": capped})
-        outcome_trace = tuple(trace)
-    return TrialOutcome(
-        k=k,
-        tau=m,
-        delta=leader,
-        correct=leader == odd,
-        capped=capped,
-        visits=tuple(visits),
-        events=tuple(events),
-        total=stats.total,
-        z_min=tuple(z_min),
-        trace=outcome_trace,
-        snapshots=tuple(snaps) if cp else None,
-    )
+    last = (tuple(visits), tuple(events), stats.total, tuple(z_min))
+    return m, leader, capped, rows, tuple(snaps), last
 
 
 # The compiled kernel's int64 state array (these fields, then visits and
@@ -451,8 +428,9 @@ def _reshaped(buffer: array, start: int, *shape: int) -> list:
 
 
 def _trace_records(rows: list, delta: int, odd: int, capped: bool) -> tuple[dict, ...]:
-    """The trace `_python_trial` records, from the kernel's rows of a trial
-    (lists of _T_WIDTH floats)."""
+    """A trial's trace, from its rows in the kernel's layout (sequences of
+    _T_WIDTH numbers, the kernel's floats or the Python loop's ints and
+    score)."""
     records = [
         {"n": n, "action": int(r[_T_ACTION]), "count": int(r[_T_COUNT]),
          "leader": int(r[_T_LEADER]), "z_leader": r[_T_Z_LEADER]}
@@ -476,15 +454,19 @@ def _compiled(
     cps: tuple[int, ...] = (),
     n_traced: int = 0,
 ) -> tuple[_Trials, tuple, tuple[int, int]]:
-    """`run_trial`s on the kernel's one entry, `oddball_block`, with `cache`
-    as memo: trial t of `trials` on a PCG64 seeded in C as
-    `np.random.default_rng([*prefix, t])` seeds it (keys below 2^64), or
-    the one trial on rng's bit generator, each snapshotted at the sorted
-    slots `cps`; then the first `n_traced` replayed (from their keys, or
-    rng's saved state, with its lock held over both calls) into a trace
-    buffer of exactly their slots. A declined trial reruns on the Python
-    loop. Returns the lists, the last trial's (visits, events, total,
-    z_min), and the first call's weight lookups and memo misses."""
+    """`run_trial`s with `cache` as memo, the one path every trial takes:
+    trial t of `trials` on a PCG64 seeded as `np.random.default_rng([*prefix,
+    t])` seeds it, or the one trial on `rng`, each snapshotted at the
+    sorted slots `cps` and the first `n_traced` traced. On the kernel's one
+    entry, `oddball_block`, the seeding is in C (keys below 2^64), and the
+    traced trials are replayed (from their keys, or rng's saved state)
+    into a trace buffer of exactly their slots. A trial the kernel
+    declines, and every trial when `kernel` is None, runs on the Python
+    loop from its start instead. On a caller's generator, the lock is held
+    over the kernel calls and the reruns. Returns the lists, the last
+    trial's (visits, events, total, z_min), and the first kernel call's
+    weight lookups and memo misses (zeros without the kernel)."""
+    _check_truth(config, truth)
     k, n, ncp = config.k, len(trials), len(cps)
     # One buffer per type: int64 (state, checkpoint slots, snapshot tallies, results), float64
     # (rates, scores, scratch, snapshot scores), uint64 (the PCG64 array and keys, not needed on a
@@ -498,7 +480,7 @@ def _compiled(
     address = _native.buffer_address
     ip, rp = address(ints), address(reals)
     words = array("Q", [*[0] * _GEN_SIZE, *prefix, *trials]) if rng is None else None
-    bitgen = None if rng is None else rng.bit_generator
+    bitgen = None if rng is None or kernel is None else rng.bit_generator
     args = (
         None if bitgen is None else _native.bitgen_address(bitgen),
         None if words is None else address(words), len(prefix), k, config.max_slots,
@@ -514,40 +496,46 @@ def _compiled(
 
     with nullcontext() if bitgen is None else bitgen.lock:
         start = None if bitgen is None else bitgen.state
-        out = run(n, ncp, None)
+        out = [0] * (3 * n + 2) if kernel is None else run(n, ncp, None)  # tau 0: declined
         tau, delta, capped = out[:n], out[n : 2 * n], [c == 1 for c in out[2 * n : 3 * n]]
         visits, events = ints[_HEAD : _HEAD + k], ints[_HEAD + k : _HEAD + 2 * k]
         last = (tuple(visits), tuple(events), ints[_TOTAL], tuple(reals[k : 2 * k]))
-        replay = [i for i in range(min(n_traced, n)) if tau[i] > 0]  # declined ones rerun traced
+        rows = [None] * n
+        replay = [i for i in range(min(n_traced, n)) if tau[i] > 0]
         if replay:
             if bitgen is not None:
                 bitgen.state = start
             else:
                 at = _GEN_SIZE + len(prefix)
                 words[at : at + len(replay)] = array("Q", [trials[i] for i in replay])
-            rows = array("d", [0.0]) * (sum(tau[i] for i in replay) * _T_WIDTH)
-            if run(len(replay), 0, rows)[: len(replay)] != [tau[i] for i in replay]:
+            buffer = array("d", [0.0]) * (sum(tau[i] for i in replay) * _T_WIDTH)
+            if run(len(replay), 0, buffer)[: len(replay)] != [tau[i] for i in replay]:
                 raise RuntimeError("a trace replay ran differently from its trial")
-            rows = _reshaped(rows, 0, len(rows) // _T_WIDTH, _T_WIDTH)
-    traces, snaps = [None] * n, [None] * n
-    for i, end in zip(replay, accumulate(tau[i] for i in replay)):
-        traces[i] = _trace_records(rows[end - tau[i] : end], delta[i], truth.odd_index, capped[i])
-    if cps:  # leader 0 marks a slot the trial did not reach
-        tallies = _reshaped(ints, snap_at, n, ncp, 2 + 2 * k)
-        scores = _reshaped(reals, 4 * k, n, ncp, k)
-        snaps = [
-            tuple(Snapshot(c, s[0], tuple(zs), tuple(s[2 : 2 + k]), tuple(s[2 + k :]), s[1])
-                  for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
-            for trial_tallies, trial_scores in zip(tallies, scores)
-        ]
-    for i in [i for i in range(n) if tau[i] == 0]:
-        if bitgen is not None:
-            bitgen.state = start
-        trial_rng = _default_rng([*prefix, trials[i]]) if rng is None else rng
-        o = _python_trial(config, truth, trial_rng, i < n_traced, frozenset(cps), cache)
-        tau[i], delta[i], capped[i], traces[i] = o.tau, o.delta, o.capped, o.trace
-        snaps[i] = o.snapshots
-        last = (o.visits, o.events, o.total, o.z_min) if i == n - 1 else last
+            flat = _reshaped(buffer, 0, len(buffer) // _T_WIDTH, _T_WIDTH)
+            for i, end in zip(replay, accumulate(tau[i] for i in replay)):
+                rows[i] = flat[end - tau[i] : end]
+        snaps = [None] * n
+        if cps:  # leader 0 marks a slot the trial did not reach
+            tallies = _reshaped(ints, snap_at, n, ncp, 2 + 2 * k)
+            scores = _reshaped(reals, 4 * k, n, ncp, k)
+            snaps = [
+                tuple(Snapshot(c, s[0], tuple(zs), tuple(s[2 : 2 + k]), tuple(s[2 + k :]), s[1])
+                      for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
+                for trial_tallies, trial_scores in zip(tallies, scores)
+            ]
+        for i in [i for i in range(n) if tau[i] == 0]:
+            if bitgen is not None:
+                bitgen.state = start
+            trial_rng = _default_rng([*prefix, trials[i]]) if rng is None else rng
+            tau[i], delta[i], capped[i], rows[i], trial_snaps, trial_last = _python_trial(
+                config, truth, trial_rng, i < n_traced, frozenset(cps), cache
+            )
+            snaps[i] = trial_snaps if cps else None
+            last = trial_last if i == n - 1 else last
+    traces = [
+        None if r is None else _trace_records(r, d, truth.odd_index, c)
+        for r, d, c in zip(rows, delta, capped)
+    ]
     return _Trials(tau, delta, capped, traces, snaps), last, (out[3 * n], out[3 * n + 1])
 
 
@@ -570,20 +558,18 @@ def _seeded_trials(
 ) -> _Trials:
     """`run_trial` for each t in `trials` (ints >= 0) on
     `np.random.default_rng([*prefix, t])`, with `cache` as memo, each
-    snapshotted at the sorted slots `cps` and the first `n_traced` traced.
-    One `_compiled` call on the kernel; for a key of 2^64 or more each
-    trial runs `run_trial`, and without the kernel the Python loop. The
-    results and every weight the memo serves are the same."""
-    _check_truth(config, truth)
-    kernel = _native.kernel() if max([0, *prefix, *trials]) < 1 << 64 else None
-    if kernel is not None:
-        out, _, _ = _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)
-        return out
-    outs = [
-        run_trial(config, truth, _default_rng([*prefix, t]), i < n_traced, cps, cache)
-        for i, t in enumerate(trials)
+    snapshotted at the sorted slots `cps` and the first `n_traced` traced:
+    one `_compiled` call, or, for a key of 2^64 or more, which the kernel
+    cannot seed, one per trial on its own generator. The results and
+    every weight the memo serves are the same."""
+    kernel = _native.kernel()
+    if max([0, *prefix, *trials]) < 1 << 64:
+        return _compiled(kernel, config, truth, cache, trials, prefix, None, cps, n_traced)[0]
+    runs = [
+        _compiled(kernel, config, truth, cache, [0], (), rng, cps, i < n_traced)[0]
+        for i, rng in enumerate(_default_rng([*prefix, t]) for t in trials)
     ]
-    return _Trials(*([getattr(o, name) for o in outs] for name in _Trials._fields))
+    return _Trials(*([run[f][0] for run in runs] for f in range(len(_Trials._fields))))
 
 
 def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:

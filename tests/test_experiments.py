@@ -13,6 +13,7 @@ import pytest
 from scipy.special import betaincinv
 
 import oddball.experiments as experiments
+from oddball.cli import main as cli_main
 from oddball.experiments import (
     REPORT_HEADER,
     DriftResult,
@@ -406,6 +407,17 @@ class TestDriftExperiment:
             drift_experiment(self.TRUTH, 100, [0], checkpoints=[0])
         with pytest.raises(DomainError):
             drift_experiment(self.TRUTH, 100, [0], checkpoints=[200])
+
+    def test_too_few_slots_names_n_slots(self, capsys):
+        # Fewer slots than the K warm-up slots: the error names the
+        # caller's parameter, not the policy field built from it.
+        with pytest.raises(DomainError, match=r"^n_slots must be an integer >= 3, got 2$"):
+            drift_experiment(self.TRUTH, 2, [1])
+        argv = ["drift", "--k", "3", "--odd", "1", "--r1", "1", "--r2", "2", "--slots", "2",
+                "--seed", "1"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "n_slots must be an integer >= 3, got 2" in err and "max_slots" not in err
 
     def test_row_structure(self):
         result = drift_experiment(self.TRUTH, 400, [0, 1, 2], checkpoints=[100])

@@ -1,15 +1,18 @@
 """The compiled trial kernel against the Python loop it repeats.
 
-`policy._python_trial` is the reference and `policy._compiled`, the
-wrapper of the kernel's one entry, the kernel; both are called directly
-or through `run_trial`, so no public switch picks between them.
-Outcomes, traces, generator states and memo cells must agree exactly,
-floats compared with ==. Without a caller's generator `_compiled` seeds
-each trial's generator in C; its generators are checked against numpy's
-`PCG64` and `default_rng`, its trials against the Python loop. The build
-and fallback tests run the loader against a temporary cache directory.
+Every trial runs through `policy._compiled`, the wrapper of the kernel's
+one entry: with the kernel, or with None, where each trial takes the
+Python loop, the reference (`_python_loop` below reads that trial into
+a `TrialOutcome`). A trial the kernel declines takes the same loop, so
+no public switch picks between them. Outcomes, traces, generator states
+and memo cells must agree exactly, floats compared with ==. Without a
+caller's generator `_compiled` seeds each trial's generator in C; its
+generators are checked against numpy's `PCG64` and `default_rng`, its
+trials against the Python loop. The build and fallback tests run the
+loader against a temporary cache directory.
 """
 
+import ast
 import ctypes
 import importlib.util
 import itertools
@@ -79,15 +82,34 @@ CONFIGS = {
 
 def _kernel_trial(config, truth, rng, cp, memo, traced=False):
     """`run_trial` on the kernel, and the weight lookups and memo misses of
-    its first kernel call; fails unless it made exactly one `_compiled` call."""
+    its first kernel call; fails unless it made exactly one `_compiled`
+    call, and that one with the kernel."""
     calls = []
     compiled = policy._compiled
+
+    def counted(lib, *args):
+        calls.append((lib, compiled(lib, *args)))
+        return calls[-1][1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(policy, "_compiled", lambda *a: calls.append(compiled(*a)) or calls[-1])
+        mp.setattr(policy, "_compiled", counted)
         out = policy.run_trial(config, truth, rng, traced, cp, memo)
-    assert len(calls) == 1
-    _, _, (lookups, misses) = calls[0]
+    assert [lib is not None for lib, _ in calls] == [True]
+    _, _, (lookups, misses) = calls[0][1]
     return out, lookups, misses
+
+
+def _python_loop(config, truth, rng, cp, memo, traced=False):
+    """`run_trial` on the Python loop: `_compiled` without the kernel, its
+    one trial read into a `TrialOutcome` as `run_trial` reads it."""
+    out, last, counts = policy._compiled(
+        None, config, truth, memo, [0], (), rng, tuple(sorted(cp)), int(traced)
+    )
+    assert counts == (0, 0)
+    tau, delta, capped, trace, snaps = (field[0] for field in out)
+    return policy.TrialOutcome(
+        config.k, tau, delta, delta == truth.odd_index, capped, *last, trace, snaps
+    )
 
 
 def _agree(configs, truth, seeds, checkpoints, traced=False):
@@ -102,7 +124,7 @@ def _agree(configs, truth, seeds, checkpoints, traced=False):
     for config in configs:
         for seed in seeds:
             rng_py, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref = policy._python_trial(config, truth, rng_py, traced, cp, memo_py)
+            ref = _python_loop(config, truth, rng_py, cp, memo_py, traced)
             got, n_lookups, n_misses = _kernel_trial(config, truth, rng_c, cp, memo_c, traced)
             key = (config.threshold_l, seed)
             assert (got.tau, got.delta, got.correct, got.capped) == (
@@ -246,7 +268,7 @@ def past_cap_refs():
         for config in configs:
             for seed in seeds:
                 rng = np.random.default_rng(seed)
-                out = policy._python_trial(config, truth, rng, False, frozenset(checkpoints), memo)
+                out = _python_loop(config, truth, rng, checkpoints, memo)
                 outs.append((out, rng.bit_generator.state))
         refs[name] = outs, memo
     return refs
@@ -471,7 +493,7 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
         counts = [0, 0]
         for i, t in enumerate(trials):
             rng = np.random.default_rng([seed, level, t])
-            out = policy._python_trial(config, truth, rng, i < n_traced, frozenset(), memo_py)
+            out = _python_loop(config, truth, rng, (), memo_py, i < n_traced)
             ref.append((out.tau, out.delta, out.capped, out.trace))
             states.append(rng.bit_generator.state)
             spares += states[-1]["has_uint32"]
@@ -495,7 +517,7 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
         # The replay looks the weights of the traced trials up again, last.
         for t in trials[:n_traced]:
             rng = np.random.default_rng([seed, level, t])
-            policy._python_trial(config, truth, rng, False, frozenset(), memo_py)
+            _python_loop(config, truth, rng, (), memo_py)
         assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
     if name == "low-rate":
         assert ties > 0 and spares > 0
@@ -556,6 +578,34 @@ def test_caller_replay_holds_the_lock(kernel):
     assert spy.free == [False, False] and np.isnan(spy.tail).all()
 
 
+def test_caller_rerun_holds_the_lock(kernel, monkeypatch):
+    # At numpy's Poisson limit the kernel declines the trial, and it
+    # reruns on the Python loop from the caller's generator's saved state.
+    # The lock is held over the kernel call, the rewind and the rerun, so
+    # another thread cannot draw in between and have its draws repeated.
+    rng, free = np.random.default_rng(0), []
+    python_trial = policy._python_trial
+
+    def try_lock():
+        lock = rng.bit_generator.lock
+        free.append(lock.acquire(blocking=False))
+        if free[-1]:
+            lock.release()
+
+    def probed(*args):
+        probe = threading.Thread(target=try_lock)
+        probe.start()
+        probe.join(timeout=10)
+        assert not probe.is_alive()
+        return python_trial(*args)
+
+    monkeypatch.setattr(policy, "_python_trial", probed)
+    limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
+    out = policy.run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, rng, collect_trace=True)
+    assert free == [False]
+    assert len(out.trace) == out.tau + 1 and out.trace[0]["count"] > 2**53
+
+
 def test_threads_share_a_caller_generator(kernel):
     # Four threads, more than the cores, run traced trials and plain draws
     # on one Generator with a short switch interval. Each traced trial must
@@ -612,10 +662,7 @@ def test_block_agrees_past_lgamma_cap(name, cap, kernel, monkeypatch):
     assert len(calls) == (0 if name == "past-cap" else len(trials))
     memo_py = {}
     ref = [
-        policy._python_trial(
-            config, truth, np.random.default_rng([9, 1, t]), False, frozenset(), memo_py
-        )
-        for t in trials
+        _python_loop(config, truth, np.random.default_rng([9, 1, t]), (), memo_py) for t in trials
     ]
     assert list(zip(got.tau, got.delta, got.capped)) == [(o.tau, o.delta, o.capped) for o in ref]
     assert min(o.total for o in ref) > 1024
@@ -800,15 +847,18 @@ def test_run_trial_dispatch(kernel, monkeypatch):
     # Trials on a numpy Generator run the kernel, traced ones included;
     # a generator of another type runs the Python loop. The outcome is the
     # same apart from the trace, and so is the generator's state after it.
+    # Every trial takes one `_compiled` call, with the kernel or without.
     calls = []
     compiled = policy._compiled
-    monkeypatch.setattr(policy, "_compiled", lambda *a: calls.append(1) or compiled(*a))
+    monkeypatch.setattr(
+        policy, "_compiled", lambda lib, *a: calls.append(lib is not None) or compiled(lib, *a)
+    )
     python = _python_trial_calls(monkeypatch)
     config, truth = PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0)
     rng_plain, rng_traced = np.random.default_rng(3), np.random.default_rng(3)
     plain = policy.run_trial(config, truth, rng_plain, checkpoints=[2, 9])
     traced = policy.run_trial(config, truth, rng_traced, collect_trace=True, checkpoints=[2, 9])
-    assert calls == [1, 1] and python == []
+    assert calls == [True, True] and python == []
     assert plain.trace is None and traced.trace is not None
     differ = [n for n in policy.TrialOutcome._fields if getattr(plain, n) != getattr(traced, n)]
     assert differ == ["trace"]
@@ -823,8 +873,38 @@ def test_run_trial_dispatch(kernel, monkeypatch):
     ref = policy.run_trial(
         config, truth, Wrapped(np.random.default_rng(3)), collect_trace=True, checkpoints=[2, 9]
     )
-    assert calls == [1, 1] and python == [1]
+    assert calls == [True, True, False] and python == [1]
     assert ref == traced
+
+
+def _uses(name: str, calls_only: bool) -> list[tuple[str, str]]:
+    """(module, top-level function or "<module>") of each use of `name` in
+    the package's source, as a plain name or an attribute; with
+    `calls_only`, only the calls of it."""
+    package = os.path.dirname(policy.__file__)
+    uses = []
+    for module in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        scopes = [(getattr(node, "name", "<module>"), node) for node in tree.body]
+        for scope, top in scopes:
+            for node in ast.walk(top):
+                if calls_only:
+                    if not isinstance(node, ast.Call):
+                        continue
+                    node = node.func
+                if getattr(node, "id", getattr(node, "attr", None)) == name:
+                    uses.append((module, scope))
+    return uses
+
+
+def test_one_path_to_the_python_loop():
+    # Every trial reaches the Python loop through `_compiled`, as a trial
+    # the kernel declines does, and only `run_trial` builds an outcome:
+    # a second path would not run the code the kernel is checked against.
+    assert _uses("_python_trial", calls_only=False) == [("policy.py", "_compiled")]
+    assert _uses("TrialOutcome", calls_only=True) == [("policy.py", "run_trial")]
+    assert _uses("_trace_records", calls_only=False) == [("policy.py", "_compiled")]
 
 
 def test_every_trial_runs_on_the_kernel(kernel, monkeypatch, tmp_path):

@@ -164,9 +164,10 @@ class TestLeaderLambdaOdd:
             solves += 1
             return solve(*args)
 
-        def counted_compiled(*args):
-            out = compiled(*args)
-            kernel_counts.append(out[2])  # its weight lookups and memo misses
+        def counted_compiled(lib, *args):
+            out = compiled(lib, *args)
+            if lib is not None:  # a kernel call: its weight lookups and memo misses
+                kernel_counts.append(out[2])
             return out
 
         class OtherGenerator:
@@ -319,6 +320,9 @@ class TestRunTrial:
             run_trial(self.CFG, OddConfig(4, 2, [1.0, 2.0], [2.0, 2.0]), np.random.default_rng(0))
         with pytest.raises(DomainError):
             run_trial(self.CFG, OddConfig(5, 2, 6.0, 2.0), np.random.default_rng(0))
+        # No generator is an error, not a trial on some default seed.
+        with pytest.raises(DomainError, match="needs a generator"):
+            run_trial(self.CFG, self.TRUTH, None)
 
     def test_poisson_limit_is_numpys(self):
         # Computed with math, bit for bit numpy's POISSON_LAM_MAX; the
