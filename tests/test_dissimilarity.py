@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import io
 import math
 
@@ -335,6 +336,18 @@ class TestAnovaF:
                     want = mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
                                           regularized=True)
                     assert abs(got - want) <= 1e-11 * want, (d1, d2)
+
+    def test_tails_are_pinned_bit_for_bit(self):
+        # The digest of every tail's float.hex at four F values, recorded
+        # when the binomial probability took its own copy of the
+        # divergence: the tail's divergence must keep its bits.
+        tails = " ".join(
+            _f_upper_tail(f, d1, d2).hex()
+            for d1 in self.DF1 for d2 in self.DF2 for f in (0.25, 1.0, 4.0, 100.0)
+        )
+        assert hashlib.sha256(tails.encode()).hexdigest() == (
+            "9bea1b1d3201e757b1a6b8f5ea3c47aeb8c6ccdd6e4fb75ce97bedb3f461f996"
+        )
 
     def test_separation_increases_f(self):
         base = [[0.9, 1.1], [0.95, 1.05]]

@@ -2,6 +2,7 @@
 parallel determinism, trace emission, and the drift audit."""
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from oddball.experiments import (
     run_experiment,
 )
 from oddball.glr import SufficientStats, modified_glr
-from oddball.numerics import DomainError, binary_relative_entropy
+from oddball.numerics import DomainError, _clopper_pearson_upper, binary_relative_entropy
 from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import OddConfig, d_star, solve_lambda_star
 
@@ -203,6 +204,15 @@ class TestErrorUpperConfidence:
                 got = error_upper_confidence(errors, trials)
                 want = float(betaincinv(errors + 1, trials - errors, 0.95))
                 assert got == pytest.approx(want, rel=1e-13, abs=0), (errors, trials)
+
+    def test_bounds_are_pinned_bit_for_bit(self):
+        # The digest of every bound's float.hex, recorded when the binomial
+        # probability took its own copy of the divergence: the tail's
+        # divergence must keep its bits.
+        bounds = " ".join(_clopper_pearson_upper(e, n).hex() for e, n in BOUND_CASES)
+        assert hashlib.sha256(bounds.encode()).hexdigest() == (
+            "9050a11e2d04a700119bb22c6cd12c2e8e025c67a34a9a28d3c1f9c4d1397b1a"
+        )
 
     def test_dominates_point_estimate(self):
         for x, n in [(0, 10), (3, 40), (17, 20)]:
