@@ -36,7 +36,7 @@
 #include "numpy/random/distributions.h"
 
 /* Slots of the int64 state array; visits[k] and events[k] follow. */
-enum { S_M, S_ACTION, S_LEADER, S_TOTAL, S_STOPPED, S_LOOKUPS, S_MISSES, S_HEAD };
+enum { S_M, S_LEADER, S_TOTAL, S_STOPPED, S_LOOKUPS, S_MISSES, S_HEAD };
 
 /* Columns of a trace row, one row per slot. */
 enum { T_ACTION, T_COUNT, T_LEADER, T_Z_LEADER, T_WIDTH };
@@ -206,9 +206,13 @@ static double u_minus_log1p(double u, const double *par) {
     return u * u * p;
 }
 
-/* numerics.poisson_kl for x >= 0, y > 0. */
+/* numerics.poisson_kl for finite x >= 0, y > 0: where y < x / 2, Loader's
+   bd0 x log(x / y) + y - x unless x / y or x log(x / y) overflows; else
+   the u form, or split logs where u overflows or is <= -1. */
 static double poisson_kl(double x, double y, const double *par) {
     if (x == 0.0) return y;
+    double t = y < 0.5 * x ? x * log(x / y) : INFINITY;
+    if (t < INFINITY) return t + y - x;
     double u = (y - x) / x;
     if (isinf(u) || u <= -1.0) return x * (log(x) - log(y)) - x + y;
     return x * u_minus_log1p(u, par);
@@ -476,7 +480,6 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
         }
     }
     st[S_M] = m;
-    st[S_ACTION] = action;
     st[S_LEADER] = leader;
     st[S_TOTAL] = total;
 }

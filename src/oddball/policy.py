@@ -408,7 +408,7 @@ def _python_trial(
 # The compiled kernel's int64 state array (these fields, then visits and
 # events), the columns of its trace rows and its constants. The layouts
 # are the S_, T_ and P_ enums of _kernel.c.
-_M, _ACTION, _LEADER, _TOTAL, _STOPPED, _LOOKUPS, _MISSES, _HEAD = range(8)
+_M, _LEADER, _TOTAL, _STOPPED, _LOOKUPS, _MISSES, _HEAD = range(7)
 _T_ACTION, _T_COUNT, _T_LEADER, _T_Z_LEADER, _T_WIDTH = range(5)
 # The kernel's PCG64 generator array (the G_ enum): numpy's PCG64.state.
 _STATE_HI, _STATE_LO, _INC_HI, _INC_LO, _HAS_UINT32, _UINTEGER, _GEN_SIZE = range(7)

@@ -8,6 +8,7 @@ never decimal-representation error of the inputs).
 import ast
 import math
 import concurrent.futures
+import sys
 import threading
 import time
 from pathlib import Path
@@ -86,28 +87,35 @@ class TestPoissonKl:
         # below one ulp of the intermediate terms).
         assert rel_err(poisson_kl(2.5, 2.5000001), KL_NEARBY) < 5e-13
 
-    def test_relative_error_where_y_is_at_least_half_x(self):
+    def test_relative_error_at_every_ratio(self):
         # The accuracy the docstrings claim: within 5e-15 relative of a
-        # 50-digit value wherever y >= x / 2, at the series radius and at
-        # y = x / 2 too. Below x / 2 no such bound holds.
+        # 50-digit value at the series radius, at y = x / 2, below it down
+        # to y / x = 1e-300 and where x / y overflows. Only points whose
+        # value exceeds the largest double are skipped.
         rng = np.random.default_rng(7)
-        xs = 10.0 ** rng.uniform(-6, 6, 4000)
+        xs = 10.0 ** rng.uniform(-6, 6, 6000)
         ratios = np.concatenate([
             1 + rng.choice([-1, 1], 1000) * 10.0 ** rng.uniform(-12, -0.3, 1000),
             1 + rng.choice([-1, 1], 1000) * _SERIES_RADIUS * rng.uniform(0.97, 1.03, 1000),
             rng.uniform(0.5, 3.0, 1000),
             10.0 ** rng.uniform(0.5, 12, 1000),
+            10.0 ** rng.uniform(-300, -0.31, 1000),
+            0.5 - 10.0 ** rng.uniform(-16, -1, 1000),
         ])
         points = [(x, x * r) for x, r in zip(xs.tolist(), ratios.tolist())]
-        points += [(1.0, 0.5), (3.0, 1.5), (1e300, 1e-300), (1e-300, 1e300)]
-        worst = 0.0
+        points += [(1.0, 0.5), (3.0, 1.5), (1e300, 1e-300), (1e-300, 1e300), (1.0, 1e-12),
+                   (1e10, 1e-300), (1e6, 1e-303), (7.0, 2.5e-308), (1.0, 5e-324),
+                   (1e305, 5e-324), (1e305, 1.0), (1e308, 1e-300)]
+        worst, skipped = 0.0, 0
         with mpmath.workdps(50):
             for x, y in points:
-                if x == y or y < 0.5 * x:
-                    continue
                 ref = mpmath.mpf(x) * mpmath.log(mpmath.mpf(x) / y) - x + y
+                if ref > sys.float_info.max:
+                    skipped += 1
+                    continue
                 worst = max(worst, float(abs(poisson_kl(x, y) - ref) / ref))
         assert worst < 5e-15, worst
+        assert skipped == 1
 
     def test_quadratic_leading_behavior(self):
         # D(x || x(1+h)) = x h^2 / 2 (1 + O(h)).
@@ -127,6 +135,10 @@ class TestPoissonKl:
             poisson_kl(math.nan, 1.0)
         with pytest.raises(DomainError):
             poisson_kl(1.0, math.nan)
+        # Infinite arguments are refused too, by name, D(0 || inf) included.
+        for x, y, name in ((1.0, math.inf, "y"), (math.inf, 1.0, "x"), (0.0, math.inf, "y")):
+            with pytest.raises(DomainError, match=f"finite {name}"):
+                poisson_kl(x, y)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
