@@ -338,9 +338,9 @@ class TestAnovaF:
                     assert abs(got - want) <= 1e-11 * want, (d1, d2)
 
     def test_tails_are_pinned_bit_for_bit(self):
-        # The digest of every tail's float.hex at four F values, recorded
-        # when the binomial probability took its own copy of the
-        # divergence: the tail's divergence must keep its bits.
+        # Every tail's bits at four F values, by the digest of their
+        # float.hex: a change to the divergence the binomial probability
+        # calls must not move them.
         tails = " ".join(
             _f_upper_tail(f, d1, d2).hex()
             for d1 in self.DF1 for d2 in self.DF2 for f in (0.25, 1.0, 4.0, 100.0)

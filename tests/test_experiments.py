@@ -206,9 +206,8 @@ class TestErrorUpperConfidence:
                 assert got == pytest.approx(want, rel=1e-13, abs=0), (errors, trials)
 
     def test_bounds_are_pinned_bit_for_bit(self):
-        # The digest of every bound's float.hex, recorded when the binomial
-        # probability took its own copy of the divergence: the tail's
-        # divergence must keep its bits.
+        # Every bound's bits, by the digest of their float.hex: a change to
+        # the divergence the binomial probability calls must not move them.
         bounds = " ".join(_clopper_pearson_upper(e, n).hex() for e, n in BOUND_CASES)
         assert hashlib.sha256(bounds.encode()).hexdigest() == (
             "9050a11e2d04a700119bb22c6cd12c2e8e025c67a34a9a28d3c1f9c4d1397b1a"
