@@ -8,11 +8,19 @@
    and the next action, and solver._root_row, solver._objective_sum and
    numerics.poisson_kl for the solve. The solve has one loop, over rows of
    D coordinates (oddball_solve_rows); a weight the memo does not hold yet
-   is its D = 1 case (lam_odd_at), compiled inline. Draws are the calls numpy's
+   is its D = 1 case (lam_odd_at), compiled inline. Draws are those numpy's
    Generator makes for rng.poisson, rng.random and rng.integers, on the
    caller's bit generator or on a port of numpy's PCG64 seeded as
-   default_rng([*prefix, trial]) seeds it. Build with -ffp-contract=off: a
-   fused multiply-add rounds differently.
+   default_rng([*prefix, trial]) seeds it. Below rate 10 the Poisson draw
+   is a port of numpy's multiplication method, with exp(-rate) taken once
+   per call; on the seeded PCG64 its uniforms, and the slot's other
+   next_double calls, come from the port directly, on a caller's
+   generator through its bitgen_t. numpy's libnpyrandom.a makes the rest:
+   PTRS from rate 10 on and the bounded draw for leader ties. A test
+   holds the ported draws, and the generator states after them, to
+   Generator.poisson's on both sides of 10, so a numpy that changes its
+   sampler fails it. Build with -ffp-contract=off: a fused multiply-add
+   rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
    lgamma is a port of CPython's own (oddball_lgamma), which computes
    LANES consecutive values side by side, each bitwise what it would be
@@ -131,13 +139,42 @@ static void pcg_seed(uint64_t *g, const uint64_t *v, int64_t n, uint64_t last) {
     pcg_next64(g);
 }
 
+/* numpy's bitgen_t of PCG64 on the generator array g. */
+static bitgen_t pcg_bitgen(uint64_t *g) {
+    return (bitgen_t){g, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+}
+
+/* numpy's next_double(bg), straight from the generator array g when g is
+   given (bg is then pcg_bitgen(g)). */
+static inline double uniform(bitgen_t *bg, uint64_t *g) {
+    return g ? pcg_next_double(g) : next_double(bg);
+}
+
+/* numpy's random_poisson(bg, rate) for rate > 0, given enlam = exp(-rate):
+   from 10 on numpy's own PTRS; below, a port of its multiplication method
+   (whose first product 1.0 * U is U), each uniform from uniform(bg, g). */
+static inline int64_t poisson(bitgen_t *bg, uint64_t *g, double rate, double enlam) {
+    if (rate >= 10.0) return random_poisson(bg, rate);
+    int64_t x = 0;
+    for (double prod = uniform(bg, g); prod > enlam; prod *= uniform(bg, g)) x++;
+    return x;
+}
+
 /* For tests: seed `gen` from values[0..n) (n <= 3) when n > 0, then
-   make `count` draws into out, of next_uint32 if bits is 32, else of
-   next_uint64. */
-void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, int64_t bits, int64_t count,
-                  uint64_t *out) {
+   make `count` draws into out: of next_uint32 if bits is 32, of
+   next_uint64 if it is 64, else the trial's Poisson draws at `rate`, on
+   `caller` if given, else on gen. */
+void oddball_draw(const uint64_t *values, int64_t n, uint64_t *gen, bitgen_t *caller, int64_t bits,
+                  double rate, int64_t count, uint64_t *out) {
+    bitgen_t seeded = pcg_bitgen(gen);
+    double enlam = exp(-rate);
     if (n > 0) pcg_seed(gen, values, n - 1, values[n - 1]);
-    for (int64_t i = 0; i < count; i++) out[i] = bits == 32 ? pcg_next32(gen) : pcg_next64(gen);
+    for (int64_t i = 0; i < count; i++) {
+        out[i] = bits == 32   ? pcg_next32(gen)
+                 : bits == 64 ? pcg_next64(gen)
+                              : (uint64_t)poisson(caller ? caller : &seeded, caller ? NULL : gen,
+                                                  rate, enlam);
+    }
 }
 
 /* CPython's m_lgamma (Modules/mathmodule.c) at x = y + 1, y >= 0, in its
@@ -207,14 +244,17 @@ static double u_minus_log1p(double u, const double *par) {
 }
 
 /* numerics.poisson_kl for finite x >= 0, y > 0: where y < x / 2, Loader's
-   bd0 x log(x / y) + y - x unless x / y or x log(x / y) overflows; else
-   the u form, or split logs where u overflows or is <= -1. */
+   bd0 x log(x / y) + y - x, or x (log(x / y) - 1) + y where x log(x / y)
+   + y overflows, with split logs where x / y does; else the u form, or
+   split logs where u overflows. */
 static double poisson_kl(double x, double y, const double *par) {
     if (x == 0.0) return y;
-    double t = y < 0.5 * x ? x * log(x / y) : INFINITY;
-    if (t < INFINITY) return t + y - x;
+    if (y < 0.5 * x) {
+        double r = x / y, lr = r < INFINITY ? log(r) : log(x) - log(y), d = x * lr + y - x;
+        return d < INFINITY ? d : x * (lr - 1.0) + y;
+    }
     double u = (y - x) / x;
-    if (isinf(u) || u <= -1.0) return x * (log(x) - log(y)) - x + y;
+    if (isinf(u)) return x * (log(x) - log(y)) - x + y;
     return x * u_minus_log1p(u, par);
 }
 
@@ -358,7 +398,9 @@ static double table_at(table_t *t, int64_t i) {
 }
 
 /* Run one trial until it stops or reaches max_slots, or decline it (slot
-   count 0) when a draw would take its event total to 2^53. Its state goes
+   count 0) when a draw would take its event total to 2^53. Its draws are
+   on bg, their uniforms straight from g when given (see uniform), and
+   process i's at rates[i] with enlam[i] = exp(-rates[i]). Its state goes
    to `st`, the scores of its last slot to z[0..k), and z[k..3k) is
    scratch. The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q /
    quant)), cell q % par[P_CELLS] the last q that mapped to it, key 0.0
@@ -366,11 +408,12 @@ static double table_at(table_t *t, int64_t i) {
    for slot counts n. Snapshot c of the sorted slots `cps` goes to
    snap_i[c * (2 + 2k)] (leader, total, visits, events) and snap_z[c * k];
    slot m's T_ row to trace[(m - 1) * T_WIDTH] while m <= nrows. */
-static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t stopping,
-                         double log_threshold, const double *rates, int64_t *st, double *z,
-                         double *weights, table_t *lg, table_t *lt, const int64_t *cps, int64_t ncp,
-                         int64_t *snap_i, double *snap_z, double *trace, int64_t nrows,
-                         const double *par) {
+static void oddball_trial(bitgen_t *bg, uint64_t *g, int64_t k, int64_t max_slots,
+                          int64_t stopping, double log_threshold, const double *rates,
+                          const double *enlam, int64_t *st, double *z, double *weights,
+                          table_t *lg, table_t *lt, const int64_t *cps, int64_t ncp,
+                          int64_t *snap_i, double *snap_z, double *trace, int64_t nrows,
+                          const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
     int64_t *visits = st + S_HEAD, *events = visits + k;
     /* Each process's own terms of glr._scores, updated when it is observed:
@@ -381,7 +424,7 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
     int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0;
     double rho = (double)(k - 2) / (double)(k - 1);
     while (m < max_slots) {
-        int64_t x = random_poisson(bg, rates[action - 1]);
+        int64_t x = poisson(bg, g, rates[action - 1], enlam[action - 1]);
         if (x >= ((int64_t)1 << 53) - total) {
             m = 0;
             break;
@@ -457,7 +500,7 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
         double t1 = ni > 0 ? (double)yi / (double)ni : 0.0;
         double t2 = no > 0 ? (double)(total - yi) / (double)no : 0.0;
         if (t1 <= 0.0 || t2 <= 0.0 || fabs(t1 - t2) < par[P_GAP]) {
-            int64_t idx = (int64_t)(next_double(bg) * (double)k);
+            int64_t idx = (int64_t)(uniform(bg, g) * (double)k);
             action = (idx > k - 1 ? k - 1 : idx) + 1;
             continue;
         }
@@ -470,7 +513,7 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
             cell[0] = (double)q;
             lam = cell[1] = lam_odd_at(q, rho, par);
         }
-        double u = next_double(bg);
+        double u = uniform(bg, g);
         if (u < lam) {
             action = leader;
         } else {
@@ -490,7 +533,9 @@ static void oddball_trial(bitgen_t *bg, int64_t k, int64_t max_slots, int64_t st
    t the ith of the n values after the array. Its stopping slot, final
    leader and capped flag go to out[i], out[n + i] and out[2n + i], its ncp
    snapshots to snap_i + i * ncp * (2 + 2k) and snap_z + i * ncp * k, its
-   trace rows after trial i - 1's, up to nrows in all. The weight lookups
+   trace rows after trial i - 1's, up to nrows in all. z holds 4k values:
+   the last trial's scores, oddball_trial's scratch, and exp(-rates[i]),
+   computed once per call. The weight lookups
    and memo misses of all n trials go to out[3n] and out[3n + 1]. The
    call's lgamma and log tables are freed before it returns. */
 void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_t *caller,
@@ -498,16 +543,18 @@ void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_
                    int64_t stopping, double log_threshold, const double *rates, int64_t *st,
                    double *z, double *weights, const int64_t *cps, int64_t *snap_i,
                    double *snap_z, const double *par, int64_t *out) {
-    bitgen_t seeded = {words, pcg_next64, pcg_next32, pcg_next_double, pcg_next64};
+    bitgen_t seeded = pcg_bitgen(words);
     table_t lg = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], oddball_lgamma};
     table_t lt = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], log_fill};
     bitgen_t *bg = caller ? caller : &seeded;
+    double *enlam = z + 3 * k;
+    for (int64_t i = 0; i < k; i++) enlam[i] = exp(-rates[i]);
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
         if (!caller) pcg_seed(words, words + G_SIZE, nprefix, words[G_SIZE + nprefix + i]);
-        oddball_trial(bg, k, max_slots, stopping, log_threshold, rates, st, z, weights, &lg, &lt,
-                      cps, ncp, snap_i + i * ncp * (2 + 2 * k), snap_z + i * ncp * k, trace,
-                      nrows, par);
+        oddball_trial(bg, caller ? NULL : words, k, max_slots, stopping, log_threshold, rates,
+                      enlam, st, z, weights, &lg, &lt, cps, ncp, snap_i + i * ncp * (2 + 2 * k),
+                      snap_z + i * ncp * k, trace, nrows, par);
         out[i] = st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];

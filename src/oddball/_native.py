@@ -123,7 +123,7 @@ def _open(path: str, key: str):
     lib.oddball_block.restype = None
     lib.oddball_lgamma.argtypes = [ptr, i64, i64]
     lib.oddball_lgamma.restype = None
-    lib.oddball_draw.argtypes = [ptr, i64, ptr, i64, i64, ptr]
+    lib.oddball_draw.argtypes = [ptr, i64, ptr, ptr, i64, ctypes.c_double, i64, ptr]
     lib.oddball_draw.restype = None
     return lib
 

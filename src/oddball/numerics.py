@@ -15,8 +15,9 @@ are natural.
 
 D is evaluated without cancellation, in one of two forms. Where y < x / 2
 it is x * log(x / y) + y - x with log(x / y) taken directly (Loader's
-2000 "bd0", which the distribution tails use too). Elsewhere, writing
-u = (y - x) / x,
+2000 "bd0", which the distribution tails use too), or as log x - log y
+where x / y overflows, and x * (log(x / y) - 1) + y where x * log(x / y) + y
+overflows. Elsewhere, writing u = (y - x) / x,
 
     D(x || y) = x * (u - log(1 + u)),
 
@@ -25,11 +26,10 @@ three-term formula loses almost all significant digits when x is close to
 y (absolute error ~ eps * x against a true value ~ (y - x)^2 / (2x)),
 which would poison stationarity residuals downstream; below x / 2 the
 u form would lose them instead, as 1 + u drops the low bits of y / x.
-For every x <= 1e305 and y > 0, D is within 5e-15 relative of its exact
-value: a few ulp in the direct form and inside the series radius, more
-just outside it (see `_u_minus_log1p`). Above 1e305, x * log(x / y) can
-overflow where D does not; the u form and split logarithms serve there,
-and can lose digits or overflow.
+For every finite x >= 0 and y > 0, D is within 5e-15 relative of its
+exact value, or inf where that exceeds the largest double: a few ulp in
+the direct form and inside the series radius, more just outside it (see
+`_u_minus_log1p`).
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ def poisson_kl(x: float, y: float) -> float:
 
     Returns:
         D(x || y) >= 0, zero iff x == y. D(0 || y) = y exactly. Within
-        5e-15 relative of the exact value for every x <= 1e305, see the
-        module docstring.
+        5e-15 relative of the exact value, or inf where that exceeds the
+        largest double, see the module docstring.
 
     Raises:
         DomainError: if x < 0 or y <= 0, or either is not finite.
@@ -249,11 +249,13 @@ def poisson_kl(x: float, y: float) -> float:
         raise DomainError(f"poisson_kl requires a finite y > 0, got {y!r}")
     if x == 0.0:
         return y
-    if y < 0.5 * x and (t := x * math.log(x / y)) < math.inf:  # else x / y or t overflowed
-        return t + y - x
+    if y < 0.5 * x:
+        r = x / y
+        lr = math.log(r) if r < math.inf else math.log(x) - math.log(y)
+        d = x * lr + y - x
+        return d if d < math.inf else x * (lr - 1.0) + y  # x * lr + y overflowed
     u = (y - x) / x
-    if math.isinf(u) or u <= -1.0:
-        # y/x overflowed or underflowed; split the logarithms instead.
+    if math.isinf(u):  # y / x overflowed; split the logarithms instead
         return x * (math.log(x) - math.log(y)) - x + y
     return x * _u_minus_log1p(u)
 

@@ -475,7 +475,7 @@ def _compiled(
     out_at = snap_at + n * ncp * (2 + 2 * k)
     ints = array("q", [0]) * (out_at + 3 * n + 2)
     ints[_HEAD + 2 * k : snap_at] = array("q", cps)
-    reals = array("d", [0.0]) * (k * (4 + n * ncp))
+    reals = array("d", [0.0]) * (k * (5 + n * ncp))
     reals[:k] = array("d", _rates(truth))
     address = _native.buffer_address
     ip, rp = address(ints), address(reals)
@@ -486,7 +486,7 @@ def _compiled(
         None if words is None else address(words), len(prefix), k, config.max_slots,
         config.variant == "standard", config.log_threshold, rp, ip, rp + 8 * k,
         address(_weight_cells(cache, k)), ip + 8 * (_HEAD + 2 * k), ip + 8 * snap_at,
-        rp + 32 * k, address(_KERNEL_PARAMS), ip + 8 * out_at,
+        rp + 40 * k, address(_KERNEL_PARAMS), ip + 8 * out_at,
     )
 
     def run(count: int, snaps: int, rows: array | None) -> list[int]:  # rows: the trace
@@ -517,7 +517,7 @@ def _compiled(
         snaps = [None] * n
         if cps:  # leader 0 marks a slot the trial did not reach
             tallies = _reshaped(ints, snap_at, n, ncp, 2 + 2 * k)
-            scores = _reshaped(reals, 4 * k, n, ncp, k)
+            scores = _reshaped(reals, 5 * k, n, ncp, k)
             snaps = [
                 tuple(Snapshot(c, s[0], tuple(zs), tuple(s[2 : 2 + k]), tuple(s[2 + k :]), s[1])
                       for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)

@@ -393,13 +393,13 @@ def _c_generator(lib, values):
     """The kernel's generator array, seeded from `values` (at most three)."""
     gen = np.zeros(policy._GEN_SIZE, dtype=np.uint64)
     keys = np.array(values, dtype=np.uint64)
-    lib.oddball_draw(keys.ctypes.data, len(values), gen.ctypes.data, 64, 0, None)
+    lib.oddball_draw(keys.ctypes.data, len(values), gen.ctypes.data, None, 64, 0.0, 0, None)
     return gen
 
 
 def _c_draws(lib, gen, bits, count):
     out = np.zeros(count, dtype=np.uint64)
-    lib.oddball_draw(None, 0, gen.ctypes.data, bits, count, out.ctypes.data)
+    lib.oddball_draw(None, 0, gen.ctypes.data, None, bits, 0.0, count, out.ctypes.data)
     return out.tolist()
 
 
@@ -448,6 +448,45 @@ def test_32_bit_draws_keep_the_spare_half(kernel):
             ref = bits.random_raw(count).tolist()
         assert _c_draws(kernel, gen, width, count) == ref
         assert _pcg64_state(gen) == bits.state
+
+
+def _c_poisson(lib, gen, bits, rate, count):
+    """`count` of the trial's Poisson draws at `rate`, on the numpy bit
+    generator `bits` if given, else on the kernel's generator array `gen`."""
+    out = np.zeros(count, dtype=np.uint64)
+    caller = None if bits is None else _native.bitgen_address(bits)
+    lib.oddball_draw(None, 0, gen.ctypes.data, caller, 0, rate, count, out.ctypes.data)
+    return out.tolist()
+
+
+# Rates of the Poisson draw parity test: numpy's multiplication method
+# below 10, which the kernel ports, its PTRS sampler from 10 on, which the
+# kernel calls.
+POISSON_RATES = (1e-12, 0.5, 1.0, 2.0, 4.0, 9.999999, 10.0, 10.5, 1e3)
+
+
+@pytest.mark.parametrize("caller", [False, True], ids=["seeded", "caller"])
+@pytest.mark.parametrize("rate", POISSON_RATES)
+def test_poisson_draws_match_numpy(rate, caller, kernel):
+    # The kernel's Poisson draw against Generator.poisson on the same
+    # PCG64 stream, on the seeded generator array (uniforms straight from
+    # it) and on a caller's generator (through its bitgen_t): the same
+    # counts, then the same generator state. One 32-bit draw first leaves
+    # a spare half waiting, which the Poisson draws must keep.
+    key, count = [28, 3, 7], 4000
+    ref = np.random.Generator(np.random.PCG64(key))
+    ref.integers(0, 2**32, dtype=np.uint32)
+    want = ref.poisson(rate, count).tolist()
+    gen, bits = _c_generator(kernel, key), None
+    if caller:
+        bits = np.random.PCG64(key)
+        np.random.Generator(bits).integers(0, 2**32, dtype=np.uint32)
+    else:
+        _c_draws(kernel, gen, 32, 1)
+    assert _c_poisson(kernel, gen, bits, rate, count) == want
+    state = bits.state if caller else _pcg64_state(gen)
+    assert state == ref.bit_generator.state and state["has_uint32"] == 1
+    assert rate < 0.5 or len(set(want)) > 3
 
 
 class _GeneratorSpy:
@@ -521,6 +560,27 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
         assert np.array_equal(memo_c[truth.k], memo_py[truth.k])
     if name == "low-rate":
         assert ties > 0 and spares > 0
+
+
+@pytest.mark.parametrize("rate", [9.999999, 10.0])
+def test_trials_at_the_sampler_switch(rate, kernel):
+    # sim-hard's odd rate of 10 sits exactly where numpy switches from the
+    # multiplication method, which the kernel ports, to PTRS, which it
+    # calls; 9.999999 is just below. Trials with the odd or the common
+    # rate there match the Python loop on callers' generators and on
+    # seeded ones: results, traces, snapshots and generator states.
+    config, cps = PolicyConfig(k=5, threshold_l=1e3), (1, 6)
+    prefix, trials, n_traced = (2**40 + 3, 0), list(range(8)), 2
+    for truth in (OddConfig(5, 3, rate, 1.0), OddConfig(5, 3, 2.0, rate)):
+        _agree([config], truth, range(20), cps, traced=True)
+        spy = _GeneratorSpy(kernel)
+        got, _, _ = policy._compiled(spy, config, truth, {}, trials, prefix, None, cps, n_traced)
+        for i, t in enumerate(trials):
+            rng = np.random.default_rng([*prefix, t])
+            ref = _python_loop(config, truth, rng, frozenset(cps), {}, i < n_traced)
+            assert (got.tau[i], got.delta[i], got.capped[i]) == (ref.tau, ref.delta, ref.capped)
+            assert (got.trace[i], got.snapshots[i]) == (ref.trace, ref.snapshots), t
+        assert spy.states[0] == rng.bit_generator.state
 
 
 def test_caller_replay_holds_the_lock(kernel):

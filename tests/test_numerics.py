@@ -90,8 +90,9 @@ class TestPoissonKl:
     def test_relative_error_at_every_ratio(self):
         # The accuracy the docstrings claim: within 5e-15 relative of a
         # 50-digit value at the series radius, at y = x / 2, below it down
-        # to y / x = 1e-300 and where x / y overflows. Only points whose
-        # value exceeds the largest double are skipped.
+        # to y / x = 1e-300, where x / y overflows and where x log(x / y)
+        # overflows but D does not. A point whose value exceeds the
+        # largest double must give inf.
         rng = np.random.default_rng(7)
         xs = 10.0 ** rng.uniform(-6, 6, 6000)
         ratios = np.concatenate([
@@ -105,17 +106,19 @@ class TestPoissonKl:
         points = [(x, x * r) for x, r in zip(xs.tolist(), ratios.tolist())]
         points += [(1.0, 0.5), (3.0, 1.5), (1e300, 1e-300), (1e-300, 1e300), (1.0, 1e-12),
                    (1e10, 1e-300), (1e6, 1e-303), (7.0, 2.5e-308), (1.0, 5e-324),
-                   (1e305, 5e-324), (1e305, 1.0), (1e308, 1e-300)]
-        worst, skipped = 0.0, 0
+                   (1e305, 5e-324), (1e305, 1.0), (1e308, 1e-300), (1.798e305, 9.17e-130),
+                   (6.09e306, 5.70e293), (1.7e308, 6e307)]
+        worst, overflowed = 0.0, 0
         with mpmath.workdps(50):
             for x, y in points:
                 ref = mpmath.mpf(x) * mpmath.log(mpmath.mpf(x) / y) - x + y
                 if ref > sys.float_info.max:
-                    skipped += 1
+                    overflowed += 1
+                    assert poisson_kl(x, y) == math.inf, (x, y)
                     continue
                 worst = max(worst, float(abs(poisson_kl(x, y) - ref) / ref))
         assert worst < 5e-15, worst
-        assert skipped == 1
+        assert overflowed == 1
 
     def test_quadratic_leading_behavior(self):
         # D(x || x(1+h)) = x h^2 / 2 (1 + O(h)).
