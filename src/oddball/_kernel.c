@@ -22,7 +22,7 @@
    sampler fails it. Build with -ffp-contract=off: a fused multiply-add
    rounds differently.
    log, log1p and sqrt are the C library's, as in Python's math module;
-   lgamma is a port of CPython's own (oddball_lgamma), which computes
+   lgamma is a port of CPython's own (lgamma_fill), which computes
    LANES consecutive values side by side, each bitwise what it would be
    alone. lgamma(y + 1) and log(n + 1) are kept in two tables that each
    oddball_block call fills lazily, a LANES group at a time, up to
@@ -30,7 +30,9 @@
    weight cells. The scores are updated incrementally: a slot
    changes only the observed process's own terms of glr._scores, so those
    are cached per process and each slot recomputes only the pooled-others
-   terms, every sum in glr._scores' order. Event totals stay below 2^53,
+   terms, every sum in glr._scores' order; from REUSE_MIN_K processes on,
+   once per distinct (visits, events) state, copied to the other
+   processes in it. Event totals stay below 2^53,
    where int64 tallies and float64 trace rows are exact: a trial that
    would pass it is declined, and Python reruns it. Shared constants come
    from Python in `par`; the P_, S_, T_ and G_ enums below are layouts
@@ -228,11 +230,21 @@ static inline __attribute__((always_inline)) void lgamma_lanes(double *out, int6
 }
 
 /* lgamma(y + 1) into out[0..n) for y in [from, from + n): LANES at a
-   time, then one at a time. Exported for tests. */
-void oddball_lgamma(double *out, int64_t from, int64_t n) {
+   time, then one at a time. The lgamma table's fill. */
+static void lgamma_fill(double *out, int64_t from, int64_t n) {
     int64_t at = 0;
     for (; n - at >= LANES; at += LANES) lgamma_lanes(out + at, from + at, LANES);
     for (; at < n; at++) lgamma_lanes(out + at, from + at, 1);
+}
+
+/* lgamma_fill over n ranges, range i from ranges[2i] with ranges[2i + 1]
+   values, into out one range after another. Exported for the loader's
+   probe and for tests. */
+void oddball_lgamma(double *out, const int64_t *ranges, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {
+        lgamma_fill(out, ranges[2 * i], ranges[2 * i + 1]);
+        out += ranges[2 * i + 1];
+    }
 }
 
 /* numerics._u_minus_log1p: u - log(1 + u), by series near 0. */
@@ -397,21 +409,61 @@ static double table_at(table_t *t, int64_t i) {
     return t->values[i];
 }
 
+/* A process's z before the others' maximum is subtracted, given the
+   others' pooled tallies (yo, no) and its own terms, and its ml term into
+   *ml, each sum in glr._scores' order: (own_avg + lgamma(yo + 1)) -
+   (yo + 1) log(no + 1), and own_ml + yo (log(yo / no) - 1). */
+static inline double pooled(int64_t yo, int64_t no, double own_avg, double own_ml, table_t *lg,
+                            table_t *lt, double *ml) {
+    *ml = own_ml;
+    if (yo > 0) *ml += (double)yo * (log((double)yo / (double)no) - 1.0);
+    return own_avg + table_at(lg, yo) - (double)(yo + 1) * table_at(lt, no);
+}
+
+/* The top two of the ml terms so far, m1 >= m2, m1 first reached at a1. */
+static inline void top_two(double t, int64_t i, double *m1, double *m2, int64_t *a1) {
+    if (t > *m1) {
+        *m2 = *m1;
+        *m1 = t;
+        *a1 = i;
+    } else if (t > *m2) {
+        *m2 = t;
+    }
+}
+
+/* The per-slot table of process states: entry state_slot(visits, events)
+   holds the last state that mapped to it, with its pooled() results and
+   the slot they are for (0: none). Direct-mapped, STATES entries; from
+   REUSE_MIN_K processes on, where a K sweep measured the crossover (at
+   fewer, too few processes share a state to pay for the lookups). */
+#define STATES 256
+#define REUSE_MIN_K 20
+typedef struct {
+    int64_t slot, visits, events;
+    double z, ml;
+} state_t;
+
+static inline size_t state_slot(int64_t visits, int64_t events) {
+    uint64_t h = ((uint64_t)visits * 0x9e3779b97f4a7c15u + (uint64_t)events) * 0x9e3779b97f4a7c15u;
+    return (size_t)(h >> 56); /* the top log2(STATES) bits */
+}
+
 /* Run one trial until it stops or reaches max_slots, or decline it (slot
    count 0) when a draw would take its event total to 2^53. Its draws are
    on bg, their uniforms straight from g when given (see uniform), and
    process i's at rates[i] with enlam[i] = exp(-rates[i]). Its state goes
    to `st`, the scores of its last slot to z[0..k), and z[k..3k) is
-   scratch. The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q /
-   quant)), cell q % par[P_CELLS] the last q that mapped to it, key 0.0
-   when empty. lg holds lgamma(y + 1) for event totals y and lt log(n + 1)
+   scratch, as is `seen`, the table of process states, when not NULL.
+   The memo: weights holds par[P_CELLS] cells (q, lambda*(k, q / quant)),
+   cell q % par[P_CELLS] the last q that mapped to it, key 0.0 when
+   empty. lg holds lgamma(y + 1) for event totals y and lt log(n + 1)
    for slot counts n. Snapshot c of the sorted slots `cps` goes to
    snap_i[c * (2 + 2k)] (leader, total, visits, events) and snap_z[c * k];
    slot m's T_ row to trace[(m - 1) * T_WIDTH] while m <= nrows. */
 static void oddball_trial(bitgen_t *bg, uint64_t *g, int64_t k, int64_t max_slots,
                           int64_t stopping, double log_threshold, const double *rates,
                           const double *enlam, int64_t *st, double *z, double *weights,
-                          table_t *lg, table_t *lt, const int64_t *cps, int64_t ncp,
+                          table_t *lg, table_t *lt, state_t *seen, const int64_t *cps, int64_t ncp,
                           int64_t *snap_i, double *snap_z, double *trace, int64_t nrows,
                           const double *par) {
     memset(st, 0, sizeof(*st) * (S_HEAD + 2 * k));
@@ -421,6 +473,7 @@ static void oddball_trial(bitgen_t *bg, uint64_t *g, int64_t k, int64_t max_slot
        0.0 (+ y (log(y / n) - 1) when y > 0). Both are 0.0 at y = n = 0. */
     double *own_avg = z + k, *own_ml = z + 2 * k;
     memset(own_avg, 0, sizeof(*z) * 2 * k);
+    if (seen) memset(seen, 0, sizeof(*seen) * STATES);
     int64_t m = 0, action = 1, leader = 1, total = 0, ci = 0;
     double rho = (double)(k - 2) / (double)(k - 1);
     while (m < max_slots) {
@@ -437,22 +490,27 @@ static void oddball_trial(bitgen_t *bg, uint64_t *g, int64_t k, int64_t max_slot
         own_avg[action - 1] = table_at(lg, ya) - (double)(ya + 1) * table_at(lt, na);
         own_ml[action - 1] = ya > 0 ? 0.0 + (double)ya * (log((double)ya / (double)na) - 1.0) : 0.0;
 
-        /* Scores: z = avg - max_{j != i} ml_j via the top two of ml, with
-           each sum in glr._scores' order: (own_avg + lgamma(yo + 1)) -
-           (yo + 1) log(no + 1), and own_ml + yo (log(yo / no) - 1). */
+        /* Scores: z = avg - max_{j != i} ml_j via the top two of ml. With
+           `seen`, each distinct (visits, events) state is scored once per
+           slot and copied to the other processes in it. */
         double m1 = -INFINITY, m2 = -INFINITY;
         int64_t a1 = -1;
-        for (int64_t i = 0; i < k; i++) {
-            int64_t yo = total - events[i], no = m - visits[i];
-            z[i] = own_avg[i] + table_at(lg, yo) - (double)(yo + 1) * table_at(lt, no);
-            double t = own_ml[i];
-            if (yo > 0) t += (double)yo * (log((double)yo / (double)no) - 1.0);
-            if (t > m1) {
-                m2 = m1;
-                m1 = t;
-                a1 = i;
-            } else if (t > m2) {
-                m2 = t;
+        if (seen) {
+            for (int64_t i = 0; i < k; i++) {
+                state_t *s = seen + state_slot(visits[i], events[i]);
+                if (s->slot != m || s->visits != visits[i] || s->events != events[i]) {
+                    s->z = pooled(total - events[i], m - visits[i], own_avg[i], own_ml[i], lg, lt,
+                                  &s->ml);
+                    s->slot = m, s->visits = visits[i], s->events = events[i];
+                }
+                z[i] = s->z;
+                top_two(s->ml, i, &m1, &m2, &a1);
+            }
+        } else {
+            for (int64_t i = 0; i < k; i++) {
+                double t;
+                z[i] = pooled(total - events[i], m - visits[i], own_avg[i], own_ml[i], lg, lt, &t);
+                top_two(t, i, &m1, &m2, &a1);
             }
         }
         double best = -INFINITY;
@@ -544,17 +602,18 @@ void oddball_block(int64_t n, int64_t ncp, double *trace, int64_t nrows, bitgen_
                    double *z, double *weights, const int64_t *cps, int64_t *snap_i,
                    double *snap_z, const double *par, int64_t *out) {
     bitgen_t seeded = pcg_bitgen(words);
-    table_t lg = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], oddball_lgamma};
+    table_t lg = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], lgamma_fill};
     table_t lt = {NULL, 0, 0, (int64_t)par[P_TABLE_CAP], log_fill};
     bitgen_t *bg = caller ? caller : &seeded;
+    state_t seen[STATES];
     double *enlam = z + 3 * k;
     for (int64_t i = 0; i < k; i++) enlam[i] = exp(-rates[i]);
     out[3 * n] = out[3 * n + 1] = 0;
     for (int64_t i = 0; i < n; i++) {
         if (!caller) pcg_seed(words, words + G_SIZE, nprefix, words[G_SIZE + nprefix + i]);
         oddball_trial(bg, caller ? NULL : words, k, max_slots, stopping, log_threshold, rates,
-                      enlam, st, z, weights, &lg, &lt, cps, ncp, snap_i + i * ncp * (2 + 2 * k),
-                      snap_z + i * ncp * k, trace, nrows, par);
+                      enlam, st, z, weights, &lg, &lt, k >= REUSE_MIN_K ? seen : NULL, cps, ncp,
+                      snap_i + i * ncp * (2 + 2 * k), snap_z + i * ncp * k, trace, nrows, par);
         out[i] = st[S_M];
         out[n + i] = st[S_LEADER];
         out[2 * n + i] = !st[S_STOPPED];

@@ -1,23 +1,34 @@
 """Build and load the compiled kernel, `_kernel.c`: the trial loop and the solve.
 
 The kernel is compiled on first use, never at import, into the package's
-`__pycache__` directory as `_kernel.<key>.so`, where the key hashes the C
-source with the Python version and the text of the installed numpy's
+`__pycache__` directory as `_kernel.<scope>.<key>.so`. The scope names
+the interpreter by `sys.implementation.cache_tag`, as a `.pyc` is named,
+and the compiler flags by a digest. The key hashes the C source with the
+Python version, the flags and the text of the installed numpy's
 `numpy/version.py`, found with `importlib.util.find_spec` and read, not
-imported: a load from the cache needs neither numpy nor the modules a
-build runs on (`subprocess`, `tempfile`, `sysconfig`), which only the
-build path imports. The kernel links numpy's own `libnpyrandom.a`, so
-its draws are the ones a `Generator` makes. A build goes to a temporary
-name and is moved into place with `os.replace`, so a concurrent reader
-never sees half a file. Each file ends in a digest of its bytes and its
-key, and a cached file whose digest does not match (truncated, or built
-from other source) is rebuilt, never loaded. When the kernel cannot be
-built (no compiler, an unwritable cache, a failed link: each an OSError,
-a failed compile one that carries the compiler's first line of errors),
+imported. The kernel links numpy's own `libnpyrandom.a`, so its draws
+are the ones a `Generator` makes. A load that finds its library in the
+cache writes the scope's stamp, `_kernel.<scope>.stamp`: the mtime and
+size of `_kernel.c` and of numpy's `version.py`, numpy's directory, the
+Python version, the flags and the key. A later load whose stamp still
+matches, with no other `numpy` before numpy's directory on `sys.path`,
+takes the key from it without reading the source or running
+`find_spec`, as CPython trusts a `.pyc` whose recorded mtime and size
+match; any mismatch takes the keyed path. Neither path needs numpy or
+the modules a build runs on (`subprocess`, `tempfile`, `sysconfig`),
+which only a build or a stamp's write imports. A build goes to a
+temporary name and is moved into place with `os.replace`, so a
+concurrent reader never sees half a file; so is a stamp. Each library
+ends in a digest of its bytes and its key, and a cached file whose
+digest does not match (truncated, or built from other source) is
+rebuilt, never loaded, on either path. When the kernel cannot be built
+(no compiler, an unwritable cache, a failed link: each an OSError, a
+failed compile one that carries the compiler's first line of errors),
 `kernel()` returns None, one note goes to stderr, and callers run the
-Python loops. A new build removes the libraries of earlier sources from
-the cache directory, and the temporary files of builders no longer
-running, whose pid each temporary name carries.
+Python loops. A new build removes the other files of its scope (the
+libraries of earlier sources and the stamp), and the temporary files of
+writers no longer running, whose pid each temporary name carries; the
+files of other interpreters and flags stay.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import math
 import os
 import sys
 import threading
+import zlib
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernel.c")
@@ -49,16 +61,98 @@ _loaded: list = []
 _load_lock = threading.Lock()
 
 
-def _key(source: bytes) -> str:
-    """Cache key of a kernel built from `source` by this interpreter against
-    the installed numpy, which it names by the text of `numpy/version.py`."""
+def _scope() -> str:
+    """The part of a cached file's name that tells the builds of this
+    interpreter and these flags from those of others sharing the cache."""
+    return f"{sys.implementation.cache_tag}-{zlib.crc32(' '.join(_FLAGS).encode()):08x}"
+
+
+def _library(key: str) -> str:
+    """Path of the cached library of `key`."""
+    return os.path.join(_CACHE_DIR, f"_kernel.{_scope()}.{key}.so")
+
+
+def _numpy_dir() -> str:
+    """Directory of the numpy package the interpreter would import."""
     spec = importlib.util.find_spec("numpy")
     if spec is None or not spec.submodule_search_locations:
         raise OSError("numpy is not installed")
-    with open(os.path.join(spec.submodule_search_locations[0], "version.py"), "rb") as fh:
+    return spec.submodule_search_locations[0]
+
+
+def _key(source: bytes, numpy_dir: str | None = None) -> str:
+    """Cache key of a kernel built from `source` by this interpreter against
+    the numpy in `numpy_dir` (default: the installed one), which it names
+    by the text of `numpy/version.py`."""
+    with open(os.path.join(numpy_dir or _numpy_dir(), "version.py"), "rb") as fh:
         numpy_version = fh.read()
     tag = f"{sys.version}|{' '.join(_FLAGS)}".encode()
     return hashlib.sha256(source + b"\0" + numpy_version + b"\0" + tag).hexdigest()[:16]
+
+
+def _stamp(numpy_dir: str) -> str:
+    """A stamp without its key: the mtime and size of `_kernel.c` and of
+    `version.py` in `numpy_dir`, then numpy_dir, the Python version and
+    the flags, each on a line of its own."""
+    files = (os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py")))
+    stats = "".join(f"{st.st_mtime_ns} {st.st_size}\n" for st in files)
+    return f"{stats}{numpy_dir}\n{sys.version}\n{' '.join(_FLAGS)}\n"
+
+
+def _stamped_key(stamp: str) -> str | None:
+    """The key the stamp file `stamp` ends in, when the files it stamps
+    are unchanged and its numpy is the first on `sys.path`; else None."""
+    try:
+        fd = os.open(stamp, os.O_RDONLY)
+        try:
+            text = os.read(fd, 1 << 16).decode()
+        finally:
+            os.close(fd)
+        numpy_dir = text.split("\n", 3)[2]
+        head, _, key = text.rpartition("\n")
+        unchanged = head + "\n" == _stamp(numpy_dir) and _first_numpy(numpy_dir)
+    except (OSError, ValueError, IndexError):
+        return None
+    return key if unchanged and key.isalnum() else None
+
+
+def _first_numpy(numpy_dir: str) -> bool:
+    """Whether numpy_dir is the first `numpy` in a `sys.path` directory,
+    where `find_spec` would find it (an entry that merely holds something
+    named `numpy` before it also counts against it)."""
+    for entry in sys.path:
+        where = os.path.join(entry or os.getcwd(), "numpy")
+        if where == numpy_dir:
+            return True
+        if os.access(where, os.F_OK):
+            return False
+    return False
+
+
+def _temporary(suffix: str) -> str:
+    """A new empty file in the cache directory, its name carrying this
+    process's pid, which tells a later build whether its writer still runs."""
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=suffix, dir=_CACHE_DIR)
+    os.close(fd)
+    return tmp
+
+
+def _write_stamp(stamp: str, text: str) -> None:
+    """Put `text` in the file `stamp`, whole or not at all; a stamp only
+    saves time, so one that cannot be written is left out."""
+    try:
+        tmp = _temporary(".stamp.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(text.encode())
+            os.replace(tmp, stamp)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    except OSError:
+        pass
 
 
 def _includes() -> list[str]:
@@ -106,7 +200,9 @@ def _open(path: str, key: str):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        if hashlib.sha256(key.encode() + data[:-32]).digest() != data[-32:]:
+        seal = hashlib.sha256(key.encode())
+        seal.update(memoryview(data)[:-32])
+        if seal.digest() != data[-32:]:
             return None
         lib = ctypes.CDLL(path)
     except OSError:
@@ -121,7 +217,7 @@ def _open(path: str, key: str):
         ptr, ptr, ptr, ptr,
     ]
     lib.oddball_block.restype = None
-    lib.oddball_lgamma.argtypes = [ptr, i64, i64]
+    lib.oddball_lgamma.argtypes = [ptr, ptr, i64]
     lib.oddball_lgamma.restype = None
     lib.oddball_draw.argtypes = [ptr, i64, ptr, ptr, i64, ctypes.c_double, i64, ptr]
     lib.oddball_draw.restype = None
@@ -129,18 +225,22 @@ def _open(path: str, key: str):
 
 
 def _load():
-    with open(_SOURCE, "rb") as fh:
-        key = _key(fh.read())
-    path = os.path.join(_CACHE_DIR, f"_kernel.{key}.so")
-    lib = _open(path, key)
+    stamp = os.path.join(_CACHE_DIR, f"_kernel.{_scope()}.stamp")
+    key = _stamped_key(stamp)
+    lib = None if key is None else _open(_library(key), key)
     if lib is not None:
         return lib
-    import tempfile
-
+    numpy_dir = _numpy_dir()
+    stamped = _stamp(numpy_dir)  # before the reads, so an edit during them shows as a change
+    with open(_SOURCE, "rb") as fh:
+        key = _key(fh.read(), numpy_dir)
+    path = _library(key)
+    lib = _open(path, key)
+    if lib is not None:
+        _write_stamp(stamp, stamped + key)
+        return lib
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    # The builder's pid in the name tells a later build whether it is still running.
-    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=".so.tmp", dir=_CACHE_DIR)
-    os.close(fd)
+    tmp = _temporary(".so.tmp")
     try:
         _build(tmp)
         _seal(tmp, key)
@@ -153,17 +253,17 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # Libraries built from earlier sources are never loaded again. Nor is
-    # the temporary file of a builder killed mid-build (a signal skips the
-    # `finally` above), but one whose builder still runs is in use.
+    # The scope's libraries of earlier sources are never loaded again, and
+    # its stamp names one of them. Nor is the temporary file of a writer
+    # killed mid-write (a signal skips the `finally` above), but one whose
+    # writer still runs is in use.
+    scope = f"_kernel.{_scope()}."
     for name in os.listdir(_CACHE_DIR):
-        if not name.startswith("_kernel.") or name == os.path.basename(path):
-            continue
-        if name.endswith(".so.tmp"):
+        if name.startswith("_kernel.") and name.endswith(".tmp"):
             pid = name.split(".")[1]
             if not pid.isdecimal() or _running(int(pid)):
                 continue
-        elif not name.endswith(".so"):
+        elif not name.startswith(scope) or name == os.path.basename(path):
             continue
         try:
             os.remove(os.path.join(_CACHE_DIR, name))
@@ -201,11 +301,13 @@ def buffer_address(buffer) -> int:
     return buffer.buffer_info()[0]
 
 
-def lgamma_range(lib, start: int, n: int):
-    """lgamma(y + 1) for y in [start, start + n), by the kernel `lib`, as a
-    ctypes array of n doubles."""
-    out = (ctypes.c_double * n)()
-    lib.oddball_lgamma(ctypes.addressof(out), start, n)
+def lgamma_ranges(lib, *ranges: tuple[int, int]):
+    """lgamma(y + 1) for y in [start, start + n) of each (start, n) of
+    `ranges`, one range after another, by the kernel `lib` in one call, as
+    a ctypes array of doubles."""
+    bounds = (ctypes.c_int64 * (2 * len(ranges)))(*(v for pair in ranges for v in pair))
+    out = (ctypes.c_double * sum(n for _, n in ranges))()
+    lib.oddball_lgamma(ctypes.addressof(out), ctypes.addressof(bounds), len(ranges))
     return out
 
 
@@ -220,8 +322,7 @@ def kernel():
         if not _loaded:
             try:
                 lib = _load()
-                got = lgamma_range(lib, 0, _LANES)[:]
-                got += [lgamma_range(lib, y, 1)[0] for y in _LGAMMA_PROBES]
+                got = lgamma_ranges(lib, (0, _LANES), *((y, 1) for y in _LGAMMA_PROBES))[:]
                 if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                     raise OSError("its lgamma differs from math.lgamma")
             except OSError as exc:

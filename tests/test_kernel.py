@@ -73,6 +73,23 @@ CONFIGS = {
         range(2),
         (1, 2, 3, 4, 500, 2000, 19_999, 20_000),
     ),
+    # More processes than the kernel's table of process states (STATES):
+    # many share a state, and distinct states collide in the table.
+    "wider-than-table": (
+        [PolicyConfig(k=300, threshold_l=1e3, max_slots=1500)],
+        OddConfig(300, 7, 0.2, 0.05),
+        range(2),
+        (1, 299, 300, 301, 1000, 1500),
+    ),
+    # High rates over a long run: from slot 2717 on, processes with equal
+    # visits whose events map to one entry of that table (seed 3), every
+    # score compared at every slot after.
+    "shared-visits": (
+        [PolicyConfig(k=24, threshold_l=1e3, variant="non_stopping", max_slots=3000)],
+        OddConfig(24, 2, 60.0, 20.0),
+        (3,),
+        range(2700, 3001),
+    ),
     # Low rates: many all-zero tallies, so exact ties in the leader's score.
     "low-rate": (
         [PolicyConfig(k=3, threshold_l=1e3)], OddConfig(3, 1, 0.05, 0.2), range(20), (7, 50)
@@ -311,16 +328,17 @@ def test_lgamma_port_is_bitwise():
         pytest.skip("the compiled kernel cannot be built on this machine")
     cap, lanes = policy._TABLE_CAP, _native._LANES
     ref = np.fromiter(map(math.lgamma, range(1, cap + 4097)), np.float64, cap + 4096)
-    got = np.frombuffer(_native.lgamma_range(kernel, 0, cap + 4096))
+    got = np.frombuffer(_native.lgamma_ranges(kernel, (0, cap + 4096)))
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     for start, n in itertools.product([1, 3, lanes - 1, 5 * lanes + 3, cap - 2], range(3 * lanes)):
-        got = np.frombuffer(_native.lgamma_range(kernel, start, n))
+        got = np.frombuffer(_native.lgamma_ranges(kernel, (start, n)))
         assert np.array_equal(got.view(np.uint64), ref[start : start + n].view(np.uint64))
-    out = ctypes.c_double()
-    at = ctypes.byref(out)
+    out, bounds = ctypes.c_double(), (ctypes.c_int64 * 2)(0, 1)
+    at, pair = ctypes.addressof(out), ctypes.addressof(bounds)
 
     def one(y):
-        kernel.oddball_lgamma(at, y, 1)
+        bounds[0] = y
+        kernel.oddball_lgamma(at, pair, 1)
         return out.value
 
     rng = np.random.default_rng(13)
@@ -328,7 +346,7 @@ def test_lgamma_port_is_bitwise():
     assert [y for y in ys if one(y) != math.lgamma(y + 1)] == []
     # A lane group and a tail at each of 1000 random starts.
     for start in rng.integers(0, 2**53 - 2 * lanes, size=1000).tolist():
-        got = _native.lgamma_range(kernel, start, lanes + 3)[:]
+        got = _native.lgamma_ranges(kernel, (start, lanes + 3))[:]
         assert got == [math.lgamma(y + 1) for y in range(start, start + lanes + 3)], start
 
 
@@ -735,9 +753,11 @@ def test_lgamma_mismatch_takes_the_fallback(wrong_y, monkeypatch, capsys):
     # used, so output bytes cannot depend on which loop ran: wrong on
     # every y, or only on y = 5, which only the probe's lane group holds.
     class Wrong:
-        def oddball_lgamma(self, out, start, n):
-            values = (ctypes.c_double * n).from_address(out)
-            for i, y in enumerate(range(start, start + n)):
+        def oddball_lgamma(self, out, ranges, n):
+            bounds = (ctypes.c_int64 * (2 * n)).from_address(ranges)
+            ys = [y for i in range(n) for y in range(bounds[2 * i], sum(bounds[2 * i : 2 * i + 2]))]
+            values = (ctypes.c_double * len(ys)).from_address(out)
+            for i, y in enumerate(ys):
                 off = wrong_y is None or y == wrong_y
                 values[i] = math.lgamma(y + 1) * (1 + 2**-52 * off)
 
@@ -1128,7 +1148,7 @@ def _spy_builds(monkeypatch, tmp_path):
 def _cached_path(tmp_path):
     with open(_native._SOURCE, "rb") as fh:
         key = _native._key(fh.read())
-    return key, str(tmp_path / f"_kernel.{key}.so")
+    return key, str(tmp_path / os.path.basename(_native._library(key)))
 
 
 def test_cached_build_is_reused(kernel, tmp_path, monkeypatch):
@@ -1144,9 +1164,12 @@ def test_cached_build_is_reused(kernel, tmp_path, monkeypatch):
 
 def test_new_build_removes_stale_libraries(kernel, tmp_path, monkeypatch):
     # A library built from earlier source is never loaded again, so the
-    # build that replaces it removes it.
+    # build that replaces it removes it, and the stamp that names it.
     builds = _spy_builds(monkeypatch, tmp_path / "cache")
     assert _native.kernel() is not None
+    monkeypatch.setattr(_native, "_loaded", [])
+    assert _native.kernel() is not None
+    assert len(_files(tmp_path / "cache", ".stamp")) == 1
     edited = tmp_path / "_kernel.c"
     shutil.copy(_native._SOURCE, edited)
     with open(edited, "a", encoding="utf-8") as fh:
@@ -1179,6 +1202,118 @@ def test_build_removes_temporary_files_of_dead_builders(kernel, tmp_path, monkey
     assert os.path.basename(builds[0]).startswith(f"_kernel.{os.getpid()}.")
     _, path = _cached_path(cache)
     assert sorted(os.listdir(cache)) == sorted([os.path.basename(path), *names[1:]])
+
+
+def _files(cache, suffix: str) -> list:
+    return sorted(p for p in cache.iterdir() if p.suffix == suffix)
+
+
+def _reload(monkeypatch):
+    monkeypatch.setattr(_native, "_loaded", [])
+    return _native.kernel()
+
+
+def _stamped_cache(monkeypatch, cache):
+    """A cache in `cache` holding the kernel and its stamp: the first load
+    builds the library, the second finds it and writes the stamp, the
+    third loads by the stamp. Returns the builds and the keyed loads (the
+    calls of `_key`) from the first load on."""
+    builds = _spy_builds(monkeypatch, cache)
+    keyed, key = [], _native._key
+    monkeypatch.setattr(_native, "_key", lambda *args: keyed.append(args) or key(*args))
+    for _ in range(3):
+        assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed), len(_files(cache, ".stamp"))) == (1, 2, 1)
+    return builds, keyed
+
+
+def test_stamped_load_needs_no_key(kernel, tmp_path, monkeypatch):
+    # A load whose stamp matches neither hashes the source nor looks numpy
+    # up; it still checks the library's seal (see below).
+    _stamped_cache(monkeypatch, tmp_path)
+
+    def fail(*args):
+        raise AssertionError("a stamped load took the keyed path")
+
+    monkeypatch.setattr(_native, "_key", fail)
+    monkeypatch.setattr(importlib.util, "find_spec", fail)
+    assert _reload(monkeypatch) is not None
+
+
+def test_stamp_sees_a_same_size_edit(kernel, tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copy(_native._SOURCE, source)
+    monkeypatch.setattr(_native, "_SOURCE", str(source))
+    builds, keyed = _stamped_cache(monkeypatch, tmp_path / "cache")
+    text = source.read_text(encoding="utf-8")
+    edited = text.replace("Compiled slot loop", "Compiled slot LOOP", 1)
+    assert edited != text and len(edited) == len(text)
+    st = source.stat()
+    source.write_text(edited, encoding="utf-8")
+    os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed)) == (2, 3)
+
+
+def test_stamp_sees_a_changed_numpy(kernel, tmp_path, monkeypatch):
+    # numpy here is a copy of the installed one's version.py, first on
+    # sys.path, as find_spec finds it.
+    package = tmp_path / "site" / "numpy"
+    package.mkdir(parents=True)
+    version = package / "version.py"
+    shutil.copy(os.path.join(os.path.dirname(np.__file__), "version.py"), version)
+    spec = types.SimpleNamespace(submodule_search_locations=[str(package)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.setattr(sys, "path", [str(package.parent), *sys.path])
+    builds, keyed = _stamped_cache(monkeypatch, tmp_path / "cache")
+    version.write_text(version.read_text(encoding="utf-8") + "# rebuilt\n", encoding="utf-8")
+    assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed)) == (2, 3)
+
+
+def test_stamp_of_a_missing_library(kernel, tmp_path, monkeypatch):
+    builds, keyed = _stamped_cache(monkeypatch, tmp_path)
+    [library] = _files(tmp_path, ".so")
+    library.unlink()
+    assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed)) == (2, 3) and library.exists()
+
+
+def test_stamp_of_a_shadowed_numpy(kernel, tmp_path, monkeypatch):
+    # A numpy package earlier on sys.path than the stamped one takes the
+    # keyed path, where find_spec decides which numpy it is.
+    builds, keyed = _stamped_cache(monkeypatch, tmp_path / "cache")
+    (tmp_path / "site" / "numpy").mkdir(parents=True)
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "site"), *sys.path])
+    assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed)) == (1, 3)
+
+
+def test_stamp_over_a_damaged_library(kernel, tmp_path, monkeypatch):
+    # A matching stamp does not vouch for the library: its seal is checked
+    # on every load, so a truncated file is rebuilt, never loaded.
+    builds, keyed = _stamped_cache(monkeypatch, tmp_path)
+    [library] = _files(tmp_path, ".so")
+    data = library.read_bytes()
+    # A new file over the old one: this process still maps the old one.
+    (tmp_path / "damaged").write_bytes(data[: len(data) // 2])
+    os.replace(tmp_path / "damaged", library)
+    assert _reload(monkeypatch) is not None
+    assert (len(builds), len(keyed)) == (2, 3)
+    assert library.read_bytes() != data[: len(data) // 2]
+
+
+def test_flag_sets_keep_their_own_libraries(kernel, tmp_path, monkeypatch):
+    # Two keys of one interpreter share a cache, here by two flag sets: a
+    # build for one removes neither the other's library nor its stamp, so
+    # switching back and forth builds each once and then loads by stamp.
+    builds = _spy_builds(monkeypatch, tmp_path)
+    flags = _native._FLAGS
+    for extra in [(), ("-DODDBALL_SECOND",)] * 3:
+        monkeypatch.setattr(_native, "_FLAGS", (*flags, *extra))
+        assert _reload(monkeypatch) is not None
+    assert len(builds) == 2
+    assert (len(_files(tmp_path, ".so")), len(_files(tmp_path, ".stamp"))) == (2, 2)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "stale"])
@@ -1214,13 +1349,15 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 # Run on the kernel built with the flags of JSON argv[2] added, in the
-# cache directory argv[1]: a traced sim-hard level, a traced trial on a
+# cache directory argv[1]: a traced sim-hard level, a traced K=50 level
+# and a level at K=300, past the kernel's table of process states (both
+# on that table), a traced trial on a
 # caller's generator, a trial at numpy's Poisson limit (which the kernel
 # declines) and a drift run past a table cap shrunk to 101, which ends
 # inside a lane group (argv[3] is its slot of the kernel's parameters);
 # then solves: an index matrix of 30 images x 100 neurons with floored
 # cells, a scalar and a vector `d_star`, and a batch with a degenerate row.
-# The sim-hard level, the drift run and the matrix go over two worker
+# The three levels, the drift run and the matrix go over two worker
 # threads, so two kernel calls run at once in one address space. Prints
 # what each returns.
 _KERNEL_RUNS = """
@@ -1234,10 +1371,17 @@ from oddball.policy import PolicyConfig, run_trial
 from oddball.solver import DegenerateRatesError, OddConfig, d_star, d_star_rows
 _native._CACHE_DIR, _native._FLAGS = sys.argv[1], (*_native._FLAGS, *json.loads(sys.argv[2]))
 assert _native.kernel() is not None
-spec = ExperimentSpec(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e3], trials=40, seed=905,
-                      trace_sampling=0.1)
-with tempfile.TemporaryDirectory() as traces:
-    print(run_experiment(spec, parallelism=2, trace_dir=traces).to_csv())
+specs = [
+    ExperimentSpec(k=5, odd_index=3, r1=10.0, r2=1.0, l_grid=[1e3], trials=40, seed=905,
+                   trace_sampling=0.1),
+    ExperimentSpec(k=50, odd_index=2, r1=4.0, r2=1.0, l_grid=[1e3], trials=6, seed=906,
+                   trace_sampling=0.5),
+    ExperimentSpec(k=300, odd_index=7, r1=0.2, r2=0.05, l_grid=[1e3], trials=2, seed=907,
+                   max_slots=1500),
+]
+for spec in specs:
+    with tempfile.TemporaryDirectory() as traces:
+        print(run_experiment(spec, parallelism=2, trace_dir=traces).to_csv())
 rng = np.random.default_rng(0)
 print(run_trial(PolicyConfig(k=4, threshold_l=100.0), OddConfig(4, 2, 6.0, 2.0), rng, True))
 limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
