@@ -16,9 +16,10 @@ takes the key from it without reading the source or running
 `find_spec`, as CPython trusts a `.pyc` whose recorded mtime and size
 match; any mismatch takes the keyed path. Neither path needs numpy or
 the modules a build runs on (`subprocess`, `tempfile`, `sysconfig`),
-which only a build or a stamp's write imports. A build goes to a
-temporary name and is moved into place with `os.replace`, so a
-concurrent reader never sees half a file; so is a stamp. Each library
+which only a build imports. A build goes to a temporary name and is
+moved into place with `os.replace`, so a concurrent reader never sees
+half a file. A stamp is written in place: one read half-written matches
+nothing, or names a key without a library. Each library
 ends in a digest of its bytes and its key, and a cached file whose
 digest does not match (truncated, or built from other source) is
 rebuilt, never loaded, on either path. When the kernel cannot be built
@@ -27,7 +28,7 @@ failed compile one that carries the compiler's first line of errors),
 `kernel()` returns None, one note goes to stderr, and callers run the
 Python loops. A new build removes the other files of its scope (the
 libraries of earlier sources and the stamp), and the temporary files of
-writers no longer running, whose pid each temporary name carries; the
+builders no longer running, whose pid each temporary name carries; the
 files of other interpreters and flags stay.
 """
 
@@ -55,6 +56,9 @@ _LGAMMA_PROBES = (0, 1, 2, 3, 4, 10, 1023, 1 << 21, 10**12 + 7, (1 << 53) - 2)
 # by side. The probe also checks the group of y in [0, _LANES), which
 # holds both branches.
 _LANES = 8
+
+# The probe as ranges of y: the lane group, then each probe alone.
+_PROBE_RANGES = ((0, _LANES), *zip(_LGAMMA_PROBES, [1] * len(_LGAMMA_PROBES)))
 
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
 _loaded: list = []
@@ -94,8 +98,8 @@ def _stamp(numpy_dir: str) -> str:
     """A stamp without its key: the mtime and size of `_kernel.c` and of
     `version.py` in `numpy_dir`, then numpy_dir, the Python version and
     the flags, each on a line of its own."""
-    files = (os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py")))
-    stats = "".join(f"{st.st_mtime_ns} {st.st_size}\n" for st in files)
+    src, ver = os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py"))
+    stats = f"{src.st_mtime_ns} {src.st_size}\n{ver.st_mtime_ns} {ver.st_size}\n"
     return f"{stats}{numpy_dir}\n{sys.version}\n{' '.join(_FLAGS)}\n"
 
 
@@ -127,32 +131,6 @@ def _first_numpy(numpy_dir: str) -> bool:
         if os.access(where, os.F_OK):
             return False
     return False
-
-
-def _temporary(suffix: str) -> str:
-    """A new empty file in the cache directory, its name carrying this
-    process's pid, which tells a later build whether its writer still runs."""
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=suffix, dir=_CACHE_DIR)
-    os.close(fd)
-    return tmp
-
-
-def _write_stamp(stamp: str, text: str) -> None:
-    """Put `text` in the file `stamp`, whole or not at all; a stamp only
-    saves time, so one that cannot be written is left out."""
-    try:
-        tmp = _temporary(".stamp.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(text.encode())
-            os.replace(tmp, stamp)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    except OSError:
-        pass
 
 
 def _includes() -> list[str]:
@@ -237,10 +215,20 @@ def _load():
     path = _library(key)
     lib = _open(path, key)
     if lib is not None:
-        _write_stamp(stamp, stamped + key)
+        # A stamp only saves time: one that cannot be written is left out,
+        # and one read half-written matches no files or names no library.
+        try:
+            with open(stamp, "wb") as fh:
+                fh.write((stamped + key).encode())
+        except OSError:
+            pass
         return lib
+    import tempfile
+
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    tmp = _temporary(".so.tmp")
+    # The builder's pid in the name tells a later build whether it is still running.
+    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=".so.tmp", dir=_CACHE_DIR)
+    os.close(fd)
     try:
         _build(tmp)
         _seal(tmp, key)
@@ -254,12 +242,12 @@ def _load():
         if os.path.exists(tmp):
             os.remove(tmp)
     # The scope's libraries of earlier sources are never loaded again, and
-    # its stamp names one of them. Nor is the temporary file of a writer
-    # killed mid-write (a signal skips the `finally` above), but one whose
-    # writer still runs is in use.
+    # its stamp names one of them. Nor is the temporary file of a builder
+    # killed mid-build (a signal skips the `finally` above), but one whose
+    # builder still runs is in use.
     scope = f"_kernel.{_scope()}."
     for name in os.listdir(_CACHE_DIR):
-        if name.startswith("_kernel.") and name.endswith(".tmp"):
+        if name.startswith("_kernel.") and name.endswith(".so.tmp"):
             pid = name.split(".")[1]
             if not pid.isdecimal() or _running(int(pid)):
                 continue
@@ -305,8 +293,9 @@ def lgamma_ranges(lib, *ranges: tuple[int, int]):
     """lgamma(y + 1) for y in [start, start + n) of each (start, n) of
     `ranges`, one range after another, by the kernel `lib` in one call, as
     a ctypes array of doubles."""
-    bounds = (ctypes.c_int64 * (2 * len(ranges)))(*(v for pair in ranges for v in pair))
-    out = (ctypes.c_double * sum(n for _, n in ranges))()
+    flat = sum(ranges, ())
+    bounds = (ctypes.c_int64 * len(flat))(*flat)
+    out = (ctypes.c_double * sum(flat[1::2]))()
     lib.oddball_lgamma(ctypes.addressof(out), ctypes.addressof(bounds), len(ranges))
     return out
 
@@ -322,7 +311,7 @@ def kernel():
         if not _loaded:
             try:
                 lib = _load()
-                got = lgamma_ranges(lib, (0, _LANES), *((y, 1) for y in _LGAMMA_PROBES))[:]
+                got = lgamma_ranges(lib, *_PROBE_RANGES)[:]
                 if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                     raise OSError("its lgamma differs from math.lgamma")
             except OSError as exc:
