@@ -42,6 +42,7 @@ import os
 import sys
 import threading
 import zlib
+from array import array
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernel.c")
@@ -94,6 +95,16 @@ def _key(source: bytes, numpy_dir: str | None = None) -> str:
     return hashlib.sha256(source + b"\0" + numpy_version + b"\0" + tag).hexdigest()[:16]
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file at `path`, read without a buffered file object,
+    which costs more than the read itself in a freshly forked process."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
 def _stamp(numpy_dir: str) -> str:
     """A stamp without its key: the mtime and size of `_kernel.c` and of
     `version.py` in `numpy_dir`, then numpy_dir, the Python version and
@@ -107,11 +118,7 @@ def _stamped_key(stamp: str) -> str | None:
     """The key the stamp file `stamp` ends in, when the files it stamps
     are unchanged and its numpy is the first on `sys.path`; else None."""
     try:
-        fd = os.open(stamp, os.O_RDONLY)
-        try:
-            text = os.read(fd, 1 << 16).decode()
-        finally:
-            os.close(fd)
+        text = _read(stamp).decode()
         numpy_dir = text.split("\n", 3)[2]
         head, _, key = text.rpartition("\n")
         unchanged = head + "\n" == _stamp(numpy_dir) and _first_numpy(numpy_dir)
@@ -176,8 +183,7 @@ def _open(path: str, key: str):
     None when the file is missing, does not carry the seal of `key`, or
     does not load."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = _read(path)
         seal = hashlib.sha256(key.encode())
         seal.update(memoryview(data)[:-32])
         if seal.digest() != data[-32:]:
@@ -292,11 +298,10 @@ def buffer_address(buffer) -> int:
 def lgamma_ranges(lib, *ranges: tuple[int, int]):
     """lgamma(y + 1) for y in [start, start + n) of each (start, n) of
     `ranges`, one range after another, by the kernel `lib` in one call, as
-    a ctypes array of doubles."""
-    flat = sum(ranges, ())
-    bounds = (ctypes.c_int64 * len(flat))(*flat)
-    out = (ctypes.c_double * sum(flat[1::2]))()
-    lib.oddball_lgamma(ctypes.addressof(out), ctypes.addressof(bounds), len(ranges))
+    an `array('d')`."""
+    bounds = array("q", sum(ranges, ()))
+    out = array("d", bytes(8 * sum(bounds[1::2])))
+    lib.oddball_lgamma(buffer_address(out), buffer_address(bounds), len(ranges))
     return out
 
 
@@ -311,7 +316,7 @@ def kernel():
         if not _loaded:
             try:
                 lib = _load()
-                got = lgamma_ranges(lib, *_PROBE_RANGES)[:]
+                got = lgamma_ranges(lib, *_PROBE_RANGES).tolist()
                 if got != [math.lgamma(y + 1) for y in (*range(_LANES), *_LGAMMA_PROBES)]:
                     raise OSError("its lgamma differs from math.lgamma")
             except OSError as exc:
