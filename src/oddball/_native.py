@@ -3,40 +3,32 @@
 The kernel is compiled on first use, never at import, into the package's
 `__pycache__` directory as `_kernel.<scope>.<key>.so`. The scope names
 the interpreter by `sys.implementation.cache_tag`, as a `.pyc` is named,
-and the compiler flags by a digest. The key hashes the C source with the
-Python version, the flags and the text of the installed numpy's
-`numpy/version.py`, found with `importlib.util.find_spec` and read, not
-imported. The kernel links numpy's own `libnpyrandom.a`, so its draws
-are the ones a `Generator` makes. A load that finds its library in the
-cache writes the scope's stamp, `_kernel.<scope>.stamp`: the mtime and
-size of `_kernel.c` and of numpy's `version.py`, numpy's directory, the
-Python version, the flags and the key. A later load whose stamp still
-matches, with no other `numpy` before numpy's directory on `sys.path`,
-takes the key from it without reading the source or running
-`find_spec`, as CPython trusts a `.pyc` whose recorded mtime and size
-match; any mismatch takes the keyed path. Neither path needs numpy or
-the modules a build runs on (`subprocess`, `tempfile`, `sysconfig`),
-which only a build imports. A build goes to a temporary name and is
-moved into place with `os.replace`, so a concurrent reader never sees
-half a file. A stamp is written in place: one read half-written matches
-nothing, or names a key without a library. Each library
-ends in a digest of its bytes and its key, and a cached file whose
-digest does not match (truncated, or built from other source) is
-rebuilt, never loaded, on either path. When the kernel cannot be built
-(no compiler, an unwritable cache, a failed link: each an OSError, a
-failed compile one that carries the compiler's first line of errors),
+and the compiler flags by a digest. The key hashes the mtime and size of
+`_kernel.c` and of numpy's `version.py`, numpy's directory, the Python
+version and the flags: like a `.pyc`, a `touch` rebuilds once, and an
+edit that keeps the size within the file system's mtime granularity is
+not seen. numpy's directory is the imported numpy's, else the first on
+`sys.path`, so a load imports neither numpy nor what a build runs on
+(`subprocess`, `tempfile`, `sysconfig`); a build against another numpy
+than the key names fails. The kernel links numpy's own `libnpyrandom.a`,
+so its draws are the ones a `Generator` makes. A build goes to a
+temporary name, moved into place with `os.replace`, so a concurrent
+reader never sees half a file. Each library ends in a digest of its key
+and its bytes, and one whose digest does not match (truncated, or built
+from other source) is rebuilt, never loaded. When the kernel cannot be
+built (no compiler, an unwritable cache, a failed link: each an OSError,
+a failed compile one that carries the compiler's first line of errors),
 `kernel()` returns None, one note goes to stderr, and callers run the
-Python loops. A new build removes the other files of its scope (the
-libraries of earlier sources and the stamp), and the temporary files of
-builders no longer running, whose pid each temporary name carries; the
-files of other interpreters and flags stay.
+Python loops. A new build removes the scope's libraries of other keys,
+the unscoped `_kernel.<key>.so` and `.stamp` files of older loaders, and
+the temporary files of builders no longer running, whose pid each
+temporary name carries; the libraries of other scopes stay.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import math
 import os
 import sys
@@ -78,21 +70,29 @@ def _library(key: str) -> str:
 
 
 def _numpy_dir() -> str:
-    """Directory of the numpy package the interpreter would import."""
-    spec = importlib.util.find_spec("numpy")
-    if spec is None or not spec.submodule_search_locations:
-        raise OSError("numpy is not installed")
-    return spec.submodule_search_locations[0]
+    """Directory of the numpy package the interpreter imports: the one
+    already imported, else the first `sys.path` entry holding
+    `numpy/__init__.py`, which is where `find_spec` finds it (a bare
+    `numpy` directory is skipped, as `find_spec` skips it)."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return os.path.dirname(numpy.__file__)
+    for entry in sys.path:
+        where = os.path.join(entry or os.getcwd(), "numpy")
+        if os.access(os.path.join(where, "__init__.py"), os.F_OK):
+            return where
+    raise OSError("numpy is not installed")
 
 
-def _key(source: bytes, numpy_dir: str | None = None) -> str:
-    """Cache key of a kernel built from `source` by this interpreter against
-    the numpy in `numpy_dir` (default: the installed one), which it names
-    by the text of `numpy/version.py`."""
-    with open(os.path.join(numpy_dir or _numpy_dir(), "version.py"), "rb") as fh:
-        numpy_version = fh.read()
-    tag = f"{sys.version}|{' '.join(_FLAGS)}".encode()
-    return hashlib.sha256(source + b"\0" + numpy_version + b"\0" + tag).hexdigest()[:16]
+def _key(numpy_dir: str) -> str:
+    """Cache key of the kernel this interpreter builds from `_kernel.c`
+    against the numpy in `numpy_dir`: a digest of the mtime and size of
+    `_kernel.c` and of numpy's `version.py`, numpy_dir, the Python version
+    and the flags. Like a `.pyc`, it trusts an unchanged stat."""
+    src, ver = os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py"))
+    stats = f"{src.st_mtime_ns} {src.st_size}|{ver.st_mtime_ns} {ver.st_size}"
+    tag = f"{stats}|{numpy_dir}|{sys.version}|{' '.join(_FLAGS)}"
+    return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
 def _read(path: str) -> bytes:
@@ -105,41 +105,6 @@ def _read(path: str) -> bytes:
         os.close(fd)
 
 
-def _stamp(numpy_dir: str) -> str:
-    """A stamp without its key: the mtime and size of `_kernel.c` and of
-    `version.py` in `numpy_dir`, then numpy_dir, the Python version and
-    the flags, each on a line of its own."""
-    src, ver = os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py"))
-    stats = f"{src.st_mtime_ns} {src.st_size}\n{ver.st_mtime_ns} {ver.st_size}\n"
-    return f"{stats}{numpy_dir}\n{sys.version}\n{' '.join(_FLAGS)}\n"
-
-
-def _stamped_key(stamp: str) -> str | None:
-    """The key the stamp file `stamp` ends in, when the files it stamps
-    are unchanged and its numpy is the first on `sys.path`; else None."""
-    try:
-        text = _read(stamp).decode()
-        numpy_dir = text.split("\n", 3)[2]
-        head, _, key = text.rpartition("\n")
-        unchanged = head + "\n" == _stamp(numpy_dir) and _first_numpy(numpy_dir)
-    except (OSError, ValueError, IndexError):
-        return None
-    return key if unchanged and key.isalnum() else None
-
-
-def _first_numpy(numpy_dir: str) -> bool:
-    """Whether numpy_dir is the first `numpy` in a `sys.path` directory,
-    where `find_spec` would find it (an entry that merely holds something
-    named `numpy` before it also counts against it)."""
-    for entry in sys.path:
-        where = os.path.join(entry or os.getcwd(), "numpy")
-        if where == numpy_dir:
-            return True
-        if os.access(where, os.F_OK):
-            return False
-    return False
-
-
 def _includes() -> list[str]:
     """The compiler's include flags for the kernel: Python's and numpy's headers."""
     import sysconfig
@@ -149,14 +114,17 @@ def _includes() -> list[str]:
     return ["-I", sysconfig.get_paths()["include"], "-I", np.get_include()]
 
 
-def _build(out: str) -> None:
-    """Compile the kernel into the file `out`; raise OSError, with the
-    compiler's first line of errors when it fails, when it cannot be built."""
+def _build(out: str, numpy_dir: str) -> None:
+    """Compile the kernel into the file `out` against the numpy in
+    `numpy_dir`; raise OSError, with the compiler's first line of errors
+    when it fails, when it cannot be built."""
     import subprocess
 
     import numpy as np
 
-    numpy_dir = os.path.dirname(np.__file__)
+    imported = os.path.dirname(np.__file__)
+    if not os.path.samefile(imported, numpy_dir):
+        raise OSError(f"numpy is imported from {imported}, not {numpy_dir}")
     cmd = [
         "cc", *_FLAGS, *_includes(), _SOURCE,
         os.path.join(numpy_dir, "random", "lib", "libnpyrandom.a"), "-lm", "-o", out,
@@ -209,25 +177,11 @@ def _open(path: str, key: str):
 
 
 def _load():
-    stamp = os.path.join(_CACHE_DIR, f"_kernel.{_scope()}.stamp")
-    key = _stamped_key(stamp)
-    lib = None if key is None else _open(_library(key), key)
-    if lib is not None:
-        return lib
     numpy_dir = _numpy_dir()
-    stamped = _stamp(numpy_dir)  # before the reads, so an edit during them shows as a change
-    with open(_SOURCE, "rb") as fh:
-        key = _key(fh.read(), numpy_dir)
+    key = _key(numpy_dir)  # before any build, so an edit during one shows as a new key
     path = _library(key)
     lib = _open(path, key)
     if lib is not None:
-        # A stamp only saves time: one that cannot be written is left out,
-        # and one read half-written matches no files or names no library.
-        try:
-            with open(stamp, "wb") as fh:
-                fh.write((stamped + key).encode())
-        except OSError:
-            pass
         return lib
     import tempfile
 
@@ -236,7 +190,7 @@ def _load():
     fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=".so.tmp", dir=_CACHE_DIR)
     os.close(fd)
     try:
-        _build(tmp)
+        _build(tmp, numpy_dir)
         _seal(tmp, key)
         # Load from the private name: a library loaded once stays mapped
         # under its path, so reopening `path` could return a stale copy.
@@ -247,17 +201,20 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # The scope's libraries of earlier sources are never loaded again, and
-    # its stamp names one of them. Nor is the temporary file of a builder
-    # killed mid-build (a signal skips the `finally` above), but one whose
-    # builder still runs is in use.
+    # Nothing loads the scope's libraries of other keys, the libraries of
+    # the unscoped layout (`_kernel.<key>.so`) or the stamp files of older
+    # loaders again. Nor the temporary file of a builder killed mid-build
+    # (a signal skips the `finally` above), but one whose builder still
+    # runs is in use.
     scope = f"_kernel.{_scope()}."
     for name in os.listdir(_CACHE_DIR):
-        if name.startswith("_kernel.") and name.endswith(".so.tmp"):
-            pid = name.split(".")[1]
-            if not pid.isdecimal() or _running(int(pid)):
+        parts = name.split(".")
+        if parts[0] != "_kernel" or name == os.path.basename(path):
+            continue
+        if name.endswith(".so.tmp"):
+            if not parts[1].isdecimal() or _running(int(parts[1])):
                 continue
-        elif not name.startswith(scope) or name == os.path.basename(path):
+        elif not (name.startswith(scope) or parts[2:] == ["so"] or parts[-1] == "stamp"):
             continue
         try:
             os.remove(os.path.join(_CACHE_DIR, name))

@@ -160,7 +160,7 @@ def test_output_digest(name, tmp_path):
         assert run_entry(name, str(tmp_path / "jobs2"), jobs=2) == want
 
 
-def _failed_build(out):
+def _failed_build(out, numpy_dir):
     """A `_build` whose compiler fails, as `_native._build` reports it."""
     raise OSError("cc: no input files")
 
