@@ -1166,7 +1166,7 @@ def test_cached_build_is_reused(kernel, tmp_path, monkeypatch):
 def test_cached_load_reads_no_source(kernel, tmp_path, monkeypatch):
     # A cached load stats `_kernel.c` and numpy's version.py, but neither
     # opens the source nor looks numpy up by `find_spec`, here not even
-    # when numpy is not imported yet. It still checks the library's seal.
+    # when numpy is not imported yet.
     _spy_builds(monkeypatch, tmp_path)
     assert _native.kernel() is not None
 
