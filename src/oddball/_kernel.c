@@ -1,15 +1,19 @@
 /* Compiled slot loop of oddball.policy.run_trial, for every trial on a numpy Generator,
-   and the lam_hat / D* solve of oddball.solver._solve_rows, for every configuration.
+   and the lam_hat / D* solve of oddball.solver._solve_pairs, for every configuration.
 
    Each function below repeats a Python reference operation for operation,
    in the same order, so results are bitwise those of the Python loop:
    glr._scores, glr._z_min_from_scores and glr._pick_leader for the scores
    and the leader, policy._stops and policy._next_action for the stop rule
    and the next action, and solver._root_row, solver._objective_sum and
-   numerics.poisson_kl for the solve. The solve has one loop, over rows of
-   D coordinates (oddball_solve_rows); a weight the memo does not hold yet
-   is its D = 1 case (lam_odd_at), compiled inline. Draws are those numpy's
-   Generator makes for rng.poisson, rng.random and rng.integers, on the
+   numerics.poisson_kl for the solve (bar a branch no result depends on,
+   see poisson_kl). The solve has one loop, over (odd row, common row)
+   index pairs into one row-major table of D coordinates a row
+   (oddball_solve_rows); a pair that follows its reverse takes that
+   pair's sign-test sums, swapped, and applies its own test to them. A
+   weight the memo does not hold yet is the solve's D = 1 case
+   (lam_odd_at), compiled inline. Draws are those numpy's Generator makes
+   for rng.poisson, rng.random and rng.integers, on the
    caller's bit generator or on a port of numpy's PCG64 seeded as
    default_rng([*prefix, trial]) seeds it. Below rate 10 the Poisson draw
    is a port of numpy's multiplication method, with exp(-rate) taken once
@@ -257,12 +261,16 @@ static double u_minus_log1p(double u, const double *par) {
 
 /* numerics.poisson_kl for finite x >= 0, y > 0: where y < x / 2, Loader's
    bd0 x log(x / y) + y - x, or x (log(x / y) - 1) + y where x log(x / y)
-   + y overflows, with split logs where x / y does; else the u form, or
-   split logs where u overflows. */
+   + y overflows; else the u form, or split logs where u overflows. Where
+   x / y overflows, Python splits the log for a finite value and this
+   gives inf. Only the sign-change sums meet such a ratio, and there inf
+   has the finite value's sign: the Newton iterates and the objective
+   take y as a mix holding a share of at least rho min(lam_hat, 1 -
+   lam_hat) of x, so x / y stays far below overflow. */
 static double poisson_kl(double x, double y, const double *par) {
     if (x == 0.0) return y;
     if (y < 0.5 * x) {
-        double r = x / y, lr = r < INFINITY ? log(r) : log(x) - log(y), d = x * lr + y - x;
+        double lr = log(x / y), d = x * lr + y - x;
         return d < INFINITY ? d : x * (lr - 1.0) + y;
     }
     double u = (y - x) / x;
@@ -270,7 +278,7 @@ static double poisson_kl(double x, double y, const double *par) {
     return x * u_minus_log1p(u, par);
 }
 
-/* The rows of solver._solve_rows: odd rates a[0..d) and common rates
+/* The pairs of solver._solve_pairs: odd rates a[0..d) and common rates
    b[0..d), every sum over the d coordinates in their order from 0.0. */
 
 /* solver._root_row's equal-rates test: one coordinate with a / (a + b)
@@ -282,16 +290,15 @@ static int near_equal(const double *a, const double *b, int64_t d, const double 
     return fabs(x / total - 0.5) < par[P_NEAR_NU];
 }
 
-/* solver._root_row's sign-change test: g(0) = D(a || b) > 0 and
-   -g(1) = rho D(b || a) > 0. */
-static int sign_change(const double *a, const double *b, int64_t d, double rho,
-                       const double *par) {
-    double g0 = 0.0, g1 = 0.0;
+/* The sums of solver._root_row's sign-change test, g(0) = D(a || b) into
+   g[0] and -g(1) / rho = D(b || a) into g[1]: swapped, those of the
+   pair (b, a), bit for bit. */
+static void sign_sums(const double *a, const double *b, int64_t d, const double *par, double *g) {
+    g[0] = g[1] = 0.0;
     for (int64_t j = 0; j < d; j++) {
-        g0 += poisson_kl(a[j], b[j], par);
-        g1 += poisson_kl(b[j], a[j], par);
+        g[0] += poisson_kl(a[j], b[j], par);
+        g[1] += poisson_kl(b[j], a[j], par);
     }
-    return g0 > 0.0 && rho * g1 > 0.0;
 }
 
 /* solver._root_row past its sign-change test: the root lam_hat of g by
@@ -339,19 +346,34 @@ static double objective(const double *a, const double *b, int64_t d, double rho,
     return lam * d1 + (1.0 - lam) * rho * d2;
 }
 
-/* solver._solve_rows on n rows of d coordinates, r1 and r2 row-major:
-   each row's root into lam_hat[i] and its D* into dstar[i]. Every row is
-   first checked for a sign change; the first that has none is returned,
-   with nothing solved. Otherwise each row iterates to its own stop and
-   -1 is returned. Keeps no state, so threads may call it at once. */
-int64_t oddball_solve_rows(int64_t n, int64_t d, const double *r1, const double *r2, double rho,
-                           const double *par, double *lam_hat, double *dstar) {
+/* solver._solve_pairs on n pairs of rows of the row-major table `rows`,
+   d coordinates a row: pair i has the odd rates of row pairs[2i] and the
+   common rates of row pairs[2i + 1], and its root goes to lam_hat[i] and
+   its D* to dstar[i]. Every pair is first checked for a sign change, each
+   by its own test g(0) > 0 and rho (-g(1) / rho) > 0; the first that has
+   none is returned, with nothing solved. A pair that reverses the last
+   pair tested takes that pair's sign sums, swapped. Otherwise each pair
+   iterates to its own stop and -1 is returned. Keeps no state, so threads
+   may call it at once. */
+int64_t oddball_solve_rows(int64_t n, int64_t d, const double *rows, const int64_t *pairs,
+                           double rho, const double *par, double *lam_hat, double *dstar) {
+    double g[2];
+    int64_t last[2] = {-1, -1};  /* the pair whose sums g holds */
     for (int64_t i = 0; i < n; i++) {
-        const double *a = r1 + i * d, *b = r2 + i * d;
-        if (!near_equal(a, b, d, par) && !sign_change(a, b, d, rho, par)) return i;
+        const int64_t *p = pairs + 2 * i;
+        const double *a = rows + p[0] * d, *b = rows + p[1] * d;
+        if (near_equal(a, b, d, par)) continue;
+        if (p[0] == last[1] && p[1] == last[0]) {
+            double t = g[0];
+            g[0] = g[1], g[1] = t;
+        } else {
+            sign_sums(a, b, d, par, g);
+        }
+        last[0] = p[0], last[1] = p[1];
+        if (!(g[0] > 0.0 && rho * g[1] > 0.0)) return i;
     }
     for (int64_t i = 0; i < n; i++) {
-        const double *a = r1 + i * d, *b = r2 + i * d;
+        const double *a = rows + pairs[2 * i] * d, *b = rows + pairs[2 * i + 1] * d;
         lam_hat[i] = root_row(a, b, d, rho, par);
         dstar[i] = objective(a, b, d, rho, lam_odd_from_hat(lam_hat[i], rho), par);
     }

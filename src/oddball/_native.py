@@ -9,7 +9,8 @@ version and the flags: like a `.pyc`, a `touch` rebuilds once, and an
 edit that keeps the size within the file system's mtime granularity is
 not seen. numpy's directory is the imported numpy's, else the first on
 `sys.path`, so a load imports neither numpy nor what a build runs on
-(`subprocess`, `tempfile`, `sysconfig`); a build against another numpy
+(`subprocess`, `tempfile`, `sysconfig`): a build is `_builder`'s, a
+module imported only on a cache miss, and a build against another numpy
 than the key names fails. The kernel links numpy's own `libnpyrandom.a`,
 so its draws are the ones a `Generator` makes. A build goes to a
 temporary name, moved into place with `os.replace`, so a concurrent
@@ -105,47 +106,6 @@ def _read(path: str) -> bytes:
         os.close(fd)
 
 
-def _includes() -> list[str]:
-    """The compiler's include flags for the kernel: Python's and numpy's headers."""
-    import sysconfig
-
-    import numpy as np
-
-    return ["-I", sysconfig.get_paths()["include"], "-I", np.get_include()]
-
-
-def _build(out: str, numpy_dir: str) -> None:
-    """Compile the kernel into the file `out` against the numpy in
-    `numpy_dir`; raise OSError, with the compiler's first line of errors
-    when it fails, when it cannot be built."""
-    import subprocess
-
-    import numpy as np
-
-    imported = os.path.dirname(np.__file__)
-    if not os.path.samefile(imported, numpy_dir):
-        raise OSError(f"numpy is imported from {imported}, not {numpy_dir}")
-    cmd = [
-        "cc", *_FLAGS, *_includes(), _SOURCE,
-        os.path.join(numpy_dir, "random", "lib", "libnpyrandom.a"), "-lm", "-o", out,
-    ]
-    proc = subprocess.run(cmd, capture_output=True)
-    if proc.returncode != 0:
-        lines = proc.stderr.decode(errors="replace").strip().splitlines()
-        raise OSError(lines[0] if lines else f"cc exited with status {proc.returncode}")
-
-
-def _seal(path: str, key: str) -> None:
-    """Append to the library at `path` the digest of its bytes and `key`.
-    The loader ignores trailing bytes; `_open` checks them, so a truncated
-    file or one built from other source is never loaded (loading a
-    truncated library can crash the process)."""
-    with open(path, "rb") as fh:
-        body = fh.read()
-    with open(path, "ab") as fh:
-        fh.write(hashlib.sha256(key.encode() + body).digest())
-
-
 def _open(path: str, key: str):
     """The sealed kernel library at `path` with its entry points typed, or
     None when the file is missing, does not carry the seal of `key`, or
@@ -181,57 +141,11 @@ def _load():
     key = _key(numpy_dir)  # before any build, so an edit during one shows as a new key
     path = _library(key)
     lib = _open(path, key)
-    if lib is not None:
-        return lib
-    import tempfile
+    if lib is None:
+        from . import _builder  # only a miss compiles, or even imports, the build
 
-    os.makedirs(_CACHE_DIR, exist_ok=True)
-    # The builder's pid in the name tells a later build whether it is still running.
-    fd, tmp = tempfile.mkstemp(prefix=f"_kernel.{os.getpid()}.", suffix=".so.tmp", dir=_CACHE_DIR)
-    os.close(fd)
-    try:
-        _build(tmp, numpy_dir)
-        _seal(tmp, key)
-        # Load from the private name: a library loaded once stays mapped
-        # under its path, so reopening `path` could return a stale copy.
-        lib = _open(tmp, key)
-        if lib is None:
-            raise OSError("the built library does not load")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    # Nothing loads the scope's libraries of other keys, the libraries of
-    # the unscoped layout (`_kernel.<key>.so`) or the stamp files of older
-    # loaders again. Nor the temporary file of a builder killed mid-build
-    # (a signal skips the `finally` above), but one whose builder still
-    # runs is in use.
-    scope = f"_kernel.{_scope()}."
-    for name in os.listdir(_CACHE_DIR):
-        parts = name.split(".")
-        if parts[0] != "_kernel" or name == os.path.basename(path):
-            continue
-        if name.endswith(".so.tmp"):
-            if not parts[1].isdecimal() or _running(int(parts[1])):
-                continue
-        elif not (name.startswith(scope) or parts[2:] == ["so"] or parts[-1] == "stamp"):
-            continue
-        try:
-            os.remove(os.path.join(_CACHE_DIR, name))
-        except OSError:
-            pass
+        lib = _builder.make(path, key, numpy_dir)
     return lib
-
-
-def _running(pid: int) -> bool:
-    """Whether a process with this pid exists (perhaps under another user)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        pass
-    return True
 
 
 _capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer

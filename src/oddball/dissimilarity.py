@@ -23,7 +23,7 @@ lookup, a delays writer): surrounding whitespace is stripped. What the
 CSV writers emit therefore reads back as the same ids.
 
 Tables and matrices hold their numbers as Python values (a table's rows
-as `array('d')`, which the solver gathers with one copy each); their
+as `array('d')`, which a solve copies once each into one flat table); their
 numpy fields are read-only arrays built on first access, so a caller
 that never reads them never loads numpy.
 """
@@ -46,7 +46,7 @@ from .numerics import (
     _require_int,
     _require_real,
 )
-from .solver import _solve_rows, d_star  # noqa: F401 (d_star stays importable from here)
+from .solver import _solve_pairs, d_star  # noqa: F401 (d_star stays importable from here)
 
 __all__ = [
     "DEFAULT_RATE_FLOOR",
@@ -216,18 +216,26 @@ class DissimilarityMatrix(_FrozenRecord):
 
 
 def _pair_dstar(table: FiringRateTable, k: int, pairs) -> list[float]:
-    """D* of each (odd, distractor) row pair of `table`, in one solve
-    (`solver._solve_rows`); the pairs must not be degenerate."""
-    rows, rho = table._rows, (k - 2) / (k - 1)
-    return _solve_rows([rows[a] for a, _ in pairs], [rows[b] for _, b in pairs], rho)[1]
+    """D* of each (odd, distractor) pair of row indices of `table`, in one
+    solve (`solver._solve_pairs`); the pairs must not be degenerate."""
+    return _solve_pairs(table._rows, pairs, (k - 2) / (k - 1))[1]
+
+
+def _both_ways(table: FiringRateTable, k: int, pairs) -> list[tuple[float, float]]:
+    """(D* of (a, b), D* of (b, a)) for each image pair (a, b), in one solve
+    that takes each pair's two orientations one after the other, so the
+    kernel takes their shared sign-test sums once."""
+    got = _pair_dstar(table, k, [p for a, b in pairs for p in ((a, b), (b, a))])
+    return list(zip(got[::2], got[1::2]))
 
 
 def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> DissimilarityMatrix:
     """Dissimilarity of every ordered image pair in a K-item display.
 
-    The non-degenerate pairs are dealt out with `numerics._fan_out`, and
-    each block is solved in one call of `solver._solve_rows`, each pair to
-    its own stop. A pair's value is bitwise
+    The non-degenerate unordered pairs are dealt out with
+    `numerics._fan_out`, so both orientations of a pair are in one block,
+    and each block is solved in one call of `solver._solve_pairs`, each
+    ordered pair to its own stop. A pair's value is bitwise
     `d_star(OddConfig(k, 1, rates[a], rates[b]))`, so it depends neither on
     the other pairs in its block nor on `parallelism`.
     """
@@ -235,12 +243,12 @@ def pairwise_dstar(table: FiringRateTable, k: int, parallelism: int = 1) -> Diss
     _require_int(parallelism, "parallelism", 1)
     rows, images = table._rows, range(table.n_images)
     degenerate = tuple(tuple(rows[a] == rows[b] for b in images) for a in images)
-    pairs = [(a, b) for a in images for b in images if not degenerate[a][b]]
+    pairs = [(a, b) for a in images for b in images[a + 1 :] if not degenerate[a][b]]
     values = [[0.0] * len(images) for _ in images]
     if pairs:
-        solved = _fan_out(lambda block, stop: _pair_dstar(table, k, block), pairs, parallelism)
-        for (a, b), value in zip(pairs, solved):
-            values[a][b] = value
+        solved = _fan_out(lambda block, stop: _both_ways(table, k, block), pairs, parallelism)
+        for (a, b), (ab, ba) in zip(pairs, solved):
+            values[a][b], values[b][a] = ab, ba
     flagged = [sum(row) for row in table._floored]
     floored = tuple(
         tuple(flagged[a] + flagged[b] if a != b else flagged[a] for b in images) for a in images

@@ -46,14 +46,20 @@ step. At the root, f = D(r1 || r_tilde).
 Vector rates (each process emits D independent Poisson coordinates) use
 the same machinery with D(. || .) replaced by the coordinate sum and a
 shared lam_hat; everything reduces to the scalar case when D = 1. One
-loop solves every configuration, a (B, D) batch of rows (`_solve_rows`):
+loop solves every configuration (`_solve_pairs`): a table of rows, taken
+once, and a batch of (odd row, common row) index pairs into it, on
 `oddball_solve_rows` of the compiled kernel when it loads, else the same
-iteration on Python floats, row by row (`_root_row`, `_objective_sum`),
-which is the reference the kernel repeats bit for bit. Each row iterates
-to its own stop, with every sum over D taken in coordinate order, so a
-row's values depend neither on the other rows nor on the loop that ran.
-The policy's weight solve is the D = 1 case (`_root_row` on the Python
-loop, its inlined copy in the kernel's trial loop).
+iteration on Python floats, pair by pair (`_root_row`, `_objective_sum`),
+which is the reference the kernel repeats bit for bit. `solve_lambda_star`
+solves the one pair of its config, `_solve_rows` row i of one (B, D)
+table against row i of another. The sign test's sums D(r1 || r2) and
+D(r2 || r1) are those of the reversed pair, swapped, so the kernel takes
+them once for a pair that follows its reverse; each orientation still
+applies its own test. Each pair iterates to its own stop, with every sum
+over D taken in coordinate order, so a pair's values depend neither on
+the other pairs nor on the loop that ran. The policy's weight solve is
+the D = 1 case (`_root_row` on the Python loop, its inlined copy in the
+kernel's trial loop).
 
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
@@ -319,44 +325,66 @@ def _root_row(a, b, rho: float) -> float:
         x = nxt
 
 
-def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
-    """lam_hat and D* of every row pair of two (B, D) rate tables, each a
-    sequence of B rows of D rates (lists, `array('d')` rows or a 2-D numpy
-    array), on the kernel's `oddball_solve_rows` when it loads, else row by
-    row on `_root_row` and `_objective_sum`; the values are the same bits
-    either way. Rows must not be degenerate. The rows are gathered into one
-    flat `array('d')` per table, row after row, by `array.extend`, which
-    copies an `array('d')` row as one block. A table of no rows gives empty
-    lists; rows of no rates are refused.
+def _not_a_table() -> DomainError:
+    return DomainError("rate tables must be 2-D of one shape")
+
+
+def _solve_pairs(rows, pairs, rho: float) -> tuple[list[float], list[float]]:
+    """lam_hat and D* of each (odd, common) pair of row indices into
+    `rows`, a sequence of rows of D rates each (lists, `array('d')` rows
+    or a 2-D numpy array), on the kernel's `oddball_solve_rows` when it
+    loads, else pair by pair on `_root_row` and `_objective_sum`; the
+    values are the same bits either way. Pairs must not be degenerate,
+    and each index must be one of `rows`, since the kernel reads the
+    rows it is given unchecked. The table is copied once, row after row,
+    into one flat `array('d')` by `array.extend`, which copies an
+    `array('d')` row as one block; the kernel reads each pair's rows
+    where they lie in it. Rows of no rates are refused.
     """
-    a, b = array("d"), array("d")
+    table = array("d")
     try:
-        n, d = len(r1), len(r1[0]) if len(r1) else 0
-        if len(r2) != n or (n and d < 1):
+        d = len(rows[0]) if len(rows) else 0
+        if len(rows) and d < 1:
             raise ValueError
-        for rows, flat in ((r1, a), (r2, b)):
-            for row in rows:
-                if len(row) != d:
-                    raise ValueError
-                flat.extend(row)
+        for row in rows:
+            if len(row) != d:
+                raise ValueError
+            table.extend(row)
     except (TypeError, ValueError):
-        raise DomainError("rate tables must be 2-D of one shape") from None
+        raise _not_a_table() from None
     lib = _native.kernel()
     if lib is None:
         lam_hat, values = [], []
-        for i in range(n):
-            odd, common = a[i * d : (i + 1) * d], b[i * d : (i + 1) * d]
+        for a, b in pairs:
+            odd, common = table[a * d : (a + 1) * d], table[b * d : (b + 1) * d]
             h = _root_row(odd, common, rho)
             lam_hat.append(h)
             values.append(_objective_sum(odd, common, rho, _lam_odd_from_hat(h, rho)))
         return lam_hat, values
+    n = len(pairs)
+    index = array("q", [i for pair in pairs for i in pair])
     out = array("d", [0.0]) * (2 * n)
     address = _native.buffer_address
     at = address(out)
-    if lib.oddball_solve_rows(n, d, address(a), address(b), rho, address(_SOLVE_PARAMS),
-                              at, at + 8 * n) >= 0:
+    if lib.oddball_solve_rows(n, d, address(table), address(index), rho,
+                              address(_SOLVE_PARAMS), at, at + 8 * n) >= 0:
         raise _no_sign_change()
     return out[:n].tolist(), out[n:].tolist()
+
+
+def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
+    """lam_hat and D* of every row pair of two (B, D) rate tables, each a
+    sequence of B rows of D rates: `_solve_pairs` on the rows of both,
+    row i of r1 odd against row i of r2. A table of no rows gives empty
+    lists.
+    """
+    try:
+        n, rows = len(r1), [*r1, *r2]
+    except TypeError:
+        raise _not_a_table() from None
+    if len(rows) != 2 * n:
+        raise _not_a_table()
+    return _solve_pairs(rows, [(i, n + i) for i in range(n)], rho)
 
 
 def solve_lambda_star(config: OddConfig) -> LambdaSolution:
@@ -386,7 +414,7 @@ def solve_lambda_star(config: OddConfig) -> LambdaSolution:
         lam_hat, value = _equal_rates_hat(rho), 0.0
         r_tilde = config.r1
     else:
-        roots, values = _solve_rows((config.r1,), (config.r2,), rho)
+        roots, values = _solve_pairs((config.r1, config.r2), ((0, 1),), rho)
         lam_hat, value = roots[0], values[0]
         r_tilde = tuple(lam_hat * a + (1.0 - lam_hat) * b for a, b in zip(config.r1, config.r2))
     lam_odd = _lam_odd_from_hat(lam_hat, rho)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from oddball import dissimilarity
 from oddball.dissimilarity import (
     DEFAULT_RATE_FLOOR,
     DELAYS_HEADER,
@@ -184,19 +185,33 @@ class TestPairwiseDstar:
                 assert np.array_equal(serial.values, pooled.values)
 
     def test_pool_sized_by_chunks(self, monkeypatch):
-        # Two solved pairs over four workers: the pool starts two threads.
-        started = []
+        # Three images make three unordered pairs, each solved both ways in
+        # one block: over four workers the pool starts three threads, and
+        # a pair's orientations stay together. Two images make one pair,
+        # solved in the calling thread.
+        started, blocks = [], []
         real_pool = concurrent.futures.ThreadPoolExecutor
+        real_pair_dstar = dissimilarity._pair_dstar
 
         def spy(max_workers=None, *args, **kwargs):
             started.append(max_workers)
             return real_pool(max_workers, *args, **kwargs)
 
+        def pair_spy(table, k, pairs):
+            blocks.append(pairs)
+            return real_pair_dstar(table, k, pairs)
+
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-        table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
+        monkeypatch.setattr(dissimilarity, "_pair_dstar", pair_spy)
+        table = FiringRateTable.from_arrays(["a", "b", "c"], [[1.0], [2.0], [4.0]])
         pooled = pairwise_dstar(table, k=3, parallelism=4)
-        assert started == [2]
+        assert started == [3]
+        assert sorted(blocks) == [[(0, 1), (1, 0)], [(0, 2), (2, 0)], [(1, 2), (2, 1)]]
         assert np.array_equal(pooled.values, pairwise_dstar(table, k=3).values)
+        two = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])
+        assert np.array_equal(pairwise_dstar(two, k=3, parallelism=4).values,
+                              pairwise_dstar(two, k=3).values)
+        assert started == [3]
 
     def test_to_csv(self):
         table = FiringRateTable.from_arrays(["a", "b"], [[1.0], [2.0]])

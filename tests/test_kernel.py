@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oddball.policy as policy
-from oddball import _native
+from oddball import _builder, _native
 from oddball.cli import main as cli_main
 from oddball.experiments import ExperimentSpec, drift_experiment, run_experiment
 from oddball.numerics import _LOG1P_TAIL_COEFFS, _SERIES_RADIUS, DomainError
@@ -88,6 +88,15 @@ CONFIGS = {
         OddConfig(24, 2, 60.0, 20.0),
         (3,),
         range(2700, 3001),
+    ),
+    # Low rates, the odd one lowest: at slot 389 a process with 96 visits
+    # and one with 10, each with 2 events, map to one entry of that table
+    # (seed 3), every score compared at the slots around it.
+    "shared-events": (
+        [PolicyConfig(k=24, threshold_l=1e3, variant="non_stopping", max_slots=400)],
+        OddConfig(24, 2, 0.1, 0.3),
+        (3,),
+        range(385, 401),
     ),
     # Low rates: many all-zero tallies, so exact ties in the leader's score.
     "low-rate": (
@@ -788,7 +797,7 @@ def _drift_bytes(parallelism):
 
 
 def _failed_build(out, numpy_dir):
-    """A `_build` whose compiler fails, as `_native._build` reports it."""
+    """A `build` whose compiler fails, as `_builder.build` reports it."""
     raise OSError("cc: no input files")
 
 
@@ -837,7 +846,7 @@ def test_block_bytes_match_fallback_and_workers(
     assert (max(totals) > 1024) == past_cap
     assert run(tmp_path / "workers", 2) == block
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(_native, "_build", _failed_build)
+    monkeypatch.setattr(_builder, "build", _failed_build)
     monkeypatch.setattr(_native, "_loaded", [])
     assert run(tmp_path / "fallback", 1) == block
     assert run(tmp_path / "fallback-workers", 2) == block
@@ -1032,7 +1041,7 @@ def test_fallback_without_compiler(kernel, tmp_path, monkeypatch, capsys):
         raise FileNotFoundError(2, "No such file or directory", "cc")
 
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(_native, "_build", no_compiler)
+    monkeypatch.setattr(_builder, "build", no_compiler)
     monkeypatch.setattr(_native, "_loaded", [])
     fallback = _outputs(tmp_path, "py")
     assert _native.kernel() is None
@@ -1046,7 +1055,7 @@ def _first_loads(monkeypatch, tmp_path, build, threads=4):
     """What `kernel()` returns in each of `threads` threads that call it
     at once on a fresh cache in `tmp_path`, with `build` as `_build`."""
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(_native, "_build", build)
+    monkeypatch.setattr(_builder, "build", build)
     monkeypatch.setattr(_native, "_loaded", [])
     start, got = threading.Barrier(threads, timeout=60), []
 
@@ -1064,7 +1073,7 @@ def _first_loads(monkeypatch, tmp_path, build, threads=4):
 
 
 def test_threads_share_the_first_build(kernel, tmp_path, monkeypatch):
-    builds, real = [], _native._build
+    builds, real = [], _builder.build
 
     def build(out, numpy_dir):
         builds.append(out)
@@ -1123,7 +1132,7 @@ def test_failed_compile_raises_its_first_error_line(tmp_path, monkeypatch):
     broken.write_text("int oddball_broken(void) { return }\n", encoding="utf-8")
     monkeypatch.setattr(_native, "_SOURCE", str(broken))
     with pytest.raises(OSError) as info:
-        _native._build(str(tmp_path / "out.so"), _native._numpy_dir())
+        _builder.build(str(tmp_path / "out.so"), _native._numpy_dir())
     proc = subprocess.run(["cc", "-fsyntax-only", str(broken)], capture_output=True, text=True)
     assert proc.returncode != 0
     assert str(info.value) == proc.stderr.strip().splitlines()[0]
@@ -1131,14 +1140,14 @@ def test_failed_compile_raises_its_first_error_line(tmp_path, monkeypatch):
 
 def _spy_builds(monkeypatch, tmp_path):
     builds = []
-    build = _native._build
+    build = _builder.build
 
     def spy(out, numpy_dir):
         builds.append(out)
         build(out, numpy_dir)
 
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(_native, "_build", spy)
+    monkeypatch.setattr(_builder, "build", spy)
     monkeypatch.setattr(_native, "_loaded", [])
     return builds
 
@@ -1166,9 +1175,12 @@ def test_cached_build_is_reused(kernel, tmp_path, monkeypatch):
 def test_cached_load_reads_no_source(kernel, tmp_path, monkeypatch):
     # A cached load stats `_kernel.c` and numpy's version.py, but neither
     # opens the source nor looks numpy up by `find_spec`, here not even
-    # when numpy is not imported yet.
+    # when numpy is not imported yet, nor imports the build module.
     _spy_builds(monkeypatch, tmp_path)
     assert _native.kernel() is not None
+    modules, package = sys.modules, sys.modules["oddball"]
+    monkeypatch.delitem(modules, "oddball._builder")
+    monkeypatch.delattr(package, "_builder")
 
     def fail(*args, **kwargs):
         raise AssertionError("a cached load read the source or ran find_spec")
@@ -1182,6 +1194,7 @@ def test_cached_load_reads_no_source(kernel, tmp_path, monkeypatch):
     # `_numpy_dir` reads `sys.modules`; the import system keeps the real one.
     monkeypatch.setattr(sys, "modules", {n: m for n, m in sys.modules.items() if n != "numpy"})
     assert _reload(monkeypatch) is not None
+    assert "oddball._builder" not in modules and not hasattr(package, "_builder")
 
 
 def test_build_sweeps_the_cache(kernel, tmp_path, monkeypatch):
@@ -1195,7 +1208,7 @@ def test_build_sweeps_the_cache(kernel, tmp_path, monkeypatch):
         capture_output=True, text=True, check=True, timeout=120,
     )
     dead, live = int(proc.stdout), os.getppid()
-    assert not _native._running(dead) and _native._running(live)
+    assert not _builder.running(dead) and _builder.running(live)
     cache = tmp_path / "cache"
     cache.mkdir()
     scope = _native._scope()
@@ -1248,9 +1261,9 @@ def _numpy_stand_in(monkeypatch, tmp_path):
 
 def test_key_sees_a_changed_numpy(kernel, tmp_path, monkeypatch):
     # The builds use the installed numpy, the key its stand-in.
-    real, build = _native._numpy_dir(), _native._build
+    real, build = _native._numpy_dir(), _builder.build
     builds = _spy_builds(monkeypatch, tmp_path / "cache")
-    monkeypatch.setattr(_native, "_build", lambda out, numpy_dir: builds.append(out) or build(out, real))
+    monkeypatch.setattr(_builder, "build", lambda out, numpy_dir: builds.append(out) or build(out, real))
     version = _numpy_stand_in(monkeypatch, tmp_path)
     assert _native.kernel() is not None and _reload(monkeypatch) is not None
     version.write_text(version.read_text(encoding="utf-8") + "# rebuilt\n", encoding="utf-8")
@@ -1313,16 +1326,16 @@ def test_flag_sets_keep_their_own_libraries(kernel, tmp_path, monkeypatch):
 @pytest.mark.parametrize("damage", ["truncated", "stale"])
 def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     key, path = _cached_path(tmp_path)
-    _native._build(path, _native._numpy_dir())
+    _builder.build(path, _native._numpy_dir())
     if damage == "truncated":
-        _native._seal(path, key)
+        _builder.seal(path, key)
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(data[: len(data) // 2])
     else:
         # A library built from other source, under this key's name.
-        _native._seal(path, "0" * 16)
+        _builder.seal(path, "0" * 16)
     builds = _spy_builds(monkeypatch, tmp_path)
     lib = _native.kernel()
     assert len(builds) == 1 and lib is not None
@@ -1337,7 +1350,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
     # shadowed names included.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on this machine")
-    cmd = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Wshadow", "-Werror", *_native._includes()]
+    cmd = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Wshadow", "-Werror", *_builder.includes()]
     proc = subprocess.run([*cmd, _native._SOURCE], capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
 
@@ -1409,10 +1422,10 @@ def test_kernel_is_clean_under_sanitizers(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, *sanitize))
     key, path = _cached_path(tmp_path)
     try:
-        _native._build(path, _native._numpy_dir())
+        _builder.build(path, _native._numpy_dir())
     except OSError:
         pytest.skip("the kernel does not build with the sanitizers on this machine")
-    _native._seal(path, key)
+    _builder.seal(path, key)
     cap_slot = str(_c_enum("P_QUANT").index("P_TABLE_CAP"))
 
     def run(flags, cache, **extra):

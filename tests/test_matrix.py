@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from oddball import _native, policy
+from oddball import _builder, _native, policy
 from oddball.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -161,14 +161,14 @@ def test_output_digest(name, tmp_path):
 
 
 def _failed_build(out, numpy_dir):
-    """A `_build` whose compiler fails, as `_native._build` reports it."""
+    """A `build` whose compiler fails, as `_builder.build` reports it."""
     raise OSError("cc: no input files")
 
 
 @pytest.mark.parametrize("name", FALLBACK)
 def test_output_digest_on_the_python_loop(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(_native, "_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(_native, "_build", _failed_build)
+    monkeypatch.setattr(_builder, "build", _failed_build)
     monkeypatch.setattr(_native, "_loaded", [])
     assert run_entry(name, str(tmp_path / "run")) == _golden()[name]["sha256"]
     assert _native.kernel() is None

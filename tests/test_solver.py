@@ -437,17 +437,25 @@ class TestCurveRows:
             curve_rows([3.0], 10)
 
 
-def _solve_on(loop, r1, r2, rho):
-    """`solver._solve_rows` on `loop`, the kernel library or None for the
-    Python loop: lam_hat and D* of each row as lists of floats, or
-    DegenerateRatesError when it raises that."""
+def _solve_on(loop, r1, r2, rho, solve=solver._solve_rows):
+    """`solve` (`solver._solve_rows`, or `solver._solve_pairs` on rows and
+    pairs) on `loop`, the kernel library or None for the Python loop:
+    lam_hat and D* of each row as lists of floats, or DegenerateRatesError
+    when it raises that."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_native, "_loaded", [loop])
         try:
-            lam_hat, values = solver._solve_rows(r1, r2, rho)
+            lam_hat, values = solve(r1, r2, rho)
         except DegenerateRatesError:
             return DegenerateRatesError
     return np.asarray(lam_hat).tolist(), np.asarray(values).tolist()
+
+
+def _kernel_or_skip():
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("the compiled kernel cannot be built on this machine")
+    return lib
 
 
 # Coordinate pairs (r1, r2) on which poisson_kl's terms, at the sign-change
@@ -473,10 +481,7 @@ class TestKernelSolve:
 
     @pytest.fixture(autouse=True)
     def kernel(self):
-        lib = _native.kernel()
-        if lib is None:
-            pytest.skip("the compiled kernel cannot be built on this machine")
-        self.lib = lib
+        self.lib = _kernel_or_skip()
 
     def check(self, r1, r2):
         for k in (3, 6, 50):
@@ -554,3 +559,71 @@ class TestKernelSolve:
             got = [_solve_on(loop, r1, r2, 0.5) for loop in (None, self.lib)]
             assert got[0] == got[1]
             assert (got[0] is DegenerateRatesError) == raises
+
+
+class TestSharedSignTest:
+    """The kernel's `oddball_solve_rows` takes a pair's sign-test sums,
+    swapped, from the pair before it when that pair is its reverse, and
+    applies each orientation's own test to them. Batches of pairs in every
+    arrangement give each pair the lam_hat and D* of the Python loop, bit
+    for bit, and raise DegenerateRatesError exactly where it does."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self):
+        self.lib = _kernel_or_skip()
+
+    def check(self, rows, pairs, rho, raises=False):
+        want = _solve_on(None, rows, pairs, rho, solver._solve_pairs)
+        assert (want is DegenerateRatesError) == raises
+        assert _solve_on(self.lib, rows, pairs, rho, solver._solve_pairs) == want
+        if not raises:
+            for i, pair in enumerate(pairs):  # each pair alone
+                one = _solve_on(self.lib, rows, [pair], rho, solver._solve_pairs)
+                assert one == ([want[0][i]], [want[1][i]])
+
+    @pytest.mark.parametrize("d", [1, 2, 100])
+    def test_reversed_pairs_adjacent_and_apart(self, d):
+        rng = np.random.default_rng(31 + d)
+        rows = rng.uniform(0.5, 8.0, (5, d))
+        rows[rng.random(rows.shape) < 0.05] = 1e-3
+        unordered = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        adjacent = [p for a, b in unordered for p in ((a, b), (b, a))]
+        apart = unordered + [(b, a) for a, b in unordered]
+        # Reversed again and again, and a pair that repeats.
+        chain = [(0, 1), (1, 0), (0, 1), (1, 0), (1, 0), (2, 1), (1, 2), (2, 1)]
+        for k in (3, 6, 50):
+            for pairs in (adjacent, apart, chain):
+                self.check(rows.tolist(), pairs, (k - 2) / (k - 1))
+
+    def test_near_equal_pair_shares_nothing(self):
+        # At D = 1, (1, x) is tested and (x, 1) takes the equal-rates
+        # weight untested: a / (a + b) and b / (a + b) fall on the two
+        # sides of NEAR_DEGENERATE_NU. Neither the untested pair nor the
+        # one after it may take sums that were never made for them.
+        x = 1.000000004
+        assert abs(solver._nu(1.0, x) - 0.5) >= solver.NEAR_DEGENERATE_NU
+        assert abs(solver._nu(x, 1.0) - 0.5) < solver.NEAR_DEGENERATE_NU
+        rows = [[1.0], [x], [2.0], [3.0], [2 * 5e-324], [5 * 5e-324]]
+        for pairs in (
+            [(0, 1), (1, 0)], [(1, 0), (0, 1)], [(2, 3), (1, 0), (3, 2)],
+            [(2, 3), (1, 0), (0, 1), (3, 2)], [(1, 0), (0, 1), (1, 0)],
+            # The sums of (4, 5), swapped, would fail (0, 1)'s test at K = 3
+            # (see test_underflow_in_one_orientation).
+            [(4, 5), (1, 0), (0, 1)],
+        ):
+            for k in (3, 50):
+                self.check(rows, pairs, (k - 2) / (k - 1))
+
+    @pytest.mark.parametrize("coords", [[], [1e-300], [1e-300, 4.0]])
+    def test_underflow_in_one_orientation(self, coords):
+        # With rho = 1/2, D(a || b) is one subnormal step and D(b || a)
+        # two: (a, b) passes its test and (b, a) fails it, as rho times
+        # one step rounds to 0. Coordinates equal in both rows add 0.
+        a, b = 2 * 5e-324, 5 * 5e-324
+        assert (poisson_kl(a, b), poisson_kl(b, a)) == (5e-324, 1e-323)
+        assert 0.5 * poisson_kl(a, b) == 0.0 < 0.5 * poisson_kl(b, a)
+        rows = [[a, *coords], [b, *coords], [1.0, *coords], [2.0, *coords]]
+        self.check(rows, [(0, 1)], 0.5)
+        self.check(rows, [(2, 3), (0, 1), (3, 2)], 0.5)
+        for pairs in ([(1, 0)], [(0, 1), (1, 0)], [(1, 0), (0, 1)], [(0, 1), (2, 3), (1, 0)]):
+            self.check(rows, pairs, 0.5, raises=True)
