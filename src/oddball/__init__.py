@@ -1,38 +1,31 @@
 """Odd Poisson process detection: optimal sampling weights, a sequential
 detection policy with an error guarantee, Monte Carlo verification, and a
-firing-rate dissimilarity index for visual-search data."""
+firing-rate dissimilarity index for visual-search data.
+
+The names that live in `oddball.reference` (the oracles, the array and
+single-step API) resolve on first access (PEP 562), so importing the
+package, or `oddball.cli`, does not compile them."""
 
 from .numerics import (
     DomainError,
+    _moved,
     binary_relative_entropy,
     poisson_kl,
-    poisson_kl_series,
 )
 from .solver import (
     DegenerateRatesError,
     LambdaSolution,
     OddConfig,
-    brute_force_d_star,
     curve_rows,
     d_star,
     lower_bound_expected_tau,
-    mixed_rate,
     objective,
     solve_lambda_star,
 )
-from .glr import (
-    GlrState,
-    SufficientStats,
-    averaged_log_likelihood,
-    ml_log_likelihood,
-    modified_glr,
-)
+from .glr import SufficientStats
 from .policy import (
     PolicyConfig,
-    PolicyDecision,
     TrialOutcome,
-    empirical_action_frequencies,
-    next_decision,
     run_trial,
 )
 from .experiments import (
@@ -50,10 +43,18 @@ from .dissimilarity import (
     correlation,
     log_am_gm,
     pairwise_dstar,
-    synthesize_search_dataset,
 )
 
 __version__ = "0.1.0"
+
+__getattr__, __dir__ = _moved(
+    __name__,
+    (
+        "poisson_kl_series", "mixed_rate", "brute_force_d_star", "GlrState",
+        "averaged_log_likelihood", "ml_log_likelihood", "modified_glr", "PolicyDecision",
+        "next_decision", "empirical_action_frequencies", "synthesize_search_dataset",
+    ),
+)
 
 __all__ = [
     "__version__",

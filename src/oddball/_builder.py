@@ -8,7 +8,6 @@ and flags are `_native`'s, read at each call.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import sysconfig
@@ -44,14 +43,15 @@ def build(out: str, numpy_dir: str) -> None:
 
 
 def seal(path: str, key: str) -> None:
-    """Append to the library at `path` the digest of its bytes and `key`.
-    The loader ignores trailing bytes; `_native._open` checks them, so a
-    truncated file or one built from other source is never loaded (loading
-    a truncated library can crash the process)."""
+    """Append to the library at `path` the seal `_native._seal` makes of
+    `key` and its bytes. The loader ignores trailing bytes; `_native._open`
+    checks them, so a truncated or damaged file, or one built from other
+    source, is never loaded (loading a truncated library can crash the
+    process)."""
     with open(path, "rb") as fh:
         body = fh.read()
     with open(path, "ab") as fh:
-        fh.write(hashlib.sha256(key.encode() + body).digest())
+        fh.write(_native._seal(key, body))
 
 
 def running(pid: int) -> bool:

@@ -3,33 +3,43 @@
 The kernel is compiled on first use, never at import, into the package's
 `__pycache__` directory as `_kernel.<scope>.<key>.so`. The scope names
 the interpreter by `sys.implementation.cache_tag`, as a `.pyc` is named,
-and the compiler flags by a digest. The key hashes the mtime and size of
-`_kernel.c` and of numpy's `version.py`, numpy's directory, the Python
-version and the flags: like a `.pyc`, a `touch` rebuilds once, and an
-edit that keeps the size within the file system's mtime granularity is
-not seen. numpy's directory is the imported numpy's, else the first on
-`sys.path`, so a load imports neither numpy nor what a build runs on
-(`subprocess`, `tempfile`, `sysconfig`): a build is `_builder`'s, a
-module imported only on a cache miss, and a build against another numpy
-than the key names fails. The kernel links numpy's own `libnpyrandom.a`,
-so its draws are the ones a `Generator` makes. A build goes to a
-temporary name, moved into place with `os.replace`, so a concurrent
-reader never sees half a file. Each library ends in a digest of its key
-and its bytes, and one whose digest does not match (truncated, or built
-from other source) is rebuilt, never loaded. When the kernel cannot be
-built (no compiler, an unwritable cache, a failed link: each an OSError,
-a failed compile one that carries the compiler's first line of errors),
-`kernel()` returns None, one note goes to stderr, and callers run the
-Python loops. A new build removes the scope's libraries of other keys,
-the unscoped `_kernel.<key>.so` and `.stamp` files of older loaders, and
-the temporary files of builders no longer running, whose pid each
-temporary name carries; the libraries of other scopes stay.
+and the compiler flags by a CRC-32. The key spells out the mtime and
+size of `_kernel.c` and of numpy's `version.py` in hex, then a CRC-32 of
+numpy's directory, the Python version and the flags: like a `.pyc`, a
+`touch` rebuilds once, and an edit that keeps the size within the file
+system's mtime granularity is not seen. numpy's directory is the
+imported numpy's, else the first on `sys.path`, so a load imports
+neither numpy nor what a build runs on (`subprocess`, `tempfile`,
+`sysconfig`): a build is `_builder`'s, a module imported only on a cache
+miss, and a build against another numpy than the key names fails. The
+kernel links numpy's own `libnpyrandom.a`, so its draws are the ones a
+`Generator` makes. A build goes to a temporary name, moved into place
+with `os.replace`, so a concurrent reader never sees half a file.
+
+Each library ends in a seal (`_seal`): the length of the bytes before
+it and a CRC-32 of its key and those bytes. One whose seal does not
+match (truncated, damaged, or built from other source) is rebuilt,
+never loaded. A file cut short is caught by the length, which its new
+last bytes would have to spell along with a matching CRC; other damage
+is caught with probability 1 - 2^-32. The seal is no guard against
+tampering, and the SHA-256 it replaced was none either: a digest
+without a secret can be recomputed by whoever can write the cache. Key
+and seal need only `zlib`, as the scope does, so neither an import nor
+a load brings in `hashlib` and OpenSSL.
+
+When the kernel cannot be built (no compiler, an unwritable cache, a
+failed link: each an OSError, a failed compile one that carries the
+compiler's first line of errors), `kernel()` returns None, one note goes
+to stderr, and callers run the Python loops. A new build removes the
+scope's libraries of other keys, the unscoped `_kernel.<key>.so` and
+`.stamp` files of older loaders, and the temporary files of builders no
+longer running, whose pid each temporary name carries; the libraries of
+other scopes stay.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 import os
 import sys
@@ -53,6 +63,9 @@ _LANES = 8
 
 # The probe as ranges of y: the lane group, then each probe alone.
 _PROBE_RANGES = ((0, _LANES), *zip(_LGAMMA_PROBES, [1] * len(_LGAMMA_PROBES)))
+
+# Bytes of the seal that ends each cached library (see `_seal`).
+_SEAL_SIZE = 12
 
 # The loaded kernel, once `kernel()` has run in this process: [library or None].
 _loaded: list = []
@@ -87,13 +100,22 @@ def _numpy_dir() -> str:
 
 def _key(numpy_dir: str) -> str:
     """Cache key of the kernel this interpreter builds from `_kernel.c`
-    against the numpy in `numpy_dir`: a digest of the mtime and size of
-    `_kernel.c` and of numpy's `version.py`, numpy_dir, the Python version
-    and the flags. Like a `.pyc`, it trusts an unchanged stat."""
+    against the numpy in `numpy_dir`: the mtime and size of `_kernel.c`
+    and of numpy's `version.py` in hex, then a CRC-32 of numpy_dir, the
+    Python version and the flags, joined by "-". Like a `.pyc`, it trusts
+    an unchanged stat."""
     src, ver = os.stat(_SOURCE), os.stat(os.path.join(numpy_dir, "version.py"))
-    stats = f"{src.st_mtime_ns} {src.st_size}|{ver.st_mtime_ns} {ver.st_size}"
-    tag = f"{stats}|{numpy_dir}|{sys.version}|{' '.join(_FLAGS)}"
-    return hashlib.sha256(tag.encode()).hexdigest()[:16]
+    where = zlib.crc32(f"{numpy_dir}|{sys.version}|{' '.join(_FLAGS)}".encode())
+    return f"{src.st_mtime_ns:x}-{src.st_size:x}-{ver.st_mtime_ns:x}-{ver.st_size:x}-{where:08x}"
+
+
+def _seal(key: str, body) -> bytes:
+    """The seal that ends the library of `key` whose bytes before it are
+    `body` (a bytes-like object): len(body) in 8 bytes, then the CRC-32 of
+    the key's text and the body in 4, both little-endian. `_open` checks
+    it, `_builder.seal` writes it."""
+    crc = zlib.crc32(body, zlib.crc32(key.encode()))
+    return len(body).to_bytes(8, "little") + crc.to_bytes(4, "little")
 
 
 def _read(path: str) -> bytes:
@@ -112,9 +134,7 @@ def _open(path: str, key: str):
     does not load."""
     try:
         data = _read(path)
-        seal = hashlib.sha256(key.encode())
-        seal.update(memoryview(data)[:-32])
-        if seal.digest() != data[-32:]:
+        if data[-_SEAL_SIZE:] != _seal(key, memoryview(data)[:-_SEAL_SIZE]):
             return None
         lib = ctypes.CDLL(path)
     except OSError:

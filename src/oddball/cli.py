@@ -47,7 +47,7 @@ from .dissimilarity import (
     pairwise_dstar,
 )
 from .experiments import ExperimentSpec, drift_experiment, run_experiment
-from .numerics import DomainError, _csv_text
+from .numerics import DomainError, _csv_text, _require_real
 from .solver import (
     CURVE_HEADER,
     OddConfig,
@@ -166,6 +166,7 @@ def _cmd_drift(args) -> None:
 
 def _cmd_bound(args) -> None:
     config = OddConfig(args.k, 1, _parse_list(args.r1, "--r1"), _parse_list(args.r2, "--r2"))
+    _require_real(args.alpha, "--alpha", 0.0, 1.0, open=True)  # before the solve, by its flag
     sol = solve_lambda_star(config)
     bound = lower_bound_expected_tau(config, args.alpha, dstar=sol.d_star)
     payload = {

@@ -43,6 +43,7 @@ from .numerics import (
     _csv_text,
     _f_upper_tail,
     _fan_out,
+    _moved,
     _require_int,
     _require_real,
 )
@@ -61,6 +62,9 @@ __all__ = [
     "parse_delays_csv",
     "delays_to_csv",
 ]
+
+# `synthesize_search_dataset` lives in `oddball.reference`, resolved on first access.
+__getattr__, __dir__ = _moved(__name__, ("synthesize_search_dataset",))
 
 DEFAULT_RATE_FLOOR = 1e-3
 
@@ -330,50 +334,6 @@ def correlation(x, y) -> float:
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
-
-
-def synthesize_search_dataset(
-    n_images: int,
-    n_neurons: int,
-    k: int,
-    n_pairs: int,
-    samples_per_pair: int,
-    rng,
-    noise_scale: float = 0.05,
-    base_delay: float = 1.0,
-):
-    """Generate a firing-rate table plus decision delays that follow the
-    reciprocal law: each sampled pair (a, b) gets `samples_per_pair`
-    delays distributed around base_delay / D*(a, b) with multiplicative
-    Gaussian noise. Returns (table, delays) with delays a list of
-    (odd_id, distractor_id, delay) rows.
-    """
-    _require_int(n_images, "n_images", 2)
-    _require_int(n_neurons, "n_neurons", 1)
-    _require_int(k, "display size k", 3)
-    max_pairs = n_images * (n_images - 1)
-    _require_int(n_pairs, "n_pairs", 1, max_pairs)
-    _require_int(samples_per_pair, "samples_per_pair", 1)
-    noise_scale = _require_real(noise_scale, "noise_scale", 0.0)
-    base_delay = _require_real(base_delay, "base_delay", 0.0, open=True)
-
-    ids = [f"img{i:03d}" for i in range(n_images)]
-    rates = rng.uniform(0.5, 8.0, size=(n_images, n_neurons))
-    table = FiringRateTable.from_arrays(ids, rates)
-
-    chosen = rng.choice(max_pairs, size=n_pairs, replace=False)
-    pairs = []
-    for code in sorted(int(c) for c in chosen):
-        a, residue = divmod(code, n_images - 1)
-        pairs.append((a, residue if residue < a else residue + 1))
-    diffs = _pair_dstar(table, k, pairs)
-    delays = []
-    for (a, b), diff in zip(pairs, diffs):
-        mean_delay = base_delay / diff
-        for _ in range(samples_per_pair):
-            value = mean_delay * (1.0 + noise_scale * float(rng.standard_normal()))
-            delays.append((ids[a], ids[b], max(value, 1e-9)))
-    return table, delays
 
 
 def parse_delays_csv(text: str) -> list[tuple[str, str, float]]:

@@ -23,8 +23,8 @@ cancels in all pairwise comparisons):
 
   with zero-count terms equal to 0 (the supremum over a vanishing rate).
 
-`_scores` is the one definition of both scores; every caller reads them
-from it. The modified GLR statistic of hypothesis i against j is
+`reference._scores` is the one definition of both scores; every caller
+reads them from it. The modified GLR statistic of hypothesis i against j is
 
     Z_ij = averaged_log_likelihood(i) - ml_log_likelihood(j),
 
@@ -32,13 +32,16 @@ and Z_i = min over j != i of Z_ij. Averaging in the numerator (rather
 than maximizing) is what makes the statistic a supermartingale under the
 wrong hypothesis and yields Z_ij + Z_ji <= 0; consequently at most one
 process can hold a positive score, which is what makes thresholding sound.
+
+This module keeps the tallies, `SufficientStats`, which every command
+reads. The scores, `GlrState` and `modified_glr` run only on the Python
+loop or for a caller: they live in `oddball.reference` and resolve from
+here on first access.
 """
 
 from __future__ import annotations
 
-import math
-
-from .numerics import DomainError, _FrozenRecord, _Record, _require_int, _require_list
+from .numerics import DomainError, _Record, _moved, _require_int, _require_list
 
 __all__ = [
     "SufficientStats",
@@ -47,6 +50,10 @@ __all__ = [
     "ml_log_likelihood",
     "modified_glr",
 ]
+
+__getattr__, __dir__ = _moved(
+    __name__, ("GlrState", "averaged_log_likelihood", "ml_log_likelihood", "modified_glr")
+)
 
 
 class SufficientStats(_Record):
@@ -125,111 +132,3 @@ class SufficientStats(_Record):
         return t1, t2
 
 
-class GlrState(_FrozenRecord):
-    """One slot's worth of test state, equal only to itself.
-
-    z:      K x K matrix of pairwise scores Z_ij (diagonal unused, 0.0).
-    z_min:  Z_i = min over j != i of Z_ij.
-    theta:  K x 2 matrix of per-hypothesis ML rate estimates (0.0 sentinel
-            where the defining ratio is 0/0).
-    leader: 1-based argmax of z_min; exact-value ties are broken uniformly
-            at random from the caller's stream.
-    """
-
-    _fields = ("n", "z", "z_min", "theta", "leader")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
-def _check_hypothesis(stats: SufficientStats, i: int, caller: str) -> None:
-    if stats.n < 1:
-        raise DomainError(f"{caller} requires at least one observed slot")
-    _require_int(i, "hypothesis index", 1, stats.k)
-
-
-def averaged_log_likelihood(stats: SufficientStats, i: int) -> float:
-    """Prior-averaged log-likelihood that process i is the odd one."""
-    _check_hypothesis(stats, i, "averaged_log_likelihood")
-    return _scores(stats)[0][i - 1]
-
-
-def ml_log_likelihood(stats: SufficientStats, j: int) -> float:
-    """Rate-maximized log-likelihood that process j is the odd one.
-
-    Zero event totals contribute 0 (the supremum is attained as the
-    corresponding rate vanishes), including the never-visited case.
-    """
-    _check_hypothesis(stats, j, "ml_log_likelihood")
-    return _scores(stats)[1][j - 1]
-
-
-def _scores(stats: SufficientStats) -> tuple[list[float], list[float]]:
-    """Both per-hypothesis scores, O(K): the one definition of each, read by
-    the public score functions, the full-state builder and the policy's
-    slot loop."""
-    lgamma = math.lgamma
-    log = math.log
-    n = stats.n
-    total = stats.total
-    avg = [0.0] * stats.k
-    ml = [0.0] * stats.k
-    for idx in range(stats.k):
-        yi = stats.events[idx]
-        ni = stats.visits[idx]
-        yo = total - yi
-        no = n - ni
-        avg[idx] = (
-            lgamma(yi + 1) - (yi + 1) * log(ni + 1) + lgamma(yo + 1) - (yo + 1) * log(no + 1)
-        )
-        t = 0.0
-        if yi > 0:
-            t += yi * (log(yi / ni) - 1.0)
-        if yo > 0:
-            t += yo * (log(yo / no) - 1.0)
-        ml[idx] = t
-    return avg, ml
-
-
-def _z_min_from_scores(avg: list[float], ml: list[float]) -> list[float]:
-    """Z_i = avg_i - max_{j != i} ml_j via the top two of ml."""
-    m1 = -math.inf
-    m2 = -math.inf
-    a1 = -1
-    for idx, v in enumerate(ml):
-        if v > m1:
-            m2 = m1
-            m1 = v
-            a1 = idx
-        elif v > m2:
-            m2 = v
-    return [avg[idx] - (m2 if idx == a1 else m1) for idx in range(len(ml))]
-
-
-def _pick_leader(z_min: list[float], rng) -> int:
-    """1-based argmax with exact-value ties broken uniformly from rng.
-
-    Consumes one draw only when there is a tie, so identically seeded
-    replays consume the stream identically.
-    """
-    best = max(z_min)
-    tied = [idx for idx, v in enumerate(z_min) if v == best]
-    if len(tied) == 1:
-        return tied[0] + 1
-    return tied[int(rng.integers(len(tied)))] + 1
-
-
-def modified_glr(stats: SufficientStats, rng) -> GlrState:
-    """Full test state after stats.n slots: pairwise matrix, row minima,
-    per-hypothesis rate estimates, and the current leader."""
-    import numpy as np
-
-    if stats.n < 1:
-        raise DomainError("modified_glr requires at least one observed slot")
-    k = stats.k
-    avg, ml = _scores(stats)
-    z = np.subtract.outer(avg, ml)
-    np.fill_diagonal(z, 0.0)
-    z_min = _z_min_from_scores(avg, ml)
-    theta = np.array([stats.theta_hat(i) for i in range(1, k + 1)])
-    leader = _pick_leader(z_min, rng)
-    return GlrState(n=stats.n, z=z, z_min=np.array(z_min), theta=theta, leader=leader)

@@ -1,7 +1,7 @@
 """Log-space numerical primitives for Poisson rate comparisons, plus the
 private helpers other modules share: input rules, the record bases
-`_Record` and `_FrozenRecord`, `_fan_out`, `_csv_text`, and the two
-distribution tails the reports need, `_clopper_pearson_upper` and
+`_Record` and `_FrozenRecord`, `_fan_out`, `_csv_text`, `_moved`, and the
+two distribution tails the reports need, `_clopper_pearson_upper` and
 `_f_upper_tail`, in pure Python so that no command imports scipy.
 
 The public functions are pure functions of their arguments. The central
@@ -50,6 +50,30 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument lies outside a function's mathematical domain."""
+
+
+def _moved(module: str, names: tuple[str, ...]) -> tuple:
+    """The PEP 562 `__getattr__` and `__dir__` of `module`, whose `names`
+    live in `oddball.reference`: a name resolves on its first access,
+    which imports that module, and is then kept in `module`."""
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import reference
+
+        value = getattr(reference, name)
+        setattr(sys.modules[module], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[module]), *names})
+
+    return __getattr__, __dir__
+
+
+# `poisson_kl_series`, an oracle of `poisson_kl`, lives in `oddball.reference`.
+__getattr__, __dir__ = _moved(__name__, ("poisson_kl_series",))
 
 
 def _require_int(value, name: str, low: int, high: int | None = None) -> int:
@@ -258,50 +282,6 @@ def poisson_kl(x: float, y: float) -> float:
     if math.isinf(u):  # y / x overflowed; split the logarithms instead
         return x * (math.log(x) - math.log(y)) - x + y
     return x * _u_minus_log1p(u)
-
-
-def poisson_kl_series(v: float, a: float, b: float, terms: int) -> float:
-    """Partial sum of the series expansion of D(v - a || v - b).
-
-    For v >= 1 and 0 <= a, b <= 1 the divergence admits the expansion
-
-        D(v - a || v - b)
-            = sum_{l >= 1} (a^(l+1) - b^l * (a + (a - b) * l))
-                           / (v^l * l * (l + 1)),
-
-    which converges geometrically for v > 1 and is summable at v = 1
-    except when b = 1 with a < 1 (there the left argument exceeds zero
-    while the right is zero, and the divergence is +inf). This routine
-    returns the plain partial sum of the first `terms` terms: it is an
-    independent check of `poisson_kl`, so no closed-form shortcuts are
-    taken. At v = 1 the convergence is only O(1/terms).
-
-    Raises:
-        DomainError: if v < 1, a or b outside [0, 1], terms < 1, or
-            (v == 1 and b == 1 and a < 1) where the value is infinite.
-    """
-    if not v >= 1.0:
-        raise DomainError(f"series requires v >= 1, got {v!r}")
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"series requires 0 <= a <= 1, got {a!r}")
-    if not 0.0 <= b <= 1.0:
-        raise DomainError(f"series requires 0 <= b <= 1, got {b!r}")
-    _require_int(terms, "terms", 1)
-    if v == 1.0 and b == 1.0 and a < 1.0:
-        raise DomainError("series diverges for v == 1, b == 1, a < 1 (value is +inf)")
-    total = 0.0
-    ap = a * a          # a^(l+1)
-    bp = b              # b^l
-    vp = v              # v^l
-    for l in range(1, terms + 1):
-        den = vp * l * (l + 1)
-        if math.isinf(den):
-            break  # every later term is an exact float zero
-        total += (ap - bp * (a + (a - b) * l)) / den
-        ap *= a
-        bp *= b
-        vp *= v
-    return total
 
 
 def binary_relative_entropy(x: float) -> float:

@@ -42,12 +42,16 @@ kernel"), which repeats the Python loop bitwise: same draws, same
 floating-point operations, same memo cells. `_seeded_trials` runs a list
 of trials in one kernel call, which seeds trial t's generator in C as
 `np.random.default_rng([*prefix, t])` would. The Python loop,
-`_python_trial`, stays the reference and runs only where the kernel does
-not: a trial the kernel declines, rerun from its start (one whose event
-total would reach 2^53, past which int64 tallies are not exact doubles),
-and every trial on a generator of another type or on a machine where the
-kernel cannot be built. It hands `_compiled` what a kernel trial does, so
-`_trace_records` builds every trace and `run_trial` every outcome.
+`reference._python_trial`, stays the reference and runs only where the
+kernel does not: a trial the kernel declines, rerun from its start (one
+whose event total would reach 2^53, past which int64 tallies are not
+exact doubles), and every trial on a generator of another type or on a
+machine where the kernel cannot be built. `_compiled` imports
+`oddball.reference` only then. The loop hands `_compiled` what a kernel
+trial does, so `_trace_records` builds every trace and `run_trial` every
+outcome. The single-step API (`next_decision`, `PolicyDecision`,
+`leader_lambda_odd`) and `empirical_action_frequencies` live in
+`oddball.reference` too, and resolve from here on first access.
 """
 
 from __future__ import annotations
@@ -58,13 +62,13 @@ from array import array
 from collections import namedtuple
 from contextlib import nullcontext
 from itertools import accumulate
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import _native
-from .glr import GlrState, SufficientStats, _pick_leader, _scores, _z_min_from_scores
 from .numerics import (
     DomainError,
     _FrozenRecord,
+    _moved,
     _require_int,
     _require_list,
     _require_real,
@@ -72,10 +76,6 @@ from .numerics import (
 from .solver import (
     _SOLVE_PARAMS,
     OddConfig,
-    _lam_odd_from_hat,
-    _nu,
-    _root_row,
-    _weight_vector,
     solve_lambda_star,  # noqa: F401 - unused here; perfbench/tracer.py wraps this name
 )
 
@@ -90,6 +90,11 @@ __all__ = [
     "run_trial",
     "empirical_action_frequencies",
 ]
+
+__getattr__, __dir__ = _moved(
+    __name__,
+    ("PolicyDecision", "leader_lambda_odd", "next_decision", "empirical_action_frequencies"),
+)
 
 VARIANTS = ("standard", "non_stopping")
 
@@ -145,14 +150,6 @@ class PolicyConfig(_FrozenRecord):
         )
 
 
-class PolicyDecision(_FrozenRecord):
-    """What the policy does at the end of a slot: stop and declare, or
-    continue with `action` drawn from `distribution`."""
-
-    _fields = ("stop", "declared", "action", "distribution")
-    _defaults = (None, None, None)
-
-
 class Snapshot(_FrozenRecord):
     """Mid-trial state capture (used by drift studies and trace audits)."""
 
@@ -175,38 +172,6 @@ class TrialOutcome(_FrozenRecord):
     _defaults = (None, None)
 
 
-def leader_lambda_odd(k: int, theta_1: float, theta_2: float, cache: dict | None = None) -> float:
-    """Odd-process weight lambda*(k, nu) at the quantized nu of the positive
-    estimate pair. Values are memoized in the weight cells of k in `cache`
-    and computed at the quantized point, so the value served does not
-    depend on what the memo held before; cache=None solves without
-    keeping the value. Raises DomainError unless both estimates are
-    finite and positive."""
-    _require_int(k, "k", 3)
-    nu = _nu(
-        _require_real(theta_1, "theta_1", 0.0, open=True),
-        _require_real(theta_2, "theta_2", 0.0, open=True),
-    )
-    q = round(nu * _QUANT)
-    if q < 1:
-        q = 1
-    elif q > _QUANT - 1:
-        q = _QUANT - 1
-    if cache is not None:
-        cells = _weight_cells(cache, k)
-        at = 2 * (q & (_MEMO_CELLS - 1))
-        if cells[at] == q:
-            return float(cells[at + 1])
-    # solve_lambda_star(OddConfig(k, 1, nu_q, 1 - nu_q)).lam_odd, whose
-    # degenerate case at nu_q = 1/2 _root_row also covers.
-    rho = (k - 2) / (k - 1)
-    nu_q = q / _QUANT
-    lam_odd = _lam_odd_from_hat(_root_row((nu_q,), (1.0 - nu_q,), rho), rho)
-    if cache is not None:
-        cells[at], cells[at + 1] = q, lam_odd
-    return lam_odd
-
-
 def _weight_cells(cache: dict, k: int) -> array:
     """The memo's weight cells of k, an `array('d')`: cell c is entries 2c
     (a grid point q, 0.0 when empty) and 2c + 1 (lambda*(k, q / _QUANT)),
@@ -215,91 +180,6 @@ def _weight_cells(cache: dict, k: int) -> array:
     if cells is None:
         cells = cache[k] = array("d", [0.0]) * (2 * _MEMO_CELLS)
     return cells
-
-
-def _weighted_action(leader: int, lam_odd: float, k: int, u: float) -> int:
-    """Map one uniform draw to an action: mass lam_odd on the leader,
-    the remainder uniform over the others."""
-    if u < lam_odd:
-        return leader
-    frac = (u - lam_odd) / (1.0 - lam_odd)
-    idx = int(frac * (k - 1))
-    if idx > k - 2:
-        idx = k - 2
-    return idx + 1 if idx + 1 < leader else idx + 2
-
-
-def _uniform_action(k: int, u: float) -> int:
-    idx = int(u * k)
-    if idx > k - 1:
-        idx = k - 1
-    return idx + 1
-
-
-def _stops(config: PolicyConfig, z_leader: float) -> bool:
-    """Stop rule at the end of a slot: the leader's score reached the
-    threshold ("non_stopping" never stops)."""
-    return config.variant == "standard" and z_leader >= config.log_threshold
-
-
-def _next_action(
-    config: PolicyConfig,
-    n: int,
-    leader: int,
-    theta: tuple[float, float],
-    rng,
-    cache: dict | None,
-) -> tuple[int, int, float | None]:
-    """Action for slot n + 1 given the state after slot n and the leader's
-    (odd rate, common rate) estimates `theta`: round-robin during warm-up,
-    uniform when the estimates are unusable or degenerate, otherwise mass
-    lambda*(k, nu) on the leader. Draws: none in warm-up, one uniform
-    otherwise.
-
-    Returns (action, focus, mass): the action's distribution has `mass` on
-    process `focus` and the rest spread evenly; mass None means uniform.
-    """
-    k = config.k
-    if n < k:
-        action = (n % k) + 1
-        return action, action, 1.0
-    t1, t2 = theta
-    if t1 <= 0.0 or t2 <= 0.0 or abs(t1 - t2) < DEGENERATE_ESTIMATE_GAP:
-        return _uniform_action(k, float(rng.random())), leader, None
-    lam_odd = leader_lambda_odd(k, t1, t2, cache)
-    return _weighted_action(leader, lam_odd, k, float(rng.random())), leader, lam_odd
-
-
-def next_decision(
-    config: PolicyConfig,
-    glr: GlrState | None,
-    rng,
-    cache: dict | None = None,
-) -> PolicyDecision:
-    """One policy step at the end of a slot (glr=None means no slot has
-    been observed yet). Checks the stop rule, then selects the next
-    action: round-robin during warm-up, weight-driven at the leader's
-    estimates otherwise, uniform when those estimates are unusable.
-    `run_trial` applies the same step on every slot; `glr` needs the config's K.
-
-    Draw discipline (coupling contract): no draw for a stop or a warm-up
-    action; exactly one uniform for a weighted or fallback action. Leader
-    tie-breaks inside `modified_glr` consume their own draws. `cache` is
-    the weight memo to read and fill; None means one for this call only.
-    """
-    if glr is None:
-        n, leader, theta = 0, 1, (0.0, 0.0)  # nothing observed: no estimates
-    elif len(glr.z_min) != config.k:
-        raise DomainError(f"state has k={len(glr.z_min)} but the policy has k={config.k}")
-    else:
-        n, leader = glr.n, glr.leader
-        if _stops(config, glr.z_min[leader - 1]):
-            return PolicyDecision(stop=True, declared=leader)
-        theta = tuple(map(float, glr.theta[leader - 1]))
-    action, focus, mass = _next_action(config, n, leader, theta, rng, cache)
-    k = config.k
-    dist = tuple([1.0 / k] * k) if mass is None else _weight_vector(focus, mass, k)
-    return PolicyDecision(stop=False, action=action, distribution=dist)
 
 
 def run_trial(
@@ -350,59 +230,6 @@ def _rates(truth: OddConfig) -> list[float]:
     rates = [truth.r2[0]] * truth.k
     rates[truth.odd_index - 1] = truth.r1[0]
     return rates
-
-
-def _python_trial(
-    config: PolicyConfig,
-    truth: OddConfig,
-    rng,
-    collect_trace: bool,
-    cp: frozenset,
-    cache: dict,
-) -> tuple:
-    """One trial on the Python loop, the reference the compiled kernel
-    repeats. Returns what `_compiled` reads of a kernel trial: (tau,
-    delta, capped, rows, snapshots, last), with the trace rows
-    (action, count, leader, z_leader) of each slot when `collect_trace`
-    (else None), a `Snapshot` at each slot of `cp` and the final (visits,
-    events, total, z_min)."""
-    k = config.k
-    rates = _rates(truth)
-    stats = SufficientStats(k=k)
-    snaps = []
-    visits = stats.visits
-    events = stats.events
-    rows: list[tuple] | None = [] if collect_trace else None
-
-    capped = True
-    leader = 1
-    z_min = [0.0] * k
-    action = _next_action(config, 0, leader, stats.theta_hat(leader), rng, cache)[0]
-    for m in range(1, config.max_slots + 1):
-        x = int(rng.poisson(rates[action - 1]))
-        stats._record(action, x)
-        avg, ml = _scores(stats)
-        z_min = _z_min_from_scores(avg, ml)
-        leader = _pick_leader(z_min, rng)
-        if rows is not None:
-            rows.append((action, x, leader, z_min[leader - 1]))
-        if m in cp:
-            snaps.append(
-                Snapshot(
-                    n=m,
-                    leader=leader,
-                    z_min=tuple(z_min),
-                    visits=tuple(visits),
-                    events=tuple(events),
-                    total=stats.total,
-                )
-            )
-        if _stops(config, z_min[leader - 1]):
-            capped = False
-            break
-        action = _next_action(config, m, leader, stats.theta_hat(leader), rng, cache)[0]
-    last = (tuple(visits), tuple(events), stats.total, tuple(z_min))
-    return m, leader, capped, rows, tuple(snaps), last
 
 
 # The compiled kernel's int64 state array (these fields, then visits and
@@ -462,8 +289,9 @@ def _compiled(
     traced trials are replayed (from their keys, or rng's saved state)
     into a trace buffer of exactly their slots. A trial the kernel
     declines, and every trial when `kernel` is None, runs on the Python
-    loop from its start instead. On a caller's generator, the lock is held
-    over the kernel calls and the reruns. Returns the lists, the last
+    loop (`reference._python_trial`) from its start instead. On a
+    caller's generator, the lock is held over the kernel calls and the
+    reruns. Returns the lists, the last
     trial's (visits, events, total, z_min), and the first kernel call's
     weight lookups and memo misses (zeros without the kernel)."""
     _check_truth(config, truth)
@@ -523,7 +351,11 @@ def _compiled(
                       for c, s, zs in zip(cps, trial_tallies, trial_scores) if s[0] > 0)
                 for trial_tallies, trial_scores in zip(tallies, scores)
             ]
-        for i in [i for i in range(n) if tau[i] == 0]:
+        declined = [i for i in range(n) if tau[i] == 0]
+        if declined:
+            from .reference import _python_trial  # the Python loop, loaded only to run a trial
+
+        for i in declined:
             if bitgen is not None:
                 bitgen.state = start
             trial_rng = _default_rng([*prefix, trials[i]]) if rng is None else rng
@@ -572,14 +404,3 @@ def _seeded_trials(
     return _Trials(*([run[f][0] for run in runs] for f in range(len(_Trials._fields))))
 
 
-def empirical_action_frequencies(outcome: TrialOutcome) -> tuple[float, ...]:
-    """Fraction of slots spent on each process, from the trace."""
-    if outcome.trace is None:
-        raise DomainError("empirical_action_frequencies requires a trial run with collect_trace")
-    counts = [0] * outcome.k
-    slots = 0
-    for rec in outcome.trace:
-        if "action" in rec:
-            counts[rec["action"] - 1] += 1
-            slots += 1
-    return tuple(c / slots for c in counts)

@@ -49,17 +49,18 @@ shared lam_hat; everything reduces to the scalar case when D = 1. One
 loop solves every configuration (`_solve_pairs`): a table of rows, taken
 once, and a batch of (odd row, common row) index pairs into it, on
 `oddball_solve_rows` of the compiled kernel when it loads, else the same
-iteration on Python floats, pair by pair (`_root_row`, `_objective_sum`),
-which is the reference the kernel repeats bit for bit. `solve_lambda_star`
-solves the one pair of its config, `_solve_rows` row i of one (B, D)
-table against row i of another. The sign test's sums D(r1 || r2) and
-D(r2 || r1) are those of the reversed pair, swapped, so the kernel takes
-them once for a pair that follows its reverse; each orientation still
-applies its own test. Each pair iterates to its own stop, with every sum
+iteration on Python floats, pair by pair (`_root_row`, `_objective_sum` of
+`oddball.reference`, imported only then), which is the reference the
+kernel repeats bit for bit. `solve_lambda_star` solves the one pair of
+its config, `reference._solve_rows` row i of one (B, D) table against
+row i of another. The sign test's sums D(r1 || r2) and D(r2 || r1) are
+those of the reversed pair, swapped, so the kernel takes them once for a
+pair that follows its reverse; each orientation still applies its own
+test. Each pair iterates to its own stop, with every sum
 over D taken in coordinate order, so a pair's values depend neither on
 the other pairs nor on the loop that ran. The policy's weight solve is
-the D = 1 case (`_root_row` on the Python loop, its inlined copy in the
-kernel's trial loop).
+the D = 1 case (`reference._root_row` on the Python loop, its inlined
+copy in the kernel's trial loop).
 
 For equal rates the game degenerates (D* = 0) but the optimizer has a
 well-defined limit: expanding g to second order around r1 = r2 gives
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import _native
 from .numerics import (
@@ -84,11 +85,12 @@ from .numerics import (
     _SERIES_RADIUS,
     DomainError,
     _FrozenRecord,
+    _moved,
     _require_int,
     _require_list,
     _require_real,
     binary_relative_entropy,
-    poisson_kl,
+    poisson_kl,  # noqa: F401 - unused here; perfbench/micro.py and tracer.py read this name
 )
 
 __all__ = [
@@ -105,6 +107,9 @@ __all__ = [
     "curve_rows",
     "CURVE_HEADER",
 ]
+
+# Public names that live in `oddball.reference`, resolved on first access.
+__getattr__, __dir__ = _moved(__name__, ("mixed_rate", "d_star_rows", "brute_force_d_star"))
 
 DEFAULT_TOL = 1e-10
 
@@ -212,28 +217,6 @@ class LambdaSolution(_FrozenRecord):
     _fields = ("config", "lam", "lam_odd", "lam_hat", "r_tilde", "nu", "d_star")
 
 
-def mixed_rate(lambda_odd: float, r1, r2, k: int):
-    """Worst-case reference rate for sampling weight lambda_odd.
-
-        r_tilde = (lambda_odd * r1 + (1 - lambda_odd) * rho * r2)
-                  / (lambda_odd + (1 - lambda_odd) * rho),
-        rho = (k - 2) / (k - 1).
-
-    Scalar arguments give a float; sequences are mapped coordinatewise and
-    give a tuple. mixed_rate(0.5, 3.0, 2.0, 3) == 8/3.
-    """
-    config = OddConfig(k, 1, r1, r2)
-    lambda_odd = _require_real(lambda_odd, "lambda_odd", 0.0, 1.0)
-    scalar = isinstance(r1, (int, float)) and isinstance(r2, (int, float))
-    mixed = tuple(_mix(lambda_odd, a, b, config.rho) for a, b in zip(config.r1, config.r2))
-    return mixed[0] if scalar else mixed
-
-
-def _mix(lam, a, b, rho: float):
-    """The mixed rate (lam * a + (1 - lam) * rho * b) / (lam + (1 - lam) * rho)."""
-    return (lam * a + (1.0 - lam) * rho * b) / (lam + (1.0 - lam) * rho)
-
-
 def objective(config: OddConfig, lambda_odd: float) -> float:
     """Game objective f(lambda_odd); concave, zero at both endpoints.
 
@@ -241,17 +224,9 @@ def objective(config: OddConfig, lambda_odd: float) -> float:
     with coordinate-summed divergences for vector configs.
     """
     lambda_odd = _require_real(lambda_odd, "lambda_odd", 0.0, 1.0)
+    from .reference import _objective_sum  # no command calls this: off the import path
+
     return _objective_sum(config.r1, config.r2, config.rho, lambda_odd)
-
-
-def _objective_sum(r1, r2, rho: float, lambda_odd: float) -> float:
-    d1 = 0.0
-    d2 = 0.0
-    for a, b in zip(r1, r2):
-        m = _mix(lambda_odd, a, b, rho)
-        d1 += poisson_kl(a, m)
-        d2 += poisson_kl(b, m)
-    return lambda_odd * d1 + (1.0 - lambda_odd) * rho * d2
 
 
 def _equal_rates_hat(rho: float) -> float:
@@ -278,53 +253,6 @@ def _no_sign_change() -> DegenerateRatesError:
     )
 
 
-def _residual(a, b, rho: float, lam_hat: float) -> tuple[float, float, float]:
-    """g(lam_hat), its scale max(d1, rho * d2) and its slope g'(lam_hat)
-    for one row, each sum over the coordinates in order."""
-    d1 = t2 = slope = 0.0
-    for x, y in zip(a, b):
-        m = lam_hat * x + (1.0 - lam_hat) * y
-        d1 += poisson_kl(x, m)
-        t2 += poisson_kl(y, m)
-        slope += (x - y) * ((1.0 - x / m) - rho * (1.0 - y / m))
-    t2 = rho * t2
-    return d1 - t2, (d1 if d1 > t2 else t2), slope
-
-
-def _root_row(a, b, rho: float) -> float:
-    """Root lam_hat of g for one row, odd rates a and common rates b
-    (sequences of D floats), on Python floats: the reference and fallback
-    of the kernel's `oddball_solve_rows`.
-
-    Newton starts from the equal-rates root 1 / (1 + sqrt(rho)); the
-    halving test falls back to bisection where rounding noise in g would
-    otherwise make Newton creep (nu just outside NEAR_DEGENERATE_NU).
-    """
-    start = _equal_rates_hat(rho)
-    if len(a) == 1 and abs(_nu(a[0], b[0]) - 0.5) < NEAR_DEGENERATE_NU:
-        return start
-    # g(0) = D(r1 || r2) and g(1) = -rho * D(r2 || r1).
-    if not (sum(map(poisson_kl, a, b)) > 0.0 and rho * sum(map(poisson_kl, b, a)) > 0.0):
-        raise _no_sign_change()
-    lo, hi, step = 0.0, 1.0, 1.0
-    x = start
-    while True:
-        g, scale, slope = _residual(a, b, rho, x)
-        if abs(g) <= DEFAULT_TOL * scale:
-            return x
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo < _MIN_BRACKET:
-            return x
-        nxt = x - g / slope if slope < 0.0 else x
-        if not (lo < nxt < hi and abs(nxt - x) <= 0.5 * step):
-            nxt = 0.5 * (lo + hi)
-        step = abs(nxt - x)
-        x = nxt
-
-
 def _not_a_table() -> DomainError:
     return DomainError("rate tables must be 2-D of one shape")
 
@@ -333,8 +261,9 @@ def _solve_pairs(rows, pairs, rho: float) -> tuple[list[float], list[float]]:
     """lam_hat and D* of each (odd, common) pair of row indices into
     `rows`, a sequence of rows of D rates each (lists, `array('d')` rows
     or a 2-D numpy array), on the kernel's `oddball_solve_rows` when it
-    loads, else pair by pair on `_root_row` and `_objective_sum`; the
-    values are the same bits either way. Pairs must not be degenerate,
+    loads, else pair by pair on `reference._root_row` and
+    `reference._objective_sum`, imported only then; the values are the
+    same bits either way. Pairs must not be degenerate,
     and each index must be one of `rows`, since the kernel reads the
     rows it is given unchecked. The table is copied once, row after row,
     into one flat `array('d')` by `array.extend`, which copies an
@@ -354,6 +283,8 @@ def _solve_pairs(rows, pairs, rho: float) -> tuple[list[float], list[float]]:
         raise _not_a_table() from None
     lib = _native.kernel()
     if lib is None:
+        from .reference import _objective_sum, _root_row
+
         lam_hat, values = [], []
         for a, b in pairs:
             odd, common = table[a * d : (a + 1) * d], table[b * d : (b + 1) * d]
@@ -370,21 +301,6 @@ def _solve_pairs(rows, pairs, rho: float) -> tuple[list[float], list[float]]:
                               address(_SOLVE_PARAMS), at, at + 8 * n) >= 0:
         raise _no_sign_change()
     return out[:n].tolist(), out[n:].tolist()
-
-
-def _solve_rows(r1, r2, rho: float) -> tuple[list[float], list[float]]:
-    """lam_hat and D* of every row pair of two (B, D) rate tables, each a
-    sequence of B rows of D rates: `_solve_pairs` on the rows of both,
-    row i of r1 odd against row i of r2. A table of no rows gives empty
-    lists.
-    """
-    try:
-        n, rows = len(r1), [*r1, *r2]
-    except TypeError:
-        raise _not_a_table() from None
-    if len(rows) != 2 * n:
-        raise _not_a_table()
-    return _solve_pairs(rows, [(i, n + i) for i in range(n)], rho)
 
 
 def solve_lambda_star(config: OddConfig) -> LambdaSolution:
@@ -432,91 +348,6 @@ def solve_lambda_star(config: OddConfig) -> LambdaSolution:
 def d_star(config: OddConfig) -> float:
     """Detectability index of the configuration; 0 exactly when r1 == r2."""
     return solve_lambda_star(config).d_star
-
-
-def d_star_rows(k: int, r1, r2):
-    """D* of K-item configurations with odd rates r1[i] and common rates
-    r2[i], for every row i of two (B, D) rate tables, in one solve, as a
-    numpy array.
-
-    Row i equals `d_star(OddConfig(k, 1, r1[i], r2[i]))` bitwise, whatever
-    the other rows are. Rows must differ (r1[i] != r2[i]); rates must be
-    positive and finite.
-    """
-    import numpy as np
-
-    return np.asarray(_solve_rows(r1, r2, (k - 2) / (k - 1))[1], dtype=float)
-
-
-def _kl_grid(x: float, y):
-    """Vectorized D(x || y) for scalar x >= 0 and a positive numpy array y."""
-    import numpy as np
-
-    if x == 0.0:
-        return y.copy()
-    return x * np.log(x / y) - x + y
-
-
-def brute_force_d_star(config: OddConfig, grid_resolution: int = 400) -> float:
-    """Independent evaluation of D* by direct search over the full simplex.
-
-    Grids the sampling vector lambda over the K-dimensional probability
-    simplex with the given resolution and takes the max over grid points of
-    the min over alternative odd positions j != odd_index. The inner
-    minimization over the alternative's rate pair is exact: the cross term
-    is killed by setting the alternative odd rate to r2, and the remaining
-    strictly convex single-rate problem has the closed-form minimizer
-
-        y* = (lam_i * r1 + c_j * r2) / (lam_i + c_j),   c_j = 1 - lam_i - lam_j.
-
-    Deliberately ignorant of the one-dimensional reduction used by
-    `solve_lambda_star`; this is the oracle the solver is tested against.
-    Scalar configs with K <= 4 only (the grid blows up combinatorially).
-    """
-    import numpy as np
-
-    if config.dim != 1:
-        raise DomainError("brute force supports scalar-rate configs only")
-    if config.k > 4:
-        raise DomainError(f"brute force refuses k > 4 (got k={config.k}); grid is combinatorial")
-    _require_int(grid_resolution, "grid_resolution", 10)
-    r1 = config.r1[0]
-    r2 = config.r2[0]
-    res = grid_resolution
-    i = config.odd_index - 1
-    k = config.k
-
-    best = 0.0
-    # Enumerate lam_i deterministically; vectorize over the free off-odd
-    # coordinates at fixed lam_i to keep memory bounded for K = 4.
-    for ai in range(res + 1):
-        lam_i = ai / res
-        rem = res - ai
-        if k == 3:
-            aj = np.arange(rem + 1)
-            others = np.stack([aj, rem - aj], axis=1) / res  # columns: the two j != i
-        else:
-            a1 = np.arange(rem + 1)
-            a1g, a2g = np.meshgrid(a1, a1, indexing="ij")
-            mask = a1g + a2g <= rem
-            c1 = a1g[mask]
-            c2 = a2g[mask]
-            others = np.stack([c1, c2, rem - c1 - c2], axis=1) / res
-        # min over j != i of the inner value at (lam_i, lam_j)
-        vals = None
-        for col in range(k - 1):
-            lam_j = others[:, col]
-            c = 1.0 - lam_i - lam_j
-            c = np.where(c < 0.0, 0.0, c)  # clip grid rounding at the simplex edge
-            w = lam_i + c
-            pos = w > 0.0  # w == 0 only at lam_i = lam_j-complement = 0: value is 0
-            y = np.where(pos, (lam_i * r1 + c * r2) / np.where(pos, w, 1.0), 1.0)
-            v = np.where(pos, lam_i * _kl_grid(r1, y) + c * _kl_grid(r2, y), 0.0)
-            vals = v if vals is None else np.minimum(vals, v)
-        m = float(vals.max()) if vals.size else 0.0
-        if m > best:
-            best = m
-    return best
 
 
 def lower_bound_expected_tau(

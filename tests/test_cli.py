@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oddball
-from oddball import _native
+from oddball import _native, cli
 from oddball.cli import main
 from oddball.dissimilarity import MATRIX_HEADER, FiringRateTable, pairwise_dstar
 from oddball.experiments import (
@@ -370,6 +370,17 @@ class TestBoundCommand:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("alpha", ["1", "0", "-0.5", "nan", "inf"])
+    def test_alpha_is_checked_by_its_flag_before_the_solve(self, capsys, monkeypatch, alpha):
+        """An --alpha outside (0, 1) is named by its flag, and refused
+        before the configuration is solved."""
+        monkeypatch.setattr(cli, "solve_lambda_star", lambda config: pytest.fail("solved"))
+        code, out, err = run_cli(
+            capsys, "bound", "--k", "3", "--r1", "1.0", "--r2", "2.0", "--alpha", alpha
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --alpha must be a finite number in (0, 1), got {float(alpha)!r}\n"
+
 
 class TestIndexCommand:
     def test_matrix_matches_library(self, capsys, tmp_path):
@@ -684,15 +695,16 @@ class TestGoldenReports:
 
 # Runs a traced `simulate` whose rows have errors > 0 (so error_ci_hi comes
 # off its closed form), a checkpointed `drift` and `index` at --jobs argv[3],
-# then `analyze` (an anova p-value); prints the heavy modules loaded after
-# the first three and again after `analyze`.
+# then `analyze` (an anova p-value) and `curve`; prints the heavy modules,
+# and `oddball.reference`, loaded after the first three and again after
+# `curve`.
 COMMANDS_PROBE = """
 import csv, json, os, sys
 from oddball.cli import main
 work, golden, jobs = sys.argv[1:]
 def heavy():
     roots = ("numpy", "scipy", "multiprocessing", "concurrent")
-    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots or m == "oddball.reference")
 spec = os.path.join(work, "spec.json")
 with open(spec, "w") as fh:
     json.dump(dict(k=3, odd_index=2, r1=1.3, r2=1.0, l_grid=[1.0, 1.2], trials=40, seed=31,
@@ -725,9 +737,8 @@ print(json.dumps(heavy()))
 # gettext and locale).
 CLI_IMPORTS = {
     "array", "bisect", "collections", "contextlib", "copyreg", "csv", "ctypes", "enum",
-    "functools", "genericpath", "hashlib", "importlib", "itertools", "json", "keyword", "math",
-    "oddball", "operator", "os", "posixpath", "re", "reprlib", "stat", "struct", "threading",
-    "types", "typing", "warnings",
+    "functools", "genericpath", "importlib", "itertools", "json", "keyword", "math", "oddball",
+    "operator", "os", "posixpath", "re", "reprlib", "stat", "struct", "threading", "types",
 }
 
 
@@ -749,15 +760,18 @@ class TestImportCost:
         scipy.special alone ~270 ms, multiprocessing ~10 ms and
         concurrent.futures ~5 ms. With the kernel, `simulate`, `drift` and
         `index` need none of them, bar the thread pool of --jobs 2, and
-        `analyze` and `curve` add none. Without the kernel the trials run
-        on numpy's generators, so only numpy is then allowed."""
+        `analyze` and `curve` add none; none of the five loads
+        `oddball.reference`, the Python twin of the kernel, whose compile
+        would land inside a call. Without the kernel the trials run on
+        numpy's generators and the Python loop, so only numpy and
+        `oddball.reference` are then allowed."""
         # Built here, so the probe loads it from the cache.
         has_kernel = _native.kernel() is not None
         out = _run_python("-c", COMMANDS_PROBE, str(tmp_path), str(GOLDEN), jobs)
         commands, after_curve = map(json.loads, out.splitlines()[-2:])  # after drift's summary
 
         def light(modules):
-            return [m for m in modules if m.split(".")[0] != "numpy"]
+            return [m for m in modules if m.split(".")[0] != "numpy" and m != "oddball.reference"]
 
         if has_kernel:
             assert light(commands) == commands
@@ -775,18 +789,25 @@ class TestImportCost:
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import oddball.cli\n"
-            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
         added = set(json.loads(_run_python("-c", probe)))
-        assert {m for m in added if not m.startswith("_")} - CLI_IMPORTS == set()
+        assert {m.split(".")[0] for m in added if not m.startswith("_")} - CLI_IMPORTS == set()
+        assert "oddball.reference" not in added
 
     def test_package_names_resolve_without_numpy(self):
+        """Every public name of the package and of its modules is listed
+        by `dir` before it is first read, and resolves without numpy,
+        the names that live in `oddball.reference` included."""
         probe = (
             "import sys, oddball\n"
-            "print([name for name in oddball.__all__ if not hasattr(oddball, name)],"
+            "from oddball import dissimilarity, glr, numerics, policy, solver\n"
+            "modules = (oddball, dissimilarity, glr, numerics, policy, solver)\n"
+            "print([n for m in modules for n in m.__all__ if n not in dir(m)],"
+            " [n for m in modules for n in m.__all__ if not hasattr(m, n)],"
             " 'numpy' in sys.modules)\n"
         )
-        assert _run_python("-c", probe).strip() == "[] False"
+        assert _run_python("-c", probe).strip() == "[] [] False"
 
     def test_array_fields_are_read_only_numpy_arrays(self):
         """A table's `rates` and `floored` and a matrix's `values`,

@@ -14,14 +14,12 @@ from scipy import integrate
 from oddball.glr import (
     GlrState,
     SufficientStats,
-    _pick_leader,
-    _scores,
-    _z_min_from_scores,
     averaged_log_likelihood,
     ml_log_likelihood,
     modified_glr,
 )
 from oddball.numerics import DomainError
+from oddball.reference import _pick_leader, _scores, _z_min_from_scores
 
 LN2 = 0.693147180559945309417
 THREE_LN3_MINUS_3 = 0.295836866004329074186  # 3 * (log 3 - 1)

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oddball.policy as policy
-from oddball import _builder, _native
+from oddball import _builder, _native, reference
 from oddball.cli import main as cli_main
 from oddball.experiments import ExperimentSpec, drift_experiment, run_experiment
 from oddball.numerics import _LOG1P_TAIL_COEFFS, _SERIES_RADIUS, DomainError
@@ -171,14 +171,14 @@ def _agree(configs, truth, seeds, checkpoints, traced=False):
 def test_kernels_agree_exactly(name, traced, kernel, monkeypatch):
     configs, truth, seeds, checkpoints = CONFIGS[name]
     ties = 0
-    pick = policy._pick_leader
+    pick = reference._pick_leader
 
     def counted_pick(z_min, rng):
         nonlocal ties
         ties += z_min.count(max(z_min)) > 1
         return pick(z_min, rng)
 
-    monkeypatch.setattr(policy, "_pick_leader", counted_pick)
+    monkeypatch.setattr(reference, "_pick_leader", counted_pick)
     memo_py, memo_c, refs, lookups, misses = _agree(configs, truth, seeds, checkpoints, traced)
     k = truth.k
     assert np.array_equal(memo_c[k], memo_py[k])
@@ -198,13 +198,13 @@ def test_kernels_agree_exactly(name, traced, kernel, monkeypatch):
 
 def _solves(monkeypatch) -> list:
     """Record the weight solves of `leader_lambda_odd` from here on."""
-    calls, solve = [], policy._root_row
+    calls, solve = [], reference._root_row
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(policy, "_root_row", counted)
+    monkeypatch.setattr(reference, "_root_row", counted)
     return calls
 
 
@@ -252,10 +252,10 @@ def test_loops_evict_alike(kernel, monkeypatch):
 
 
 def _python_trial_calls(monkeypatch):
-    """Count the calls of `policy._python_trial` from here on."""
+    """Count the calls of `reference._python_trial` from here on."""
     calls = []
-    python_trial = policy._python_trial
-    monkeypatch.setattr(policy, "_python_trial", lambda *a: calls.append(1) or python_trial(*a))
+    python_trial = reference._python_trial
+    monkeypatch.setattr(reference, "_python_trial", lambda *a: calls.append(1) or python_trial(*a))
     return calls
 
 
@@ -539,14 +539,14 @@ def test_block_matches_run_trial(name, kernel, monkeypatch):
     # looked up in each.
     configs, truth, _, _ = CONFIGS[name]
     ties = 0
-    pick = policy._pick_leader
+    pick = reference._pick_leader
 
     def counted_pick(z_min, rng):
         nonlocal ties
         ties += z_min.count(max(z_min)) > 1
         return pick(z_min, rng)
 
-    monkeypatch.setattr(policy, "_pick_leader", counted_pick)
+    monkeypatch.setattr(reference, "_pick_leader", counted_pick)
     # The call's weight lookups and memo misses are the sums of the
     # per-trial counts of `run_trial` on the kernel over the same memo order.
     seed, trials = 2**40 + 3, [0, 2, 3, 5, 8, 13, 21, 2**32 + 1]
@@ -670,7 +670,7 @@ def test_caller_rerun_holds_the_lock(kernel, monkeypatch):
     # The lock is held over the kernel call, the rewind and the rerun, so
     # another thread cannot draw in between and have its draws repeated.
     rng, free = np.random.default_rng(0), []
-    python_trial = policy._python_trial
+    python_trial = reference._python_trial
 
     def try_lock():
         lock = rng.bit_generator.lock
@@ -685,7 +685,7 @@ def test_caller_rerun_holds_the_lock(kernel, monkeypatch):
         assert not probe.is_alive()
         return python_trial(*args)
 
-    monkeypatch.setattr(policy, "_python_trial", probed)
+    monkeypatch.setattr(reference, "_python_trial", probed)
     limit = OddConfig(3, 1, policy._POISSON_LAM_MAX, 1.0)
     out = policy.run_trial(PolicyConfig(k=3, threshold_l=10.0), limit, rng, collect_trace=True)
     assert free == [False]
@@ -1343,6 +1343,41 @@ def test_damaged_cache_is_rebuilt(damage, kernel, tmp_path, monkeypatch):
     assert lam_odd == solve_lambda_star(OddConfig(3, 1, 0.25, 0.75)).lam_odd
     # The rebuilt file is sealed and loads again.
     assert _native._open(path, key) is not None
+
+
+def _damaged(data: bytes, key: str, damage: str) -> bytes:
+    """The sealed library `data` of `key` after `damage`."""
+    size = _native._SEAL_SIZE
+    body, mid = data[:-size], (len(data) - size) // 2
+    if damage == "bit flipped":
+        return body[:mid] + bytes([body[mid] ^ 0x10]) + body[mid + 1 :] + data[-size:]
+    if damage.startswith("cut by"):
+        return data[: -int(damage.split()[-1])]
+    if damage == "other key":
+        return body + _native._seal(key + "0", body)
+    # Cut by 4096 bytes, its last 12 holding the uncut length and the CRC
+    # that matches what is left: only the length tells it from a sealed file.
+    cut = data[:-4096][:-size]
+    return cut + len(body).to_bytes(8, "little") + _native._seal(key, cut)[8:]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["bit flipped", "cut by 1", f"cut by {_native._SEAL_SIZE}", "cut by 4096", "other key",
+     "matching CRC, other length"],
+)
+def test_seal_refuses_a_damaged_copy(damage, kernel, tmp_path):
+    # `_open` on copies of the cached library, which this test does not
+    # build: an intact copy loads, and one with its body, its length or
+    # its key changed does not.
+    key = _native._key(_native._numpy_dir())
+    data = _native._read(_native._library(key))
+    intact, damaged = tmp_path / "intact.so", tmp_path / "damaged.so"
+    intact.write_bytes(data)
+    damaged.write_bytes(_damaged(data, key, damage))
+    assert damaged.read_bytes() != data
+    assert _native._open(str(intact), key) is not None
+    assert _native._open(str(damaged), key) is None
 
 
 def test_kernel_compiles_without_warnings(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oddball.policy as policy
+import oddball.reference as reference
 from oddball.glr import GlrState, SufficientStats, modified_glr
 from oddball.numerics import DomainError
 from oddball.policy import (
@@ -151,7 +152,7 @@ class TestLeaderLambdaOdd:
         # solves are counted here; on a numpy Generator it runs the
         # compiled kernel, which counts its own, and the two must agree.
         lookups = solves = 0
-        lookup, solve = policy.leader_lambda_odd, policy._root_row
+        lookup, solve = reference.leader_lambda_odd, reference._root_row
         compiled, kernel_counts = policy._compiled, []
 
         def counted_lookup(*args):
@@ -177,8 +178,8 @@ class TestLeaderLambdaOdd:
                 rng = np.random.default_rng(seed)
                 self.poisson, self.random, self.integers = rng.poisson, rng.random, rng.integers
 
-        monkeypatch.setattr(policy, "leader_lambda_odd", counted_lookup)
-        monkeypatch.setattr(policy, "_root_row", counted_solve)
+        monkeypatch.setattr(reference, "leader_lambda_odd", counted_lookup)
+        monkeypatch.setattr(reference, "_root_row", counted_solve)
         monkeypatch.setattr(policy, "_compiled", counted_compiled)
         cfg = PolicyConfig(k=3, threshold_l=10.0, variant="non_stopping", max_slots=3000)
         truth = OddConfig(3, 1, 1.0, 2.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddball import _native, solver
+from oddball import _native, reference, solver
 from oddball.numerics import _SERIES_RADIUS, DomainError, poisson_kl
 from oddball.solver import (
     CURVE_HEADER,
@@ -437,8 +437,8 @@ class TestCurveRows:
             curve_rows([3.0], 10)
 
 
-def _solve_on(loop, r1, r2, rho, solve=solver._solve_rows):
-    """`solve` (`solver._solve_rows`, or `solver._solve_pairs` on rows and
+def _solve_on(loop, r1, r2, rho, solve=reference._solve_rows):
+    """`solve` (`reference._solve_rows`, or `solver._solve_pairs` on rows and
     pairs) on `loop`, the kernel library or None for the Python loop:
     lam_hat and D* of each row as lists of floats, or DegenerateRatesError
     when it raises that."""
